@@ -54,6 +54,7 @@ from .sparse_tensor import (
     SparseTensorCOO,
     density_value,
     from_entries,
+    load_axes,
     load_tensor,
     save_tensor,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "init_factors",
     "keyword_cloud",
     "khatri_rao",
+    "load_axes",
     "load_corpus",
     "load_model",
     "load_reports",

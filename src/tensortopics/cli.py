@@ -31,7 +31,7 @@ from .ensemble import (
     similarity_matrix,
 )
 from .report import build_report, emit_report
-from .sparse_tensor import load_tensor, save_tensor
+from .sparse_tensor import load_axes, load_tensor, save_tensor
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +148,7 @@ def run_report(cfg) -> Path:
     selection = json.loads(_selection_path(cfg).read_text(encoding="utf-8"))
     if selection.get("format") != SELECTION_FORMAT:
         raise ValueError(f"unrecognized selection format {selection.get('format')!r}")
-    _tensor, axes, mode_names = load_tensor(_tensor_dir(cfg))
+    axes, mode_names = load_axes(_tensor_dir(cfg))
     word_mode = int(selection["word_mode"])
 
     models = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp_als import AlsDivergenceError, AlsOptions, KruskalModel, cp_als
+from .cp_als import AlsDivergenceError, AlsOptions, KruskalModel, cp_als, stop_reason
 from .sparse_tensor import SparseTensorCOO
 
 logger = logging.getLogger(__name__)
@@ -117,7 +117,8 @@ def ensemble_models(
     Each rank runs with its own seed derived from (opts.seed, rank), so the
     result does not depend on execution order and thread count cannot change
     it. A rank whose solve diverges is logged and dropped; the rest of the
-    ensemble still returns.
+    ensemble still returns. Each rank logs its final fit, its sweep count and
+    why it stopped (see stop_reason), at WARNING when the fit went down.
     """
     if opts is None:
         opts = AlsOptions()
@@ -140,8 +141,11 @@ def ensemble_models(
             logger.warning("dropping rank %d: %s", rank, exc)
             return
         results[rank] = model
-        logger.info(
-            "rank %d: fit %.6f after %d sweep(s)", rank, fit_history[-1], len(fit_history)
+        reason = stop_reason(fit_history, opts.fit_tolerance)
+        logger.log(
+            logging.WARNING if reason == "fit_decreased" else logging.INFO,
+            "rank %d: fit %.6f after %d sweep(s), stopped: %s",
+            rank, fit_history[-1], len(fit_history), reason,
         )
 
     if threads > 1 and len(ranks) > 1:
@@ -245,21 +249,13 @@ def select_components_detailed(
     comparable = [components[i] for i in keep_idx]
     sims = mat @ mat.T
 
-    partners_of: dict[int, list[tuple[int, int]]] = {}
     if cfg.strategy == "stable-then-dedup":
-        candidates = []
-        for i, c in enumerate(comparable):
-            witnesses = [
-                (comparable[j].origin_rank, comparable[j].index_in_model)
-                for j in range(len(comparable))
-                if comparable[j].origin_rank != c.origin_rank
-                and sims[i, j] >= cfg.threshold
-            ]
-            if witnesses:
-                candidates.append(i)
-                partners_of[i] = witnesses
+        origin = np.array([c.origin_rank for c in comparable])
+        witness = (sims >= cfg.threshold) & (origin[:, None] != origin[None, :])
+        candidates = np.flatnonzero(witness.any(axis=1)).tolist()
         stable_count = len(candidates)
     else:
+        witness = np.zeros(sims.shape, dtype=bool)
         candidates = list(range(len(comparable)))
         stable_count = None
 
@@ -276,7 +272,13 @@ def select_components_detailed(
             kept_local.append(i)
 
     kept = [comparable[i] for i in kept_local]
-    partners = [sorted(partners_of.get(i, [])) for i in kept_local]
+    partners = [
+        sorted(
+            (comparable[j].origin_rank, comparable[j].index_in_model)
+            for j in np.flatnonzero(witness[i])
+        )
+        for i in kept_local
+    ]
     return SelectionResult(
         kept=kept,
         partners=partners,

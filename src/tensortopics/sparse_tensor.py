@@ -2,7 +2,9 @@
 
 Coordinates are kept lexicographically sorted and coalesced so that every
 downstream kernel (MTTKRP in particular) accumulates in a fixed order and
-reruns are bitwise reproducible.
+reruns are bitwise reproducible. The sort also makes each last-mode fiber
+(the nonzeros sharing their first d-1 coordinates) a contiguous run, which
+FiberIndex records for the MTTKRP kernel.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +62,65 @@ class AxisMap:
         return f"AxisMap({len(self.labels)} labels)"
 
 
+class Segments(NamedTuple):
+    """Rows grouped by a key, for summing with np.add.reduceat.
+
+    fibers[i] is the fiber that supplies the i-th row in summation order;
+    the rows of each run starts[j]:starts[j + 1] share the key targets[j].
+    """
+
+    fibers: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal consecutive rows (or elements)."""
+    changed = rows[1:] != rows[:-1]
+    if rows.ndim == 2:
+        changed = np.any(changed, axis=1)
+    return np.flatnonzero(np.r_[rows.shape[0] > 0, changed])
+
+
+def _segments(keys: np.ndarray, fibers: np.ndarray) -> tuple[np.ndarray, Segments]:
+    """Stable sort order of `keys` and the Segments it induces on `fibers`."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    return order, Segments(fibers[order], starts, keys[starts])
+
+
+@dataclass(frozen=True)
+class FiberIndex:
+    """The last-mode fibers of a sorted tensor: one level of compressed sparse
+    fiber (CSF) storage.
+
+    starts : (S,) first nonzero of each fiber; coords : (S, d-1) its leading
+    coordinates; leaf : (nnz,) each nonzero's last coordinate, contiguous for
+    fast gathers. segments[k] groups rows by their mode-k coordinate: the S
+    fibers for k < d-1, the nonzeros (stably sorted by last coordinate) for
+    the last mode, whose values in that order are leaf_values.
+    """
+
+    starts: np.ndarray
+    coords: np.ndarray
+    leaf: np.ndarray
+    segments: tuple[Segments, ...]
+    leaf_values: np.ndarray
+
+    @classmethod
+    def build(cls, coords: np.ndarray, values: np.ndarray) -> "FiberIndex":
+        lead = coords[:, :-1]
+        starts = _run_starts(lead)
+        fiber_coords = lead[starts]
+        fiber_ids = np.arange(starts.shape[0])
+        segments = [_segments(fiber_coords[:, k], fiber_ids)[1] for k in range(lead.shape[1])]
+        fiber_of = np.repeat(fiber_ids, np.diff(np.r_[starts, coords.shape[0]]))
+        leaf = np.ascontiguousarray(coords[:, -1])
+        order, by_leaf = _segments(leaf, fiber_of)
+        return cls(starts, fiber_coords, leaf, (*segments, by_leaf), values[order])
+
+
 class SparseTensorCOO:
     """Immutable sparse tensor with sorted, coalesced, strictly positive entries.
 
@@ -76,7 +139,7 @@ class SparseTensorCOO:
     threads.
     """
 
-    __slots__ = ("shape", "coords", "values")
+    __slots__ = ("shape", "coords", "values", "_fibers")
 
     def __init__(self, coords, values, shape: Sequence[int]):
         shape = tuple(int(n) for n in shape)
@@ -127,6 +190,7 @@ class SparseTensorCOO:
         self.shape = shape
         self.coords = coords
         self.values = values
+        self._fibers = None
 
     @property
     def order(self) -> int:
@@ -139,6 +203,17 @@ class SparseTensorCOO:
     @property
     def density(self) -> float:
         return density_value(self.nnz, self.shape)
+
+    @property
+    def fibers(self) -> FiberIndex:
+        """The last-mode fiber index, built on first use and then cached.
+
+        The tensor is immutable, so the index never goes stale. Threads that
+        race on the first use each build the same index; either one is kept.
+        """
+        if self._fibers is None:
+            self._fibers = FiberIndex.build(self.coords, self.values)
+        return self._fibers
 
     def frobenius_norm(self) -> float:
         """Square root of the sum of squared stored values."""
@@ -236,13 +311,8 @@ def save_tensor(
     return out_dir
 
 
-def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
-    """Load a tensor container written by save_tensor.
-
-    Rejects unknown formats and any mismatch between the header shape, the
-    entry coordinates, and the per-mode label counts.
-    """
-    in_dir = Path(in_dir)
+def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int]:
+    """Validated (shape, mode_names, nnz) from a container's header.json."""
     header_path = in_dir / HEADER_FILE
     if not header_path.is_file():
         raise ValueError(f"not a tensor container: missing {header_path}")
@@ -255,7 +325,44 @@ def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], lis
     mode_names = [str(n) for n in header["mode_names"]]
     if len(mode_names) != len(shape):
         raise ValueError("header mode_names length does not match shape")
+    return shape, mode_names, int(header["nnz"])
 
+
+def _read_axes(in_dir: Path, shape: Sequence[int]) -> list[AxisMap]:
+    axes: list[AxisMap] = []
+    for k, extent in enumerate(shape):
+        labels_path = in_dir / f"mode{k}.labels.txt"
+        if not labels_path.is_file():
+            raise ValueError(f"not a tensor container: missing {labels_path}")
+        text = labels_path.read_text(encoding="utf-8")
+        labels = text.split("\n")
+        if labels and labels[-1] == "":
+            labels.pop()
+        if len(labels) != extent:
+            raise ValueError(f"mode {k} has {len(labels)} labels but extent {extent}")
+        axes.append(AxisMap(labels))
+    return axes
+
+
+def load_axes(in_dir: str | Path) -> tuple[list[AxisMap], list[str]]:
+    """The axis labels and mode names of a tensor container, without its entries.
+
+    Validates the header and checks every label count against the header
+    shape, exactly as load_tensor does; entries.tsv is not read.
+    """
+    in_dir = Path(in_dir)
+    shape, mode_names, _nnz = _read_header(in_dir)
+    return _read_axes(in_dir, shape), mode_names
+
+
+def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
+    """Load a tensor container written by save_tensor.
+
+    Rejects unknown formats and any mismatch between the header shape, the
+    entry coordinates, and the per-mode label counts.
+    """
+    in_dir = Path(in_dir)
+    shape, mode_names, nnz = _read_header(in_dir)
     d = len(shape)
     coords: list[list[int]] = []
     values: list[float] = []
@@ -275,23 +382,6 @@ def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], lis
             coords.append([int(p) for p in parts[:d]])
             values.append(float(parts[d]))
     tensor = SparseTensorCOO(coords, values, shape)
-    if tensor.nnz != int(header["nnz"]):
-        raise ValueError(
-            f"header says {header['nnz']} entries, file holds {tensor.nnz}"
-        )
-
-    axes: list[AxisMap] = []
-    for k in range(d):
-        labels_path = in_dir / f"mode{k}.labels.txt"
-        if not labels_path.is_file():
-            raise ValueError(f"not a tensor container: missing {labels_path}")
-        text = labels_path.read_text(encoding="utf-8")
-        labels = text.split("\n")
-        if labels and labels[-1] == "":
-            labels.pop()
-        if len(labels) != shape[k]:
-            raise ValueError(
-                f"mode {k} has {len(labels)} labels but extent {shape[k]}"
-            )
-        axes.append(AxisMap(labels))
-    return tensor, axes, mode_names
+    if tensor.nnz != nnz:
+        raise ValueError(f"header says {nnz} entries, file holds {tensor.nnz}")
+    return tensor, _read_axes(in_dir, shape), mode_names

@@ -1,9 +1,11 @@
 """Shared oracles and builders.
 
 The oracles here are deliberately independent of the library's sparse
-kernels: dense arrays, nested loops, and np.kron only.
+kernels: dense arrays, nested loops, np.kron, and a coordinate-order
+gather/scatter over the nonzeros.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,13 @@ import pytest
 from tensortopics import from_entries
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Child processes import the package from this checkout too, so the suite
+# runs without an install (pyproject's pytest `pythonpath` covers this process).
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
+)
 
 
 def to_dense(tensor):
@@ -39,6 +48,19 @@ def dense_mttkrp(dense, factors, mode):
         kr = kr_columnwise(kr, f)
     unfolding = np.moveaxis(dense, mode, 0).reshape(dense.shape[mode], -1)
     return unfolding @ kr
+
+
+def coo_mttkrp(tensor, factors, mode):
+    """MTTKRP oracle on COO storage: gather the other factors' rows at every
+    nonzero, scale by the value, and scatter-add into the target rows."""
+    rank = factors[(mode + 1) % tensor.order].shape[1]
+    acc = np.tile(tensor.values[:, None], (1, rank))
+    for k in range(tensor.order):
+        if k != mode:
+            acc *= factors[k][tensor.coords[:, k], :]
+    out = np.zeros((tensor.shape[mode], rank))
+    np.add.at(out, tensor.coords[:, mode], acc)
+    return out
 
 
 def dense_from_model(model):

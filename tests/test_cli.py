@@ -88,6 +88,16 @@ class TestPipeline:
             assert all(len(pairs) <= 5 for pairs in comp["modes"].values())
             assert len(comp["keywords"]) <= 12
 
+    def test_report_reads_labels_not_entries(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        report_files = pipeline_files(workdir)[-3:]
+        before = [p.read_bytes() for p in report_files]
+        shutil.rmtree(workdir / "report")
+        (workdir / "tensor" / "entries.tsv").unlink()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert [p.read_bytes() for p in report_files] == before
+
     def test_custom_report_directory(self, tmp_path):
         workdir = tmp_path / "run"
         out = tmp_path / "elsewhere"

@@ -14,6 +14,8 @@ from tensortopics import (
     save_model,
 )
 
+from tensortopics.cp_als import stop_reason
+
 from conftest import dense_from_model, dense_mttkrp, random_sparse, to_dense
 
 
@@ -302,3 +304,24 @@ class TestModelFile:
         path.write_text('{"format": "other", "schema_version": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             load_model(path)
+
+
+class TestStopReason:
+    def test_fit_decrease(self):
+        assert stop_reason([0.1, 0.3, 0.29], 1e-6) == "fit_decreased"
+
+    def test_gain_below_tolerance(self):
+        assert stop_reason([0.1, 0.3, 0.3], 1e-6) == "tolerance"
+        assert stop_reason([0.1, 0.3, 0.3000005], 1e-6) == "tolerance"
+
+    def test_still_improving_means_sweep_cap(self):
+        assert stop_reason([0.1, 0.3, 0.4], 1e-6) == "max_iters"
+        assert stop_reason([0.1], 1e-6) == "max_iters"
+
+    def test_agrees_with_cp_als(self, rng):
+        t = random_sparse(rng, (5, 4, 3, 4), 30)
+        _, capped = cp_als(t, 2, AlsOptions(max_iters=2, fit_tolerance=1e-12, seed=1))
+        assert stop_reason(capped, 1e-12) == "max_iters"
+        _, converged = cp_als(t, 2, AlsOptions(max_iters=500, fit_tolerance=1e-3, seed=1))
+        assert len(converged) < 500
+        assert stop_reason(converged, 1e-3) in ("tolerance", "fit_decreased")

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,28 @@ class TestDecomposeEnsemble:
         comps = components_from_model(models[3], 3)
         assert [c.index_in_model for c in comps] == [0, 1, 2]
         np.testing.assert_array_equal(comps[1].factor_slices[0], models[3].factors[0][:, 1])
+
+
+    def test_log_names_the_stop_reason(self, rng, caplog):
+        t = random_sparse(rng, (4, 4, 4), 20)
+        opts = AlsOptions(max_iters=2, fit_tolerance=1e-12, seed=1)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tensortopics.ensemble"):
+            ensemble_models(t, (2,), opts)
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(r"rank 2: fit -?[0-9.]+ after 2 sweep\(s\), stopped: max_iters", message)
+
+    def test_fit_decrease_logged_as_warning(self, rng, caplog, monkeypatch):
+        import tensortopics.ensemble as ensemble_mod
+
+        model = ensemble_models(random_sparse(rng, (3, 3), 5), (1,), AlsOptions(max_iters=1))[1]
+        monkeypatch.setattr(ensemble_mod, "cp_als", lambda tensor, rank, opts: (model, [0.5, 0.4]))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tensortopics.ensemble"):
+            ensemble_models(random_sparse(rng, (3, 3), 5), (1,))
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == "rank 1: fit 0.400000 after 2 sweep(s), stopped: fit_decreased"
 
 
 class TestCosine:
@@ -278,6 +303,33 @@ class TestSelectComponents:
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
         kept = select_components(pool, cfg, WORD_MODE)
         assert [(c.origin_rank, c.index_in_model) for c in kept] == [(2, 1)]
+
+
+    def test_witnesses_match_pairwise_loop(self, rng):
+        # Reference: the stable-witness search written as a loop over pairs.
+        pool = [
+            make_component(rank, i, float(rng.uniform(0.1, 2.0)), rng.random(6) ** 4)
+            for rank in (2, 3, 5)
+            for i in range(rank)
+        ]
+        for threshold in (0.5, 0.8, 0.95):
+            cfg = SelectionConfig(ranks=(2, 3, 5), threshold=threshold)
+            result = select_components_detailed(pool, cfg, WORD_MODE)
+            sims = similarity_matrix(pool, WORD_MODE)
+            stable = 0
+            witnesses = {}
+            for i, c in enumerate(pool):
+                found = sorted(
+                    (o.origin_rank, o.index_in_model)
+                    for j, o in enumerate(pool)
+                    if o.origin_rank != c.origin_rank and sims[i, j] >= threshold
+                )
+                stable += bool(found)
+                witnesses[(c.origin_rank, c.index_in_model)] = found
+            assert result.stable_count == stable
+            for c, partners in zip(result.kept, result.partners):
+                assert partners == witnesses[(c.origin_rank, c.index_in_model)]
+                assert all(type(x) is int for p in partners for x in p)
 
 
 class TestSimilarityMatrix:
