@@ -36,16 +36,14 @@ from .ensemble import (
     ZeroVectorError,
     cosine,
     decompose_ensemble,
-    select_components,
     select_components_detailed,
     similarity_matrix,
 )
-from .linalg import gram, hadamard_all, khatri_rao, normalize_columns_l1, solve_gram
+from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .report import (
     ComponentReport,
     build_report,
     emit_report,
-    keyword_cloud,
     load_reports,
     top_n,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "gram",
     "hadamard_all",
     "init_factors",
-    "keyword_cloud",
-    "khatri_rao",
     "load_axes",
     "load_corpus",
     "load_model",
@@ -102,7 +98,6 @@ __all__ = [
     "normalize_columns_l1",
     "save_model",
     "save_tensor",
-    "select_components",
     "select_components_detailed",
     "similarity_matrix",
     "solve_gram",

@@ -145,22 +145,33 @@ def run_report(cfg) -> Path:
     """selection.json + models + tensor labels -> report bundle."""
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
-    selection = json.loads(_selection_path(cfg).read_text(encoding="utf-8"))
+    selection_path = _selection_path(cfg)
+    selection = json.loads(selection_path.read_text(encoding="utf-8"))
     if selection.get("format") != SELECTION_FORMAT:
         raise ValueError(f"unrecognized selection format {selection.get('format')!r}")
     axes, mode_names = load_axes(_tensor_dir(cfg))
     word_mode = int(selection["word_mode"])
+    if not 0 <= word_mode < len(axes):
+        raise ValueError(
+            f"{selection_path}: word_mode {word_mode} is outside [0, {len(axes)})"
+        )
 
-    models = {}
+    pools = {}
     reports = []
-    for item in selection["kept"]:
+    for pos, item in enumerate(selection["kept"]):
         rank = int(item["origin_rank"])
-        if rank not in models:
-            models[rank], _header = load_model(_model_path(cfg, rank))
-        component = components_from_model(models[rank], rank)[int(item["index_in_model"])]
+        if rank not in pools:
+            model, _header = load_model(_model_path(cfg, rank))
+            pools[rank] = components_from_model(model, rank)
+        index = int(item["index_in_model"])
+        if not 0 <= index < len(pools[rank]):
+            raise ValueError(
+                f"{selection_path}: kept item {pos} (rank {rank}) has index_in_model "
+                f"{index}, outside [0, {len(pools[rank])})"
+            )
         reports.append(
             build_report(
-                component,
+                pools[rank][index],
                 axes,
                 mode_names,
                 n=cfg.top_n,
@@ -261,23 +272,9 @@ def cli_run(argv) -> int:
             if args.config
             else config_mod.PipelineConfig()
         )
-        overrides = {}
-        for name in (
-            "seed",
-            "threads",
-            "threshold",
-            "strategy",
-            "top_n",
-            "workdir",
-            "corpus",
-            "corpus_format",
-            "output",
-            "similarity_matrix",
-        ):
-            if hasattr(args, name) and getattr(args, name) is not None:
-                overrides[name] = getattr(args, name)
-        if getattr(args, "ranks", None) is not None:
-            overrides["ranks"] = config_mod.parse_ranks(args.ranks)
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        if overrides.get("ranks") is not None:
+            overrides["ranks"] = config_mod.parse_ranks(overrides["ranks"])
         cfg = config_mod.apply_overrides(cfg, **overrides)
         _STAGES[args.command](cfg)
     except (ValueError, OSError, KeyError) as exc:

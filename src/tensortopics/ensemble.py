@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class SelectionResult:
     partners: list[list[tuple[int, int]]]
     pooled_count: int
     stable_count: int | None = None
-    similarity: np.ndarray | None = field(default=None, repr=False)
 
 
 def rank_seed(base_seed: int, rank: int) -> int:
@@ -174,51 +173,53 @@ def decompose_ensemble(
     return pooled
 
 
+def _word_vector(component: Component, word_mode: int) -> np.ndarray:
+    return np.asarray(component.word_slice(word_mode), dtype=np.float64).reshape(-1)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def cosine(u, v) -> float:
     """Cosine similarity of two equal-length vectors; zero vectors are rejected."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
         raise ValueError(f"vector length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = math.sqrt(float(np.dot(u, u)))
-    nv = math.sqrt(float(np.dot(v, v)))
+    nu = _norm(u)
+    nv = _norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     return float(np.dot(u, v)) / (nu * nv)
 
 
 def similarity_matrix(components, word_mode: int) -> np.ndarray:
-    """Pairwise word-slice cosine matrix: symmetric, unit diagonal."""
+    """Pairwise word-slice cosine matrix: symmetric, unit diagonal.
+
+    The one place word slices are normalized; a zero slice has no direction
+    and raises ZeroVectorError.
+    """
     if len(components) == 0:
         raise ValueError("similarity_matrix requires at least one component")
-    mat = _unit_word_matrix(components, word_mode, on_zero="raise")
-    sims = mat @ mat.T
-    sims = (sims + sims.T) / 2.0
-    np.fill_diagonal(sims, 1.0)
-    return sims
-
-
-def _unit_word_matrix(components, word_mode: int, on_zero: str):
     lengths = {len(c.word_slice(word_mode)) for c in components}
     if len(lengths) != 1:
         raise ValueError(f"components disagree on word-mode extent: {sorted(lengths)}")
     rows = []
-    keep = []
-    for i, c in enumerate(components):
-        v = np.asarray(c.word_slice(word_mode), dtype=np.float64).reshape(-1)
-        n = math.sqrt(float(np.dot(v, v)))
+    for c in components:
+        v = _word_vector(c, word_mode)
+        n = _norm(v)
         if n == 0.0:
-            if on_zero == "raise":
-                raise ZeroVectorError(
-                    f"component (rank {c.origin_rank}, index {c.index_in_model}) "
-                    "has an all-zero word slice"
-                )
-            continue
+            raise ZeroVectorError(
+                f"component (rank {c.origin_rank}, index {c.index_in_model}) "
+                "has an all-zero word slice"
+            )
         rows.append(v / n)
-        keep.append(i)
-    if on_zero == "raise":
-        return np.array(rows)
-    return np.array(rows), keep
+    mat = np.array(rows)
+    sims = mat @ mat.T
+    sims = (sims + sims.T) / 2.0
+    np.fill_diagonal(sims, 1.0)
+    return sims
 
 
 def select_components_detailed(
@@ -237,17 +238,14 @@ def select_components_detailed(
     slices cannot be compared and are excluded up front with a warning.
     """
     components = list(components)
-    if len(components) == 0:
-        return SelectionResult(kept=[], partners=[], pooled_count=0, stable_count=0)
-    mat, keep_idx = _unit_word_matrix(components, word_mode, on_zero="skip")
-    dropped = len(components) - len(keep_idx)
+    comparable = [c for c in components if _norm(_word_vector(c, word_mode)) != 0.0]
+    dropped = len(components) - len(comparable)
     if dropped:
         logger.warning("excluded %d component(s) with all-zero word slices", dropped)
-    if len(keep_idx) == 0:
+    if not comparable:
         return SelectionResult(kept=[], partners=[], pooled_count=len(components), stable_count=0)
 
-    comparable = [components[i] for i in keep_idx]
-    sims = mat @ mat.T
+    sims = similarity_matrix(comparable, word_mode)
 
     if cfg.strategy == "stable-then-dedup":
         origin = np.array([c.origin_rank for c in comparable])
@@ -266,10 +264,14 @@ def select_components_detailed(
             comparable[i].index_in_model,
         )
     )
+    # sims is symmetric, so row i of a kept component is its column: a
+    # candidate is blocked iff some kept component is within the threshold.
+    blocked = np.zeros(len(comparable), dtype=bool)
     kept_local: list[int] = []
     for i in candidates:
-        if all(sims[i, j] < cfg.threshold for j in kept_local):
+        if not blocked[i]:
             kept_local.append(i)
+            blocked |= sims[i] >= cfg.threshold
 
     kept = [comparable[i] for i in kept_local]
     partners = [
@@ -285,8 +287,3 @@ def select_components_detailed(
         pooled_count=len(components),
         stable_count=stable_count,
     )
-
-
-def select_components(components, cfg: SelectionConfig, word_mode: int):
-    """Kept components only; see select_components_detailed for the evidence."""
-    return select_components_detailed(components, cfg, word_mode).kept

@@ -11,26 +11,6 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product.
-
-    For a of shape (i, r) and b of shape (j, r), returns the (i * j, r)
-    matrix whose column c is kron(a[:, c], b[:, c]): row p * j + q holds
-    a[p, c] * b[q, c].
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column count mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    i, r = a.shape
-    j = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(i * j, r)
-
-
 def gram(a: np.ndarray) -> np.ndarray:
     """A^T A for a factor matrix A."""
     a = np.asarray(a, dtype=np.float64)

@@ -57,13 +57,6 @@ def top_n(component: Component, mode: int, n: int, axis: AxisMap) -> list[tuple[
     return [(axis.label_of(i), float(values[i])) for i in order[:n]]
 
 
-def keyword_cloud(
-    component: Component, n: int, axis: AxisMap, word_mode: int = WORD_MODE
-) -> list[tuple[str, float]]:
-    """The top n word-mode entries, for rendering as a cloud."""
-    return top_n(component, word_mode, n, axis)
-
-
 def build_report(
     component: Component,
     axes,
@@ -72,19 +65,27 @@ def build_report(
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
     word_mode: int = WORD_MODE,
 ) -> ComponentReport:
-    """Summarize one component against the tensor axes."""
+    """Summarize one component against the tensor axes.
+
+    Each mode is ranked once: the word mode's top n and its keywords are
+    both prefixes of the same ranking.
+    """
     if len(axes) != len(mode_names) or len(axes) != len(component.factor_slices):
         raise ValueError("axes, mode names, and factor slices must align")
-    mode_tops = {
-        str(name): top_n(component, mode, n, axes[mode])
-        for mode, name in enumerate(mode_names)
-    }
+    if min(n, keyword_count) < 1:
+        raise ValueError(f"n and keyword_count must be >= 1, got {n} and {keyword_count}")
+    if not 0 <= word_mode < len(axes):
+        raise ValueError(f"word_mode must be in [0, {len(axes)}), got {word_mode}")
+    ranked = [
+        top_n(component, mode, max(n, keyword_count) if mode == word_mode else n, axis)
+        for mode, axis in enumerate(axes)
+    ]
     return ComponentReport(
         origin_rank=component.origin_rank,
         index_in_model=component.index_in_model,
         weight=component.weight,
-        mode_tops=mode_tops,
-        keywords=keyword_cloud(component, keyword_count, axes[word_mode], word_mode),
+        mode_tops={str(name): tops[:n] for name, tops in zip(mode_names, ranked)},
+        keywords=ranked[word_mode][:keyword_count],
     )
 
 

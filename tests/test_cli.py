@@ -214,6 +214,34 @@ class TestErrors:
         assert run("ingest", "--config", str(tmp_path / "nope.cfg")) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("index_in_model", -1),
+            ("index_in_model", "rank"),
+            ("word_mode", 4),
+            ("word_mode", -1),
+        ],
+    )
+    def test_report_rejects_out_of_range_selection(self, tmp_path, capsys, field, value):
+        workdir = tmp_path / "run"
+        for cmd in ("ingest", "factorize", "select"):
+            assert run(cmd, "--config", CFG, "--workdir", str(workdir)) == 0
+        path = workdir / "selection.json"
+        selection = json.loads(path.read_text(encoding="utf-8"))
+        item = selection["kept"][-1]
+        if field == "word_mode":
+            selection["word_mode"] = value
+        else:
+            item["index_in_model"] = item["origin_rank"] if value == "rank" else value
+        path.write_text(json.dumps(selection), encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "selection.json" in err and field in err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
+
     def test_bad_ranks_value_reports_error(self, tmp_path, capsys):
         assert (
             run("pipeline", "--config", CFG, "--workdir", str(tmp_path), "--ranks", "3,2")

@@ -11,7 +11,6 @@ from tensortopics import (
     ZeroVectorError,
     cosine,
     decompose_ensemble,
-    select_components,
     select_components_detailed,
     similarity_matrix,
 )
@@ -170,7 +169,7 @@ class TestSelectComponents:
             make_component(3, 0, 4.0, vec),
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert len(kept) == 1
         assert kept[0] is pool[0]  # higher weight wins
 
@@ -179,7 +178,7 @@ class TestSelectComponents:
             make_component(2, i, float(5 - i), basis(6, i)) for i in range(4)
         ]
         cfg = SelectionConfig(ranks=(2,), threshold=0.35, strategy="greedy-dedup")
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert len(kept) == 4
 
     def test_orthogonal_pool_nothing_stable(self):
@@ -188,7 +187,7 @@ class TestSelectComponents:
             make_component(3, 0, 2.0, basis(6, 1)),
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        assert select_components(pool, cfg, WORD_MODE) == []
+        assert select_components_detailed(pool, cfg, WORD_MODE).kept == []
 
     def test_constructed_pool_keeps_exactly_the_recurring_topics(self):
         dim = 10
@@ -229,7 +228,7 @@ class TestSelectComponents:
             cfg = SelectionConfig(
                 ranks=(2, 3, 4), threshold=0.35, strategy="greedy-dedup"
             )
-            kept = select_components(pool, cfg, WORD_MODE)
+            kept = select_components_detailed(pool, cfg, WORD_MODE).kept
             assert kept
             sims = similarity_matrix(kept, WORD_MODE)
             off_diag = sims[~np.eye(len(kept), dtype=bool)]
@@ -240,7 +239,7 @@ class TestSelectComponents:
             make_component(2, i, float(i + 1), rng.standard_normal(5)) for i in range(6)
         ]
         cfg = SelectionConfig(ranks=(2,), threshold=1.0 + 1e-9, strategy="greedy-dedup")
-        assert len(select_components(pool, cfg, WORD_MODE)) == 6
+        assert len(select_components_detailed(pool, cfg, WORD_MODE).kept) == 6
 
     def test_threshold_zero_keeps_exactly_one(self, rng):
         pool = [
@@ -248,7 +247,7 @@ class TestSelectComponents:
             for i in range(6)
         ]
         cfg = SelectionConfig(ranks=(2,), threshold=0.0, strategy="greedy-dedup")
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert len(kept) == 1
         assert kept[0] is pool[-1]  # the heaviest
 
@@ -260,8 +259,8 @@ class TestSelectComponents:
             for i, v in enumerate(vectors)
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        kept_a = select_components(pool_a, cfg, WORD_MODE)
-        kept_b = select_components(pool_b, cfg, WORD_MODE)
+        kept_a = select_components_detailed(pool_a, cfg, WORD_MODE).kept
+        kept_b = select_components_detailed(pool_b, cfg, WORD_MODE).kept
         assert [(c.origin_rank, c.index_in_model) for c in kept_a] == [
             (c.origin_rank, c.index_in_model) for c in kept_b
         ]
@@ -276,7 +275,7 @@ class TestSelectComponents:
             make_component(2, 1, 2.0, vec_b),
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert [(c.origin_rank, c.index_in_model) for c in kept] == [(2, 0), (2, 1)]
 
     def test_empty_pool(self):
@@ -291,7 +290,7 @@ class TestSelectComponents:
             make_component(3, 0, 2.0, vec),
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert len(kept) == 1 and kept[0].weight == -5.0
 
     def test_zero_word_slice_components_are_excluded(self):
@@ -301,7 +300,7 @@ class TestSelectComponents:
             make_component(3, 0, 1.0, basis(4, 0)),
         ]
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35)
-        kept = select_components(pool, cfg, WORD_MODE)
+        kept = select_components_detailed(pool, cfg, WORD_MODE).kept
         assert [(c.origin_rank, c.index_in_model) for c in kept] == [(2, 1)]
 
 
@@ -330,6 +329,77 @@ class TestSelectComponents:
             for c, partners in zip(result.kept, result.partners):
                 assert partners == witnesses[(c.origin_rank, c.index_in_model)]
                 assert all(type(x) is int for p in partners for x in p)
+
+
+def pairwise_selection(pool, cfg):
+    """Reference selection written as loops over pairs with cosine():
+    stable iff some other-rank component is within the threshold, then kept
+    iff the cosine to every earlier kept component is < threshold."""
+    pool = [c for c in pool if np.any(c.word_slice(WORD_MODE) != 0.0)]
+
+    def cos(a, b):
+        return cosine(a.word_slice(WORD_MODE), b.word_slice(WORD_MODE))
+
+    def witnesses(c):
+        return sorted(
+            (o.origin_rank, o.index_in_model)
+            for o in pool
+            if o.origin_rank != c.origin_rank and cos(c, o) >= cfg.threshold
+        )
+
+    if cfg.strategy == "stable-then-dedup":
+        candidates = [c for c in pool if witnesses(c)]
+    else:
+        candidates = list(pool)
+    candidates.sort(key=lambda c: (-abs(c.weight), c.origin_rank, c.index_in_model))
+    kept = []
+    for c in candidates:
+        if all(cos(c, k) < cfg.threshold for k in kept):
+            kept.append(c)
+    partners = [witnesses(c) if cfg.strategy == "stable-then-dedup" else [] for c in kept]
+    return kept, partners
+
+
+class TestSelectionMatchesPairwiseOracle:
+    @pytest.mark.parametrize("strategy", ["stable-then-dedup", "greedy-dedup"])
+    def test_random_pools(self, rng, strategy):
+        for trial in range(6):
+            pool = [
+                make_component(rank, i, float(rng.uniform(-3.0, 3.0)), rng.random(12) ** 3)
+                for rank in (2, 3, 5)
+                for i in range(rank)
+            ]
+            pool.append(make_component(7, 0, 9.0, np.zeros(12)))
+            for threshold in (0.0, 0.2, 0.35, 0.6, 0.8, 0.95, 1.5):
+                cfg = SelectionConfig(ranks=(2, 3, 5, 7), threshold=threshold, strategy=strategy)
+                result = select_components_detailed(pool, cfg, WORD_MODE)
+                kept, partners = pairwise_selection(pool, cfg)
+                assert [(c.origin_rank, c.index_in_model) for c in result.kept] == [
+                    (c.origin_rank, c.index_in_model) for c in kept
+                ]
+                assert result.partners == partners
+
+    @pytest.mark.parametrize("strategy", ["stable-then-dedup", "greedy-dedup"])
+    def test_pair_exactly_at_threshold(self, strategy):
+        # cosine((1,0,0,0), (1,1,1,1)) is exactly 0.5 in floating point.
+        pool = [
+            make_component(2, 0, 3.0, [1.0, 0.0, 0.0, 0.0]),
+            make_component(3, 0, 2.0, [1.0, 1.0, 1.0, 1.0]),
+        ]
+        assert similarity_matrix(pool, WORD_MODE)[0, 1] == 0.5
+        for threshold in (0.5, np.nextafter(0.5, 1.0)):
+            cfg = SelectionConfig(ranks=(2, 3), threshold=threshold, strategy=strategy)
+            result = select_components_detailed(pool, cfg, WORD_MODE)
+            kept, partners = pairwise_selection(pool, cfg)
+            assert result.kept == kept
+            assert result.partners == partners
+        at = select_components_detailed(
+            pool, SelectionConfig(ranks=(2, 3), threshold=0.5, strategy=strategy), WORD_MODE
+        )
+        # at the threshold the pair counts as similar: the lighter one is blocked
+        assert at.kept == [pool[0]]
+        if strategy == "stable-then-dedup":
+            assert at.partners == [[(3, 0)]]
 
 
 class TestSimilarityMatrix:

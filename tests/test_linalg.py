@@ -1,32 +1,9 @@
 import numpy as np
 import pytest
 
-from tensortopics import gram, hadamard_all, khatri_rao, normalize_columns_l1, solve_gram
+from tensortopics import gram, hadamard_all, normalize_columns_l1, solve_gram
 
 from conftest import kr_columnwise
-
-
-class TestKhatriRao:
-    def test_single_column_example(self):
-        a = np.array([[1.0], [2.0]])
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_array_equal(khatri_rao(a, b), [[3.0], [4.0], [6.0], [8.0]])
-
-    def test_identity_blocks(self):
-        eye = np.eye(2)
-        out = khatri_rao(eye, eye)
-        np.testing.assert_array_equal(out, [[1, 0], [0, 0], [0, 0], [0, 1]])
-
-    def test_matches_kron_oracle(self, rng):
-        for _ in range(20):
-            i, j, r = rng.integers(1, 7, size=3)
-            a = rng.standard_normal((i, r))
-            b = rng.standard_normal((j, r))
-            np.testing.assert_allclose(khatri_rao(a, b), kr_columnwise(a, b), atol=1e-12)
-
-    def test_column_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="column"):
-            khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestGram:
@@ -81,12 +58,12 @@ class TestHadamardAll:
         np.testing.assert_array_equal(a, np.ones((2, 2)))
 
     def test_gram_of_khatri_rao_property(self, rng):
-        # gram(khatri_rao(A, B)) == gram(A) * gram(B) elementwise
+        # gram(A kr B) == gram(A) * gram(B) elementwise
         for _ in range(10):
             a = rng.standard_normal((5, 3))
             b = rng.standard_normal((4, 3))
             np.testing.assert_allclose(
-                gram(khatri_rao(a, b)),
+                gram(kr_columnwise(a, b)),
                 hadamard_all([gram(a), gram(b)]),
                 atol=1e-10,
             )

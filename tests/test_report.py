@@ -9,7 +9,6 @@ from tensortopics import (
     ComponentReport,
     build_report,
     emit_report,
-    keyword_cloud,
     load_reports,
     top_n,
 )
@@ -69,9 +68,11 @@ class TestTopN:
 class TestKeywordCloud:
     def test_is_top_n_on_the_word_mode(self):
         slices = [[1.0, 0.0], [0.5], [0.5], [0.4, 0.1, 0.3, 0.2, 0.0]]
+        axes = (AxisMap(["a", "b"]), AxisMap(["d"]), AxisMap(["j"]), WORD_AXIS)
         comp = make_component(slices)
-        assert keyword_cloud(comp, 3, WORD_AXIS) == top_n(comp, WORD_MODE, 3, WORD_AXIS)
-        assert keyword_cloud(comp, 3, WORD_AXIS) == [
+        report = build_report(comp, axes, MODE_NAMES, n=2, keyword_count=3)
+        assert report.keywords == top_n(comp, WORD_MODE, 3, WORD_AXIS)
+        assert report.keywords == [
             ("ant", 0.4),
             ("cow", 0.3),
             ("doe", 0.2),
@@ -120,6 +121,30 @@ class TestBuildReport:
         assert DEFAULT_TOP_N == 13 and DEFAULT_KEYWORD_COUNT == 50
         assert len(report.mode_tops["first_author"]) == 2
         assert len(report.keywords) == 5
+
+    @pytest.mark.parametrize("n,keyword_count", [(3, 20), (20, 3), (4, 4)])
+    def test_word_tops_and_keywords_prefix_one_ranking(self, rng, n, keyword_count):
+        for _ in range(10):
+            words = AxisMap([f"w{i:02d}" for i in range(12)])
+            values = rng.integers(0, 5, size=12) / 4.0  # plenty of ties
+            comp = make_component([[1.0], [1.0], [1.0], values])
+            axes = (AxisMap(["a"]), AxisMap(["d"]), AxisMap(["j"]), words)
+            report = build_report(comp, axes, MODE_NAMES, n=n, keyword_count=keyword_count)
+            ranking = sorted(
+                ((words.label_of(i), float(values[i])) for i in range(12)),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            assert report.mode_tops["words"] == ranking[:n]
+            assert report.keywords == ranking[:keyword_count]
+
+    def test_bad_counts_and_word_mode_rejected(self):
+        with pytest.raises(ValueError, match="keyword_count"):
+            build_report(small_component(), small_axes(), MODE_NAMES, keyword_count=0)
+        with pytest.raises(ValueError, match="n and keyword_count"):
+            build_report(small_component(), small_axes(), MODE_NAMES, n=0)
+        for word_mode in (-1, 4):
+            with pytest.raises(ValueError, match="word_mode"):
+                build_report(small_component(), small_axes(), MODE_NAMES, word_mode=word_mode)
 
     def test_misaligned_axes_rejected(self):
         with pytest.raises(ValueError, match="align"):
