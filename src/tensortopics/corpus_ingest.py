@@ -13,10 +13,15 @@ import json
 import logging
 import math
 import re
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
-from .sparse_tensor import AxisMap, SparseTensorCOO, from_entries
+import numpy as np
+
+from .sparse_tensor import AxisMap, SparseTensorCOO
 
 logger = logging.getLogger(__name__)
 
@@ -209,6 +214,8 @@ def _clean_label(text: str) -> str:
 
 
 def _nonascii_letter_fraction(text: str) -> float:
+    if text.isascii():
+        return 0.0
     letters = 0
     non_ascii = 0
     for ch in text:
@@ -282,14 +289,23 @@ def dedup(records) -> list[CorpusRecord]:
     return out
 
 
-def _is_nonsense(token: str, rules: CleaningRules) -> bool:
-    if not any(ch in _VOWELS for ch in token):
-        return True
-    if re.search(r"(.)\1{%d,}" % rules.max_char_repeat, token):
-        return True
-    if re.search(r"[^aeiouy]{%d,}" % (rules.max_consonant_run + 1), token):
-        return True
-    return False
+def _token_filter(rules: CleaningRules) -> Callable[[str], bool]:
+    """tokenize's keep test for one lowercase token, with its regexes compiled once."""
+    dna = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run).fullmatch
+    repeat = re.compile(r"(.)\1{%d,}" % rules.max_char_repeat).search
+    consonants = re.compile(r"[^aeiouy]{%d,}" % (rules.max_consonant_run + 1)).search
+
+    def keep(token: str) -> bool:
+        return not (
+            len(token) < rules.min_token_length
+            or token in rules.stopwords
+            or dna(token)
+            or _VOWELS.isdisjoint(token)
+            or repeat(token)
+            or consonants(token)
+        )
+
+    return keep
 
 
 def tokenize(body: str, rules: CleaningRules) -> list[str]:
@@ -301,19 +317,8 @@ def tokenize(body: str, rules: CleaningRules) -> list[str]:
     max_char_repeat times consecutively, or a consonant run longer than
     max_consonant_run).
     """
-    dna_re = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run)
-    out = []
-    for token in _LOWER_TOKEN_RE.findall(body.lower()):
-        if len(token) < rules.min_token_length:
-            continue
-        if token in rules.stopwords:
-            continue
-        if dna_re.fullmatch(token):
-            continue
-        if _is_nonsense(token, rules):
-            continue
-        out.append(token)
-    return out
+    keep = _token_filter(rules)
+    return [token for token in _LOWER_TOKEN_RE.findall(body.lower()) if keep(token)]
 
 
 def _rare_capitalized_tokens(records, rules: CleaningRules) -> frozenset[str]:
@@ -326,16 +331,11 @@ def _rare_capitalized_tokens(records, rules: CleaningRules) -> frozenset[str]:
     if rules.name_df_floor <= 0:
         return frozenset()
     lowercase_start: set[str] = set()
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for rec in records:
-        seen_here = set()
-        for raw in _RAW_TOKEN_RE.findall(rec.body):
-            lowered = raw.lower()
-            if raw[0].islower():
-                lowercase_start.add(lowered)
-            if lowered not in seen_here:
-                seen_here.add(lowered)
-                df[lowered] = df.get(lowered, 0) + 1
+        raws = set(_RAW_TOKEN_RE.findall(rec.body))
+        lowercase_start.update(raw.lower() for raw in raws if raw[0].islower())
+        df.update({raw.lower() for raw in raws})
     return frozenset(
         w for w, n in df.items() if w not in lowercase_start and n < rules.name_df_floor
     )
@@ -375,10 +375,17 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
             table[label] = len(table)
         return table[label]
 
+    # Every filter depends only on the token, so each distinct token is
+    # decided once per call.
+    keep = _token_filter(rules)
+    kept: dict[str, bool] = {}
     counts: dict[tuple[int, int, int, int], int] = {}
     dropped = 0
     for rec in records:
-        tokens = [t for t in tokenize(rec.body, rules) if t not in excluded]
+        found = _LOWER_TOKEN_RE.findall(rec.body.lower())
+        for token in set(found).difference(kept):
+            kept[token] = token not in excluded and keep(token)
+        tokens = Counter(token for token in found if kept[token])
         if not tokens:
             dropped += 1
             logger.info("document %r yields no tokens, dropped", rec.title)
@@ -386,10 +393,11 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
         a = intern(authors, rec.first_author)
         d = intern(documents, rec.title)
         j = intern(journals, rec.journal if rec.journal else UNKNOWN_JOURNAL)
-        for token in tokens:
-            w = intern(words, token)
-            key = (a, d, j, w)
-            counts[key] = counts.get(key, 0) + 1
+        # Counter keeps first-occurrence order, so words and keys are
+        # interned in text order, as one increment per token would.
+        for token, n in tokens.items():
+            key = (a, d, j, intern(words, token))
+            counts[key] = counts.get(key, 0) + n
     if dropped:
         logger.info("dropped %d tokenless document(s)", dropped)
     axes = (
@@ -406,7 +414,10 @@ def counts_to_tensor(quad: QuadCounts) -> SparseTensorCOO:
     if not quad.counts:
         raise ValueError("cannot build a tensor from an empty corpus")
     shape = tuple(len(axis) for axis in quad.axes)
-    entries = [
-        (coord, math.log1p(count)) for coord, count in quad.counts.items()
-    ]
-    return from_entries(entries, shape)
+    n, d = len(quad.counts), len(shape)
+    coords = np.fromiter(chain.from_iterable(quad.counts), dtype=np.int64, count=n * d)
+    counts = np.fromiter(quad.counts.values(), dtype=np.int64, count=n)
+    # math.log1p once per distinct count (np.log1p may differ in the last bit)
+    distinct, which = np.unique(counts, return_inverse=True)
+    logs = np.array([math.log1p(c) for c in distinct.tolist()], dtype=np.float64)
+    return SparseTensorCOO(coords.reshape(n, d), logs[which], shape)

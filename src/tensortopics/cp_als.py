@@ -330,11 +330,9 @@ def save_model(
         "mode_names": list(mode_names) if mode_names is not None else None,
         "labels_ref": labels_ref,
     }
-    lines = [json.dumps(header)]
-    lines.append(" ".join(repr(float(w)) for w in model.weights))
+    lines = [json.dumps(header), " ".join(map(repr, model.weights.tolist()))]
     for f in model.factors:
-        for row in f:
-            lines.append(" ".join(repr(float(x)) for x in row))
+        lines.extend(" ".join(map(repr, row.tolist())) for row in f)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -361,18 +359,15 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     expected = 2 + sum(shape)
     if len(lines) != expected:
         raise ValueError(f"{path}: expected {expected} lines, got {len(lines)}")
-    weights = np.array([float(w) for w in lines[1].split(" ")], dtype=np.float64)
-    if weights.shape[0] != rank:
-        raise ValueError(f"{path}: weight count {weights.shape[0]} != rank {rank}")
-    factors = []
-    cursor = 2
-    for extent in shape:
-        rows = []
-        for line in lines[cursor : cursor + extent]:
-            row = [float(x) for x in line.split(" ")]
-            if len(row) != rank:
-                raise ValueError(f"{path}: factor row has {len(row)} columns, rank is {rank}")
-            rows.append(row)
-        factors.append(np.array(rows, dtype=np.float64).reshape(extent, rank))
-        cursor += extent
-    return KruskalModel(weights=weights, factors=factors), header
+    # The weights line and every factor row are `rank` floats wide; check
+    # the widths first, then parse all rows in one call.
+    widths = [line.count(" ") + 1 for line in lines[1:]]
+    if widths[0] != rank:
+        raise ValueError(f"{path}: weight count {widths[0]} != rank {rank}")
+    for width in widths[1:]:
+        if width != rank:
+            raise ValueError(f"{path}: factor row has {width} columns, rank is {rank}")
+    table = np.loadtxt(lines[1:], dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    bounds = np.cumsum([1, *shape])
+    factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return KruskalModel(weights=table[0], factors=factors), header

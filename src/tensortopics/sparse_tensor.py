@@ -22,6 +22,9 @@ TENSOR_FORMAT = "sparse-tensor-coo"
 TENSOR_SCHEMA_VERSION = 1
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
+# save_tensor formats entries.tsv this many rows at a time, so the text of
+# the whole file is never in memory at once.
+WRITE_CHUNK_ROWS = 16384
 
 
 class AxisMap:
@@ -173,14 +176,16 @@ class SparseTensorCOO:
                 )
 
         if coords.shape[0]:
-            # np.unique sorts rows lexicographically; bincount sums duplicates
-            # in input order, so coalescing is deterministic.
-            uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
-            summed = np.bincount(
-                inverse.reshape(-1), weights=values, minlength=uniq.shape[0]
-            )
+            # A stable lexicographic sort keeps duplicates in input order, and
+            # bincount sums each run in that order, so coalescing is
+            # deterministic (and equal to np.unique(axis=0) plus bincount).
+            order = np.lexsort(coords.T[::-1])
+            coords = coords[order]
+            starts = _run_starts(coords)
+            run_of = np.repeat(np.arange(starts.shape[0]), np.diff(np.r_[starts, coords.shape[0]]))
+            summed = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
             keep = summed != 0.0
-            coords = uniq[keep]
+            coords = coords[starts[keep]]
             values = summed[keep]
         if np.any(values <= 0.0):
             raise ValueError("tensor values must be positive after coalescing")
@@ -297,12 +302,15 @@ def save_tensor(
     (out_dir / HEADER_FILE).write_text(
         json.dumps(header, indent=2) + "\n", encoding="utf-8"
     )
-    lines = []
-    for row, value in zip(tensor.coords, tensor.values):
-        lines.append("\t".join(str(int(c)) for c in row) + "\t" + repr(float(value)))
-    (out_dir / ENTRIES_FILE).write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-    )
+    with (out_dir / ENTRIES_FILE).open("w", encoding="utf-8") as fh:
+        for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS):
+            rows = slice(lo, lo + WRITE_CHUNK_ROWS)
+            # repr once per distinct value: ln(1 + count) takes few values
+            distinct, which = np.unique(tensor.values[rows], return_inverse=True)
+            texts = [repr(v) for v in distinct.tolist()]
+            columns = tensor.coords[rows].T.astype(str).tolist()
+            columns.append([texts[i] for i in which.tolist()])
+            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
     for k, axis in enumerate(axes):
         path = out_dir / f"mode{k}.labels.txt"
         path.write_text(
@@ -355,6 +363,15 @@ def load_axes(in_dir: str | Path) -> tuple[list[AxisMap], list[str]]:
     return _read_axes(in_dir, shape), mode_names
 
 
+def _raise_bad_entry_line(entries_path: Path, fields: int) -> None:
+    """Name the first non-blank line of entries.tsv without `fields` fields."""
+    with entries_path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            got = line.count("\t") + 1
+            if line.rstrip("\n") and got != fields:
+                raise ValueError(f"{entries_path}:{line_no}: expected {fields} fields, got {got}")
+
+
 def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
     """Load a tensor container written by save_tensor.
 
@@ -364,24 +381,22 @@ def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], lis
     in_dir = Path(in_dir)
     shape, mode_names, nnz = _read_header(in_dir)
     d = len(shape)
-    coords: list[list[int]] = []
-    values: list[float] = []
     entries_path = in_dir / ENTRIES_FILE
     if not entries_path.is_file():
         raise ValueError(f"not a tensor container: missing {entries_path}")
-    with entries_path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != d + 1:
-                raise ValueError(
-                    f"{entries_path}:{line_no}: expected {d + 1} fields, got {len(parts)}"
-                )
-            coords.append([int(p) for p in parts[:d]])
-            values.append(float(parts[d]))
-    tensor = SparseTensorCOO(coords, values, shape)
+    # One C parse of the whole file; coordinates are read as integers.
+    row = np.dtype([("c", np.int64, (d,)), ("v", np.float64)])
+    if entries_path.stat().st_size == 0:
+        table = np.zeros(0, dtype=row)
+    else:
+        try:
+            table = np.loadtxt(
+                entries_path, dtype=row, delimiter="\t", comments=None, ndmin=1, encoding="utf-8"
+            )
+        except ValueError as exc:
+            _raise_bad_entry_line(entries_path, d + 1)
+            raise ValueError(f"{entries_path}: {exc}") from exc
+    tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
         raise ValueError(f"header says {nnz} entries, file holds {tensor.nnz}")
     return tensor, _read_axes(in_dir, shape), mode_names

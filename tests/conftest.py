@@ -6,12 +6,15 @@ gather/scatter over the nonzeros.
 """
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tensortopics import from_entries
+from tensortopics.corpus_ingest import UNKNOWN_JOURNAL, QuadCounts
+from tensortopics.sparse_tensor import AxisMap
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -80,6 +83,126 @@ def random_sparse(rng, shape, nnz, low=0.1, high=1.1):
     coords = [tuple(int(rng.integers(0, s)) for s in shape) for _ in range(nnz)]
     values = rng.uniform(low, high, size=nnz)
     return from_entries(list(zip(coords, values)), shape)
+
+
+def nonascii_letter_fraction(text):
+    """Per-character oracle for corpus_ingest._nonascii_letter_fraction."""
+    letters = 0
+    non_ascii = 0
+    for ch in text:
+        if ch.isalpha():
+            letters += 1
+            if ord(ch) > 127:
+                non_ascii += 1
+    if letters == 0:
+        return 0.0
+    return non_ascii / letters
+
+
+def _is_nonsense(token, rules):
+    if not any(ch in "aeiouy" for ch in token):
+        return True
+    if re.search(r"(.)\1{%d,}" % rules.max_char_repeat, token):
+        return True
+    if re.search(r"[^aeiouy]{%d,}" % (rules.max_consonant_run + 1), token):
+        return True
+    return False
+
+
+def tokenize_oracle(body, rules):
+    """Token-at-a-time oracle for corpus_ingest.tokenize: every filter runs on
+    every occurrence."""
+    dna_re = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run)
+    out = []
+    for token in re.findall(r"[a-z]+", body.lower()):
+        if len(token) < rules.min_token_length:
+            continue
+        if token in rules.stopwords:
+            continue
+        if dna_re.fullmatch(token):
+            continue
+        if _is_nonsense(token, rules):
+            continue
+        out.append(token)
+    return out
+
+
+def rare_capitalized_oracle(records, rules):
+    """Token-at-a-time oracle for corpus_ingest._rare_capitalized_tokens."""
+    if rules.name_df_floor <= 0:
+        return frozenset()
+    lowercase_start = set()
+    df = {}
+    for rec in records:
+        seen_here = set()
+        for raw in re.findall(r"[A-Za-z]+", rec.body):
+            lowered = raw.lower()
+            if raw[0].islower():
+                lowercase_start.add(lowered)
+            if lowered not in seen_here:
+                seen_here.add(lowered)
+                df[lowered] = df.get(lowered, 0) + 1
+    return frozenset(
+        w for w, n in df.items() if w not in lowercase_start and n < rules.name_df_floor
+    )
+
+
+def build_counts_oracle(records, rules):
+    """Token-at-a-time oracle for corpus_ingest.build_counts: one count
+    increment per kept token occurrence, keys in first-seen order."""
+    excluded = rare_capitalized_oracle(records, rules)
+    tables = ({}, {}, {}, {})
+
+    def intern(table, label):
+        if label not in table:
+            table[label] = len(table)
+        return table[label]
+
+    counts = {}
+    for rec in records:
+        tokens = [t for t in tokenize_oracle(rec.body, rules) if t not in excluded]
+        if not tokens:
+            continue
+        a = intern(tables[0], rec.first_author)
+        d = intern(tables[1], rec.title)
+        j = intern(tables[2], rec.journal if rec.journal else UNKNOWN_JOURNAL)
+        for token in tokens:
+            key = (a, d, j, intern(tables[3], token))
+            counts[key] = counts.get(key, 0) + 1
+    return QuadCounts(counts=counts, axes=tuple(AxisMap(t) for t in tables))
+
+
+def coalesce_oracle(coords, values):
+    """SparseTensorCOO's coalescing as np.unique(axis=0) plus bincount:
+    sorted unique coordinates and the input-order sums of their values,
+    exact zeros dropped."""
+    uniq, inverse = np.unique(np.asarray(coords, dtype=np.int64), axis=0, return_inverse=True)
+    summed = np.bincount(inverse.reshape(-1), weights=values, minlength=uniq.shape[0])
+    keep = summed != 0.0
+    return uniq[keep], summed[keep]
+
+
+def entries_text_oracle(tensor):
+    """entries.tsv as formatted one row at a time."""
+    return "".join(
+        "\t".join(str(int(c)) for c in row) + "\t" + repr(float(v)) + "\n"
+        for row, v in zip(tensor.coords, tensor.values)
+    )
+
+
+def model_text_oracle(model):
+    """The body of a model file (after the header line), one float at a time."""
+    lines = [" ".join(repr(float(w)) for w in model.weights)]
+    for f in model.factors:
+        for row in f:
+            lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def top_n_oracle(values, labels, n):
+    """The top n (label, score) pairs of a full sort by (-score, label)."""
+    order = sorted(range(len(values)), key=lambda i: (-values[i], labels[i]))
+    return [(labels[i], float(values[i])) for i in order[:n]]
 
 
 @pytest.fixture

@@ -1,0 +1,332 @@
+"""The array-level ingest and I/O paths against their one-at-a-time oracles.
+
+Token filtering decides each distinct token once, the tensor is built and
+coalesced from arrays, entries.tsv is written in chunks and read in one parse,
+model files are parsed in one call, and top_n sorts only its candidates. Each
+must give exactly what the per-token, per-row or full-sort code gives.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tensortopics import (
+    AxisMap,
+    CleaningRules,
+    CorpusRecord,
+    KruskalModel,
+    SparseTensorCOO,
+    build_counts,
+    counts_to_tensor,
+    load_model,
+    load_tensor,
+    save_model,
+    save_tensor,
+    tokenize,
+)
+from tensortopics import sparse_tensor
+from tensortopics.corpus_ingest import (
+    DEFAULT_STOPWORDS,
+    _nonascii_letter_fraction,
+    _rare_capitalized_tokens,
+)
+from tensortopics.ensemble import Component
+from tensortopics.report import top_n
+
+from conftest import (
+    build_counts_oracle,
+    coalesce_oracle,
+    entries_text_oracle,
+    model_text_oracle,
+    nonascii_letter_fraction,
+    rare_capitalized_oracle,
+    tokenize_oracle,
+    top_n_oracle,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# Words that exercise every filter: names only ever capitalized, DNA runs,
+# repeated letters, consonant runs, stopwords, short words, and non-ASCII
+# letters, two of which lowercase to ASCII ("K" KELVIN SIGN -> "k", and "İ"
+# -> "i" plus a combining dot).
+WORDS = [
+    "WHO", "Geneva", "GENEVA", "Marchetti", "protein", "Protein", "viral", "cells",
+    "the", "and", "of", "ox", "a", "acgtacgtacgt", "acguacgu", "ttttttttt", "aaaab",
+    "bbbbb", "xkcd", "strengths", "rhythm", "mRNA", "COVID", "Kelvin", "K",
+    "İstanbul", "İ", "naïve", "café", "été",
+]
+SEPARATORS = [" ", "  ", "-", ", ", ". ", "\n", "19", "\t", ""]
+bodies = st.lists(
+    st.tuples(
+        st.sampled_from(WORDS) | st.text(alphabet="acegiotuyACGTKYKİï", min_size=1, max_size=12),
+        st.sampled_from(SEPARATORS),
+    ),
+    max_size=30,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+rules = st.builds(
+    CleaningRules,
+    stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset(), frozenset({"protein", "cells"})]),
+    min_token_length=st.integers(1, 5),
+    dna_min_run=st.integers(2, 10),
+    max_char_repeat=st.integers(1, 4),
+    max_consonant_run=st.integers(1, 6),
+    name_df_floor=st.integers(0, 3),
+)
+records = st.lists(
+    st.builds(
+        CorpusRecord,
+        title=st.sampled_from(["t1", "t2", "t3", "t4", ""]),
+        abstract=st.just(""),
+        first_author=st.sampled_from(["Ann", "Bo", "Cy"]),
+        journal=st.sampled_from(["j1", "j2", ""]),
+        body=bodies,
+    ),
+    max_size=8,
+)
+
+
+class TestTokenFiltering:
+    @PROPERTY
+    @given(body=bodies, rules=rules)
+    def test_tokenize_matches_oracle(self, body, rules):
+        assert tokenize(body, rules) == tokenize_oracle(body, rules)
+
+    @PROPERTY
+    @given(body=bodies)
+    def test_nonascii_fraction_matches_oracle(self, body):
+        assert _nonascii_letter_fraction(body) == nonascii_letter_fraction(body)
+
+    @PROPERTY
+    @given(recs=records, rules=rules)
+    def test_rare_capitalized_matches_oracle(self, recs, rules):
+        assert _rare_capitalized_tokens(recs, rules) == rare_capitalized_oracle(recs, rules)
+
+    @PROPERTY
+    @given(recs=records, rules=rules)
+    def test_build_counts_matches_oracle(self, recs, rules):
+        got = build_counts(recs, rules)
+        want = build_counts_oracle(recs, rules)
+        assert list(got.counts.items()) == list(want.counts.items())
+        assert got.axes == want.axes
+
+    @PROPERTY
+    @given(recs=records, rules=rules)
+    def test_counts_to_tensor_matches_log1p_entries(self, recs, rules):
+        quad = build_counts(recs, rules)
+        if not quad.counts:
+            return
+        tensor = counts_to_tensor(quad)
+        coords, values = coalesce_oracle(
+            list(quad.counts), [math.log1p(c) for c in quad.counts.values()]
+        )
+        assert tensor.coords.tobytes() == coords.tobytes()
+        assert tensor.values.tobytes() == values.tobytes()
+
+    def test_kelvin_sign_and_dotted_capital_i(self):
+        # "K".lower() == "k"; "İ".lower() == "i̇", which splits tokens
+        body = "Kelvin İstanbul KKK protein"
+        assert tokenize(body, CleaningRules()) == ["kelvin", "stanbul", "protein"]
+        assert tokenize(body, CleaningRules()) == tokenize_oracle(body, CleaningRules())
+
+
+# Values whose sum depends on the order they are added in.
+ORDER_SENSITIVE = [1e16, 1.0, 0.1, 3e-5, 7.0, 2.0**-40, 1e-300]
+
+
+class TestCoalescing:
+    @PROPERTY
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 2), st.sampled_from(ORDER_SENSITIVE)),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_matches_unique_bincount_oracle(self, data):
+        coords = [(a, b) for a, b, _ in data]
+        values = [v for _, _, v in data]
+        tensor = SparseTensorCOO(coords, values, (2, 3))
+        want_coords, want_values = coalesce_oracle(coords, values)
+        assert tensor.coords.tobytes() == want_coords.tobytes()
+        assert tensor.values.tobytes() == want_values.tobytes()
+
+    def test_duplicates_sum_in_input_order(self):
+        # 1e16 + 1 rounds back to 1e16, so summing in input order gives 1e16,
+        # while the ones first (or a pairwise sum) would give more.
+        values = [1e16] + [1.0] * 20
+        tensor = SparseTensorCOO([(0, 1)] * len(values), values, (1, 2))
+        assert tensor.values.tolist() == [1e16]
+        reordered = SparseTensorCOO([(0, 1)] * len(values), values[::-1], (1, 2))
+        assert reordered.values.tolist() == [1e16 + 20.0]
+
+
+finite_positive = st.floats(
+    min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True
+)
+finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
+# the smallest subnormal, the smallest normal, a subnormal, the largest float
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+
+
+def _round_trip_tensor(tensor):
+    axes = [AxisMap([f"m{k}_{i}" for i in range(n)]) for k, n in enumerate(tensor.shape)]
+    names = [f"mode{k}" for k in range(tensor.order)]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_tensor(tensor, axes, names, Path(tmp) / "t")
+        text = (Path(tmp) / "t" / "entries.tsv").read_text(encoding="utf-8")
+        loaded, _, _ = load_tensor(Path(tmp) / "t")
+    return text, loaded
+
+
+class TestTensorContainer:
+    @PROPERTY
+    @given(
+        entries=st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2)),
+            finite_positive | st.sampled_from(EXTREMES),
+            max_size=40,
+        ),
+        chunk=st.integers(1, 7),
+    )
+    def test_round_trip_bitwise_across_chunks(self, entries, chunk):
+        tensor = SparseTensorCOO(list(entries), list(entries.values()), (4, 5, 3))
+        with mock.patch.object(sparse_tensor, "WRITE_CHUNK_ROWS", chunk):
+            text, loaded = _round_trip_tensor(tensor)
+        assert text == entries_text_oracle(tensor)
+        assert loaded.coords.tobytes() == tensor.coords.tobytes()
+        assert loaded.values.tobytes() == tensor.values.tobytes()
+
+    def test_more_rows_than_one_chunk(self, rng):
+        coords = np.stack([rng.integers(0, 60, 50_000), rng.integers(0, 900, 50_000)], axis=1)
+        values = rng.choice([math.log1p(c) for c in range(1, 6)] + [0.1, 1e300], size=50_000)
+        tensor = SparseTensorCOO(coords, values, (60, 900))
+        assert tensor.nnz > sparse_tensor.WRITE_CHUNK_ROWS
+        text, loaded = _round_trip_tensor(tensor)
+        assert text == entries_text_oracle(tensor)
+        assert loaded == tensor
+
+    def test_empty_tensor_gives_empty_file(self):
+        tensor = SparseTensorCOO([], [], (2, 3))
+        text, loaded = _round_trip_tensor(tensor)
+        assert text == ""
+        assert loaded.nnz == 0 and loaded.coords.shape == (0, 2)
+
+    def _container(self, tmp_path):
+        tensor = SparseTensorCOO([(0, 0), (0, 1), (1, 1), (1, 2)], [1.0, 2.0, 3.0, 4.0], (2, 3))
+        axes = [AxisMap(["a", "b"]), AxisMap(["x", "y", "z"])]
+        return save_tensor(tensor, axes, ["doc", "word"], tmp_path / "t") / "entries.tsv"
+
+    def test_short_line_rejected_with_its_number(self, tmp_path):
+        entries = self._container(tmp_path)
+        lines = entries.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, "")  # blank lines are skipped but still counted
+        lines[3] = lines[3].rsplit("\t", 1)[0]
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entries\.tsv:4: expected 3 fields, got 2"):
+            load_tensor(tmp_path / "t")
+
+    def test_long_line_rejected_with_its_number(self, tmp_path):
+        entries = self._container(tmp_path)
+        lines = entries.read_text(encoding="utf-8").splitlines()
+        lines[0] += "\t7"
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entries\.tsv:1: expected 3 fields, got 4"):
+            load_tensor(tmp_path / "t")
+
+    def test_fractional_coordinate_rejected(self, tmp_path):
+        entries = self._container(tmp_path)
+        entries.write_text("0\t1.0\t2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entries\.tsv"):
+            load_tensor(tmp_path / "t")
+
+    def test_header_nnz_mismatch_rejected(self, tmp_path):
+        entries = self._container(tmp_path)
+        entries.write_text("0\t0\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header says 4 entries, file holds 1"):
+            load_tensor(tmp_path / "t")
+
+
+class TestModelText:
+    @PROPERTY
+    @given(
+        rank=st.integers(1, 4),
+        extents=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_round_trip_bitwise(self, rank, extents, data):
+        cells = rank * (1 + sum(extents))
+        numbers = data.draw(
+            st.lists(
+                finite_or_infinite | st.sampled_from([-0.0, *EXTREMES]),
+                min_size=cells,
+                max_size=cells,
+            )
+        )
+        table = np.array(numbers, dtype=np.float64).reshape(-1, rank)
+        bounds = np.cumsum([1, *extents])
+        model = KruskalModel(
+            weights=table[0], factors=[table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_model(model, Path(tmp) / "m.model")
+            body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+            loaded, header = load_model(path)
+        assert body == model_text_oracle(model)
+        assert header["rank"] == rank
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        for got, want in zip(loaded.factors, model.factors):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def _saved(self, tmp_path):
+        model = KruskalModel(weights=[2.0, 1.0], factors=[[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]])
+        path = save_model(model, tmp_path / "m.model")
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    def test_weight_count_checked(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[1] = "2.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="weight count 1 != rank 2"):
+            load_model(path)
+
+    def test_row_width_checked(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[2] = "0.5 0.25 0.1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="factor row has 3 columns, rank is 2"):
+            load_model(path)
+
+
+scores = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 0.25, float("inf"), -float("inf")])
+
+
+class TestTopN:
+    @PROPERTY
+    @given(
+        values=st.lists(scores, min_size=1, max_size=40),
+        n=st.integers(1, 45),
+        data=st.data(),
+    )
+    def test_matches_full_sort_on_ties(self, values, n, data):
+        size = len(values)
+        labels = data.draw(
+            st.lists(st.text(alphabet="abc", max_size=3), min_size=size, max_size=size, unique=True)
+        )
+        component = Component(0, 0, 1.0, [np.array(values)])
+        assert top_n(component, 0, n, AxisMap(labels)) == top_n_oracle(values, labels, n)
+
+    def test_nan_slice_matches_full_sort(self):
+        values = [0.5, float("nan"), 0.5, 1.0, float("nan"), 0.0]
+        labels = ["f", "e", "d", "c", "b", "a"]
+        component = Component(0, 0, 1.0, [np.array(values)])
+        for n in range(1, 7):
+            got = top_n(component, 0, n, AxisMap(labels))
+            assert str(got) == str(top_n_oracle(values, labels, n))  # str: nan != nan

@@ -1,0 +1,40 @@
+"""Golden bytes: the toy pipeline writes exactly these files, bit for bit.
+
+The hashes were taken from the pipeline before its ingest and I/O paths were
+rewritten at the array level; any later change to how the tensor, the models,
+the selection or the report are computed or serialized must leave them alone
+or update them on purpose. The model bytes depend on floating-point results
+of the factorization, so a different BLAS may legitimately change them.
+"""
+
+import hashlib
+
+from tensortopics.cli import cli_run
+
+from conftest import DATA_DIR
+
+GOLDEN_SHA256 = {
+    "tensor/header.json": "0b9dc45aa8c5c3d60aa7325eb98318abcbfc7203e2c710955f549c980af85faf",
+    "tensor/entries.tsv": "806ef1c0d86131b5e7543db91ec463434c7fa79ecae4a96ffc29d7ae132f78bc",
+    "tensor/mode0.labels.txt": "20e5114aa75ecf82dcf2ed95f8a5cf101acc44dd0ee82769a70344e28c0e4163",
+    "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
+    "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
+    "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
+    "models/rank_3.model": "0cc0f143a019e524a0d0816b2fa34e9657bd86322fb9741e074b651dd4383e3d",
+    "models/rank_5.model": "bac3a16ccf30e731eaa65f181b5e34badcabba90904a9921bb73d77bf2bb8441",
+    "selection.json": "3a16159f03b547dc62eb20037093aabe485ebf4fd18c545b29a30d7c79e72c6e",
+    "report/report.json": "2227f76d382108be26e641c6d5bf20f68d67fced845791745fe7f96fd9d1d296",
+    "report/summary.json": "62ee271e5bbf71a9731a76b2caa1a9b71a1c3d6493cec4b33c3dad3fb6e91950",
+    "report/index.html": "715dffd9ae73644520c246a2b33685b905a81919a358f19cdade2ed80736bb60",
+}
+
+
+def test_toy_pipeline_bytes_are_golden(tmp_path):
+    workdir = tmp_path / "run"
+    assert cli_run(["pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+    written = sorted(
+        p.relative_to(workdir).as_posix() for p in workdir.rglob("*") if p.is_file()
+    )
+    assert written == sorted(GOLDEN_SHA256)
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
