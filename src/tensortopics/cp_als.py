@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .sparse_tensor import SparseTensorCOO
 
 MODEL_FORMAT = "kruskal-model"
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 class AlsDivergenceError(RuntimeError):
@@ -290,7 +291,9 @@ def arrange(model: KruskalModel) -> KruskalModel:
     into the weights, and sorts components by descending absolute weight,
     ties broken by original position. A weight that ends up negative after
     the flips is kept and reported as-is; see negative_weight_indices().
-    Represents the same tensor as the input and is idempotent.
+    Represents the same tensor as the input and is idempotent up to rounding:
+    a second pass divides by column sums that are off 1 by the rounding of
+    summing them, which grows with cancellation inside a column.
     """
     weights = np.array(model.weights, dtype=np.float64)
     factors = [np.array(f, dtype=np.float64) for f in model.factors]
@@ -309,19 +312,31 @@ def arrange(model: KruskalModel) -> KruskalModel:
     return KruskalModel(weights=weights, factors=factors)
 
 
+def _payload_path(path: Path) -> Path:
+    """The model's binary number table: the model file's name plus ".npy"."""
+    return path.with_name(path.name + ".npy")
+
+
 def save_model(
     model: KruskalModel,
     path: str | Path,
     mode_names=None,
     labels_ref: str | None = None,
 ) -> Path:
-    """Write a model as a versioned text file that round-trips losslessly.
+    """Write a model as a versioned text file plus its binary number table.
 
-    Line 1 is a JSON header; the weights line and each factor row serialize
-    floats with repr(), so load_model reproduces the arrays bit for bit.
+    The numbers go to `<path>.npy` first: one C-ordered (1 + sum(shape),
+    rank) float64 table, the weights row and then each factor's rows. Then
+    the text file: line 1 is a JSON header carrying the table's CRC-32, and
+    the weights line and each factor row serialize the same floats with
+    repr(), one row per line. load_model reads the numbers from the table;
+    the text body is there for readers of the documented text format.
     Axis labels are referenced by path, never embedded.
     """
     path = Path(path)
+    # Arranged factors can be Fortran-ordered, and so can their stack;
+    # crc32 and the .npy layout need one C-ordered buffer.
+    table = np.ascontiguousarray(np.vstack([model.weights[None, :], *model.factors]))
     header = {
         "format": MODEL_FORMAT,
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -329,45 +344,81 @@ def save_model(
         "shape": list(model.shape),
         "mode_names": list(mode_names) if mode_names is not None else None,
         "labels_ref": labels_ref,
+        "payload_crc32": zlib.crc32(table),
     }
-    lines = [json.dumps(header), " ".join(map(repr, model.weights.tolist()))]
-    for f in model.factors:
-        lines.extend(" ".join(map(repr, row.tolist())) for row in f)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.save(_payload_path(path), table, allow_pickle=False)
+    with path.open("w", encoding="utf-8") as out:
+        out.write(json.dumps(header) + "\n")
+        for row in table:
+            out.write(" ".join(map(repr, row.tolist())) + "\n")
     return path
 
 
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
-    """Read a model file written by save_model. Returns (model, header dict)."""
+    """Read a model written by save_model. Returns (model, header dict).
+
+    The text file's header and its layout are checked (line count, the
+    weight count and every row's width), but its floats are not parsed: the
+    numbers come from `<path>.npy`, whose dtype, shape and CRC-32 must match
+    the header. Every fault raises a ValueError naming the file.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    data = path.read_bytes()
+    if not data:
         raise ValueError(f"{path}: empty model file")
-    header = json.loads(lines[0])
-    if header.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: unrecognized model format {header.get('format')!r}")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        line_ends = np.append(line_ends, len(data))
+    try:
+        header = json.loads(data[: line_ends[0]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable model header: {exc}") from exc
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"{path}: unrecognized model format {fmt!r}")
     if header.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: unsupported schema version {header.get('schema_version')!r}"
+            f"{path}: unsupported schema version {header.get('schema_version')!r} "
+            f"(expected {MODEL_SCHEMA_VERSION}; rerun factorize)"
         )
     rank = int(header["rank"])
     shape = [int(n) for n in header["shape"]]
     expected = 2 + sum(shape)
-    if len(lines) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, got {len(lines)}")
-    # The weights line and every factor row are `rank` floats wide; check
-    # the widths first, then parse all rows in one call.
-    widths = [line.count(" ") + 1 for line in lines[1:]]
+    if len(line_ends) != expected:
+        raise ValueError(f"{path}: expected {expected} lines, got {len(line_ends)}")
+    # The weights line and every factor row are `rank` floats wide: one more
+    # than the spaces between consecutive line ends.
+    spaces = np.flatnonzero(buf == ord(" "))
+    widths = np.diff(np.searchsorted(spaces, line_ends)) + 1
     if widths[0] != rank:
         raise ValueError(f"{path}: weight count {widths[0]} != rank {rank}")
-    for width in widths[1:]:
-        if width != rank:
-            raise ValueError(f"{path}: factor row has {width} columns, rank is {rank}")
-    table = np.loadtxt(lines[1:], dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    wrong = np.flatnonzero(widths != rank)
+    if wrong.size:
+        raise ValueError(
+            f"{path}: factor row has {widths[wrong[0]]} columns, rank is {rank}"
+        )
+
+    payload = _payload_path(path)
+    try:
+        # read_array, unlike np.load, accepts nothing but a .npy array.
+        with payload.open("rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{payload}: model payload is missing; rerun factorize") from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{payload}: unreadable model payload: {exc}") from exc
+    if table.dtype != np.float64 or table.shape != (expected - 1, rank):
+        raise ValueError(
+            f"{payload}: {table.dtype} table of shape {table.shape}, "
+            f"{path.name} declares float64 of shape {(expected - 1, rank)}"
+        )
+    # A payload stored in Fortran order reads back Fortran-ordered; crc32
+    # needs C order.
+    table = np.ascontiguousarray(table)
+    if zlib.crc32(table) != header.get("payload_crc32"):
+        raise ValueError(f"{payload}: CRC-32 does not match the header of {path.name}")
     bounds = np.cumsum([1, *shape])
     factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     return KruskalModel(weights=table[0], factors=factors), header

@@ -70,15 +70,19 @@ def normalize_columns_l1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column to sum to 1, returning (normalized, absorbed sums).
 
     Column r of the result is a[:, r] / sum(a[:, r]) and weights[r] is the
-    absorbed sum, so normalized * weights reconstructs the input. Columns
-    summing to exactly zero are left unchanged and get weight 0; they cannot
-    be normalized and callers treat them as dead components.
+    absorbed sum, so normalized * weights reconstructs the input. A column
+    whose sum is zero to within the rounding error of summing it cannot be
+    normalized: the sum's sign and size are noise, and dividing by it would
+    only blow the entries up. Such a column is left unchanged with weight 1,
+    or weight 0 if it is all zero (callers treat that as a dead component).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("normalize_columns_l1 expects a matrix")
     col_sums = a.sum(axis=0)
-    divisors = np.where(col_sums != 0.0, col_sums, 1.0)
-    normalized = a / divisors
-    weights = np.where(col_sums != 0.0, col_sums, 0.0)
+    # n roundings of the absolute sum bound the error of the computed sum.
+    noise = a.shape[0] * np.finfo(np.float64).eps * np.abs(a).sum(axis=0)
+    summed = np.abs(col_sums) > noise
+    normalized = a / np.where(summed, col_sums, 1.0)
+    weights = np.where(summed, col_sums, np.any(a != 0.0, axis=0)).astype(np.float64)
     return normalized, weights

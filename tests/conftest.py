@@ -5,6 +5,7 @@ kernels: dense arrays, nested loops, np.kron, and a coordinate-order
 gather/scatter over the nonzeros.
 """
 
+import json
 import os
 import re
 from pathlib import Path
@@ -197,6 +198,54 @@ def model_text_oracle(model):
         for row in f:
             lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def model_text_table(path):
+    """The numbers of a model file's text body as one (1 + sum(shape), rank)
+    table, parsed with numpy alone from the documented format: a JSON header
+    line, then the weights and every factor row as space-separated floats."""
+    header_line, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    header = json.loads(header_line)
+    table = np.array(body.split(), dtype=np.float64).reshape(-1, int(header["rank"]))
+    assert table.shape[0] == 1 + sum(header["shape"]), path
+    return table
+
+
+def _rewrite_payload(payload, change):
+    table = np.load(payload, allow_pickle=False)
+    np.save(payload, change(table), allow_pickle=False)
+
+
+def _nudge_last(table):
+    table = table.copy()
+    table[-1, -1] = np.nextafter(table[-1, -1], np.inf)
+    return table
+
+
+def _schema_1(model_path, payload):
+    header_line, _, body = model_path.read_text(encoding="utf-8").partition("\n")
+    header = json.loads(header_line)
+    header["schema_version"] = 1
+    del header["payload_crc32"]
+    model_path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+
+
+# Ways to damage a saved model: name -> (damage(model_path, payload_path),
+# a phrase of the ValueError that load_model must raise).
+PAYLOAD_FAULTS = {
+    "missing": (lambda m, p: p.unlink(), "model payload is missing"),
+    "empty": (lambda m, p: p.write_bytes(b""), "unreadable model payload"),
+    "truncated_data": (lambda m, p: p.write_bytes(p.read_bytes()[:-3]), "unreadable model payload"),
+    "truncated_header": (lambda m, p: p.write_bytes(p.read_bytes()[:40]), "unreadable model payload"),
+    "not_npy": (lambda m, p: p.write_bytes(b"0.5 0.25\n"), "unreadable model payload"),
+    "float32": (
+        lambda m, p: _rewrite_payload(p, lambda t: t.astype(np.float32)),
+        "float32 table",
+    ),
+    "short": (lambda m, p: _rewrite_payload(p, lambda t: t[:-1]), "declares float64 of shape"),
+    "one_ulp": (lambda m, p: _rewrite_payload(p, _nudge_last), "CRC-32 does not match"),
+    "schema_1": (_schema_1, "unsupported schema version 1"),
+}
 
 
 def top_n_oracle(values, labels, n):

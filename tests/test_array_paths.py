@@ -2,18 +2,20 @@
 
 Token filtering decides each distinct token once, the tensor is built and
 coalesced from arrays, entries.tsv is written in chunks and read in one parse,
-model files are parsed in one call, and top_n sorts only its candidates. Each
-must give exactly what the per-token, per-row or full-sort code gives.
+model numbers are read from a binary payload that must hold the same bits as
+the text body, and top_n sorts only its candidates. Each must give exactly
+what the per-token, per-row or full-sort code gives.
 """
 
 import math
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tensortopics import (
@@ -36,14 +38,17 @@ from tensortopics.corpus_ingest import (
     _nonascii_letter_fraction,
     _rare_capitalized_tokens,
 )
+from tensortopics.cli import cli_run
 from tensortopics.ensemble import Component
 from tensortopics.report import top_n
 
 from conftest import (
+    DATA_DIR,
     build_counts_oracle,
     coalesce_oracle,
     entries_text_oracle,
     model_text_oracle,
+    model_text_table,
     nonascii_letter_fraction,
     rare_capitalized_oracle,
     tokenize_oracle,
@@ -253,22 +258,26 @@ class TestTensorContainer:
             load_tensor(tmp_path / "t")
 
 
+model_tables = st.tuples(st.integers(1, 4), st.lists(st.integers(1, 5), min_size=1, max_size=4)).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape[0]),
+        st.just(shape[1]),
+        st.lists(
+            finite_or_infinite | st.sampled_from([-0.0, *EXTREMES]),
+            min_size=shape[0] * (1 + sum(shape[1])),
+            max_size=shape[0] * (1 + sum(shape[1])),
+        ),
+    )
+)
+
+
 class TestModelText:
     @PROPERTY
-    @given(
-        rank=st.integers(1, 4),
-        extents=st.lists(st.integers(1, 5), min_size=1, max_size=4),
-        data=st.data(),
-    )
-    def test_round_trip_bitwise(self, rank, extents, data):
-        cells = rank * (1 + sum(extents))
-        numbers = data.draw(
-            st.lists(
-                finite_or_infinite | st.sampled_from([-0.0, *EXTREMES]),
-                min_size=cells,
-                max_size=cells,
-            )
-        )
+    @given(case=model_tables)
+    @example(case=(1, [3, 3], [-0.0, 5e-324, -5e-324, math.inf, -math.inf, 0.0, 1e-310]))
+    @example(case=(2, [1], [-0.0, 0.0, 2.2250738585072014e-308, -math.inf]))
+    def test_round_trip_bitwise(self, case):
+        rank, extents, numbers = case
         table = np.array(numbers, dtype=np.float64).reshape(-1, rank)
         bounds = np.cumsum([1, *extents])
         model = KruskalModel(
@@ -277,13 +286,28 @@ class TestModelText:
         with tempfile.TemporaryDirectory() as tmp:
             path = save_model(model, Path(tmp) / "m.model")
             body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+            payload = np.load(Path(tmp) / "m.model.npy", allow_pickle=False)
+            text_table = model_text_table(path)
             loaded, header = load_model(path)
         assert body == model_text_oracle(model)
         assert header["rank"] == rank
+        assert header["payload_crc32"] == zlib.crc32(table.tobytes())
+        assert payload.dtype == np.float64 and payload.shape == table.shape
+        assert text_table.tobytes() == payload.tobytes() == table.tobytes()
         assert loaded.weights.tobytes() == model.weights.tobytes()
         for got, want in zip(loaded.factors, model.factors):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_toy_models_text_equals_payload(self, tmp_path):
+        workdir = tmp_path / "run"
+        for stage in ("ingest", "factorize"):
+            assert cli_run([stage, "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+        paths = sorted((workdir / "models").glob("*.model"))
+        assert [p.name for p in paths] == ["rank_3.model", "rank_5.model"]
+        for path in paths:
+            payload = np.load(path.with_name(path.name + ".npy"), allow_pickle=False)
+            assert model_text_table(path).tobytes() == payload.tobytes(), path.name
 
     def _saved(self, tmp_path):
         model = KruskalModel(weights=[2.0, 1.0], factors=[[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]])

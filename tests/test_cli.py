@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from tensortopics.cli import build_parser, cli_run
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, PAYLOAD_FAULTS
 
 CFG = str(DATA_DIR / "toy.cfg")
 
@@ -242,6 +243,35 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
+    @pytest.fixture(scope="class")
+    def selected(self, tmp_path_factory):
+        """A workdir through select, and the models of a --seed 99 factorize."""
+        base = tmp_path_factory.mktemp("selected")
+        for cmd in ("ingest", "factorize", "select"):
+            assert run(cmd, "--config", CFG, "--workdir", str(base / "run")) == 0
+        shutil.copytree(base / "run" / "tensor", base / "seed99" / "tensor")
+        assert run("factorize", "--config", CFG, "--workdir", str(base / "seed99"), "--seed", "99") == 0
+        return base
+
+    @pytest.mark.parametrize("stage", ["select", "report"])
+    @pytest.mark.parametrize("fault", [*sorted(PAYLOAD_FAULTS), "other_seed"])
+    def test_damaged_payload_reports_error(self, selected, tmp_path, capsys, stage, fault):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        for model in sorted((workdir / "models").glob("*.model")):
+            payload = model.with_name(model.name + ".npy")
+            if fault == "other_seed":
+                shutil.copyfile(selected / "seed99" / "models" / payload.name, payload)
+            else:
+                PAYLOAD_FAULTS[fault][0](model, payload)
+        capsys.readouterr()
+        assert run(stage, "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        phrase = "CRC-32 does not match" if fault == "other_seed" else PAYLOAD_FAULTS[fault][1]
+        assert "error:" in err and ".model" in err and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
+
     def test_bad_ranks_value_reports_error(self, tmp_path, capsys):
         assert (
             run("pipeline", "--config", CFG, "--workdir", str(tmp_path), "--ranks", "3,2")
@@ -278,3 +308,27 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout
+
+    @pytest.mark.skipif(
+        not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),
+        reason="the mmap threshold is a glibc setting",
+    )
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_fixed_mmap_threshold_keeps_large_arrays_off_the_heap(self, fixed):
+        # Freeing a mapped 16 MiB block makes glibc's default serve the next
+        # 8 MiB array from the heap; the fixed threshold maps it on its own.
+        code = (
+            "import numpy as np\n"
+            "from tensortopics.cli import MMAP_THRESHOLD_BYTES, fix_mmap_threshold\n"
+            + ("assert fix_mmap_threshold()\n" if fixed else "")
+            + "big = np.ones(4 * MMAP_THRESHOLD_BYTES // 8)\n"
+            "del big\n"
+            "a = np.ones(2 * MMAP_THRESHOLD_BYTES // 8)\n"
+            "heap = [l.split()[0] for l in open('/proc/self/maps') if l.rstrip().endswith('[heap]')]\n"
+            "print(any(int(lo, 16) <= a.ctypes.data < int(hi, 16) for lo, hi in (h.split('-') for h in heap)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(not fixed)

@@ -16,7 +16,7 @@ from tensortopics import (
 
 from tensortopics.cp_als import stop_reason
 
-from conftest import dense_from_model, dense_mttkrp, random_sparse, to_dense
+from conftest import PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, random_sparse, to_dense
 
 
 def rank1_tensor(rng, shape):
@@ -298,6 +298,44 @@ class TestModelFile:
         path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="lines"):
             load_model(path)
+
+    def test_numbers_come_from_the_payload(self, tmp_path):
+        model = KruskalModel(weights=[2.0, 1.0], factors=[[[0.5, 0.25], [0.5, 0.75]]])
+        path = save_model(model, tmp_path / "m.model")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("0.25", "0.99"), encoding="utf-8")
+        loaded, _ = load_model(path)
+        np.testing.assert_array_equal(loaded.factors[0], [[0.5, 0.25], [0.5, 0.75]])
+
+    def test_fortran_ordered_payload_reads(self, tmp_path):
+        model = KruskalModel(weights=[2.0, 1.0], factors=[np.arange(6.0).reshape(3, 2)])
+        path = save_model(model, tmp_path / "m.model")
+        payload = tmp_path / "m.model.npy"
+        np.save(payload, np.asfortranarray(np.load(payload)), allow_pickle=False)
+        loaded, _ = load_model(path)
+        np.testing.assert_array_equal(loaded.factors[0], model.factors[0])
+
+    @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+    def test_payload_fault_is_a_named_error(self, tmp_path, rng, fault):
+        t = random_sparse(rng, (4, 3, 5), 12)
+        model, _ = cp_als(t, 2, AlsOptions(max_iters=3, seed=2))
+        path = save_model(model, tmp_path / "m.model")
+        damage, phrase = PAYLOAD_FAULTS[fault]
+        damage(path, tmp_path / "m.model.npy")
+        with pytest.raises(ValueError, match=phrase) as info:
+            load_model(path)
+        assert "m.model" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "header, phrase",
+        [("[1, 2]", "unrecognized model format None"), ('{"format": "kruskal-model"', "unreadable model header")],
+    )
+    def test_bad_header_is_a_named_error(self, tmp_path, header, phrase):
+        path = tmp_path / "m.model"
+        path.write_text(header + "\n2.0 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=phrase) as info:
+            load_model(path)
+        assert "m.model" in str(info.value)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "m.model"

@@ -1,10 +1,13 @@
 """Golden bytes: the toy pipeline writes exactly these files, bit for bit.
 
 The hashes were taken from the pipeline before its ingest and I/O paths were
-rewritten at the array level; any later change to how the tensor, the models,
-the selection or the report are computed or serialized must leave them alone
-or update them on purpose. The model bytes depend on floating-point results
-of the factorization, so a different BLAS may legitimately change them.
+rewritten at the array level. The two model files were re-pinned when the
+binary payload came in: their header gained the payload's CRC-32 and schema
+version 2, their body lines did not change, and their two .npy payloads were
+added. Any later change to how the tensor, the models, the selection or the
+report are computed or serialized must leave these hashes alone or update
+them on purpose. The model bytes depend on floating-point results of the
+factorization, so a different BLAS may legitimately change them.
 """
 
 import hashlib
@@ -20,8 +23,10 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "0cc0f143a019e524a0d0816b2fa34e9657bd86322fb9741e074b651dd4383e3d",
-    "models/rank_5.model": "bac3a16ccf30e731eaa65f181b5e34badcabba90904a9921bb73d77bf2bb8441",
+    "models/rank_3.model": "5fc1ee7c251896cdad7a16da220909f79aaf10ffabb112070c57b173e3ac8035",
+    "models/rank_3.model.npy": "180383bea548d9f7edb3e6b368cc7f77c25d7f4e4de1be7b20744cdf800bc421",
+    "models/rank_5.model": "d10343716b57219cae6ddd9abe0bad0a77587b208a0874a1608a470495eb032b",
+    "models/rank_5.model.npy": "22b4d2ce58fa98c3683d38d667a406ae03a03c3eae560228c1facf5522a7e230",
     "selection.json": "3a16159f03b547dc62eb20037093aabe485ebf4fd18c545b29a30d7c79e72c6e",
     "report/report.json": "2227f76d382108be26e641c6d5bf20f68d67fced845791745fe7f96fd9d1d296",
     "report/summary.json": "62ee271e5bbf71a9731a76b2caa1a9b71a1c3d6493cec4b33c3dad3fb6e91950",

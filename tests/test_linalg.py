@@ -124,6 +124,15 @@ class TestNormalizeColumnsL1:
         np.testing.assert_allclose(normalized[:, 1], [0.25, 0.75])
         assert weights[1] == 4.0
 
+    # a sum of exactly zero, and one that is only rounding noise
+    @pytest.mark.parametrize("column", [[0.5, -0.5, 0.0], [-1.0, 1.0, 2.03346144e-294]])
+    def test_zero_sum_column_keeps_its_scale(self, column):
+        a = np.column_stack([column, [1.0, 3.0, 0.0]])
+        normalized, weights = normalize_columns_l1(a)
+        np.testing.assert_array_equal(normalized[:, 0], column)
+        assert weights[0] == 1.0
+        np.testing.assert_array_equal(normalized * weights, a)
+
     def test_reconstruction(self, rng):
         a = rng.uniform(0.1, 2.0, size=(6, 4))
         normalized, weights = normalize_columns_l1(a)
