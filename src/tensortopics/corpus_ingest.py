@@ -12,16 +12,16 @@ import csv
 import json
 import logging
 import math
+import operator
 import re
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .sparse_tensor import AxisMap, SparseTensorCOO
+from .sparse_tensor import AxisMap, SparseTensorCOO, _run_starts
 
 logger = logging.getLogger(__name__)
 
@@ -321,35 +321,113 @@ def tokenize(body: str, rules: CleaningRules) -> list[str]:
     return [token for token in _LOWER_TOKEN_RE.findall(body.lower()) if keep(token)]
 
 
-def _rare_capitalized_tokens(records, rules: CleaningRules) -> frozenset[str]:
-    """Tokens that never appear lowercase-initial and sit under the DF floor.
+class _Scan(NamedTuple):
+    """Every body's tokens as ids into one table of distinct raw tokens.
+
+    Raw token r lowercases to words[raw_word[r]] and starts lowercase if
+    raw_lower[r]. names holds the ids of the bodies' raw tokens (what the
+    name filter sees) and counted the ids of the tokens they count, each as
+    int32 (ids, the record of each id) in record and text order; counted is
+    names when every body is ASCII.
+    """
+
+    words: list[str]
+    raw_word: np.ndarray
+    raw_lower: np.ndarray
+    names: tuple[np.ndarray, np.ndarray]
+    counted: tuple[np.ndarray, np.ndarray]
+
+
+def _scan(records) -> _Scan:
+    """One regex scan per ASCII body, turned into token ids straight away."""
+    raw_ids: dict[str, int] = {}
+    raw_word: list[int] = []
+    raw_lower: list[bool] = []
+    word_ids: dict[str, int] = {}
+
+    def ids(tokens: list[str]) -> np.ndarray:
+        # New tokens are numbered in sorted order, so no id depends on set
+        # iteration order (which PYTHONHASHSEED changes).
+        for token in sorted(set(tokens).difference(raw_ids)):
+            raw_ids[token] = len(raw_ids)
+            raw_word.append(word_ids.setdefault(token.lower(), len(word_ids)))
+            raw_lower.append(token[0].islower())
+        return np.fromiter(map(raw_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+
+    names, counted = [], []
+    for rec in records:
+        names.append(ids(_RAW_TOKEN_RE.findall(rec.body)))
+        # Lowercasing can move token boundaries outside ASCII (the Kelvin sign
+        # becomes "k", and "İ" an "i" plus a combining dot), so such a body
+        # counts the tokens of its lowercased text.
+        if rec.body.isascii():
+            counted.append(names[-1])
+        else:
+            counted.append(ids(_LOWER_TOKEN_RE.findall(rec.body.lower())))
+
+    def flat(parts):
+        record = np.repeat(np.arange(len(parts), dtype=np.int32), [len(part) for part in parts])
+        return np.concatenate([np.empty(0, dtype=np.int32), *parts]), record
+
+    names_flat = flat(names)
+    return _Scan(
+        list(word_ids),
+        np.array(raw_word, dtype=np.int32),
+        np.array(raw_lower, dtype=bool),
+        names_flat,
+        names_flat if all(map(operator.is_, names, counted)) else flat(counted),
+    )
+
+
+def _rare_capitalized(scan: _Scan, floor: int) -> np.ndarray:
+    """Mask over scan.words: never seen lowercase-initial, and in at least one
+    but fewer than `floor` bodies.
 
     Proxy for stripping author and place names out of the vocabulary: a
     capitalized-only word that almost no document mentions is far more
     likely a name than a topic word.
     """
-    if rules.name_df_floor <= 0:
-        return frozenset()
-    lowercase_start: set[str] = set()
-    df: Counter[str] = Counter()
-    for rec in records:
-        raws = set(_RAW_TOKEN_RE.findall(rec.body))
-        lowercase_start.update(raw.lower() for raw in raws if raw[0].islower())
-        df.update({raw.lower() for raw in raws})
-    return frozenset(
-        w for w, n in df.items() if w not in lowercase_start and n < rules.name_df_floor
-    )
+    n_words = len(scan.words)
+    raw, record = scan.names
+    words = scan.raw_word[raw]
+    lower_seen = np.zeros(n_words, dtype=bool)
+    lower_seen[words[scan.raw_lower[raw]]] = True
+    # document frequency: the distinct (record, word) pairs of each word
+    pairs = np.sort(record.astype(np.int64) * n_words + words)
+    df = np.bincount(pairs[_run_starts(pairs)] % n_words, minlength=n_words)
+    return (df > 0) & (df < floor) & ~lower_seen
 
 
-@dataclass
+def _first_seen_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in the order they first occur, and each one's count."""
+    # A stable sort puts the first occurrence of each key at the head of its
+    # run; ordering the runs by their heads' positions restores text order.
+    order = np.argsort(keys, kind="stable")
+    heads = _run_starts(keys[order])
+    counts = np.diff(np.r_[heads, keys.shape[0]])
+    by_first = np.argsort(order[heads])
+    return keys[order[heads[by_first]]], counts[by_first]
+
+
+@dataclass(frozen=True, eq=False)
 class QuadCounts:
-    """Raw (author, document, journal, word) -> count map plus the four axes."""
+    """Token counts per (author, document, journal, word), plus the four axes.
 
-    counts: dict[tuple[int, int, int, int], int]
+    coords is (n, 4) int64 and tallies (n,) int64, in the order each
+    quadruple is first seen in the text. counts is the same data as a dict
+    in that order, built on each access.
+    """
+
+    coords: np.ndarray
+    tallies: np.ndarray
     axes: tuple[AxisMap, AxisMap, AxisMap, AxisMap]
 
+    @property
+    def counts(self) -> dict[tuple[int, int, int, int], int]:
+        return dict(zip(map(tuple, self.coords.tolist()), self.tallies.tolist()))
+
     def token_total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.tallies.sum())
 
 
 def build_counts(records, rules: CleaningRules) -> QuadCounts:
@@ -360,64 +438,66 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
     authors verbatim (whitespace-normalized), and a record with an empty
     journal lands under the reserved "(unknown-journal)" label. Records
     whose body yields no tokens are dropped with a diagnostic.
+
+    Each body is scanned once (twice if it is not ASCII) into an id stream;
+    every filter depends only on the word, so each distinct word is decided
+    once, and the counts are grouped over the id stream with one sort.
     """
-    excluded = _rare_capitalized_tokens(records, rules)
-    if excluded:
-        logger.info("name filter excluded %d token(s) from the vocabulary", len(excluded))
-
-    authors: dict[str, int] = {}
-    documents: dict[str, int] = {}
-    journals: dict[str, int] = {}
-    words: dict[str, int] = {}
-
-    def intern(table: dict[str, int], label: str) -> int:
-        if label not in table:
-            table[label] = len(table)
-        return table[label]
-
-    # Every filter depends only on the token, so each distinct token is
-    # decided once per call.
+    scan = _scan(records)
+    n_words = len(scan.words)
     keep = _token_filter(rules)
-    kept: dict[str, bool] = {}
-    counts: dict[tuple[int, int, int, int], int] = {}
+    kept_word = np.array([keep(w) for w in scan.words], dtype=bool)
+    if rules.name_df_floor > 0:
+        excluded = _rare_capitalized(scan, rules.name_df_floor)
+        if excluded.any():
+            logger.info("name filter excluded %d token(s) from the vocabulary", excluded.sum())
+        kept_word &= ~excluded
+
+    raw, record = scan.counted
+    words = scan.raw_word[raw]
+    kept = kept_word[words]
+    words, record = words[kept], record[kept]
+    per_record = np.bincount(record, minlength=len(records))
+
+    tables: tuple[dict[str, int], ...] = ({}, {}, {})
+    cells: dict[tuple[int, int, int], int] = {}
+    cell_of = np.zeros(len(records), dtype=np.int64)
     dropped = 0
-    for rec in records:
-        found = _LOWER_TOKEN_RE.findall(rec.body.lower())
-        for token in set(found).difference(kept):
-            kept[token] = token not in excluded and keep(token)
-        tokens = Counter(token for token in found if kept[token])
-        if not tokens:
+    for i, rec in enumerate(records):
+        if not per_record[i]:
             dropped += 1
             logger.info("document %r yields no tokens, dropped", rec.title)
             continue
-        a = intern(authors, rec.first_author)
-        d = intern(documents, rec.title)
-        j = intern(journals, rec.journal if rec.journal else UNKNOWN_JOURNAL)
-        # Counter keeps first-occurrence order, so words and keys are
-        # interned in text order, as one increment per token would.
-        for token, n in tokens.items():
-            key = (a, d, j, intern(words, token))
-            counts[key] = counts.get(key, 0) + n
+        labels = (rec.first_author, rec.title, rec.journal if rec.journal else UNKNOWN_JOURNAL)
+        cell = tuple(table.setdefault(label, len(table)) for table, label in zip(tables, labels))
+        cell_of[i] = cells.setdefault(cell, len(cells))
     if dropped:
         logger.info("dropped %d tokenless document(s)", dropped)
+
+    keys, tallies = _first_seen_runs(cell_of[record] * n_words + words)
+    cell, word = np.divmod(keys, n_words)
+    # the words in the order of their first quadruple
+    first = np.full(n_words, word.shape[0])
+    np.minimum.at(first, word, np.arange(word.shape[0]))
+    vocabulary = np.argsort(first)[: np.count_nonzero(first < word.shape[0])]
+    word_index = np.zeros(n_words, dtype=np.int64)
+    word_index[vocabulary] = np.arange(vocabulary.shape[0])
+
+    cell_coords = np.array(list(cells), dtype=np.int64).reshape(-1, 3)
+    coords = np.column_stack([cell_coords[cell], word_index[word]])
     axes = (
-        AxisMap(authors),
-        AxisMap(documents),
-        AxisMap(journals),
-        AxisMap(words),
+        *(AxisMap(table) for table in tables),
+        AxisMap([scan.words[w] for w in vocabulary.tolist()]),
     )
-    return QuadCounts(counts=counts, axes=axes)
+    return QuadCounts(coords=coords, tallies=tallies, axes=axes)
 
 
 def counts_to_tensor(quad: QuadCounts) -> SparseTensorCOO:
     """ln(1 + count) tensor over the (author, document, journal, word) axes."""
-    if not quad.counts:
+    if not quad.tallies.shape[0]:
         raise ValueError("cannot build a tensor from an empty corpus")
     shape = tuple(len(axis) for axis in quad.axes)
-    n, d = len(quad.counts), len(shape)
-    coords = np.fromiter(chain.from_iterable(quad.counts), dtype=np.int64, count=n * d)
-    counts = np.fromiter(quad.counts.values(), dtype=np.int64, count=n)
     # math.log1p once per distinct count (np.log1p may differ in the last bit)
-    distinct, which = np.unique(counts, return_inverse=True)
+    distinct, which = np.unique(quad.tallies, return_inverse=True)
     logs = np.array([math.log1p(c) for c in distinct.tolist()], dtype=np.float64)
-    return SparseTensorCOO(coords.reshape(n, d), logs[which], shape)
+    return SparseTensorCOO(quad.coords, logs[which], shape)

@@ -137,31 +137,37 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 
     if tensor.nnz == 0:
         return np.zeros((tensor.shape[mode], rank))
-    leaf_sums = None if mode == d - 1 else _leaf_sums(tensor, factors[-1])
-    return _fiber_mttkrp(tensor, factors, mode, leaf_sums)
+    gather = np.empty((rank, tensor.nnz))
+    leaf_sums = None if mode == d - 1 else _leaf_sums(tensor, factors[-1], gather)
+    return _fiber_mttkrp(tensor, factors, mode, leaf_sums, gather)
 
 
 # The kernel works rank-major, on (rank, n) arrays: each gather and each
 # segment sum then runs along contiguous memory, which makes np.add.reduceat
-# several times faster than on (n, rank) rows.
+# several times faster than on (n, rank) rows. The two gathers with one
+# column per nonzero write into a caller's (rank, nnz) `gather` array, so a
+# sweep allocates none of that size.
 
 
-def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """factor[index].T as a contiguous (rank, len(index)) array."""
-    return np.ascontiguousarray(factor.T).take(index, axis=1)
+def _columns(factor: np.ndarray, index: np.ndarray, out=None) -> np.ndarray:
+    """factor[index].T as a contiguous (rank, len(index)) array, in `out` if given."""
+    # take's default mode="raise" fills a hidden copy of `out`; the indices
+    # come from the fiber index and are in range, so "clip" changes nothing.
+    return np.ascontiguousarray(factor.T).take(index, axis=1, out=out, mode="clip")
 
 
-def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray) -> np.ndarray:
+def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """(rank, fibers): per fiber, the sum of value * last-factor row."""
     fibers = tensor.fibers
-    cols = _columns(last_factor, fibers.leaf)
+    cols = _columns(last_factor, fibers.leaf, gather)
     cols *= tensor.values
     return np.add.reduceat(cols, fibers.starts, axis=1)
 
 
-def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums) -> np.ndarray:
+def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, gather: np.ndarray) -> np.ndarray:
     """MTTKRP for `mode` of a nonempty tensor. leaf_sums is _leaf_sums() of
-    the current last factor; the last mode does not use it."""
+    the current last factor; the last mode does not use it, and gathers its
+    columns per nonzero into `gather`."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
@@ -170,9 +176,11 @@ def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums) -> np.ndarray:
             part = _columns(factors[k], fibers.coords[:, k])
             cols = part if cols is None else cols * part
     segments = fibers.segments[mode]
-    cols = cols.take(segments.fibers, axis=1)
     if mode == last:
+        cols = cols.take(segments.fibers, axis=1, out=gather, mode="clip")
         cols *= fibers.leaf_values
+    else:
+        cols = cols.take(segments.fibers, axis=1)
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
     out[segments.targets] = np.add.reduceat(cols, segments.starts, axis=1).T
     return out
@@ -211,12 +219,13 @@ def cp_als(
     fit_history: list[float] = []
 
     projected = solved = None
+    gather = np.empty((rank, tensor.nnz))
     for iteration in range(1, opts.max_iters + 1):
         # The last factor changes only at the last mode, so one set of leaf
         # sums serves every other mode of the sweep.
-        leaf_sums = _leaf_sums(tensor, factors[-1])
+        leaf_sums = _leaf_sums(tensor, factors[-1], gather)
         for mode in range(d):
-            projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums)
+            projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums, gather)
             gram_others = hadamard_all(
                 [grams[k] for k in range(d) if k != mode]
             )
@@ -239,6 +248,7 @@ def cp_als(
         if iteration > 1 and fit_value - fit_history[-2] < opts.fit_tolerance:
             break
 
+    del gather  # before arrange makes its copies of the factors
     model = arrange(KruskalModel(weights=weights, factors=factors))
     return model, fit_history
 

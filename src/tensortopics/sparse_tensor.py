@@ -276,7 +276,9 @@ def save_tensor(
     """Write the tensor container: header.json, entries.tsv, one label file per mode.
 
     Values are serialized with repr() so loading reproduces them bit for bit;
-    nothing time- or environment-dependent is written.
+    nothing time- or environment-dependent is written. entries.tsv is written
+    WRITE_CHUNK_ROWS rows at a time, with each distinct value formatted once
+    per chunk and each coordinate looked up in a per-call table of index texts.
     """
     out_dir = Path(out_dir)
     d = tensor.order
@@ -302,13 +304,16 @@ def save_tensor(
     (out_dir / HEADER_FILE).write_text(
         json.dumps(header, indent=2) + "\n", encoding="utf-8"
     )
+    # The decimal text of every index, formatted once; the axes already hold
+    # one label per index, so the table is no larger than they are.
+    digits = np.array([str(i) for i in range(max(tensor.shape))], dtype=object)
     with (out_dir / ENTRIES_FILE).open("w", encoding="utf-8") as fh:
         for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS):
             rows = slice(lo, lo + WRITE_CHUNK_ROWS)
             # repr once per distinct value: ln(1 + count) takes few values
             distinct, which = np.unique(tensor.values[rows], return_inverse=True)
             texts = [repr(v) for v in distinct.tolist()]
-            columns = tensor.coords[rows].T.astype(str).tolist()
+            columns = [digits[col].tolist() for col in tensor.coords[rows].T]
             columns.append([texts[i] for i in which.tolist()])
             fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
     for k, axis in enumerate(axes):

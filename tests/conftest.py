@@ -9,12 +9,13 @@ import json
 import os
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from tensortopics import from_entries
-from tensortopics.corpus_ingest import UNKNOWN_JOURNAL, QuadCounts
+from tensortopics.corpus_ingest import UNKNOWN_JOURNAL
 from tensortopics.sparse_tensor import AxisMap
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -129,7 +130,8 @@ def tokenize_oracle(body, rules):
 
 
 def rare_capitalized_oracle(records, rules):
-    """Token-at-a-time oracle for corpus_ingest._rare_capitalized_tokens."""
+    """Token-at-a-time oracle for build_counts' name filter: the words it
+    excludes from the vocabulary."""
     if rules.name_df_floor <= 0:
         return frozenset()
     lowercase_start = set()
@@ -148,9 +150,15 @@ def rare_capitalized_oracle(records, rules):
     )
 
 
+class OracleCounts(NamedTuple):
+    counts: dict
+    axes: tuple
+
+
 def build_counts_oracle(records, rules):
     """Token-at-a-time oracle for corpus_ingest.build_counts: one count
-    increment per kept token occurrence, keys in first-seen order."""
+    increment per kept token occurrence, keys in first-seen order. Returns
+    the count map and the axes that QuadCounts.counts and .axes must equal."""
     excluded = rare_capitalized_oracle(records, rules)
     tables = ({}, {}, {}, {})
 
@@ -170,7 +178,7 @@ def build_counts_oracle(records, rules):
         for token in tokens:
             key = (a, d, j, intern(tables[3], token))
             counts[key] = counts.get(key, 0) + 1
-    return QuadCounts(counts=counts, axes=tuple(AxisMap(t) for t in tables))
+    return OracleCounts(counts, tuple(AxisMap(t) for t in tables))
 
 
 def coalesce_oracle(coords, values):

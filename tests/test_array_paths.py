@@ -36,7 +36,8 @@ from tensortopics import sparse_tensor
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
     _nonascii_letter_fraction,
-    _rare_capitalized_tokens,
+    _rare_capitalized,
+    _scan,
 )
 from tensortopics.cli import cli_run
 from tensortopics.ensemble import Component
@@ -111,7 +112,10 @@ class TestTokenFiltering:
     @PROPERTY
     @given(recs=records, rules=rules)
     def test_rare_capitalized_matches_oracle(self, recs, rules):
-        assert _rare_capitalized_tokens(recs, rules) == rare_capitalized_oracle(recs, rules)
+        scan = _scan(recs)
+        excluded = _rare_capitalized(scan, rules.name_df_floor)
+        got = frozenset(w for w, x in zip(scan.words, excluded.tolist()) if x)
+        assert got == rare_capitalized_oracle(recs, rules)
 
     @PROPERTY
     @given(recs=records, rules=rules)

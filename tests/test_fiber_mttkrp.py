@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tensortopics import (
     AlsOptions,
@@ -17,6 +19,8 @@ from tensortopics import (
     mttkrp,
     solve_gram,
 )
+
+from tensortopics.cp_als import _fiber_mttkrp, _leaf_sums
 
 from conftest import coo_mttkrp, random_sparse
 
@@ -83,6 +87,76 @@ class TestAgainstCooOracle:
         tensor = corpus_tensor(rng)
         assert tensor.fibers.starts.shape[0] == 30  # one fiber per document
         assert_matches_oracle(tensor, 12, rng)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def assert_within_rounding(got, tensor, factors, mode):
+    """Each entry within TOLERANCE of the oracle, relative to the sum of the
+    magnitudes of its terms (so cancellation cannot inflate the error)."""
+    want = coo_mttkrp(tensor, factors, mode)
+    bound = coo_mttkrp(tensor, [np.abs(f) for f in factors], mode)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= TOLERANCE * bound), f"mode {mode}"
+
+
+def with_factors(shape, entries, rank, seed=0):
+    """A tensor from (coordinate, value) pairs, and seeded signed factors."""
+    rng = np.random.default_rng(seed)
+    return from_entries(entries, shape), [rng.uniform(-1.0, 1.0, (n, rank)) for n in shape]
+
+
+@st.composite
+def fibered_tensors(draw):
+    """Order 2-4 tensors whose modes may have extent 1, with up to 16
+    nonzeros per last-mode fiber, a rank up to 3 above every extent, and
+    signed factors."""
+    lead = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    last = draw(st.integers(1, 16))
+    cells = st.tuples(*(st.integers(0, n - 1) for n in lead))
+    fibers = draw(st.lists(cells, min_size=1, max_size=6, unique=True))
+    entries = []
+    for fiber in fibers:
+        leaves = draw(st.lists(st.integers(0, last - 1), min_size=1, max_size=last, unique=True))
+        entries += [((*fiber, leaf), draw(st.floats(0.1, 2.0))) for leaf in leaves]
+    shape = (*lead, last)
+    rank = draw(st.integers(1, max(shape) + 3))
+    return with_factors(shape, entries, rank, draw(st.integers(0, 2**32 - 1)))
+
+
+# Every leading mode of extent 1, so one fiber holds every nonzero, and a
+# rank above every extent; then a last mode of extent 1.
+ONE_FIBER = with_factors((1, 1, 1, 12), [((0, 0, 0, w), 0.5 + w) for w in range(12)], 15)
+EXTENT_ONE_LAST = with_factors(
+    (3, 2, 1), [((i, j, 0), 1.0 + i + j) for i in range(3) for j in range(2)], 6
+)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(case=fibered_tensors())
+    @example(case=ONE_FIBER)
+    @example(case=EXTENT_ONE_LAST)
+    def test_every_mode_matches_coo_oracle(self, case):
+        tensor, factors = case
+        for mode in range(tensor.order):
+            assert_within_rounding(mttkrp(tensor, factors, mode), tensor, factors, mode)
+
+    @PROPERTY
+    @given(case=fibered_tensors())
+    @example(case=ONE_FIBER)
+    @example(case=EXTENT_ONE_LAST)
+    def test_leaf_sum_reuse_matches_coo_oracle(self, case):
+        # As in a cp_als sweep: one set of leaf sums for every mode, and one
+        # gather array that _leaf_sums and the last mode both overwrite.
+        tensor, factors = case
+        last = tensor.order - 1
+        gather = np.full((factors[0].shape[1], tensor.nnz), np.nan)
+        leaf_sums = _leaf_sums(tensor, factors[-1], gather)
+        for mode in (last, *range(tensor.order)):
+            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, gather)
+            assert_within_rounding(got, tensor, factors, mode)
 
 
 class TestFiberIndex:
