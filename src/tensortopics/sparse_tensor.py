@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,9 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 TENSOR_FORMAT = "sparse-tensor-coo"
-TENSOR_SCHEMA_VERSION = 1
+TENSOR_SCHEMA_VERSION = 2
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
+PAYLOAD_FILE = "entries.npy"
 # save_tensor formats entries.tsv this many rows at a time, so the text of
 # the whole file is never in memory at once.
 WRITE_CHUNK_ROWS = 16384
@@ -85,6 +87,18 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[rows.shape[0] > 0, changed])
 
 
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """True if every row is lexicographically greater than the row before it."""
+    prev, nxt = rows[:-1], rows[1:]
+    # From the last column to the first: a pair is in order if its column k
+    # rises, or holds while the columns after k put it in order. A pair
+    # that is equal in every column (a duplicate) is not.
+    ok = nxt[:, -1] > prev[:, -1]
+    for k in range(rows.shape[1] - 2, -1, -1):
+        ok = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & ok)
+    return bool(ok.all())
+
+
 def _segments(keys: np.ndarray, fibers: np.ndarray) -> tuple[np.ndarray, Segments]:
     """Stable sort order of `keys` and the Segments it induces on `fibers`."""
     order = np.argsort(keys, kind="stable")
@@ -138,6 +152,8 @@ class SparseTensorCOO:
 
     Construction sorts, coalesces duplicates by summation, and drops exact
     zeros, so the same logical entries always produce the same arrays.
+    Rows that are already strictly increasing (as a saved container's are)
+    skip the sort and the coalescing, which would leave them unchanged.
     The arrays are marked read-only; instances are safe to share across
     threads.
     """
@@ -175,7 +191,7 @@ class SparseTensorCOO:
                     f"coordinate {bad} out of bounds for mode {k} (extent {shape[k]})"
                 )
 
-        if coords.shape[0]:
+        if not _strictly_increasing(coords):
             # A stable lexicographic sort keeps duplicates in input order, and
             # bincount sums each run in that order, so coalescing is
             # deterministic (and equal to np.unique(axis=0) plus bincount).
@@ -183,10 +199,11 @@ class SparseTensorCOO:
             coords = coords[order]
             starts = _run_starts(coords)
             run_of = np.repeat(np.arange(starts.shape[0]), np.diff(np.r_[starts, coords.shape[0]]))
-            summed = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
-            keep = summed != 0.0
-            coords = coords[starts[keep]]
-            values = summed[keep]
+            values = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
+            coords = coords[starts]
+        keep = values != 0.0
+        if not keep.all():
+            coords, values = coords[keep], values[keep]
         if np.any(values <= 0.0):
             raise ValueError("tensor values must be positive after coalescing")
 
@@ -273,12 +290,17 @@ def save_tensor(
     mode_names: Sequence[str],
     out_dir: str | Path,
 ) -> Path:
-    """Write the tensor container: header.json, entries.tsv, one label file per mode.
+    """Write the tensor container: entries.npy, header.json, entries.tsv and
+    one label file per mode.
 
-    Values are serialized with repr() so loading reproduces them bit for bit;
-    nothing time- or environment-dependent is written. entries.tsv is written
+    entries.npy holds the numbers that load_tensor reads: one C-ordered
+    array of `_row_dtype(d)` rows (the coordinates, then the value) in the
+    tensor's sorted order, whose CRC-32 header.json records. entries.tsv
+    holds the same rows as text, for outside readers: values serialized
+    with repr(), so they parse back bit for bit. It is written
     WRITE_CHUNK_ROWS rows at a time, with each distinct value formatted once
-    per chunk and each coordinate looked up in a per-call table of index texts.
+    per chunk and each coordinate looked up in a per-call table of index
+    texts. Nothing time- or environment-dependent is written.
     """
     out_dir = Path(out_dir)
     d = tensor.order
@@ -294,12 +316,17 @@ def save_tensor(
                 raise ValueError(f"axis label {label!r} in mode {k} contains a newline")
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    table = np.empty(tensor.nnz, dtype=_row_dtype(d))
+    table["c"] = tensor.coords
+    table["v"] = tensor.values
+    np.save(out_dir / PAYLOAD_FILE, table, allow_pickle=False)
     header = {
         "format": TENSOR_FORMAT,
         "schema_version": TENSOR_SCHEMA_VERSION,
         "shape": list(tensor.shape),
         "mode_names": [str(n) for n in mode_names],
         "nnz": tensor.nnz,
+        "payload_crc32": zlib.crc32(table),
     }
     (out_dir / HEADER_FILE).write_text(
         json.dumps(header, indent=2) + "\n", encoding="utf-8"
@@ -324,21 +351,47 @@ def save_tensor(
     return out_dir
 
 
-def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int]:
-    """Validated (shape, mode_names, nnz) from a container's header.json."""
+def _row_dtype(d: int) -> np.dtype:
+    """One entry of an order-d tensor: its d coordinates, then its value."""
+    return np.dtype([("c", "<i8", (d,)), ("v", "<f8")])
+
+
+class _Header(NamedTuple):
+    shape: tuple[int, ...]
+    mode_names: list[str]
+    nnz: int
+    payload_crc32: int | None
+
+
+def _read_header(in_dir: Path) -> _Header:
+    """The validated fields of a container's header.json; every fault raises a
+    ValueError naming the file."""
     header_path = in_dir / HEADER_FILE
     if not header_path.is_file():
         raise ValueError(f"not a tensor container: missing {header_path}")
-    header = json.loads(header_path.read_text(encoding="utf-8"))
-    if header.get("format") != TENSOR_FORMAT:
-        raise ValueError(f"unrecognized tensor format {header.get('format')!r}")
+    try:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{header_path}: unreadable tensor header: {exc}") from exc
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != TENSOR_FORMAT:
+        raise ValueError(f"{header_path}: unrecognized tensor format {fmt!r}")
     if header.get("schema_version") != TENSOR_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {header.get('schema_version')!r}")
-    shape = tuple(int(n) for n in header["shape"])
-    mode_names = [str(n) for n in header["mode_names"]]
+        raise ValueError(
+            f"{header_path}: unsupported schema version {header.get('schema_version')!r} "
+            f"(expected {TENSOR_SCHEMA_VERSION}; rerun ingest)"
+        )
+    try:
+        shape = tuple(int(n) for n in header["shape"])
+        mode_names = [str(n) for n in header["mode_names"]]
+        nnz = int(header["nnz"])
+    except KeyError as exc:
+        raise ValueError(f"{header_path}: tensor header has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{header_path}: malformed tensor header: {exc}") from exc
     if len(mode_names) != len(shape):
-        raise ValueError("header mode_names length does not match shape")
-    return shape, mode_names, int(header["nnz"])
+        raise ValueError(f"{header_path}: mode_names length does not match shape")
+    return _Header(shape, mode_names, nnz, header.get("payload_crc32"))
 
 
 def _read_axes(in_dir: Path, shape: Sequence[int]) -> list[AxisMap]:
@@ -361,47 +414,79 @@ def load_axes(in_dir: str | Path) -> tuple[list[AxisMap], list[str]]:
     """The axis labels and mode names of a tensor container, without its entries.
 
     Validates the header and checks every label count against the header
-    shape, exactly as load_tensor does; entries.tsv is not read.
+    shape, exactly as load_tensor does; neither entries file is read.
     """
     in_dir = Path(in_dir)
-    shape, mode_names, _nnz = _read_header(in_dir)
-    return _read_axes(in_dir, shape), mode_names
+    header = _read_header(in_dir)
+    return _read_axes(in_dir, header.shape), header.mode_names
 
 
-def _raise_bad_entry_line(entries_path: Path, fields: int) -> None:
-    """Name the first non-blank line of entries.tsv without `fields` fields."""
+def _count_entry_lines(entries_path: Path, fields: int) -> int:
+    """The number of non-blank lines in entries.tsv, after checking that each
+    has `fields` fields; the first that does not is named by its number."""
+    rows = 0
     with entries_path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.rstrip("\n"):
+                continue
             got = line.count("\t") + 1
-            if line.rstrip("\n") and got != fields:
+            if got != fields:
                 raise ValueError(f"{entries_path}:{line_no}: expected {fields} fields, got {got}")
+            rows += 1
+    return rows
+
+
+def _read_payload(in_dir: Path, header: _Header) -> np.ndarray:
+    """The entries.npy rows, checked against the header's dtype, length and CRC-32."""
+    payload = in_dir / PAYLOAD_FILE
+    try:
+        # read_array, unlike np.load, accepts nothing but a .npy array.
+        with payload.open("rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{payload}: tensor payload is missing; rerun ingest") from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{payload}: unreadable tensor payload: {exc}") from exc
+    row = _row_dtype(len(header.shape))
+    if table.dtype != row or table.shape != (header.nnz,):
+        raise ValueError(
+            f"{payload}: {table.dtype} array of shape {table.shape}, "
+            f"{HEADER_FILE} declares {row} of shape {(header.nnz,)}"
+        )
+    if zlib.crc32(table) != header.payload_crc32:
+        raise ValueError(f"{payload}: CRC-32 does not match {HEADER_FILE}")
+    return table
 
 
 def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
     """Load a tensor container written by save_tensor.
 
-    Rejects unknown formats and any mismatch between the header shape, the
-    entry coordinates, and the per-mode label counts.
+    entries.tsv must be present and hold one line of d + 1 fields per entry,
+    which is checked from its newline and tab counts (each line is rescanned
+    only when they disagree, to name the bad one); its numbers are not
+    parsed. The numbers come from entries.npy, whose dtype, length and
+    CRC-32 must match the header, and go through the SparseTensorCOO
+    constructor's bounds, finiteness and positivity checks. Rejects unknown
+    formats and any mismatch between the header shape, the entries and the
+    per-mode label counts; every fault raises a ValueError naming the file.
     """
     in_dir = Path(in_dir)
-    shape, mode_names, nnz = _read_header(in_dir)
+    header = _read_header(in_dir)
+    shape, nnz = header.shape, header.nnz
     d = len(shape)
     entries_path = in_dir / ENTRIES_FILE
     if not entries_path.is_file():
         raise ValueError(f"not a tensor container: missing {entries_path}")
-    # One C parse of the whole file; coordinates are read as integers.
-    row = np.dtype([("c", np.int64, (d,)), ("v", np.float64)])
-    if entries_path.stat().st_size == 0:
-        table = np.zeros(0, dtype=row)
-    else:
-        try:
-            table = np.loadtxt(
-                entries_path, dtype=row, delimiter="\t", comments=None, ndmin=1, encoding="utf-8"
-            )
-        except ValueError as exc:
-            _raise_bad_entry_line(entries_path, d + 1)
-            raise ValueError(f"{entries_path}: {exc}") from exc
+    raw = np.frombuffer(entries_path.read_bytes(), dtype=np.uint8)
+    if np.count_nonzero(raw == ord("\n")) != nnz or np.count_nonzero(raw == ord("\t")) != nnz * d:
+        rows = _count_entry_lines(entries_path, d + 1)
+        if rows != nnz:
+            raise ValueError(f"{entries_path}: header says {nnz} entries, file holds {rows}")
+    table = _read_payload(in_dir, header)
     tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
-        raise ValueError(f"header says {nnz} entries, file holds {tensor.nnz}")
-    return tensor, _read_axes(in_dir, shape), mode_names
+        raise ValueError(
+            f"{in_dir / PAYLOAD_FILE}: header says {nnz} entries, "
+            f"the payload holds {tensor.nnz} distinct nonzero ones"
+        )
+    return tensor, _read_axes(in_dir, shape), header.mode_names

@@ -8,6 +8,7 @@ gather/scatter over the nonzeros.
 import json
 import os
 import re
+import zlib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -191,6 +192,21 @@ def coalesce_oracle(coords, values):
     return uniq[keep], summed[keep]
 
 
+def lexsort_coalesce_oracle(coords, values):
+    """SparseTensorCOO's coalescing as it ran on every input before sorted
+    input skipped it: a stable lexsort of the rows, bincount over each run of
+    equal rows in input order, exact zeros dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.int64).reshape(values.shape[0], -1)
+    order = np.lexsort(coords.T[::-1])
+    coords = coords[order]
+    starts = np.flatnonzero(np.r_[True, np.any(coords[1:] != coords[:-1], axis=1)])
+    run_of = np.repeat(np.arange(starts.shape[0]), np.diff(np.r_[starts, coords.shape[0]]))
+    summed = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
+    keep = summed != 0.0
+    return coords[starts[keep]], summed[keep]
+
+
 def entries_text_oracle(tensor):
     """entries.tsv as formatted one row at a time."""
     return "".join(
@@ -265,3 +281,81 @@ def top_n_oracle(values, labels, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def rewrite_tensor_payload(tensor_dir, change, restamp=False):
+    """Replace a container's entries.npy with change(rows); with restamp,
+    header.json records the new rows' CRC-32, so only later checks see them."""
+    payload = Path(tensor_dir) / "entries.npy"
+    rows = change(np.load(payload, allow_pickle=False))
+    np.save(payload, rows, allow_pickle=False)
+    if restamp:
+        header_path = Path(tensor_dir) / "header.json"
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+        header["payload_crc32"] = zlib.crc32(np.ascontiguousarray(rows))
+        header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+
+
+def _with_fields(rows, fields):
+    """The rows rebuilt with another field list, values cast field by field."""
+    out = np.empty(rows.shape, dtype=fields)
+    for name in out.dtype.names:
+        out[name] = rows[name]
+    return out
+
+
+def _nudge_last_value(rows):
+    rows = rows.copy()
+    rows["v"][-1] = np.nextafter(rows["v"][-1], np.inf)
+    return rows
+
+
+def _tensor_schema_1(tensor_dir):
+    header_path = tensor_dir / "header.json"
+    header = json.loads(header_path.read_text(encoding="utf-8"))
+    header["schema_version"] = 1
+    del header["payload_crc32"]
+    header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+
+
+def _payload(tensor_dir):
+    return tensor_dir / "entries.npy"
+
+
+# Ways to damage a saved tensor container: name -> (damage(tensor_dir), a
+# phrase of the ValueError that load_tensor must raise).
+TENSOR_PAYLOAD_FAULTS = {
+    "missing": (lambda t: _payload(t).unlink(), "tensor payload is missing; rerun ingest"),
+    "empty": (lambda t: _payload(t).write_bytes(b""), "unreadable tensor payload"),
+    "truncated_data": (
+        lambda t: _payload(t).write_bytes(_payload(t).read_bytes()[:-3]),
+        "unreadable tensor payload",
+    ),
+    "truncated_header": (
+        lambda t: _payload(t).write_bytes(_payload(t).read_bytes()[:40]),
+        "unreadable tensor payload",
+    ),
+    "not_npy": (lambda t: _payload(t).write_bytes(b"0\t0\t0\t0\t1.0\n"), "unreadable tensor payload"),
+    "int32_coords": (
+        lambda t: rewrite_tensor_payload(
+            t, lambda r: _with_fields(r, [("c", "<i4", r.dtype["c"].shape), ("v", "<f8")])
+        ),
+        "declares",
+    ),
+    "fields_swapped": (
+        lambda t: rewrite_tensor_payload(
+            t, lambda r: _with_fields(r, [("v", "<f8"), ("c", "<i8", r.dtype["c"].shape)])
+        ),
+        "declares",
+    ),
+    "plain_table": (
+        lambda t: rewrite_tensor_payload(
+            t, lambda r: np.column_stack([r["c"].astype(np.float64), r["v"]])
+        ),
+        "declares",
+    ),
+    "short": (lambda t: rewrite_tensor_payload(t, lambda r: r[:-1]), "declares"),
+    "one_ulp": (lambda t: rewrite_tensor_payload(t, _nudge_last_value), "CRC-32 does not match"),
+    "reversed": (lambda t: rewrite_tensor_payload(t, lambda r: r[::-1]), "CRC-32 does not match"),
+    "schema_1": (_tensor_schema_1, "unsupported schema version 1"),
+}

@@ -1,10 +1,11 @@
 """The array-level ingest and I/O paths against their one-at-a-time oracles.
 
 Token filtering decides each distinct token once, the tensor is built and
-coalesced from arrays, entries.tsv is written in chunks and read in one parse,
-model numbers are read from a binary payload that must hold the same bits as
-the text body, and top_n sorts only its candidates. Each must give exactly
-what the per-token, per-row or full-sort code gives.
+coalesced from arrays (rows that are already sorted skip the coalescing),
+entries.tsv is written in chunks, tensor and model numbers are read from
+binary payloads that must hold the same bits as the text, and top_n sorts
+only its candidates. Each must give exactly what the per-token, per-row,
+always-sorting or full-sort code gives.
 """
 
 import math
@@ -48,6 +49,7 @@ from conftest import (
     build_counts_oracle,
     coalesce_oracle,
     entries_text_oracle,
+    lexsort_coalesce_oracle,
     model_text_oracle,
     model_text_table,
     nonascii_letter_fraction,
@@ -164,6 +166,47 @@ class TestCoalescing:
         tensor = SparseTensorCOO(coords, values, (2, 3))
         want_coords, want_values = coalesce_oracle(coords, values)
         assert tensor.coords.tobytes() == want_coords.tobytes()
+        assert tensor.values.tobytes() == want_values.tobytes()
+
+    @PROPERTY
+    @given(
+        data=st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(1, 3), min_size=d, max_size=d),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                        st.sampled_from([*ORDER_SENSITIVE, 0.0, -0.0]),
+                    ),
+                    min_size=1,
+                    max_size=30,
+                ),
+            )
+        ),
+        arrangement=st.sampled_from(["drawn", "sorted", "sorted_unique", "shuffled", "reversed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(data=([1], [([0], 1.0)]), arrangement="drawn", seed=0)
+    @example(data=([1, 3], [([0, 0], 1.0), ([0, 2], 2.0), ([0, 1], 3.0)]), arrangement="drawn", seed=0)
+    @example(data=([3, 3], [([1, 0], 1.0), ([0, 2], 2.0)]), arrangement="drawn", seed=0)
+    @example(data=([3, 3], [([0, 2], 1.0), ([0, 2], 2.0)]), arrangement="drawn", seed=0)
+    def test_constructor_matches_lexsort_oracle(self, data, arrangement, seed):
+        shape, entries = data
+        # Fold every coordinate into its mode, so extent-1 modes hold only 0.
+        rows = [([c % n for c, n in zip(coord, shape)], v) for coord, v in entries]
+        if arrangement == "sorted":
+            rows.sort(key=lambda row: row[0])
+        elif arrangement == "sorted_unique":
+            rows = sorted({tuple(c): v for c, v in rows}.items())
+        elif arrangement == "shuffled":
+            rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+        elif arrangement == "reversed":
+            rows = rows[::-1]
+        coords = [c for c, _ in rows]
+        values = [v for _, v in rows]
+        want_coords, want_values = lexsort_coalesce_oracle(coords, values)
+        tensor = SparseTensorCOO(coords, values, shape)
+        assert tensor.coords.tobytes() == want_coords.reshape(-1, len(shape)).tobytes()
         assert tensor.values.tobytes() == want_values.tobytes()
 
     def test_duplicates_sum_in_input_order(self):

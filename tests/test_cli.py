@@ -8,7 +8,7 @@ import pytest
 
 from tensortopics.cli import build_parser, cli_run
 
-from conftest import DATA_DIR, PAYLOAD_FAULTS
+from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
 
 CFG = str(DATA_DIR / "toy.cfg")
 
@@ -96,6 +96,7 @@ class TestPipeline:
         before = [p.read_bytes() for p in report_files]
         shutil.rmtree(workdir / "report")
         (workdir / "tensor" / "entries.tsv").unlink()
+        (workdir / "tensor" / "entries.npy").unlink()
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
         assert [p.read_bytes() for p in report_files] == before
 
@@ -269,6 +270,60 @@ class TestErrors:
         err = capsys.readouterr().err
         phrase = "CRC-32 does not match" if fault == "other_seed" else PAYLOAD_FAULTS[fault][1]
         assert "error:" in err and ".model" in err and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
+
+    @pytest.fixture(scope="class")
+    def swapped(self, tmp_path_factory):
+        """The tensor of the toy corpus with its first two records swapped: as
+        many entries as the toy tensor, at other coordinates."""
+        base = tmp_path_factory.mktemp("swapped")
+        lines = (DATA_DIR / "toy_corpus.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus = base / "swapped.csv"
+        corpus.write_text("".join([lines[0], lines[2], lines[1], *lines[3:]]), encoding="utf-8")
+        assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(base)) == 0
+        return base / "tensor"
+
+    def test_seed_does_not_reach_the_tensor(self, selected, tmp_path):
+        workdir = tmp_path / "seed99"
+        assert run("ingest", "--config", CFG, "--workdir", str(workdir), "--seed", "99") == 0
+        for name in ("header.json", "entries.npy"):
+            assert (workdir / "tensor" / name).read_bytes() == (selected / "run" / "tensor" / name).read_bytes()
+
+    @pytest.mark.parametrize("fault", [*sorted(TENSOR_PAYLOAD_FAULTS), "other_corpus"])
+    def test_damaged_tensor_payload_reports_error(self, selected, swapped, tmp_path, capsys, fault):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
+        if fault == "other_corpus":
+            shutil.copyfile(swapped / "entries.npy", workdir / "tensor" / "entries.npy")
+        else:
+            TENSOR_PAYLOAD_FAULTS[fault][0](workdir / "tensor")
+        capsys.readouterr()
+        assert run("factorize", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        phrase = "CRC-32 does not match" if fault == "other_corpus" else TENSOR_PAYLOAD_FAULTS[fault][1]
+        named = "header.json" if fault == "schema_1" else "entries.npy"
+        assert "error:" in err and named in err and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "models").exists()
+
+    @pytest.mark.parametrize("stage", ["factorize", "report"])
+    @pytest.mark.parametrize(
+        "header, phrase",
+        [
+            ("[1, 2]", "unrecognized tensor format None"),
+            ('{"format": "sparse-tensor-coo"', "unreadable tensor header"),
+            ('{"format": "sparse-tensor-coo", "schema_version": 2}', "no 'shape' field"),
+        ],
+    )
+    def test_bad_tensor_header_reports_error(self, selected, tmp_path, capsys, stage, header, phrase):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "tensor" / "header.json").write_text(header + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(stage, "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "header.json" in err and phrase in err
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 

@@ -155,7 +155,7 @@ def test_ingest_bytes_do_not_depend_on_the_hash_seed(tmp_path, corpus):
         tensor_dir = workdir / "tensor"
         trees.append({p.name: p.read_bytes() for p in sorted(tensor_dir.iterdir())})
     assert sorted(trees[0]) == [
-        "entries.tsv", "header.json", "mode0.labels.txt", "mode1.labels.txt",
+        "entries.npy", "entries.tsv", "header.json", "mode0.labels.txt", "mode1.labels.txt",
         "mode2.labels.txt", "mode3.labels.txt",
     ]
     assert trees[0] == trees[1]

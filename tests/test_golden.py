@@ -4,7 +4,9 @@ The hashes were taken from the pipeline before its ingest and I/O paths were
 rewritten at the array level. The two model files were re-pinned when the
 binary payload came in: their header gained the payload's CRC-32 and schema
 version 2, their body lines did not change, and their two .npy payloads were
-added. Any later change to how the tensor, the models, the selection or the
+added. The tensor's header.json was re-pinned, and its entries.npy added, in
+the same way when the tensor gained its binary payload; entries.tsv did not
+change. Any later change to how the tensor, the models, the selection or the
 report are computed or serialized must leave these hashes alone or update
 them on purpose. The model bytes depend on floating-point results of the
 factorization, so a different BLAS may legitimately change them.
@@ -17,7 +19,8 @@ from tensortopics.cli import cli_run
 from conftest import DATA_DIR
 
 GOLDEN_SHA256 = {
-    "tensor/header.json": "0b9dc45aa8c5c3d60aa7325eb98318abcbfc7203e2c710955f549c980af85faf",
+    "tensor/header.json": "1505396b8543bd433d10cf5ac545aab7780b025f798dd08ba9b573a171d0d629",
+    "tensor/entries.npy": "7fc2e45185939b3bafddb0f7a0aa267e54d030100b2a7c92da586e116d346dbb",
     "tensor/entries.tsv": "806ef1c0d86131b5e7543db91ec463434c7fa79ecae4a96ffc29d7ae132f78bc",
     "tensor/mode0.labels.txt": "20e5114aa75ecf82dcf2ed95f8a5cf101acc44dd0ee82769a70344e28c0e4163",
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",

@@ -1,12 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from tensortopics import AxisMap, SparseTensorCOO, from_entries, load_tensor, save_tensor
-from tensortopics.sparse_tensor import density_value
+from tensortopics.sparse_tensor import density_value, load_axes
 
-from conftest import random_sparse, to_dense
+from conftest import TENSOR_PAYLOAD_FAULTS, random_sparse, rewrite_tensor_payload, to_dense
+
+
+def _set(rows, field, row, value, column=None):
+    """A copy of payload rows with one coordinate or value replaced."""
+    rows = rows.copy()
+    if column is None:
+        rows[field][row] = value
+    else:
+        rows[field][row, column] = value
+    return rows
 
 
 class TestFromEntries:
@@ -166,12 +177,7 @@ class TestTensorFile:
     def test_out_of_bounds_entry_rejected_on_load(self, tmp_path, rng):
         t, axes, names = self._make(rng)
         save_tensor(t, axes, names, tmp_path / "t")
-        entries = tmp_path / "t" / "entries.tsv"
-        lines = entries.read_text().splitlines()
-        parts = lines[0].split("\t")
-        parts[0] = "99"
-        lines[0] = "\t".join(parts)
-        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rewrite_tensor_payload(tmp_path / "t", lambda r: _set(r, "c", 0, 99, column=0), restamp=True)
         with pytest.raises(ValueError, match="mode 0"):
             load_tensor(tmp_path / "t")
 
@@ -185,3 +191,111 @@ class TestTensorFile:
         save_tensor(t, axes, ["document", "words"], tmp_path / "t")
         _, loaded_axes, _ = load_tensor(tmp_path / "t")
         assert loaded_axes[0].labels == ["kept title", ""]
+
+
+class TestTensorPayload:
+    """load_tensor reads its numbers from entries.npy and checks them."""
+
+    def _saved(self, tmp_path, rng):
+        t = random_sparse(rng, (3, 4, 2, 5), 14)
+        axes = [AxisMap([f"m{k}_{i}" for i in range(t.shape[k])]) for k in range(4)]
+        save_tensor(t, axes, ["first_author", "document", "journal", "words"], tmp_path / "t")
+        return t, tmp_path / "t"
+
+    def test_payload_is_the_sorted_rows(self, tmp_path, rng):
+        t, tdir = self._saved(tmp_path, rng)
+        rows = np.load(tdir / "entries.npy", allow_pickle=False)
+        assert rows.dtype == np.dtype([("c", "<i8", (4,)), ("v", "<f8")])
+        assert rows["c"].tobytes() == t.coords.tobytes()
+        assert rows["v"].tobytes() == t.values.tobytes()
+
+    @pytest.mark.parametrize("fault", sorted(TENSOR_PAYLOAD_FAULTS))
+    def test_payload_fault_is_a_named_error(self, tmp_path, rng, fault):
+        _t, tdir = self._saved(tmp_path, rng)
+        damage, phrase = TENSOR_PAYLOAD_FAULTS[fault]
+        damage(tdir)
+        with pytest.raises(ValueError, match=phrase) as info:
+            load_tensor(tdir)
+        named = "header.json" if fault == "schema_1" else "entries.npy"
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize(
+        "header, phrase",
+        [
+            ("[1, 2]", "unrecognized tensor format None"),
+            ('{"format": "sparse-tensor-coo"', "unreadable tensor header"),
+            ('{"format": "sparse-tensor-coo", "schema_version": 2}', "no 'shape' field"),
+            (
+                '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [2, "x"],'
+                ' "mode_names": ["a", "b"], "nnz": 1}',
+                "malformed tensor header",
+            ),
+        ],
+    )
+    def test_bad_header_is_a_named_error(self, tmp_path, rng, header, phrase):
+        _t, tdir = self._saved(tmp_path, rng)
+        (tdir / "header.json").write_text(header + "\n", encoding="utf-8")
+        for load in (load_tensor, load_axes):
+            with pytest.raises(ValueError, match=phrase) as info:
+                load(tdir)
+            assert "header.json" in str(info.value)
+
+    @pytest.mark.parametrize("mode", range(4))
+    def test_out_of_bounds_coordinate_names_the_mode(self, tmp_path, rng, mode):
+        t, tdir = self._saved(tmp_path, rng)
+        row = t.nnz - 1
+        rewrite_tensor_payload(
+            tdir, lambda r: _set(r, "c", row, t.shape[mode], column=mode), restamp=True
+        )
+        with pytest.raises(ValueError, match=f"out of bounds for mode {mode}"):
+            load_tensor(tdir)
+
+    @pytest.mark.parametrize(
+        "value, phrase",
+        [
+            # the constructor drops an exact zero, so one entry goes missing
+            (0.0, "header says {nnz} entries, the payload holds {less} distinct nonzero ones"),
+            (-1.0, "must be positive"),
+            (float("nan"), "must be finite"),
+        ],
+    )
+    def test_bad_value_has_the_constructor_result(self, tmp_path, rng, value, phrase):
+        t, tdir = self._saved(tmp_path, rng)
+        rewrite_tensor_payload(tdir, lambda r: _set(r, "v", 5, value), restamp=True)
+        with pytest.raises(ValueError, match=phrase.format(nnz=t.nnz, less=t.nnz - 1)):
+            load_tensor(tdir)
+
+    def test_duplicated_row_is_an_nnz_mismatch(self, tmp_path, rng):
+        t, tdir = self._saved(tmp_path, rng)
+
+        def duplicate(rows):
+            rows = rows.copy()
+            rows[1] = rows[0]
+            return rows
+
+        rewrite_tensor_payload(tdir, duplicate, restamp=True)
+        with pytest.raises(ValueError, match=f"header says {t.nnz} entries") as info:
+            load_tensor(tdir)
+        assert "entries.npy" in str(info.value)
+
+    def test_unsorted_unique_rows_load_sorted(self, tmp_path, rng):
+        t, tdir = self._saved(tmp_path, rng)
+        rewrite_tensor_payload(tdir, lambda r: r[rng.permutation(r.shape[0])], restamp=True)
+        loaded, _, _ = load_tensor(tdir)
+        assert loaded.coords.tobytes() == t.coords.tobytes()
+        assert loaded.values.tobytes() == t.values.tobytes()
+
+    def test_numbers_come_from_the_payload(self, tmp_path, rng):
+        t, tdir = self._saved(tmp_path, rng)
+        entries = tdir / "entries.tsv"
+        lines = entries.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\t123.25"
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded, _, _ = load_tensor(tdir)
+        assert loaded == t
+
+    def test_saved_rows_are_not_sorted_again(self, tmp_path, rng):
+        t, tdir = self._saved(tmp_path, rng)
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("sorted again")):
+            loaded, _, _ = load_tensor(tdir)
+        assert loaded == t
