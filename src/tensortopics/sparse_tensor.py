@@ -294,8 +294,9 @@ def save_tensor(
     one label file per mode.
 
     entries.npy holds the numbers that load_tensor reads: one C-ordered
-    array of `_row_dtype(d)` rows (the coordinates, then the value) in the
-    tensor's sorted order, whose CRC-32 header.json records. entries.tsv
+    array of [("c", "<i8", (d,)), ("v", "<f8")] rows (the coordinates, then
+    the value) in the tensor's sorted order, whose CRC-32 header.json
+    records. entries.tsv
     holds the same rows as text, for outside readers: values serialized
     with repr(), so they parse back bit for bit. It is written
     WRITE_CHUNK_ROWS rows at a time, with each distinct value formatted once
