@@ -46,8 +46,18 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 _VOWELS = frozenset("aeiouy")
-_RAW_TOKEN_RE = re.compile(r"[A-Za-z]+")
-_LOWER_TOKEN_RE = re.compile(r"[a-z]+")
+
+
+class _TokenTable(dict):
+    """str.translate table: ASCII letters stay, any other character becomes a
+    space, so split() gives the [A-Za-z]+ runs. All 128 ASCII codes are filled
+    in, which keeps ASCII text on CPython's fast translate path."""
+
+    def __missing__(self, code: int) -> str:
+        return " "
+
+
+_TOKEN_TABLE = _TokenTable((c, chr(c) if chr(c).isalpha() else " ") for c in range(128))
 
 
 @dataclass(frozen=True)
@@ -318,7 +328,7 @@ def tokenize(body: str, rules: CleaningRules) -> list[str]:
     max_consonant_run).
     """
     keep = _token_filter(rules)
-    return [token for token in _LOWER_TOKEN_RE.findall(body.lower()) if keep(token)]
+    return [token for token in body.lower().translate(_TOKEN_TABLE).split() if keep(token)]
 
 
 class _Scan(NamedTuple):
@@ -339,7 +349,7 @@ class _Scan(NamedTuple):
 
 
 def _scan(records) -> _Scan:
-    """One regex scan per ASCII body, turned into token ids straight away."""
+    """One translate-and-split scan per ASCII body, into token ids at once."""
     raw_ids: dict[str, int] = {}
     raw_word: list[int] = []
     raw_lower: list[bool] = []
@@ -356,14 +366,14 @@ def _scan(records) -> _Scan:
 
     names, counted = [], []
     for rec in records:
-        names.append(ids(_RAW_TOKEN_RE.findall(rec.body)))
+        names.append(ids(rec.body.translate(_TOKEN_TABLE).split()))
         # Lowercasing can move token boundaries outside ASCII (the Kelvin sign
         # becomes "k", and "İ" an "i" plus a combining dot), so such a body
         # counts the tokens of its lowercased text.
         if rec.body.isascii():
             counted.append(names[-1])
         else:
-            counted.append(ids(_LOWER_TOKEN_RE.findall(rec.body.lower())))
+            counted.append(ids(rec.body.lower().translate(_TOKEN_TABLE).split()))
 
     def flat(parts):
         record = np.repeat(np.arange(len(parts), dtype=np.int32), [len(part) for part in parts])
@@ -400,13 +410,14 @@ def _rare_capitalized(scan: _Scan, floor: int) -> np.ndarray:
 
 def _first_seen_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys in the order they first occur, and each one's count."""
-    # A stable sort puts the first occurrence of each key at the head of its
-    # run; ordering the runs by their heads' positions restores text order.
-    order = np.argsort(keys, kind="stable")
+    # A run of the sorted keys holds one key's positions in any order: its
+    # least is the first occurrence, and sorting runs by it restores text order.
+    order = np.argsort(keys)
     heads = _run_starts(keys[order])
     counts = np.diff(np.r_[heads, keys.shape[0]])
-    by_first = np.argsort(order[heads])
-    return keys[order[heads[by_first]]], counts[by_first]
+    first = np.minimum.reduceat(order, heads)
+    by_first = np.argsort(first)
+    return keys[first[by_first]], counts[by_first]
 
 
 @dataclass(frozen=True, eq=False)

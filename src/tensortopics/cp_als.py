@@ -393,8 +393,12 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
             f"{path}: unsupported schema version {header.get('schema_version')!r} "
             f"(expected {MODEL_SCHEMA_VERSION}; rerun factorize)"
         )
-    rank = int(header["rank"])
-    shape = [int(n) for n in header["shape"]]
+    try:
+        rank, shape = int(header["rank"]), [int(n) for n in header["shape"]]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model header has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model header: {exc}") from exc
     expected = 2 + sum(shape)
     if len(line_ends) != expected:
         raise ValueError(f"{path}: expected {expected} lines, got {len(line_ends)}")

@@ -87,18 +87,6 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[rows.shape[0] > 0, changed])
 
 
-def _strictly_increasing(rows: np.ndarray) -> bool:
-    """True if every row is lexicographically greater than the row before it."""
-    prev, nxt = rows[:-1], rows[1:]
-    # From the last column to the first: a pair is in order if its column k
-    # rises, or holds while the columns after k put it in order. A pair
-    # that is equal in every column (a duplicate) is not.
-    ok = nxt[:, -1] > prev[:, -1]
-    for k in range(rows.shape[1] - 2, -1, -1):
-        ok = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & ok)
-    return bool(ok.all())
-
-
 def _segments(keys: np.ndarray, fibers: np.ndarray) -> tuple[np.ndarray, Segments]:
     """Stable sort order of `keys` and the Segments it induces on `fibers`."""
     order = np.argsort(keys, kind="stable")
@@ -153,7 +141,8 @@ class SparseTensorCOO:
     Construction sorts, coalesces duplicates by summation, and drops exact
     zeros, so the same logical entries always produce the same arrays.
     Rows that are already strictly increasing (as a saved container's are)
-    skip the sort and the coalescing, which would leave them unchanged.
+    skip the sort and the coalescing, which would leave them unchanged,
+    unless the shape has more cells than int64 can count.
     The arrays are marked read-only; instances are safe to share across
     threads.
     """
@@ -191,13 +180,23 @@ class SparseTensorCOO:
                     f"coordinate {bad} out of bounds for mode {k} (extent {shape[k]})"
                 )
 
-        if not _strictly_increasing(coords):
-            # A stable lexicographic sort keeps duplicates in input order, and
-            # bincount sums each run in that order, so coalescing is
-            # deterministic (and equal to np.unique(axis=0) plus bincount).
-            order = np.lexsort(coords.T[::-1])
+        # Each row's row-major cell index is one int64 key in lexicographic
+        # order, unless the cells outnumber int64; lexsort orders them then.
+        try:
+            keys = np.ravel_multi_index(coords.T, shape)
+        except ValueError:
+            keys = None
+        if keys is None or np.any(keys[1:] <= keys[:-1]):
+            # A stable sort keeps duplicates in input order, and bincount sums
+            # each run in that order, so coalescing is deterministic (and
+            # equal to np.unique(axis=0) plus bincount).
+            if keys is None:
+                order = np.lexsort(coords.T[::-1])
+                starts = _run_starts(coords[order])
+            else:
+                order = np.argsort(keys, kind="stable")
+                starts = _run_starts(keys[order])
             coords = coords[order]
-            starts = _run_starts(coords)
             run_of = np.repeat(np.arange(starts.shape[0]), np.diff(np.r_[starts, coords.shape[0]]))
             values = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
             coords = coords[starts]

@@ -102,6 +102,26 @@ def nonascii_letter_fraction(text):
     return non_ascii / letters
 
 
+def raw_tokens_oracle(body):
+    """The raw tokens corpus_ingest reads from a body: its [A-Za-z]+ runs."""
+    return re.findall(r"[A-Za-z]+", body)
+
+
+def lower_tokens_oracle(body):
+    """The tokens corpus_ingest counts for a body: the [a-z]+ runs of its
+    lowercased text."""
+    return re.findall(r"[a-z]+", body.lower())
+
+
+def first_seen_runs_oracle(keys):
+    """Dict oracle for corpus_ingest._first_seen_runs: distinct keys in the
+    order they first occur, and how often each occurs."""
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return list(counts), list(counts.values())
+
+
 def _is_nonsense(token, rules):
     if not any(ch in "aeiouy" for ch in token):
         return True
@@ -117,7 +137,7 @@ def tokenize_oracle(body, rules):
     every occurrence."""
     dna_re = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run)
     out = []
-    for token in re.findall(r"[a-z]+", body.lower()):
+    for token in lower_tokens_oracle(body):
         if len(token) < rules.min_token_length:
             continue
         if token in rules.stopwords:
@@ -139,7 +159,7 @@ def rare_capitalized_oracle(records, rules):
     df = {}
     for rec in records:
         seen_here = set()
-        for raw in re.findall(r"[A-Za-z]+", rec.body):
+        for raw in raw_tokens_oracle(rec.body):
             lowered = raw.lower()
             if raw[0].islower():
                 lowercase_start.add(lowered)

@@ -36,6 +36,7 @@ from tensortopics import (
 from tensortopics import sparse_tensor
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
+    _first_seen_runs,
     _nonascii_letter_fraction,
     _rare_capitalized,
     _scan,
@@ -49,11 +50,14 @@ from conftest import (
     build_counts_oracle,
     coalesce_oracle,
     entries_text_oracle,
+    first_seen_runs_oracle,
     lexsort_coalesce_oracle,
+    lower_tokens_oracle,
     model_text_oracle,
     model_text_table,
     nonascii_letter_fraction,
     rare_capitalized_oracle,
+    raw_tokens_oracle,
     tokenize_oracle,
     top_n_oracle,
 )
@@ -87,6 +91,12 @@ rules = st.builds(
     max_consonant_run=st.integers(1, 6),
     name_df_floor=st.integers(0, 3),
 )
+# Text on which a translate-and-split scan could part ways with the regexes:
+# the Kelvin sign and "İ" lowercase to ASCII letters (the latter plus a
+# combining dot), "ß" and "é" are letters outside ASCII, and U+00A0 and
+# U+2028 are whitespace to str.split() without being ASCII.
+TOKEN_ALPHABET = "abeizAEKZ\u212a\u0130\u0307\u00df\u00e90179.,;-'_()\t\n\x0b\x0c\u00a0\u2028 "
+token_texts = st.text(alphabet=TOKEN_ALPHABET, max_size=80) | st.text(max_size=40)
 records = st.lists(
     st.builds(
         CorpusRecord,
@@ -140,6 +150,27 @@ class TestTokenFiltering:
         assert tensor.coords.tobytes() == coords.tobytes()
         assert tensor.values.tobytes() == values.tobytes()
 
+    @PROPERTY
+    @given(body=token_texts)
+    @example(body="\u212aelvin \u0130stanbul stra\u00dfe caf\u00e9\u2028x\u00a0y\x0bz\x0cw\u0307v")
+    def test_token_streams_match_regex_oracles(self, body):
+        assert tokenize(body, CleaningRules()) == tokenize_oracle(body, CleaningRules())
+        # the body as drawn, and its ASCII part, whose counted stream is its
+        # raw one
+        bodies = [body, body.encode("ascii", "ignore").decode("ascii")]
+        scan = _scan([CorpusRecord("t", "", "a", "j", b) for b in bodies])
+        pairs = set()
+        for i, b in enumerate(bodies):
+            names = scan.names[0][scan.names[1] == i].tolist()
+            counted = scan.counted[0][scan.counted[1] == i].tolist()
+            raw = raw_tokens_oracle(b)
+            assert [scan.words[scan.raw_word[r]] for r in names] == [t.lower() for t in raw]
+            assert scan.raw_lower[names].tolist() == [t[0].islower() for t in raw]
+            assert [scan.words[scan.raw_word[r]] for r in counted] == lower_tokens_oracle(b)
+            pairs.update(zip(raw, names))
+        # one id per distinct raw token, across both bodies
+        assert len({t for t, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+
     def test_kelvin_sign_and_dotted_capital_i(self):
         # "K".lower() == "k"; "İ".lower() == "i̇", which splits tokens
         body = "Kelvin İstanbul KKK protein"
@@ -149,6 +180,51 @@ class TestTokenFiltering:
 
 # Values whose sum depends on the order they are added in.
 ORDER_SENSITIVE = [1e16, 1.0, 0.1, 3e-5, 7.0, 2.0**-40, 1e-300]
+
+
+class TestSortPaths:
+    """The constructor sorts one row-major cell key, and falls back to lexsort
+    when the cells outnumber int64; _first_seen_runs takes each key's first
+    occurrence from an unstable sort."""
+
+    BIG = (2**40, 2**40, 3)
+
+    @PROPERTY
+    @given(
+        shape=st.sampled_from([(5, 3, 4), (2**31, 2**31, 1), BIG]),
+        picks=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.sampled_from(ORDER_SENSITIVE)),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_key_sort_and_fallback_match_lexsort_oracle(self, shape, picks):
+        # Each mode's coordinates come from its first, second, middle and
+        # last index, so rows repeat and reach the largest extents.
+        pools = [sorted({0, min(1, n - 1), n // 2, n - 1}) for n in shape]
+        coords = [[pool[p % len(pool)] for pool, p in zip(pools, pick[:3])] for pick in picks]
+        values = [pick[3] for pick in picks]
+        # a trailing duplicate, so the rows are never strictly increasing
+        coords.append(coords[0])
+        values.append(values[0])
+        want_coords, want_values = lexsort_coalesce_oracle(coords, values)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            tensor = SparseTensorCOO(coords, values, shape)
+        assert lexsort.called == (shape == self.BIG)
+        assert tensor.coords.tobytes() == want_coords.tobytes()
+        assert tensor.values.tobytes() == want_values.tobytes()
+
+    @PROPERTY
+    @given(keys=st.lists(st.integers(-3, 40) | st.sampled_from([2**62, -(2**62)]), max_size=300))
+    def test_first_seen_runs_matches_dict_oracle(self, keys):
+        got_keys, got_counts = _first_seen_runs(np.array(keys, dtype=np.int64))
+        assert (got_keys.tolist(), got_counts.tolist()) == first_seen_runs_oracle(keys)
+
+    def test_first_seen_runs_on_long_runs(self, rng):
+        # Long runs of equal keys are where an unstable sort reorders them.
+        keys = rng.integers(0, 60, 200_000)
+        got_keys, got_counts = _first_seen_runs(keys)
+        assert (got_keys.tolist(), got_counts.tolist()) == first_seen_runs_oracle(keys.tolist())
 
 
 class TestCoalescing:

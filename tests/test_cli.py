@@ -327,6 +327,35 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda h: h.pop("rank"), "model header has no 'rank' field"),
+            (lambda h: h.pop("shape"), "model header has no 'shape' field"),
+            (lambda h: h.update(rank="x"), "malformed model header"),
+            (lambda h: h.update(rank=None), "malformed model header"),
+            (lambda h: h.update(shape=5), "malformed model header"),
+            (lambda h: h.update(shape=["a", 2]), "malformed model header"),
+            (lambda h: h.update(shape=[[3], 2]), "malformed model header"),
+        ],
+        ids=["no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent"],
+    )
+    def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        for model in sorted((workdir / "models").glob("*.model")):
+            first, rest = model.read_text(encoding="utf-8").split("\n", 1)
+            header = json.loads(first)
+            edit(header)
+            model.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and ".model" in err and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
     def test_bad_ranks_value_reports_error(self, tmp_path, capsys):
         assert (
             run("pipeline", "--config", CFG, "--workdir", str(tmp_path), "--ranks", "3,2")
@@ -363,6 +392,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout
+
+    def test_cli_import_leaves_scipy_out(self):
+        # Every stage runs in its own interpreter, so a scipy import there
+        # would be paid again by each stage.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, tensortopics.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.skipif(
         not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),
