@@ -46,18 +46,18 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 _VOWELS = frozenset("aeiouy")
+# str.translate table: ASCII letters stay and every other ASCII character
+# becomes a space, so split() gives the [A-Za-z]+ runs of ASCII text.
+_TOKEN_TABLE = {c: chr(c) if chr(c).isalpha() else " " for c in range(128)}
 
 
-class _TokenTable(dict):
-    """str.translate table: ASCII letters stay, any other character becomes a
-    space, so split() gives the [A-Za-z]+ runs. All 128 ASCII codes are filled
-    in, which keeps ASCII text on CPython's fast translate path."""
-
-    def __missing__(self, code: int) -> str:
-        return " "
-
-
-_TOKEN_TABLE = _TokenTable((c, chr(c) if chr(c).isalpha() else " ") for c in range(128))
+def _tokens(text: str) -> list[str]:
+    """The [A-Za-z]+ runs of text, in text order."""
+    # A non-ASCII character is never part of a run. Encoding makes each one a
+    # "?" in C, which keeps every text on CPython's fast ASCII translate path.
+    if not text.isascii():
+        text = text.encode("ascii", "replace").decode("ascii")
+    return text.translate(_TOKEN_TABLE).split()
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def tokenize(body: str, rules: CleaningRules) -> list[str]:
     max_consonant_run).
     """
     keep = _token_filter(rules)
-    return [token for token in body.lower().translate(_TOKEN_TABLE).split() if keep(token)]
+    return [token for token in _tokens(body.lower()) if keep(token)]
 
 
 class _Scan(NamedTuple):
@@ -366,14 +366,14 @@ def _scan(records) -> _Scan:
 
     names, counted = [], []
     for rec in records:
-        names.append(ids(rec.body.translate(_TOKEN_TABLE).split()))
+        names.append(ids(_tokens(rec.body)))
         # Lowercasing can move token boundaries outside ASCII (the Kelvin sign
         # becomes "k", and "İ" an "i" plus a combining dot), so such a body
         # counts the tokens of its lowercased text.
         if rec.body.isascii():
             counted.append(names[-1])
         else:
-            counted.append(ids(rec.body.lower().translate(_TOKEN_TABLE).split()))
+            counted.append(ids(_tokens(rec.body.lower())))
 
     def flat(parts):
         record = np.repeat(np.arange(len(parts), dtype=np.int32), [len(part) for part in parts])

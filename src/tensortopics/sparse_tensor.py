@@ -141,8 +141,7 @@ class SparseTensorCOO:
     Construction sorts, coalesces duplicates by summation, and drops exact
     zeros, so the same logical entries always produce the same arrays.
     Rows that are already strictly increasing (as a saved container's are)
-    skip the sort and the coalescing, which would leave them unchanged,
-    unless the shape has more cells than int64 can count.
+    skip the sort and the coalescing, which would leave them unchanged.
     The arrays are marked read-only; instances are safe to share across
     threads.
     """
@@ -181,12 +180,23 @@ class SparseTensorCOO:
                 )
 
         # Each row's row-major cell index is one int64 key in lexicographic
-        # order, unless the cells outnumber int64; lexsort orders them then.
+        # order, unless the cells outnumber int64; the rows themselves are
+        # compared and lexsorted then.
         try:
             keys = np.ravel_multi_index(coords.T, shape)
         except ValueError:
             keys = None
-        if keys is None or np.any(keys[1:] <= keys[:-1]):
+        if keys is None:
+            # From the last column to the first, consecutive rows are in order
+            # if column k rises, or holds while the later columns are in order.
+            prev, nxt = coords[:-1], coords[1:]
+            ok = nxt[:, -1] > prev[:, -1]
+            for k in range(d - 2, -1, -1):
+                ok = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & ok)
+            rising = ok.all()
+        else:
+            rising = np.all(keys[1:] > keys[:-1])
+        if not rising:
             # A stable sort keeps duplicates in input order, and bincount sums
             # each run in that order, so coalescing is deterministic (and
             # equal to np.unique(axis=0) plus bincount).

@@ -153,6 +153,7 @@ class TestTokenFiltering:
     @PROPERTY
     @given(body=token_texts)
     @example(body="\u212aelvin \u0130stanbul stra\u00dfe caf\u00e9\u2028x\u00a0y\x0bz\x0cw\u0307v")
+    @example(body="Non\u2013ASCII \u00b5g \u00b1x\U0001f600y \ud800z")
     def test_token_streams_match_regex_oracles(self, body):
         assert tokenize(body, CleaningRules()) == tokenize_oracle(body, CleaningRules())
         # the body as drawn, and its ASCII part, whose counted stream is its
@@ -213,6 +214,21 @@ class TestSortPaths:
         assert lexsort.called == (shape == self.BIG)
         assert tensor.coords.tobytes() == want_coords.tobytes()
         assert tensor.values.tobytes() == want_values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4), BIG])
+    def test_strictly_increasing_rows_skip_the_sort(self, shape):
+        # A loaded container's rows are sorted and distinct, at any shape.
+        pools = [sorted({0, min(1, n - 1), n // 2, n - 1}) for n in shape]
+        coords = [[a, b, c] for a in pools[0] for b in pools[1] for c in pools[2]]
+        values = [float(i + 1) for i in range(len(coords))]
+        with (
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
+        ):
+            tensor = SparseTensorCOO(coords, values, shape)
+        assert not lexsort.called and not argsort.called
+        assert tensor.coords.tolist() == coords
+        assert tensor.values.tolist() == values
 
     @PROPERTY
     @given(keys=st.lists(st.integers(-3, 40) | st.sampled_from([2**62, -(2**62)]), max_size=300))
