@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from .corpus_ingest import (
+    CORPUS_FORMATS,
     MODE_NAMES,
     build_counts,
     clean_and_filter,
@@ -207,42 +208,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--strategy", choices=STRATEGIES, help="component selection strategy")
     common.add_argument("--top-n", dest="top_n", type=int, help="labels per mode in reports")
     common.add_argument("--workdir", help="directory for intermediate files")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", help=f"corpus table ({'/'.join(CORPUS_FORMATS)})")
+    corpus.add_argument(
+        "--format", dest="corpus_format", choices=CORPUS_FORMATS, help="corpus file format"
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", dest="output", help="report output directory")
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument(
+        "--similarity-matrix", dest="similarity_matrix", action="store_const",
+        const=True, help="embed the full pairwise cosine matrix (quadratic in pool size)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="tensortopics",
         description="Group a document corpus by topic via sparse tensor factorization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common], help="corpus file -> tensor container")
-    p.add_argument("--corpus", help="corpus table (csv/tsv/jsonl)")
-    p.add_argument(
-        "--format", dest="corpus_format", choices=("csv", "tsv", "jsonl"),
-        help="corpus file format",
-    )
-
-    sub.add_parser("factorize", parents=[common], help="tensor -> one model per rank")
-
-    p = sub.add_parser("select", parents=[common], help="models -> selection.json")
-    p.add_argument(
-        "--similarity-matrix", dest="similarity_matrix", action="store_const",
-        const=True, help="embed the full pairwise cosine matrix (quadratic in pool size)",
-    )
-
-    p = sub.add_parser("report", parents=[common], help="selection -> html/json bundle")
-    p.add_argument("--out", dest="output", help="report output directory")
-
-    p = sub.add_parser("pipeline", parents=[common], help="run all stages in order")
-    p.add_argument("--corpus", help="corpus table (csv/tsv/jsonl)")
-    p.add_argument(
-        "--format", dest="corpus_format", choices=("csv", "tsv", "jsonl"),
-        help="corpus file format",
-    )
-    p.add_argument("--out", dest="output", help="report output directory")
-    p.add_argument(
-        "--similarity-matrix", dest="similarity_matrix", action="store_const",
-        const=True, help="embed the full pairwise cosine matrix (quadratic in pool size)",
-    )
+    for name, parents, help_text in (
+        ("ingest", [corpus], "corpus file -> tensor container"),
+        ("factorize", [], "tensor -> one model per rank"),
+        ("select", [matrix], "models -> selection.json"),
+        ("report", [out], "selection -> html/json bundle"),
+        ("pipeline", [corpus, out, matrix], "run all stages in order"),
+    ):
+        sub.add_parser(name, parents=[common, *parents], help=help_text)
     return parser
 
 
@@ -285,8 +276,9 @@ def cli_run(argv) -> int:
     return 0
 
 
-# glibc's mallopt() parameter number for the mmap threshold (malloc.h).
+# glibc's mallopt() parameter numbers (malloc.h).
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # A lower threshold also maps the many mid-size arrays of the low ranks, and
 # faulting their pages in slowed factorize by about 7% on the bench's
 # `ensemble` workload.
@@ -294,7 +286,8 @@ MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 def fix_mmap_threshold() -> bool:
-    """Pin glibc's mmap threshold for this process; True if it was set.
+    """Pin glibc's mmap threshold, and its arena count at one, for this
+    process; True if both were set.
 
     By default glibc raises the threshold to the size of each mapped block
     it frees, so later arrays up to that size come from the heap, and how
@@ -302,12 +295,16 @@ def fix_mmap_threshold() -> bool:
     allocations: the same factorize run peaked at 75 or at 87 MB depending
     on the length of the workdir path. With the threshold fixed, every
     array of 4 MiB or more is mapped on its own and unmapped when freed,
-    so the peak follows the live arrays. Does nothing off glibc.
+    so the peak follows the live arrays. ensemble_models fits the ranks on
+    a worker thread, whose first malloc would open a second arena beside
+    the main one: 2 MB more factorize peak on `ensemble` (75 -> 77 MB).
+    Does nothing off glibc.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return False
-        return ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+        mallopt = ctypes.CDLL(None).mallopt
+        return mallopt(_M_ARENA_MAX, 1) == mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
     except (ValueError, OSError, AttributeError):
         return False
 

@@ -51,138 +51,94 @@ def parse_ranks(text: str) -> tuple[int, ...]:
     return ranks
 
 
-_KNOWN_KEYS = (
-    "corpus",
-    "format",
-    "workdir",
-    "output",
-    "ranks",
-    "threshold",
-    "strategy",
-    "seed",
-    "max_iters",
-    "fit_tolerance",
-    "threads",
-    "top_n",
-    "keywords",
-    "stopwords",
-    "min_token_length",
-    "dna_min_run",
-    "max_char_repeat",
-    "max_consonant_run",
-    "max_nonascii_fraction",
-    "name_df_floor",
-    "similarity_matrix",
-)
+def _parse_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; anything else is an error."""
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
+# config key -> (the settings object holding the value, None for
+# PipelineConfig itself; its field; the reader of the file's text). The
+# values of Path and load_stopwords keys resolve against the file's directory.
+SETTINGS = {
+    "corpus": (None, "corpus", Path),
+    "format": (None, "corpus_format", str),
+    "workdir": (None, "workdir", Path),
+    "output": (None, "output", Path),
+    "ranks": ("selection", "ranks", parse_ranks),
+    "threshold": ("selection", "threshold", float),
+    "strategy": ("selection", "strategy", str),
+    "seed": ("als", "seed", int),
+    "max_iters": ("als", "max_iters", int),
+    "fit_tolerance": ("als", "fit_tolerance", float),
+    "threads": (None, "threads", int),
+    "top_n": (None, "top_n", int),
+    "keywords": (None, "keyword_count", int),
+    "stopwords": ("rules", "stopwords", load_stopwords),
+    "min_token_length": ("rules", "min_token_length", int),
+    "dna_min_run": ("rules", "dna_min_run", int),
+    "max_char_repeat": ("rules", "max_char_repeat", int),
+    "max_consonant_run": ("rules", "max_consonant_run", int),
+    "max_nonascii_fraction": ("rules", "max_nonascii_fraction", float),
+    "name_df_floor": ("rules", "name_df_floor", int),
+    "similarity_matrix": (None, "similarity_matrix", _parse_bool),
+}
+_BY_FIELD = {name: (obj, reader) for obj, name, reader in SETTINGS.values()}
+
+
+def _set(cfg: PipelineConfig, obj: str | None, name: str, value) -> PipelineConfig:
+    """cfg with field `name` of settings object `obj` (None: cfg itself) set."""
+    if obj is None:
+        return replace(cfg, **{name: value})
+    return replace(cfg, **{obj: replace(getattr(cfg, obj), **{name: value})})
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse a key = value config file. Unknown keys are an error."""
+    """Parse a key = value config file.
+
+    A line without '=', an unknown or duplicate key, and a value that its
+    reader or its settings object rejects (an unreadable stopword file
+    too) each raise a ValueError naming the file and the line.
+    """
     path = Path(path)
-    base = path.parent
-    raw: dict[str, str] = {}
+    cfg = PipelineConfig()
+    seen = set()
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ValueError(f"{path}:{line_no}: duplicate config key {key!r}")
-        raw[key] = value
-
-    def path_of(key: str) -> Path | None:
-        if key not in raw:
-            return None
-        p = Path(raw[key])
-        return p if p.is_absolute() else base / p
-
-    rules_kwargs = {}
-    if "stopwords" in raw:
-        rules_kwargs["stopwords"] = load_stopwords(path_of("stopwords"))
-    for key, attr in (
-        ("min_token_length", "min_token_length"),
-        ("dna_min_run", "dna_min_run"),
-        ("max_char_repeat", "max_char_repeat"),
-        ("max_consonant_run", "max_consonant_run"),
-        ("name_df_floor", "name_df_floor"),
-    ):
-        if key in raw:
-            rules_kwargs[attr] = int(raw[key])
-    if "max_nonascii_fraction" in raw:
-        rules_kwargs["max_nonascii_fraction"] = float(raw["max_nonascii_fraction"])
-
-    selection_kwargs = {}
-    if "ranks" in raw:
-        selection_kwargs["ranks"] = parse_ranks(raw["ranks"])
-    if "threshold" in raw:
-        selection_kwargs["threshold"] = float(raw["threshold"])
-    if "strategy" in raw:
-        selection_kwargs["strategy"] = raw["strategy"]
-
-    als_kwargs = {}
-    if "seed" in raw:
-        als_kwargs["seed"] = int(raw["seed"])
-    if "max_iters" in raw:
-        als_kwargs["max_iters"] = int(raw["max_iters"])
-    if "fit_tolerance" in raw:
-        als_kwargs["fit_tolerance"] = float(raw["fit_tolerance"])
-
-    return PipelineConfig(
-        corpus=path_of("corpus"),
-        corpus_format=raw.get("format", "csv"),
-        workdir=path_of("workdir"),
-        output=path_of("output"),
-        rules=CleaningRules(**rules_kwargs),
-        selection=SelectionConfig(**selection_kwargs),
-        als=AlsOptions(**als_kwargs),
-        top_n=int(raw.get("top_n", DEFAULT_TOP_N)),
-        keyword_count=int(raw.get("keywords", DEFAULT_KEYWORD_COUNT)),
-        threads=int(raw.get("threads", 1)),
-        similarity_matrix=raw.get("similarity_matrix", "false").lower()
-        in ("1", "true", "yes"),
-    )
+        seen.add(key)
+        obj, name, reader = SETTINGS[key]
+        try:
+            value = reader(path.parent / text if reader in (Path, load_stopwords) else text)
+            cfg = _set(cfg, obj, name, value)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
+    return cfg
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:
     """Return cfg with non-None override values applied.
 
-    Accepts the flat CLI names: seed, threads, ranks, threshold, strategy,
-    top_n, corpus, corpus_format, workdir, output, similarity_matrix.
+    Overrides are named by field (seed, ranks, corpus_format, top_n, ...),
+    and a path field also takes a string. An unknown name is a TypeError.
     """
-    updates = {}
-    direct = (
-        "corpus",
-        "corpus_format",
-        "workdir",
-        "output",
-        "top_n",
-        "threads",
-        "similarity_matrix",
-    )
-    for name in direct:
-        value = overrides.pop(name, None)
+    unknown = sorted(set(overrides) - set(_BY_FIELD))
+    if unknown:
+        raise TypeError(f"unknown overrides: {unknown}")
+    for name, value in overrides.items():
         if value is not None:
-            updates[name] = Path(value) if name in ("corpus", "workdir", "output") else value
-
-    selection = cfg.selection
-    sel_updates = {}
-    for name in ("ranks", "threshold", "strategy"):
-        value = overrides.pop(name, None)
-        if value is not None:
-            sel_updates[name] = value
-    if sel_updates:
-        updates["selection"] = replace(selection, **sel_updates)
-
-    seed = overrides.pop("seed", None)
-    if seed is not None:
-        updates["als"] = replace(cfg.als, seed=seed)
-
-    if overrides:
-        raise TypeError(f"unknown overrides: {sorted(overrides)}")
-    return replace(cfg, **updates) if updates else cfg
+            obj, reader = _BY_FIELD[name]
+            cfg = _set(cfg, obj, name, Path(value) if reader is Path else value)
+    return cfg

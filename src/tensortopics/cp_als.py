@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import SparseTensorCOO
+from .sparse_tensor import Artifact, SparseTensorCOO, read_header, read_payload
 
 MODEL_FORMAT = "kruskal-model"
 MODEL_SCHEMA_VERSION = 2
+MODEL = Artifact("model", MODEL_FORMAT, MODEL_SCHEMA_VERSION, "factorize")
 
 
 class AlsDivergenceError(RuntimeError):
@@ -381,24 +382,9 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     line_ends = np.flatnonzero(buf == ord("\n"))
     if not data.endswith(b"\n"):
         line_ends = np.append(line_ends, len(data))
-    try:
-        header = json.loads(data[: line_ends[0]])
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable model header: {exc}") from exc
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != MODEL_FORMAT:
-        raise ValueError(f"{path}: unrecognized model format {fmt!r}")
-    if header.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema version {header.get('schema_version')!r} "
-            f"(expected {MODEL_SCHEMA_VERSION}; rerun factorize)"
-        )
-    try:
-        rank, shape = int(header["rank"]), [int(n) for n in header["shape"]]
-    except KeyError as exc:
-        raise ValueError(f"{path}: model header has no {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed model header: {exc}") from exc
+    header, (rank, shape) = read_header(
+        data[: line_ends[0]], path, MODEL, rank=int, shape=lambda v: [int(n) for n in v]
+    )
     expected = 2 + sum(shape)
     if len(line_ends) != expected:
         raise ValueError(f"{path}: expected {expected} lines, got {len(line_ends)}")
@@ -414,25 +400,10 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
             f"{path}: factor row has {widths[wrong[0]]} columns, rank is {rank}"
         )
 
-    payload = _payload_path(path)
-    try:
-        # read_array, unlike np.load, accepts nothing but a .npy array.
-        with payload.open("rb") as f:
-            table = np.lib.format.read_array(f, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{payload}: model payload is missing; rerun factorize") from None
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"{payload}: unreadable model payload: {exc}") from exc
-    if table.dtype != np.float64 or table.shape != (expected - 1, rank):
-        raise ValueError(
-            f"{payload}: {table.dtype} table of shape {table.shape}, "
-            f"{path.name} declares float64 of shape {(expected - 1, rank)}"
-        )
-    # A payload stored in Fortran order reads back Fortran-ordered; crc32
-    # needs C order.
-    table = np.ascontiguousarray(table)
-    if zlib.crc32(table) != header.get("payload_crc32"):
-        raise ValueError(f"{payload}: CRC-32 does not match the header of {path.name}")
+    table = read_payload(
+        _payload_path(path), MODEL, np.dtype(np.float64), (expected - 1, rank),
+        header.get("payload_crc32"), f"the header of {path.name}",
+    )
     bounds = np.cumsum([1, *shape])
     factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     return KruskalModel(weights=table[0], factors=factors), header

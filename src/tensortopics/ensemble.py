@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -115,46 +116,48 @@ def ensemble_models(
 
     Each rank runs with its own seed derived from (opts.seed, rank), so the
     result does not depend on execution order and thread count cannot change
-    it. A rank whose solve diverges is logged and dropped; the rest of the
-    ensemble still returns. Each rank logs its final fit, its sweep count and
+    it. Ranks run on `threads` worker threads and are collected in rank
+    order. A rank whose solve diverges is logged and dropped; the rest of the
+    ensemble still returns. Any other error is raised, and the ranks not yet
+    started then do not run. Each rank logs its final fit, its sweep count and
     why it stopped (see stop_reason), at WARNING when the fit went down.
     """
     if opts is None:
         opts = AlsOptions()
-    ranks = list(ranks)
+    failed = threading.Event()
 
     def run_one(rank: int):
+        if failed.is_set():
+            return None  # an earlier rank raised, and its error is raised first
         rank_opts = AlsOptions(
             max_iters=opts.max_iters,
             fit_tolerance=opts.fit_tolerance,
             seed=rank_seed(opts.seed, rank),
         )
-        return cp_als(tensor, rank, rank_opts)
+        try:
+            return cp_als(tensor, rank, rank_opts)
+        except AlsDivergenceError:
+            raise
+        except Exception:
+            failed.set()
+            raise
 
     results: dict[int, KruskalModel] = {}
-
-    def collect(rank: int, outcome):
-        try:
-            model, fit_history = outcome()
-        except AlsDivergenceError as exc:
-            logger.warning("dropping rank %d: %s", rank, exc)
-            return
-        results[rank] = model
-        reason = stop_reason(fit_history, opts.fit_tolerance)
-        logger.log(
-            logging.WARNING if reason == "fit_decreased" else logging.INFO,
-            "rank %d: fit %.6f after %d sweep(s), stopped: %s",
-            rank, fit_history[-1], len(fit_history), reason,
-        )
-
-    if threads > 1 and len(ranks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {rank: pool.submit(run_one, rank) for rank in ranks}
-            for rank in ranks:
-                collect(rank, futures[rank].result)
-    else:
-        for rank in ranks:
-            collect(rank, lambda rank=rank: run_one(rank))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(rank, pool.submit(run_one, rank)) for rank in ranks]
+        for rank, future in futures:
+            try:
+                model, fit_history = future.result()
+            except AlsDivergenceError as exc:
+                logger.warning("dropping rank %d: %s", rank, exc)
+                continue
+            results[rank] = model
+            reason = stop_reason(fit_history, opts.fit_tolerance)
+            logger.log(
+                logging.WARNING if reason == "fit_decreased" else logging.INFO,
+                "rank %d: fit %.6f after %d sweep(s), stopped: %s",
+                rank, fit_history[-1], len(fit_history), reason,
+            )
     return results
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -373,32 +374,76 @@ class _Header(NamedTuple):
     payload_crc32: int | None
 
 
+# What a versioned file holds, its header's format and schema version, and
+# the pipeline stage that rewrites it.
+Artifact = namedtuple("Artifact", "kind format schema_version stage")
+TENSOR = Artifact("tensor", TENSOR_FORMAT, TENSOR_SCHEMA_VERSION, "ingest")
+
+
+def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, list]:
+    """The JSON header in `raw`, after checking its format and schema version,
+    and its `fields` (name=converter) converted in order; every fault raises a
+    ValueError naming `source`."""
+    kind = artifact.kind
+    try:
+        header = json.loads(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: unreadable {kind} header: {exc}") from exc
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != artifact.format:
+        raise ValueError(f"{source}: unrecognized {kind} format {fmt!r}")
+    if header.get("schema_version") != artifact.schema_version:
+        raise ValueError(
+            f"{source}: unsupported schema version {header.get('schema_version')!r} "
+            f"(expected {artifact.schema_version}; rerun {artifact.stage})"
+        )
+    try:
+        values = [convert(header[name]) for name, convert in fields.items()]
+    except KeyError as exc:
+        raise ValueError(f"{source}: {kind} header has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
+    return header, values
+
+
+def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
+    """The C-ordered .npy table at `payload`, checked against the dtype, shape
+    and CRC-32 that `declared_by` records; every fault raises a ValueError
+    naming the payload."""
+    try:
+        # read_array, unlike np.load, accepts nothing but a .npy array.
+        with payload.open("rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(
+            f"{payload}: {artifact.kind} payload is missing; rerun {artifact.stage}"
+        ) from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{payload}: unreadable {artifact.kind} payload: {exc}") from exc
+    if table.dtype != dtype or table.shape != shape:
+        raise ValueError(
+            f"{payload}: {table.dtype} table of shape {table.shape}, "
+            f"{declared_by} declares {dtype} of shape {shape}"
+        )
+    # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.
+    table = np.ascontiguousarray(table)
+    if zlib.crc32(table) != crc32:
+        raise ValueError(f"{payload}: CRC-32 does not match {declared_by}")
+    return table
+
+
 def _read_header(in_dir: Path) -> _Header:
     """The validated fields of a container's header.json; every fault raises a
     ValueError naming the file."""
     header_path = in_dir / HEADER_FILE
     if not header_path.is_file():
         raise ValueError(f"not a tensor container: missing {header_path}")
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{header_path}: unreadable tensor header: {exc}") from exc
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != TENSOR_FORMAT:
-        raise ValueError(f"{header_path}: unrecognized tensor format {fmt!r}")
-    if header.get("schema_version") != TENSOR_SCHEMA_VERSION:
-        raise ValueError(
-            f"{header_path}: unsupported schema version {header.get('schema_version')!r} "
-            f"(expected {TENSOR_SCHEMA_VERSION}; rerun ingest)"
-        )
-    try:
-        shape = tuple(int(n) for n in header["shape"])
-        mode_names = [str(n) for n in header["mode_names"]]
-        nnz = int(header["nnz"])
-    except KeyError as exc:
-        raise ValueError(f"{header_path}: tensor header has no {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{header_path}: malformed tensor header: {exc}") from exc
+    header, (shape, mode_names, nnz) = read_header(
+        header_path.read_bytes(), header_path, TENSOR,
+        shape=lambda v: tuple(int(n) for n in v),
+        mode_names=lambda v: [str(n) for n in v],
+        nnz=int,
+    )
     if len(mode_names) != len(shape):
         raise ValueError(f"{header_path}: mode_names length does not match shape")
     return _Header(shape, mode_names, nnz, header.get("payload_crc32"))
@@ -446,28 +491,6 @@ def _count_entry_lines(entries_path: Path, fields: int) -> int:
     return rows
 
 
-def _read_payload(in_dir: Path, header: _Header) -> np.ndarray:
-    """The entries.npy rows, checked against the header's dtype, length and CRC-32."""
-    payload = in_dir / PAYLOAD_FILE
-    try:
-        # read_array, unlike np.load, accepts nothing but a .npy array.
-        with payload.open("rb") as f:
-            table = np.lib.format.read_array(f, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{payload}: tensor payload is missing; rerun ingest") from None
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"{payload}: unreadable tensor payload: {exc}") from exc
-    row = _row_dtype(len(header.shape))
-    if table.dtype != row or table.shape != (header.nnz,):
-        raise ValueError(
-            f"{payload}: {table.dtype} array of shape {table.shape}, "
-            f"{HEADER_FILE} declares {row} of shape {(header.nnz,)}"
-        )
-    if zlib.crc32(table) != header.payload_crc32:
-        raise ValueError(f"{payload}: CRC-32 does not match {HEADER_FILE}")
-    return table
-
-
 def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
     """Load a tensor container written by save_tensor.
 
@@ -492,7 +515,9 @@ def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], lis
         rows = _count_entry_lines(entries_path, d + 1)
         if rows != nnz:
             raise ValueError(f"{entries_path}: header says {nnz} entries, file holds {rows}")
-    table = _read_payload(in_dir, header)
+    table = read_payload(
+        in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(d), (nnz,), header.payload_crc32, HEADER_FILE
+    )
     tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
         raise ValueError(

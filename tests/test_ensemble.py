@@ -107,6 +107,23 @@ class TestDecomposeEnsemble:
         assert sorted({c.origin_rank for c in pool}) == [2, 4]
         assert len(pool) == 6
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_other_error_stops_the_ranks_not_yet_started(self, rng, monkeypatch, threads):
+        import tensortopics.ensemble as ensemble_mod
+
+        started = []
+
+        def broken(tensor, rank, opts):
+            started.append(rank)
+            raise RuntimeError(f"rank {rank} broke")
+
+        monkeypatch.setattr(ensemble_mod, "cp_als", broken)
+        ranks = (2, 3, 4, 5)
+        with pytest.raises(RuntimeError, match="rank 2 broke"):
+            ensemble_models(random_sparse(rng, (4, 4, 4), 20), ranks, threads=threads)
+        # only the ranks already handed to a worker when the first one failed ran
+        assert 2 in started and set(started) <= set(ranks[:threads])
+
     def test_models_keyed_by_rank(self, rng):
         t = random_sparse(rng, (4, 4, 4), 20)
         models = ensemble_models(t, (2, 3), AlsOptions(max_iters=2, seed=1))
