@@ -208,17 +208,15 @@ def similarity_matrix(components, word_mode: int) -> np.ndarray:
     lengths = {len(c.word_slice(word_mode)) for c in components}
     if len(lengths) != 1:
         raise ValueError(f"components disagree on word-mode extent: {sorted(lengths)}")
-    rows = []
-    for c in components:
-        v = _word_vector(c, word_mode)
-        n = _norm(v)
+    mat = np.array([_word_vector(c, word_mode) for c in components])
+    for row, c in zip(mat, components):
+        n = _norm(row)
         if n == 0.0:
             raise ZeroVectorError(
                 f"component (rank {c.origin_rank}, index {c.index_in_model}) "
                 "has an all-zero word slice"
             )
-        rows.append(v / n)
-    mat = np.array(rows)
+        row /= n
     sims = mat @ mat.T
     sims = (sims + sims.T) / 2.0
     np.fill_diagonal(sims, 1.0)

@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from tensortopics import (
     AlsOptions,
     Component,
+    KruskalModel,
     SelectionConfig,
     ZeroVectorError,
     cosine,
@@ -435,6 +437,25 @@ class TestSimilarityMatrix:
         pool = [make_component(2, 0, 1.0, np.zeros(3))]
         with pytest.raises(ZeroVectorError):
             similarity_matrix(pool, WORD_MODE)
+
+    def test_names_the_first_zero_word_slice(self):
+        pool = [make_component(2, i, 1.0, np.ones(3) * (i % 2 == 0)) for i in range(4)]
+        with pytest.raises(ZeroVectorError, match=r"\(rank 2, index 1\)"):
+            similarity_matrix(pool, WORD_MODE)
+
+    def test_equals_per_row_construction_bitwise(self, rng):
+        model = KruskalModel(rng.random(9), [rng.random((n, 9)) for n in (2, 3, 2, 300)])
+        pool = components_from_model(model, 9)
+        pool += [make_component(3, i, 1.0, rng.standard_normal(300)) for i in range(6)]
+        rows = []
+        for c in pool:
+            v = c.word_slice(WORD_MODE)
+            rows.append(v / math.sqrt(float(np.dot(v, v))))
+        mat = np.array(rows)
+        want = mat @ mat.T
+        want = (want + want.T) / 2.0
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(similarity_matrix(pool, WORD_MODE), want)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

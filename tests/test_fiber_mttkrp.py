@@ -1,7 +1,10 @@
-"""The fiber-grouped MTTKRP against the COO gather/scatter oracle, and the
+"""The fiber-grouped MTTKRP against the COO gather/scatter oracle, the
+blocked per-nonzero passes bit for bit against whole-array ones, and the
 per-sweep leaf-sum reuse in cp_als against a loop over the public mttkrp."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import strategies as st
 
 from tensortopics import (
     AlsOptions,
+    KruskalModel,
     SparseTensorCOO,
+    arrange,
     cp_als,
     from_entries,
     gram,
@@ -20,7 +25,10 @@ from tensortopics import (
     solve_gram,
 )
 
-from tensortopics.cp_als import _fiber_mttkrp, _leaf_sums
+from tensortopics.cp_als import _cut, _fiber_mttkrp, _leaf_sums, _plan
+
+# The package exports the function cp_als under the module's name.
+cp_als_module = importlib.import_module("tensortopics.cp_als")
 
 from conftest import coo_mttkrp, random_sparse
 
@@ -149,13 +157,14 @@ class TestProperties:
     @example(case=EXTENT_ONE_LAST)
     def test_leaf_sum_reuse_matches_coo_oracle(self, case):
         # As in a cp_als sweep: one set of leaf sums for every mode, and one
-        # gather array that _leaf_sums and the last mode both overwrite.
+        # block buffer that _leaf_sums and the last mode both overwrite.
         tensor, factors = case
         last = tensor.order - 1
-        gather = np.full((factors[0].shape[1], tensor.nnz), np.nan)
-        leaf_sums = _leaf_sums(tensor, factors[-1], gather)
+        blocks = _plan(tensor, factors[0].shape[1])
+        blocks.buffer[:] = np.nan
+        leaf_sums = _leaf_sums(tensor, factors[-1], blocks)
         for mode in (last, *range(tensor.order)):
-            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, gather)
+            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, blocks)
             assert_within_rounding(got, tensor, factors, mode)
 
 
@@ -186,8 +195,9 @@ class TestFiberIndex:
         assert tensor.fibers.starts.shape == (0,)
 
 
-def cp_als_fits_via_public_mttkrp(tensor, rank, opts):
-    """The cp_als sweep with one public mttkrp call per mode and no reuse."""
+def cp_als_via(kernel, tensor, rank, opts):
+    """The cp_als sweep with one kernel(tensor, factors, mode) call per mode
+    and no reuse. Returns the arranged model and the fit history."""
     d = tensor.order
     factors = init_factors(tensor.shape, rank, opts.seed)
     grams = [gram(f) for f in factors]
@@ -195,7 +205,7 @@ def cp_als_fits_via_public_mttkrp(tensor, rank, opts):
     history = []
     for _ in range(opts.max_iters):
         for mode in range(d):
-            projected = mttkrp(tensor, factors, mode)
+            projected = kernel(tensor, factors, mode)
             solved = solve_gram(hadamard_all([grams[k] for k in range(d) if k != mode]), projected)
             weights = np.sqrt(np.einsum("ir,ir->r", solved, solved))
             factors[mode] = solved / np.where(weights > 0.0, weights, 1.0)
@@ -205,7 +215,7 @@ def cp_als_fits_via_public_mttkrp(tensor, rank, opts):
         history.append(1.0 - math.sqrt(max(norm_x * norm_x + norm_m_sq - 2.0 * inner, 0.0)) / norm_x)
         if len(history) > 1 and history[-1] - history[-2] < opts.fit_tolerance:
             break
-    return history
+    return arrange(KruskalModel(weights=weights, factors=factors)), history
 
 
 @pytest.mark.parametrize("rank", [1, 3, 8])
@@ -213,6 +223,121 @@ def test_cp_als_reuse_matches_public_mttkrp_loop(rng, rank):
     tensor = corpus_tensor(rng)
     opts = AlsOptions(max_iters=8, fit_tolerance=1e-12, seed=3)
     _model, history = cp_als(tensor, rank, opts)
-    expected = cp_als_fits_via_public_mttkrp(tensor, rank, opts)
+    _expected_model, expected = cp_als_via(mttkrp, tensor, rank, opts)
     assert len(history) == len(expected)
     np.testing.assert_allclose(history, expected, rtol=0.0, atol=1e-12)
+
+
+def whole_array_mttkrp(tensor, factors, mode):
+    """The fiber kernel with each per-nonzero pass gathered into one (rank,
+    nnz) array. Its sums are the blocked passes' sums, in the same order, so
+    mttkrp must equal it bit for bit."""
+    fibers = tensor.fibers
+    last = tensor.order - 1
+    cols = None
+    if mode != last:
+        leaf = np.ascontiguousarray(factors[-1].T).take(fibers.leaf, axis=1)
+        leaf *= tensor.values
+        cols = np.add.reduceat(leaf, fibers.starts, axis=1)
+    for k in range(last):
+        if k != mode:
+            part = np.ascontiguousarray(factors[k].T).take(fibers.coords[:, k], axis=1)
+            cols = part if cols is None else cols * part
+    segments = fibers.segments[mode]
+    cols = cols.take(segments.fibers, axis=1)
+    if mode == last:
+        cols *= fibers.leaf_values
+    out = np.zeros((tensor.shape[mode], cols.shape[0]))
+    out[segments.targets] = np.add.reduceat(cols, segments.starts, axis=1).T
+    return out
+
+
+def narrow_blocks(monkeypatch, rank, width):
+    """Shrink the block budget to `width` nonzeros per block at `rank`."""
+    if width is not None:
+        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * rank * width)
+
+
+def test_cut_packs_whole_runs_up_to_width():
+    # Runs of 2, 1, 7, 1, 1 and 4 rows; the run of 7 is its own block.
+    blocks = _cut(np.array([0, 2, 3, 10, 11, 12]), 16, 4)
+    assert [(b.rows.start, b.rows.stop) for b in blocks] == [(0, 3), (3, 10), (10, 12), (12, 16)]
+    assert [(b.runs.start, b.runs.stop) for b in blocks] == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert [b.starts.tolist() for b in blocks] == [[0, 2], [0], [0, 1], [0]]
+
+
+# None is the shipped budget: one block per pass on these small tensors.
+WIDTHS = [None, 1, 4, 20]
+
+
+class TestBlockedPassesAreBitIdentical:
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_mode_equals_whole_array_kernel(self, rng, monkeypatch, width):
+        rank = 5
+        narrow_blocks(monkeypatch, rank, width)
+        tensors = [
+            corpus_tensor(rng),
+            random_sparse(rng, (3, 4, 2, 9), 120),
+            random_sparse(rng, (2, 3, 40), 150),
+            random_sparse(rng, (6, 30), 90),
+        ]
+        for tensor in tensors:
+            if width is not None:
+                blocks = _plan(tensor, rank)
+                assert len(blocks.leaf) > 1 and len(blocks.last) > 1
+                longest = max(b.rows.stop - b.rows.start for b in (*blocks.leaf, *blocks.last))
+                assert blocks.buffer.shape == (rank * longest,)
+            factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
+            for mode in range(tensor.order):
+                got = mttkrp(tensor, factors, mode)
+                assert np.array_equal(got, whole_array_mttkrp(tensor, factors, mode)), f"mode {mode}"
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_blocks_include_runs_longer_than_a_block(self, rng, monkeypatch, width):
+        rank = 5
+        narrow_blocks(monkeypatch, rank, width)
+        blocks = _plan(corpus_tensor(rng), rank)
+        for cut in (blocks.leaf, blocks.last):
+            sizes = [b.rows.stop - b.rows.start for b in cut]
+            assert max(sizes) > width
+            assert all(b.runs.stop - b.runs.start == 1 for b, n in zip(cut, sizes) if n > width)
+
+    def test_blocks_hold_several_runs(self, rng, monkeypatch):
+        rank = 5
+        narrow_blocks(monkeypatch, rank, 20)
+        blocks = _plan(corpus_tensor(rng), rank)
+        for cut in (blocks.leaf, blocks.last):
+            assert any(b.runs.stop - b.runs.start > 1 for b in cut)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_cp_als_equals_whole_array_sweeps(self, rng, monkeypatch, width):
+        rank = 6
+        narrow_blocks(monkeypatch, rank, width)
+        tensor = corpus_tensor(rng)
+        opts = AlsOptions(max_iters=4, fit_tolerance=1e-12, seed=5)
+        model, history = cp_als(tensor, rank, opts)
+        want, want_history = cp_als_via(whole_array_mttkrp, tensor, rank, opts)
+        assert history == want_history
+        assert np.array_equal(model.weights, want.weights)
+        for got, expected in zip(model.factors, want.factors):
+            assert np.array_equal(got, expected)
+
+
+def test_fit_working_memory_is_far_below_rank_times_nnz():
+    # rank * nnz * 8 bytes is about 45 MB here, 20 times the block budget;
+    # the factors are 0.4 MB and the per-fiber arrays 0.2 MB each.
+    rng = np.random.default_rng(7)
+    shape = (4, 30, 2, 400)
+    coords = np.stack([rng.integers(0, n, 80_000) for n in shape], axis=1)
+    tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, 80_000), shape)
+    rank = 100
+    whole = rank * tensor.nnz * 8
+    assert whole > 20 * cp_als_module.BLOCK_BYTES
+    tensor.fibers  # built once per tensor, before the fit is traced
+    tracemalloc.start()
+    try:
+        cp_als(tensor, rank, AlsOptions(max_iters=2, seed=1))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 8, f"peak {peak} bytes, rank * nnz * 8 = {whole}"
