@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,15 +31,11 @@ from .ensemble import (
     components_from_model,
     ensemble_models,
     select_components_detailed,
-    similarity_matrix,
 )
 from .report import build_report, emit_report
-from .sparse_tensor import load_axes, load_tensor, save_tensor
+from .sparse_tensor import SELECTION, load_axes, load_tensor, read_header, save_tensor, write_json
 
 logger = logging.getLogger(__name__)
-
-SELECTION_FORMAT = "component-selection"
-SELECTION_SCHEMA_VERSION = 1
 
 
 def _tensor_dir(cfg) -> Path:
@@ -114,8 +110,6 @@ def run_select(cfg) -> Path:
 
     result = select_components_detailed(components, cfg.selection, word_mode)
     payload = {
-        "format": SELECTION_FORMAT,
-        "schema_version": SELECTION_SCHEMA_VERSION,
         "strategy": cfg.selection.strategy,
         "threshold": cfg.selection.threshold,
         "ranks": found_ranks,
@@ -133,11 +127,12 @@ def run_select(cfg) -> Path:
         ],
     }
     if cfg.similarity_matrix:
+        # The cosines selection computed; null where a component was excluded.
         payload["similarity_matrix"] = [
-            [float(x) for x in row] for row in similarity_matrix(components, word_mode)
+            [None if math.isnan(x) else x for x in row] for row in result.similarities.tolist()
         ]
     path = _selection_path(cfg)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, SELECTION, **payload)
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
     )
@@ -149,11 +144,12 @@ def run_report(cfg) -> Path:
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     selection_path = _selection_path(cfg)
-    selection = json.loads(selection_path.read_text(encoding="utf-8"))
-    if selection.get("format") != SELECTION_FORMAT:
-        raise ValueError(f"unrecognized selection format {selection.get('format')!r}")
+    selection, (word_mode, kept) = read_header(
+        selection_path.read_bytes(), selection_path, SELECTION,
+        word_mode=int,
+        kept=lambda items: [(int(i["origin_rank"]), int(i["index_in_model"])) for i in items],
+    )
     axes, mode_names = load_axes(_tensor_dir(cfg))
-    word_mode = int(selection["word_mode"])
     if not 0 <= word_mode < len(axes):
         raise ValueError(
             f"{selection_path}: word_mode {word_mode} is outside [0, {len(axes)})"
@@ -161,12 +157,10 @@ def run_report(cfg) -> Path:
 
     pools = {}
     reports = []
-    for pos, item in enumerate(selection["kept"]):
-        rank = int(item["origin_rank"])
+    for pos, (rank, index) in enumerate(kept):
         if rank not in pools:
             model, _header = load_model(_model_path(cfg, rank))
             pools[rank] = components_from_model(model, rank)
-        index = int(item["index_in_model"])
         if not 0 <= index < len(pools[rank]):
             raise ValueError(
                 f"{selection_path}: kept item {pos} (rank {rank}) has index_in_model "

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -27,11 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import Artifact, SparseTensorCOO, read_header, read_payload
-
-MODEL_FORMAT = "kruskal-model"
-MODEL_SCHEMA_VERSION = 2
-MODEL = Artifact("model", MODEL_FORMAT, MODEL_SCHEMA_VERSION, "factorize")
+from .sparse_tensor import (
+    MODEL, SparseTensorCOO, line_fields, read_header, read_payload, write_payload,
+)
 
 
 class AlsDivergenceError(RuntimeError):
@@ -415,20 +412,16 @@ def save_model(
     Axis labels are referenced by path, never embedded.
     """
     path = Path(path)
-    # Arranged factors can be Fortran-ordered, and so can their stack;
-    # crc32 and the .npy layout need one C-ordered buffer.
-    table = np.ascontiguousarray(np.vstack([model.weights[None, :], *model.factors]))
-    header = {
-        "format": MODEL_FORMAT,
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "rank": model.rank,
-        "shape": list(model.shape),
-        "mode_names": list(mode_names) if mode_names is not None else None,
-        "labels_ref": labels_ref,
-        "payload_crc32": zlib.crc32(table),
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(_payload_path(path), table, allow_pickle=False)
+    table = np.vstack([model.weights[None, :], *model.factors])
+    crc32 = write_payload(_payload_path(path), table)
+    header = MODEL.stamp(
+        rank=model.rank,
+        shape=list(model.shape),
+        mode_names=list(mode_names) if mode_names is not None else None,
+        labels_ref=labels_ref,
+        payload_crc32=crc32,
+    )
     with path.open("w", encoding="utf-8") as out:
         out.write(json.dumps(header) + "\n")
         for row in table:
@@ -440,28 +433,26 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
     The text file's header and its layout are checked (line count, the
-    weight count and every row's width), but its floats are not parsed: the
+    weight count, and `rank` space-separated fields on every row after the
+    header, so an empty row is an error), but its floats are not parsed: the
     numbers come from `<path>.npy`, whose dtype, shape and CRC-32 must match
     the header. Every fault raises a ValueError naming the file.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if not data:
+    with path.open("rb") as f:
+        first, body = f.readline(), f.read()
+    if not first:
         raise ValueError(f"{path}: empty model file")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    line_ends = np.flatnonzero(buf == ord("\n"))
-    if not data.endswith(b"\n"):
-        line_ends = np.append(line_ends, len(data))
     header, (rank, shape) = read_header(
-        data[: line_ends[0]], path, MODEL, rank=int, shape=lambda v: [int(n) for n in v]
+        first.rstrip(b"\n"), path, MODEL, rank=int, shape=lambda v: [int(n) for n in v]
     )
+    if any(n < 0 for n in shape):
+        raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
+    # The field count of the weights line, then of every factor row.
+    widths = line_fields(body, " ")
     expected = 2 + sum(shape)
-    if len(line_ends) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, got {len(line_ends)}")
-    # The weights line and every factor row are `rank` floats wide: one more
-    # than the spaces between consecutive line ends.
-    spaces = np.flatnonzero(buf == ord(" "))
-    widths = np.diff(np.searchsorted(spaces, line_ends)) + 1
+    if 1 + len(widths) != expected:
+        raise ValueError(f"{path}: expected {expected} lines, got {1 + len(widths)}")
     if widths[0] != rank:
         raise ValueError(f"{path}: weight count {widths[0]} != rank {rank}")
     wrong = np.flatnonzero(widths != rank)

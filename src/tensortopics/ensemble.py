@@ -78,12 +78,15 @@ class SelectionResult:
 
     partners[i] lists (origin_rank, index_in_model) of the cross-rank
     components that certified kept[i] as stable; empty under greedy-dedup.
+    similarities holds the word-slice cosines the selection used, in pool
+    order, with NaN in the row and column of each excluded component.
     """
 
     kept: list[Component]
     partners: list[list[tuple[int, int]]]
     pooled_count: int
     stable_count: int | None = None
+    similarities: np.ndarray | None = None
 
 
 def rank_seed(base_seed: int, rank: int) -> int:
@@ -239,14 +242,18 @@ def select_components_detailed(
     slices cannot be compared and are excluded up front with a warning.
     """
     components = list(components)
-    comparable = [c for c in components if _norm(_word_vector(c, word_mode)) != 0.0]
-    dropped = len(components) - len(comparable)
+    n = len(components)
+    at = [i for i, c in enumerate(components) if _norm(_word_vector(c, word_mode)) != 0.0]
+    comparable = [components[i] for i in at]
+    dropped = n - len(comparable)
+    sims = similarity_matrix(comparable, word_mode) if comparable else np.empty((0, 0))
+    similarities = sims
     if dropped:
         logger.warning("excluded %d component(s) with all-zero word slices", dropped)
+        similarities = np.full((n, n), np.nan)
+        similarities[np.ix_(at, at)] = sims
     if not comparable:
-        return SelectionResult(kept=[], partners=[], pooled_count=len(components), stable_count=0)
-
-    sims = similarity_matrix(comparable, word_mode)
+        return SelectionResult([], [], n, 0, similarities)
 
     if cfg.strategy == "stable-then-dedup":
         origin = np.array([c.origin_rank for c in comparable])
@@ -285,6 +292,7 @@ def select_components_detailed(
     return SelectionResult(
         kept=kept,
         partners=partners,
-        pooled_count=len(components),
+        pooled_count=n,
         stable_count=stable_count,
+        similarities=similarities,
     )

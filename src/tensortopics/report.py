@@ -9,7 +9,6 @@ self-contained page, no external assets), and summary.json (run metadata).
 from __future__ import annotations
 
 import html
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,13 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import Component
-from .sparse_tensor import AxisMap
+from .sparse_tensor import REPORT, SUMMARY, AxisMap, read_header, write_json
 
 logger = logging.getLogger(__name__)
 
-REPORT_FORMAT = "component-report"
-SUMMARY_FORMAT = "report-summary"
-REPORT_SCHEMA_VERSION = 1
 DEFAULT_TOP_N = 13
 DEFAULT_KEYWORD_COUNT = 50
 WORD_MODE = 3
@@ -109,10 +105,9 @@ def emit_report(reports, out_dir: str | Path, run_meta: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = list(reports)
 
-    payload = {
-        "format": REPORT_FORMAT,
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "components": [
+    write_json(
+        out_dir / "report.json", REPORT,
+        components=[
             {
                 "origin_rank": r.origin_rank,
                 "index_in_model": r.index_in_model,
@@ -125,21 +120,13 @@ def emit_report(reports, out_dir: str | Path, run_meta: dict) -> Path:
             }
             for r in reports
         ],
-    }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
-
-    summary = {
-        "format": SUMMARY_FORMAT,
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "component_count": len(reports),
-        "ranks": list(run_meta.get("ranks", [])),
-        "threshold": run_meta.get("threshold"),
-        "strategy": run_meta.get("strategy"),
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
+    summary = write_json(
+        out_dir / "summary.json", SUMMARY,
+        component_count=len(reports),
+        ranks=list(run_meta.get("ranks", [])),
+        threshold=run_meta.get("threshold"),
+        strategy=run_meta.get("strategy"),
     )
 
     (out_dir / "index.html").write_text(_render_html(reports, summary), encoding="utf-8")
@@ -148,13 +135,13 @@ def emit_report(reports, out_dir: str | Path, run_meta: dict) -> Path:
 
 
 def load_reports(path: str | Path) -> list[ComponentReport]:
-    """Read report.json back into ComponentReport objects (lossless)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != REPORT_FORMAT:
-        raise ValueError(f"unrecognized report format {payload.get('format')!r}")
-    out = []
-    for item in payload["components"]:
-        out.append(
+    """Read report.json back into ComponentReport objects (lossless), after
+    checking its format and schema version; every fault raises a ValueError
+    naming the file."""
+    path = Path(path)
+    _header, (reports,) = read_header(
+        path.read_bytes(), path, REPORT,
+        components=lambda items: [
             ComponentReport(
                 origin_rank=int(item["origin_rank"]),
                 index_in_model=int(item["index_in_model"]),
@@ -165,8 +152,10 @@ def load_reports(path: str | Path) -> list[ComponentReport]:
                 },
                 keywords=[(str(w), float(s)) for w, s in item["keywords"]],
             )
-        )
-    return out
+            for item in items
+        ],
+    )
+    return reports
 
 
 _CSS = """

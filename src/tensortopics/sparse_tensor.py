@@ -5,6 +5,9 @@ downstream kernel (MTTKRP in particular) accumulates in a fixed order and
 reruns are bitwise reproducible. The sort also makes each last-mode fiber
 (the nonzeros sharing their first d-1 coordinates) a contiguous run, which
 FiberIndex records for the MTTKRP kernel.
+
+Every versioned file of the pipeline has an Artifact record here, and is
+stamped, written and checked by the helpers beside it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-TENSOR_FORMAT = "sparse-tensor-coo"
-TENSOR_SCHEMA_VERSION = 2
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
 PAYLOAD_FILE = "entries.npy"
@@ -294,6 +295,102 @@ def density_value(nnz: int, shape: Sequence[int]) -> float:
     return nnz / cells
 
 
+class Artifact(namedtuple("Artifact", "kind format schema_version stage")):
+    """What a versioned file holds, its header's format and schema version,
+    and the pipeline stage that rewrites it."""
+
+    def stamp(self, **fields) -> dict:
+        """A header of this artifact: its format and schema version, then `fields`."""
+        return {"format": self.format, "schema_version": self.schema_version, **fields}
+
+
+TENSOR = Artifact("tensor", "sparse-tensor-coo", 2, "ingest")
+MODEL = Artifact("model", "kruskal-model", 2, "factorize")
+SELECTION = Artifact("selection", "component-selection", 1, "select")
+REPORT = Artifact("report", "component-report", 1, "report")
+SUMMARY = Artifact("summary", "report-summary", 1, "report")
+
+
+def write_json(path: Path, artifact: Artifact, **fields) -> dict:
+    """Write `artifact.stamp(**fields)` to `path` as indented JSON; returns it."""
+    header = artifact.stamp(**fields)
+    path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+    return header
+
+
+def write_payload(path: Path, table: np.ndarray) -> int:
+    """Save `table` to `path` as one C-ordered .npy array, whatever its memory
+    order (arranged factors can be Fortran-ordered); returns its CRC-32."""
+    table = np.ascontiguousarray(table)
+    np.save(path, table, allow_pickle=False)
+    return zlib.crc32(table)
+
+
+def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, list]:
+    """The JSON header in `raw`, after checking its format and schema version,
+    and its `fields` (name=converter) converted in order; every fault raises a
+    ValueError naming `source`."""
+    kind = artifact.kind
+    try:
+        header = json.loads(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source}: unreadable {kind} header: {exc}") from exc
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != artifact.format:
+        raise ValueError(f"{source}: unrecognized {kind} format {fmt!r}")
+    if header.get("schema_version") != artifact.schema_version:
+        raise ValueError(
+            f"{source}: unsupported schema version {header.get('schema_version')!r} "
+            f"(expected {artifact.schema_version}; rerun {artifact.stage})"
+        )
+    try:
+        values = [convert(header[name]) for name, convert in fields.items()]
+    except KeyError as exc:
+        raise ValueError(f"{source}: {kind} header has no {exc.args[0]!r} field") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
+    return header, values
+
+
+def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
+    """The C-ordered .npy table at `payload`, checked against the dtype, shape
+    and CRC-32 that `declared_by` records; every fault raises a ValueError
+    naming the payload."""
+    try:
+        # read_array, unlike np.load, accepts nothing but a .npy array.
+        with payload.open("rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(
+            f"{payload}: {artifact.kind} payload is missing; rerun {artifact.stage}"
+        ) from None
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{payload}: unreadable {artifact.kind} payload: {exc}") from exc
+    if table.dtype != dtype or table.shape != shape:
+        raise ValueError(
+            f"{payload}: {table.dtype} table of shape {table.shape}, "
+            f"{declared_by} declares {dtype} of shape {shape}"
+        )
+    # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.
+    table = np.ascontiguousarray(table)
+    if zlib.crc32(table) != crc32:
+        raise ValueError(f"{payload}: CRC-32 does not match {declared_by}")
+    return table
+
+
+def line_fields(data: bytes, sep: str) -> np.ndarray:
+    """The number of `sep`-separated fields on each line of `data`, 0 for an
+    empty line; a last line without its newline still counts."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if data and not data.endswith(b"\n"):
+        buf = np.append(buf, np.uint8(ord("\n")))
+    ends = np.flatnonzero(buf == ord("\n"))
+    # One more field than separators between a line's end and the previous one.
+    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(sep)), ends), prepend=0) + 1
+    fields[np.diff(ends, prepend=-1) == 1] = 0
+    return fields
+
+
 def save_tensor(
     tensor: SparseTensorCOO,
     axes: Sequence[AxisMap],
@@ -330,17 +427,13 @@ def save_tensor(
     table = np.empty(tensor.nnz, dtype=_row_dtype(d))
     table["c"] = tensor.coords
     table["v"] = tensor.values
-    np.save(out_dir / PAYLOAD_FILE, table, allow_pickle=False)
-    header = {
-        "format": TENSOR_FORMAT,
-        "schema_version": TENSOR_SCHEMA_VERSION,
-        "shape": list(tensor.shape),
-        "mode_names": [str(n) for n in mode_names],
-        "nnz": tensor.nnz,
-        "payload_crc32": zlib.crc32(table),
-    }
-    (out_dir / HEADER_FILE).write_text(
-        json.dumps(header, indent=2) + "\n", encoding="utf-8"
+    crc32 = write_payload(out_dir / PAYLOAD_FILE, table)
+    write_json(
+        out_dir / HEADER_FILE, TENSOR,
+        shape=list(tensor.shape),
+        mode_names=[str(n) for n in mode_names],
+        nnz=tensor.nnz,
+        payload_crc32=crc32,
     )
     # The decimal text of every index, formatted once; the axes already hold
     # one label per index, so the table is no larger than they are.
@@ -367,74 +460,9 @@ def _row_dtype(d: int) -> np.dtype:
     return np.dtype([("c", "<i8", (d,)), ("v", "<f8")])
 
 
-class _Header(NamedTuple):
-    shape: tuple[int, ...]
-    mode_names: list[str]
-    nnz: int
-    payload_crc32: int | None
-
-
-# What a versioned file holds, its header's format and schema version, and
-# the pipeline stage that rewrites it.
-Artifact = namedtuple("Artifact", "kind format schema_version stage")
-TENSOR = Artifact("tensor", TENSOR_FORMAT, TENSOR_SCHEMA_VERSION, "ingest")
-
-
-def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, list]:
-    """The JSON header in `raw`, after checking its format and schema version,
-    and its `fields` (name=converter) converted in order; every fault raises a
-    ValueError naming `source`."""
-    kind = artifact.kind
-    try:
-        header = json.loads(raw)
-    except ValueError as exc:
-        raise ValueError(f"{source}: unreadable {kind} header: {exc}") from exc
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != artifact.format:
-        raise ValueError(f"{source}: unrecognized {kind} format {fmt!r}")
-    if header.get("schema_version") != artifact.schema_version:
-        raise ValueError(
-            f"{source}: unsupported schema version {header.get('schema_version')!r} "
-            f"(expected {artifact.schema_version}; rerun {artifact.stage})"
-        )
-    try:
-        values = [convert(header[name]) for name, convert in fields.items()]
-    except KeyError as exc:
-        raise ValueError(f"{source}: {kind} header has no {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
-    return header, values
-
-
-def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
-    """The C-ordered .npy table at `payload`, checked against the dtype, shape
-    and CRC-32 that `declared_by` records; every fault raises a ValueError
-    naming the payload."""
-    try:
-        # read_array, unlike np.load, accepts nothing but a .npy array.
-        with payload.open("rb") as f:
-            table = np.lib.format.read_array(f, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(
-            f"{payload}: {artifact.kind} payload is missing; rerun {artifact.stage}"
-        ) from None
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(f"{payload}: unreadable {artifact.kind} payload: {exc}") from exc
-    if table.dtype != dtype or table.shape != shape:
-        raise ValueError(
-            f"{payload}: {table.dtype} table of shape {table.shape}, "
-            f"{declared_by} declares {dtype} of shape {shape}"
-        )
-    # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.
-    table = np.ascontiguousarray(table)
-    if zlib.crc32(table) != crc32:
-        raise ValueError(f"{payload}: CRC-32 does not match {declared_by}")
-    return table
-
-
-def _read_header(in_dir: Path) -> _Header:
-    """The validated fields of a container's header.json; every fault raises a
-    ValueError naming the file."""
+def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int | None]:
+    """The shape, mode names, nnz and payload CRC-32 of a container's
+    header.json; every fault raises a ValueError naming the file."""
     header_path = in_dir / HEADER_FILE
     if not header_path.is_file():
         raise ValueError(f"not a tensor container: missing {header_path}")
@@ -446,82 +474,66 @@ def _read_header(in_dir: Path) -> _Header:
     )
     if len(mode_names) != len(shape):
         raise ValueError(f"{header_path}: mode_names length does not match shape")
-    return _Header(shape, mode_names, nnz, header.get("payload_crc32"))
-
-
-def _read_axes(in_dir: Path, shape: Sequence[int]) -> list[AxisMap]:
-    axes: list[AxisMap] = []
-    for k, extent in enumerate(shape):
-        labels_path = in_dir / f"mode{k}.labels.txt"
-        if not labels_path.is_file():
-            raise ValueError(f"not a tensor container: missing {labels_path}")
-        text = labels_path.read_text(encoding="utf-8")
-        labels = text.split("\n")
-        if labels and labels[-1] == "":
-            labels.pop()
-        if len(labels) != extent:
-            raise ValueError(f"mode {k} has {len(labels)} labels but extent {extent}")
-        axes.append(AxisMap(labels))
-    return axes
+    return shape, mode_names, nnz, header.get("payload_crc32")
 
 
 def load_axes(in_dir: str | Path) -> tuple[list[AxisMap], list[str]]:
     """The axis labels and mode names of a tensor container, without its entries.
 
     Validates the header and checks every label count against the header
-    shape, exactly as load_tensor does; neither entries file is read.
+    shape; load_tensor reads its axes through here. Neither entries file is read.
     """
     in_dir = Path(in_dir)
-    header = _read_header(in_dir)
-    return _read_axes(in_dir, header.shape), header.mode_names
-
-
-def _count_entry_lines(entries_path: Path, fields: int) -> int:
-    """The number of non-blank lines in entries.tsv, after checking that each
-    has `fields` fields; the first that does not is named by its number."""
-    rows = 0
-    with entries_path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.rstrip("\n"):
-                continue
-            got = line.count("\t") + 1
-            if got != fields:
-                raise ValueError(f"{entries_path}:{line_no}: expected {fields} fields, got {got}")
-            rows += 1
-    return rows
+    shape, mode_names, _nnz, _crc32 = _read_header(in_dir)
+    axes: list[AxisMap] = []
+    for k, extent in enumerate(shape):
+        labels_path = in_dir / f"mode{k}.labels.txt"
+        if not labels_path.is_file():
+            raise ValueError(f"not a tensor container: missing {labels_path}")
+        labels = labels_path.read_text(encoding="utf-8").split("\n")
+        if labels[-1] == "":
+            labels.pop()
+        if len(labels) != extent:
+            raise ValueError(
+                f"{labels_path}: mode {k} has {len(labels)} labels but extent {extent}"
+            )
+        axes.append(AxisMap(labels))
+    return axes, mode_names
 
 
 def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
     """Load a tensor container written by save_tensor.
 
-    entries.tsv must be present and hold one line of d + 1 fields per entry,
-    which is checked from its newline and tab counts (each line is rescanned
-    only when they disagree, to name the bad one); its numbers are not
-    parsed. The numbers come from entries.npy, whose dtype, length and
-    CRC-32 must match the header, and go through the SparseTensorCOO
-    constructor's bounds, finiteness and positivity checks. Rejects unknown
-    formats and any mismatch between the header shape, the entries and the
-    per-mode label counts; every fault raises a ValueError naming the file.
+    entries.tsv must be present and hold one line of d + 1 tab-separated
+    fields per entry, which is checked line by line (blank lines are skipped
+    but still count toward the line number that names a bad line); its
+    numbers are not parsed. The numbers come from entries.npy, whose dtype,
+    length and CRC-32 must match the header, and go through the
+    SparseTensorCOO constructor's bounds, finiteness and positivity checks.
+    Rejects unknown formats and any mismatch between the header shape, the
+    entries and the per-mode label counts; every fault raises a ValueError
+    naming the file.
     """
     in_dir = Path(in_dir)
-    header = _read_header(in_dir)
-    shape, nnz = header.shape, header.nnz
+    shape, _mode_names, nnz, crc32 = _read_header(in_dir)
     d = len(shape)
     entries_path = in_dir / ENTRIES_FILE
     if not entries_path.is_file():
         raise ValueError(f"not a tensor container: missing {entries_path}")
-    raw = np.frombuffer(entries_path.read_bytes(), dtype=np.uint8)
-    if np.count_nonzero(raw == ord("\n")) != nnz or np.count_nonzero(raw == ord("\t")) != nnz * d:
-        rows = _count_entry_lines(entries_path, d + 1)
-        if rows != nnz:
-            raise ValueError(f"{entries_path}: header says {nnz} entries, file holds {rows}")
-    table = read_payload(
-        in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(d), (nnz,), header.payload_crc32, HEADER_FILE
-    )
+    fields = line_fields(entries_path.read_bytes(), "\t")
+    bad = np.flatnonzero((fields != d + 1) & (fields != 0))
+    if bad.size:
+        raise ValueError(
+            f"{entries_path}:{bad[0] + 1}: expected {d + 1} fields, got {fields[bad[0]]}"
+        )
+    rows = np.count_nonzero(fields)
+    if rows != nnz:
+        raise ValueError(f"{entries_path}: header says {nnz} entries, file holds {rows}")
+    table = read_payload(in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(d), (nnz,), crc32, HEADER_FILE)
     tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
         raise ValueError(
             f"{in_dir / PAYLOAD_FILE}: header says {nnz} entries, "
             f"the payload holds {tensor.nnz} distinct nonzero ones"
         )
-    return tensor, _read_axes(in_dir, shape), header.mode_names
+    return (tensor, *load_axes(in_dir))

@@ -384,6 +384,17 @@ class TestTensorContainer:
         with pytest.raises(ValueError, match=r"entries\.tsv:1: expected 3 fields, got 4"):
             load_tensor(tmp_path / "t")
 
+    def test_offsetting_field_counts_rejected(self, tmp_path):
+        # One field too many, then one too few: the file's tab and newline
+        # totals still match the header, so only a per-line check sees it.
+        entries = self._container(tmp_path)
+        lines = entries.read_text(encoding="utf-8").splitlines()
+        lines[0] += "\t7"
+        lines[1] = lines[1].rsplit("\t", 1)[0]
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entries\.tsv:1: expected 3 fields, got 4"):
+            load_tensor(tmp_path / "t")
+
     def test_fractional_coordinate_rejected(self, tmp_path):
         entries = self._container(tmp_path)
         entries.write_text("0\t1.0\t2.0\n", encoding="utf-8")
@@ -408,6 +419,20 @@ model_tables = st.tuples(st.integers(1, 4), st.lists(st.integers(1, 5), min_size
         ),
     )
 )
+
+
+class TestLineFields:
+    @PROPERTY
+    @given(text=st.text(alphabet="a\t \n", max_size=40))
+    @example(text="")
+    @example(text="\n\na\t\n \t")
+    def test_matches_a_per_line_count(self, text):
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the newline ends the last line; it starts none
+        for sep in "\t ":
+            want = [line.count(sep) + 1 if line else 0 for line in lines]
+            assert sparse_tensor.line_fields(text.encode(), sep).tolist() == want
 
 
 class TestModelText:
@@ -466,6 +491,17 @@ class TestModelText:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="factor row has 3 columns, rank is 2"):
             load_model(path)
+
+    def test_empty_row_rejected_at_rank_1(self, tmp_path):
+        # An empty line has no space, as a one-float row has none.
+        model = KruskalModel(weights=[2.0], factors=[[[0.5], [0.5]], [[1.0]]])
+        path = save_model(model, tmp_path / "m.model")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ""
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="factor row has 0 columns, rank is 1") as info:
+            load_model(path)
+        assert "m.model" in str(info.value)
 
 
 scores = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 0.25, float("inf"), -float("inf")])

@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
-from tensortopics.cli import build_parser, cli_run
+from tensortopics import load_model, save_model, similarity_matrix
+from tensortopics.cli import build_parser, cli_run, run_report
+from tensortopics.config import apply_overrides, load_config
+from tensortopics.ensemble import components_from_model
+from tensortopics.sparse_tensor import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
 
@@ -100,6 +104,28 @@ class TestPipeline:
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
         assert [p.read_bytes() for p in report_files] == before
 
+    def test_every_versioned_file_reads_back_with_its_artifact(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        artifacts = {
+            "tensor/header.json": TENSOR,
+            "models/rank_3.model": MODEL,
+            "models/rank_5.model": MODEL,
+            "selection.json": SELECTION,
+            "report/report.json": REPORT,
+            "report/summary.json": SUMMARY,
+        }
+        for name, artifact in artifacts.items():
+            path = workdir / name
+            # A model's header is its first line; the other files are all header.
+            raw = path.read_bytes().partition(b"\n")[0] if artifact is MODEL else path.read_bytes()
+            header, _ = read_header(raw, path, artifact)
+            stamp = (header["format"], header["schema_version"])
+            assert stamp == (artifact.format, artifact.schema_version), name
+            for other in {*artifacts.values()} - {artifact}:
+                with pytest.raises(ValueError, match="unrecognized"):
+                    read_header(raw, path, other)
+
     def test_custom_report_directory(self, tmp_path):
         workdir = tmp_path / "run"
         out = tmp_path / "elsewhere"
@@ -172,6 +198,40 @@ class TestOverrides:
         assert len(matrix) == payload["pooled_count"]
         assert all(len(row) == payload["pooled_count"] for row in matrix)
         assert all(matrix[i][i] == 1.0 for i in range(len(matrix)))
+
+    def test_similarity_matrix_embeds_the_selection_cosines(self, tmp_path, caplog):
+        workdir = tmp_path / "run"
+        for cmd in ("ingest", "factorize"):
+            assert run(cmd, "--config", CFG, "--workdir", str(workdir)) == 0
+        select = ("select", "--config", CFG, "--workdir", str(workdir))
+        selection = workdir / "selection.json"
+        models = [workdir / "models" / f"rank_{r}.model" for r in (3, 5)]
+
+        def pool():
+            return [c for r, m in zip((3, 5), models) for c in components_from_model(load_model(m)[0], r)]
+
+        assert run(*select, "--similarity-matrix") == 0
+        matrix = json.loads(selection.read_text(encoding="utf-8"))["similarity_matrix"]
+        assert matrix == similarity_matrix(pool(), 3).tolist()
+
+        # Zero the word column of (rank 5, index 4): pool entry 3 + 4.
+        model, header = load_model(models[1])
+        model.factors[-1][:, 4] = 0.0
+        save_model(model, models[1], mode_names=header["mode_names"], labels_ref=header["labels_ref"])
+        assert run(*select) == 0
+        assert "excluded 1 component(s) with all-zero word slices" in caplog.text
+        plain = json.loads(selection.read_text(encoding="utf-8"))
+        assert run(*select, "--similarity-matrix") == 0
+        payload = json.loads(selection.read_text(encoding="utf-8"))
+        matrix = payload.pop("similarity_matrix")
+        assert payload == plain
+        excluded, n = 7, plain["pooled_count"]
+        assert len(matrix) == n and all(len(row) == n for row in matrix)
+        assert all(matrix[excluded][i] is None and matrix[i][excluded] is None for i in range(n))
+        rest = [i for i in range(n) if i != excluded]
+        components = pool()
+        want = similarity_matrix([components[i] for i in rest], 3).tolist()
+        assert [[matrix[i][j] for j in rest] for i in rest] == want
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         a = tmp_path / "a"
@@ -355,6 +415,68 @@ class TestErrors:
         assert "error:" in err and ".model" in err and phrase in err
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
+
+    def test_offsetting_entry_lines_report_error(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
+        entries = workdir / "tensor" / "entries.tsv"
+        lines = entries.read_text(encoding="utf-8").splitlines()
+        lines[0] += "\t7"
+        lines[1] = lines[1].rsplit("\t", 1)[0]
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("factorize", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "entries.tsv:1: expected 5 fields, got 6" in err
+        assert "Traceback" not in err
+        assert not (workdir / "models").exists()
+
+    def test_empty_row_of_rank_1_model_reports_error(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
+        args = ("--config", CFG, "--workdir", str(workdir), "--ranks", "1")
+        assert run("factorize", *args) == 0
+        model = workdir / "models" / "rank_1.model"
+        lines = model.read_text(encoding="utf-8").splitlines()
+        lines[2] = ""
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("select", *args) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "rank_1.model" in err
+        assert "factor row has 0 columns, rank is 1" in err
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda s: s.update(schema_version=99), "unsupported schema version 99 (expected 1; rerun select)"),
+            (lambda s: s.update(format="component-report"), "unrecognized selection format 'component-report'"),
+            (lambda s: s.pop("kept"), "selection header has no 'kept' field"),
+            (lambda s: s["kept"][0].update(origin_rank=None), "malformed selection header"),
+            (lambda s: s["kept"][0].update(index_in_model="x"), "malformed selection header"),
+            (lambda s: s.update(word_mode=None), "malformed selection header"),
+        ],
+        ids=["schema_99", "other_format", "no_kept", "null_rank", "text_index", "null_word_mode"],
+    )
+    def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        path = workdir / "selection.json"
+        selection = json.loads(path.read_text(encoding="utf-8"))
+        edit(selection)
+        path.write_text(json.dumps(selection), encoding="utf-8")
+        cfg = apply_overrides(load_config(CFG), workdir=workdir)
+        with pytest.raises(ValueError) as info:
+            run_report(cfg)
+        assert str(info.value).startswith(f"{path}: ") and phrase in str(info.value)
+        capsys.readouterr()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
 
     def test_bad_ranks_value_reports_error(self, tmp_path, capsys):
         assert (

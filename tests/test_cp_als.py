@@ -337,6 +337,17 @@ class TestModelFile:
             load_model(path)
         assert "m.model" in str(info.value)
 
+    def test_negative_extent_is_a_named_error(self, tmp_path):
+        # Extents summing to -1 make a header-only file the expected length.
+        path = tmp_path / "m.model"
+        path.write_text(
+            '{"format": "kruskal-model", "schema_version": 2, "rank": 1, "shape": [-1]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="negative extent in shape") as info:
+            load_model(path)
+        assert "m.model" in str(info.value)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text('{"format": "other", "schema_version": 1}\n', encoding="utf-8")

@@ -240,6 +240,25 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="format"):
             load_reports(path)
 
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda p: p.update(schema_version=7), "unsupported schema version 7"),
+            (lambda p: p.pop("components"), "report header has no 'components' field"),
+            (lambda p: p["components"][0].update(weight=None), "malformed report header"),
+            (lambda p: p["components"][0].update(modes=[]), "malformed report header"),
+        ],
+        ids=["schema_7", "no_components", "null_weight", "list_modes"],
+    )
+    def test_damaged_report_is_a_named_error(self, tmp_path, edit, phrase):
+        path = emit_report(self.build(), tmp_path / "report", self.META) / "report.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=phrase) as info:
+            load_reports(path)
+        assert "report.json" in str(info.value)
+
     def test_float_fidelity_through_json(self, tmp_path):
         weight = 0.1 + 0.2  # 0.30000000000000004
         report = ComponentReport(

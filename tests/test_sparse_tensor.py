@@ -157,8 +157,10 @@ class TestTensorFile:
         save_tensor(t, axes, names, tmp_path / "t")
         labels = tmp_path / "t" / "mode2.labels.txt"
         labels.write_text("only-one-label\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="mode 2"):
-            load_tensor(tmp_path / "t")
+        for load in (load_tensor, load_axes):
+            with pytest.raises(ValueError, match="mode 2") as info:
+                load(tmp_path / "t")
+            assert "mode2.labels.txt" in str(info.value)
 
     def test_wrong_axis_sizes_rejected_on_save(self, tmp_path, rng):
         t, axes, names = self._make(rng)
