@@ -33,7 +33,9 @@ from .ensemble import (
     select_components_detailed,
 )
 from .report import build_report, emit_report
-from .sparse_tensor import SELECTION, load_axes, load_tensor, read_header, save_tensor, write_json
+from .sparse_tensor import (
+    SELECTION, json_int, load_axes, load_tensor, of_json_type, read_header, save_tensor, write_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -144,10 +146,14 @@ def run_report(cfg) -> Path:
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     selection_path = _selection_path(cfg)
-    selection, (word_mode, kept) = read_header(
+    # The meta fields keep their JSON types, so summary.json repeats them as written.
+    _header, (word_mode, kept, ranks, threshold, strategy) = read_header(
         selection_path.read_bytes(), selection_path, SELECTION,
-        word_mode=int,
-        kept=lambda items: [(int(i["origin_rank"]), int(i["index_in_model"])) for i in items],
+        word_mode=json_int,
+        kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
+        ranks=lambda v: [json_int(r) for r in of_json_type(list)(v)],
+        threshold=of_json_type(int, float),
+        strategy=of_json_type(str),
     )
     axes, mode_names = load_axes(_tensor_dir(cfg))
     if not 0 <= word_mode < len(axes):
@@ -176,11 +182,7 @@ def run_report(cfg) -> Path:
                 word_mode=word_mode,
             )
         )
-    meta = {
-        "ranks": selection["ranks"],
-        "threshold": selection["threshold"],
-        "strategy": selection["strategy"],
-    }
+    meta = {"ranks": ranks, "threshold": threshold, "strategy": strategy}
     return emit_report(reports, out_dir, meta)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .sparse_tensor import (
-    MODEL, SparseTensorCOO, line_fields, read_header, read_payload, write_payload,
+    MODEL, SparseTensorCOO, json_int, line_fields, read_header, read_payload,
+    write_float_rows, write_payload,
 )
 
 
@@ -406,9 +407,11 @@ def save_model(
     The numbers go to `<path>.npy` first: one C-ordered (1 + sum(shape),
     rank) float64 table, the weights row and then each factor's rows. Then
     the text file: line 1 is a JSON header carrying the table's CRC-32, and
-    the weights line and each factor row serialize the same floats with
-    repr(), one row per line. load_model reads the numbers from the table;
-    the text body is there for readers of the documented text format.
+    the weights line and each factor row serialize the same floats as
+    repr() does, one row per line, space-separated. write_float_rows makes
+    that body in numpy, leaving to repr() only the rare values its fast
+    path cannot decide. load_model reads the numbers from the table; the
+    text body is there for readers of the documented text format.
     Axis labels are referenced by path, never embedded.
     """
     path = Path(path)
@@ -422,10 +425,9 @@ def save_model(
         labels_ref=labels_ref,
         payload_crc32=crc32,
     )
-    with path.open("w", encoding="utf-8") as out:
-        out.write(json.dumps(header) + "\n")
-        for row in table:
-            out.write(" ".join(map(repr, row.tolist())) + "\n")
+    with path.open("wb") as out:
+        out.write((json.dumps(header) + "\n").encode())
+        write_float_rows(out, table)
     return path
 
 
@@ -444,7 +446,8 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     if not first:
         raise ValueError(f"{path}: empty model file")
     header, (rank, shape) = read_header(
-        first.rstrip(b"\n"), path, MODEL, rank=int, shape=lambda v: [int(n) for n in v]
+        first.rstrip(b"\n"), path, MODEL,
+        rank=json_int, shape=lambda v: [json_int(n) for n in v],
     )
     if any(n < 0 for n in shape):
         raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")

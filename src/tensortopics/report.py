@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import Component
-from .sparse_tensor import REPORT, SUMMARY, AxisMap, read_header, write_json
+from .sparse_tensor import REPORT, SUMMARY, AxisMap, json_int, read_header, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -143,8 +143,8 @@ def load_reports(path: str | Path) -> list[ComponentReport]:
         path.read_bytes(), path, REPORT,
         components=lambda items: [
             ComponentReport(
-                origin_rank=int(item["origin_rank"]),
-                index_in_model=int(item["index_in_model"]),
+                origin_rank=json_int(item["origin_rank"]),
+                index_in_model=json_int(item["index_in_model"]),
                 weight=float(item["weight"]),
                 mode_tops={
                     name: [(str(label), float(score)) for label, score in pairs]

@@ -12,6 +12,7 @@ stamped, written and checked by the helpers beside it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zlib
@@ -326,6 +327,226 @@ def write_payload(path: Path, table: np.ndarray) -> int:
     return zlib.crc32(table)
 
 
+# write_float_rows formats this many floats at a time, so neither the text of
+# a whole table nor a (values x width) byte array of it is ever held.
+FLOAT_CHUNK_VALUES = 1 << 15
+# The fast path takes magnitudes in [_FAST_MIN, _FAST_MAX]: there every
+# product and Dekker split below stays a finite normal double.
+_FAST_MIN, _FAST_MAX = 1e-250, 1e250
+_S_MIN, _S_MAX = -236, 268  # the decimal scales s those magnitudes need
+_SPLIT = 134217729.0  # 2**27 + 1
+# A rounding decision within this fraction of the half-gap is left to repr();
+# the scaled value is accurate to about 1e-14, the half-gap is at least 0.55.
+_UNSURE = 1e-7
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+# The width of a value's byte row: sign, text, separator; NUL fills the rest.
+_CELL = 25
+# _KEEP[n] is 1 on the first n of 17 digit columns, 0 after.
+_KEEP = np.tri(18, 17, -1, dtype=np.uint8)
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10**s for s in [_S_MIN, _S_MAX] as hi + lo (each correctly rounded,
+    by int division), with hi's Dekker split head + tail."""
+    hi, lo = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        h = num / den
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    head = hi * _SPLIT
+    head -= head - hi
+    return hi, head, hi - head, np.array(lo)
+
+
+def _scaled(x: np.ndarray, s: np.ndarray):
+    """x * 10**s as a double-double y + r, by Dekker's exact product; and
+    10**s rounded to a double."""
+    hi, head, tail, lo = (t[s - _S_MIN] for t in _pow10_table())
+    p = x * hi
+    xh = x * _SPLIT
+    xh -= xh - x
+    xl = x - xh
+    t = (((xh * head - p) + xh * tail + xl * head) + xl * tail) + x * lo
+    y = p + t
+    return y, t - (y - p), hi
+
+
+def _candidate(n: np.ndarray, r: np.ndarray, half: np.ndarray, k: int):
+    """The nearest multiple of 10**k to y = n + r, in units of 10**k; whether
+    it surely lies within `half` of y; and whether that is too close to call
+    (a near-tie between two multiples, or a distance near `half`)."""
+    u = int(_POW10[k])
+    q, rem = np.divmod(n, u)
+    a = rem + r  # y - q * u, in [-0.5, u - 0.5]
+    up = a > 0.5 * u
+    d = np.where(up, (u - rem) - r, np.abs(a))
+    tol = _UNSURE * half
+    ok = d < half
+    unsure = (np.abs(d - half) <= tol) | (ok & (np.abs(np.abs(a) - 0.5 * u) <= tol))
+    return q + up, ok & ~unsure, unsure
+
+
+def _shortest(x: np.ndarray, e2: np.ndarray):
+    """repr()'s digits of each positive normal x = m * 2**e2 (0.5 < m < 1):
+    the shortest decimal that reads back as x, the nearest one of that
+    length. Returns the digits as a 17-digit int64 padded with zeros, their
+    count, the decimal point position (x = 0.DIGITS * 10**decpt), and which
+    values the fast path cannot decide.
+
+    y = x * 10**s lies in [1e16, 1e17), and a decimal reads back as x iff it
+    lies within half the gap between doubles, 2**(e2 - 54) * 10**s after
+    scaling, of y. Whether the nearest n-digit candidate does is monotone in
+    n, so 16 digits are tried first, then fewer while they pass, or 17.
+    """
+    s = 16 - np.floor(np.log10(x)).astype(np.int64)
+    y, r, hi = _scaled(x, s)
+    shift = (y < 1e16).astype(np.int64) - (y >= 1e17)
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        s[redo] += shift[redo]
+        y[redo], r[redo], hi[redo] = _scaled(x[redo], s[redo])
+    whole = np.rint(r)  # y is an integer in double, r at most half its ulp
+    n = y.astype(np.int64) + whole.astype(np.int64)
+    r -= whole
+    half = np.ldexp(hi, e2 - 54)
+
+    digits, ok, unsure = _candidate(n, r, half, 1)
+    count = np.full(x.shape[0], 16, dtype=np.int64)
+    more = np.flatnonzero(~ok & ~unsure)
+    digits[more], ok17, _ = _candidate(n[more], r[more], half[more], 0)
+    count[more] = 17
+    unsure[more] = ~ok17
+    live = np.flatnonzero(ok)
+    for k in range(2, 17):
+        if not live.size:
+            break
+        dk, okk, unk = _candidate(n[live], r[live], half[live], k)
+        unsure[live[unk]] = True
+        live = live[okk]
+        digits[live] = dk[okk]
+        count[live] = 17 - k
+    digits *= _POW10[17 - count]
+    decpt = 17 - s
+    # A candidate rounded up to a power of ten is the one digit "1".
+    carry = digits == _POW10[17]
+    digits[carry] = _POW10[16]
+    count[carry] = 1
+    decpt[carry] += 1
+    unsure |= (digits < _POW10[16]) | (y < 1e16) | (y >= 1e17)
+    return digits, count, decpt, unsure
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """"0000".."9999" as little-endian 4-byte words."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype="<u4")
+
+
+def _ascii_digits(digits: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each int64 in [1e16, 1e17), as ASCII rows."""
+    table = _digit_words()
+    words = np.empty((digits.shape[0], 5), dtype="<u4")
+    hi, lo = np.divmod(digits, 10**8)
+    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
+    words[:, 4] = table[lo % 10000]
+    words[:, 3] = table[lo // 10000]
+    words[:, 2] = table[hi % 10000]
+    hi //= 10000
+    words[:, 1] = table[hi % 10000]
+    words[:, 0] = (hi // 10000 + ord("0")) << 24
+    return words.view(np.uint8)[:, 3:]
+
+
+def _float_text(values: np.ndarray, width: int) -> bytes:
+    """repr() of each float64 in `values`, a space after each and a newline
+    after every `width`-th, as one bytes object."""
+    cells = np.zeros((values.shape[0], _CELL), dtype=np.uint8)
+    cells[:, -1] = ord(" ")
+    cells[width - 1::width, -1] = ord("\n")
+    mag = np.abs(values)
+    mant, e2 = np.frexp(mag)
+    # Zeros, subnormals, inf, nan and the far ends of the range go to repr(),
+    # and so do powers of two, whose gap below is half the gap above.
+    fast = np.flatnonzero((mag >= _FAST_MIN) & (mag <= _FAST_MAX) & (mant != 0.5))
+    digits, count, decpt, unsure = _shortest(mag[fast], e2[fast])
+
+    # Sort the decided values by layout, so that each layout is one slice:
+    # group 0 is exponent form (repr's rule: decpt <= -4 or decpt > 16),
+    # group decpt + 4 the fixed form with that decimal point position.
+    group = np.where((decpt <= -4) | (decpt > 16), 0, decpt + 4).astype(np.int8)
+    group[unsure] = -1
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(22))
+    order = order[bounds[0]:]
+    bounds -= bounds[0]
+    rows, digits, count, decpt = fast[order], digits[order], count[order], decpt[order]
+    text = np.zeros((rows.shape[0], _CELL - 1), dtype=np.uint8)
+    text[:, 0] = np.signbit(values[rows]) * np.uint8(ord("-"))
+    padded = _ascii_digits(digits)
+    trimmed = padded * _KEEP.take(count, axis=0)
+
+    at = slice(bounds[0], bounds[1])
+    t, e = text[at], decpt[at] - 1
+    t[:, 1] = padded[at, 0]
+    t[:, 2] = (count[at] > 1) * np.uint8(ord("."))
+    t[:, 3:19] = trimmed[at, 1:]
+    t[:, 19] = ord("e")
+    t[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    wide = e >= 100
+    t[:, 21] = np.where(wide, e // 100, e // 10) % 10 + ord("0")
+    t[:, 22] = np.where(wide, e // 10, e) % 10 + ord("0")
+    t[:, 23] = wide * (e % 10 + ord("0"))
+    for p in range(-3, 17):
+        at = slice(bounds[p + 4], bounds[p + 5])
+        t = text[at]
+        if not t.shape[0]:
+            continue
+        if p <= 0:
+            t[:, 1:3 - p] = np.frombuffer(b"0." + b"0" * -p, dtype=np.uint8)
+            t[:, 3 - p:20 - p] = trimmed[at]
+        else:
+            t[:, 1:1 + p] = padded[at, :p]
+            t[:, 1 + p] = ord(".")
+            t[:, 2 + p:19] = trimmed[at, p:]
+            # An integral value ends in ".0".
+            t[:, 2 + p] |= (count[at] <= p) * np.uint8(ord("0"))
+    cells[rows, :-1] = text
+
+    slow = np.ones(values.shape[0], dtype=bool)
+    slow[rows] = False
+    for i in np.flatnonzero(slow).tolist():
+        exact = repr(float(values[i])).encode()
+        cells[i, :len(exact)] = np.frombuffer(exact, dtype=np.uint8)
+    return cells[cells != 0].tobytes()
+
+
+def write_float_rows(out, table: np.ndarray) -> None:
+    """Write each row of the float64 `table` to the binary file `out` as
+    `" ".join(map(repr, row.tolist())) + "\\n"`, byte for byte.
+
+    The text is made in numpy, FLOAT_CHUNK_VALUES floats at a time, by the
+    design of Grisu3 (Loitsch, PLDI 2010): a fast digit path that notices
+    the rare values it cannot decide and leaves them to repr(). Each value
+    is scaled by a power of ten as an exact double-double (Dekker 1971);
+    the nearest candidate of each length is tested against half the gap
+    between doubles; the digits go into fixed-width byte rows laid out by
+    repr's rules, and one mask compacts them.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    rows, width = table.shape
+    if width == 0:
+        out.write(b"\n" * rows)
+        return
+    step = max(1, FLOAT_CHUNK_VALUES // width)
+    for lo in range(0, rows, step):
+        out.write(_float_text(table[lo:lo + step].ravel(), width))
+
+
 def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, list]:
     """The JSON header in `raw`, after checking its format and schema version,
     and its `fields` (name=converter) converted in order; every fault raises a
@@ -350,6 +571,22 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
     return header, values
+
+
+def of_json_type(*types):
+    """A read_header converter that passes a value whose type is exactly one
+    of `types` unchanged (so a bool is no int) and rejects any other."""
+
+    def convert(value):
+        if type(value) not in types:
+            raise ValueError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        return value
+
+    return convert
+
+
+# A JSON integer field: 3.9, 3.0 and true are all rejected, never truncated.
+json_int = of_json_type(int)
 
 
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
@@ -468,9 +705,9 @@ def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int | N
         raise ValueError(f"not a tensor container: missing {header_path}")
     header, (shape, mode_names, nnz) = read_header(
         header_path.read_bytes(), header_path, TENSOR,
-        shape=lambda v: tuple(int(n) for n in v),
+        shape=lambda v: tuple(json_int(n) for n in v),
         mode_names=lambda v: [str(n) for n in v],
-        nnz=int,
+        nnz=json_int,
     )
     if len(mode_names) != len(shape):
         raise ValueError(f"{header_path}: mode_names length does not match shape")

@@ -2,14 +2,16 @@
 
 Token filtering decides each distinct token once, the tensor is built and
 coalesced from arrays (rows that are already sorted skip the coalescing),
-entries.tsv is written in chunks, tensor and model numbers are read from
-binary payloads that must hold the same bits as the text, and top_n sorts
-only its candidates. Each must give exactly what the per-token, per-row,
+entries.tsv is written in chunks, the model body's floats are formatted in
+numpy, tensor and model numbers are read from binary payloads that must hold
+the same bits as the text, and top_n sorts only its candidates. Each must give exactly what the per-token, per-row,
 always-sorting or full-sort code gives.
 """
 
+import io
 import math
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -502,6 +504,118 @@ class TestModelText:
         with pytest.raises(ValueError, match="factor row has 0 columns, rank is 1") as info:
             load_model(path)
         assert "m.model" in str(info.value)
+
+
+def _written(table):
+    """The bytes write_float_rows gives for `table`."""
+    out = io.BytesIO()
+    sparse_tensor.write_float_rows(out, np.asarray(table, dtype=np.float64))
+    return out.getvalue()
+
+
+def _oracle_text(table):
+    """model_text_oracle's bytes for `table`: its first row as the weights,
+    the rest as one factor."""
+    table = np.asarray(table, dtype=np.float64)
+    return model_text_oracle(KruskalModel(weights=table[0], factors=[table[1:]])).encode()
+
+
+def _spy_repr():
+    """Counts the writer's calls of repr() (a module global shadows the builtin)."""
+    return mock.patch.object(sparse_tensor, "repr", create=True, side_effect=repr)
+
+
+def _signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], values.shape)
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+class TestFloatText:
+    """write_float_rows against the per-float repr() join of the model body."""
+
+    CHUNK = sparse_tensor.FLOAT_CHUNK_VALUES
+
+    def test_random_values_match_repr(self, rng):
+        n = 400_000
+        tables = [
+            rng.uniform(size=n).reshape(-1, 200),
+            _signed(rng, rng.lognormal(0.0, 40.0, n)).reshape(-1, 25),
+            rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64).reshape(-1, 8),
+        ]
+        for table in tables:
+            assert _written(table) == _oracle_text(table)
+
+    def test_neighbours_of_powers_of_two_and_ten(self):
+        powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+        powers += [float(f"1e{k}") for k in range(-323, 309)]
+        table = _with_neighbours(powers)
+        table = np.concatenate([table, -table]).reshape(-1, 4)
+        assert _written(table) == _oracle_text(table)
+
+    def test_fixed_and_exponent_forms_switch_where_repr_does(self):
+        # repr writes an exponent once the decimal point is 4 places left of
+        # the first digit, or 17 places right of it.
+        edges = [1e-4, 1e-5, 0.00012345678901234567, 1e16, 1e17, 1e15, 123456789012345.67,
+                 1234567890123456.0, 9999999999999998.0, 12345678901234568.0, 1.5e16, 0.5, 100.0]
+        table = _with_neighbours(edges)
+        table = np.concatenate([table, -table]).reshape(-1, 1)
+        text = _written(table)
+        assert text == _oracle_text(table)
+        assert {b"0.0001", b"1e-05", b"1e+16", b"1234567890123456.0", b"-100.0"} <= set(text.split())
+
+    def test_specials_match_repr(self):
+        table = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+                          math.nan, 1.0, -2.0, 3.0]).reshape(-1, 2)
+        assert _written(table) == _oracle_text(table)
+
+    @pytest.mark.parametrize("rank", [1, 2, 200])
+    def test_ranks_across_chunk_boundaries(self, rng, rank):
+        rows = 2 * self.CHUNK // rank + 3
+        assert (rows * rank) % self.CHUNK and (rows * rank) > 2 * self.CHUNK
+        table = _signed(rng, rng.uniform(size=(rows, rank)) * rng.lognormal(0.0, 4.0, (rows, rank)))
+        assert _written(table) == _oracle_text(table)
+
+    def test_empty_rows(self):
+        assert _written(np.empty((3, 0))) == b"\n\n\n"
+        assert _written(np.empty((0, 5))) == b""
+
+    def test_fast_path_decides_nearly_all(self, rng):
+        # Correct bytes alone would not show a fast path that left every
+        # value to repr().
+        table = rng.uniform(size=(1000, 200)) * rng.lognormal(0.0, 3.0, (1000, 200))
+        with _spy_repr() as spy:
+            text = _written(table)
+        assert text == _oracle_text(table)
+        assert spy.call_count <= 0.001 * table.size, spy.call_count
+
+    def test_undecided_values_go_to_repr(self):
+        # 1911014190010.46875 lies exactly halfway between two 17-digit
+        # decimals, and 0.0 and 2.0 never enter the fast path.
+        table = np.array([[0.1, 1911014190010.46875], [0.0, 2.0]])
+        with _spy_repr() as spy:
+            text = _written(table)
+        assert text == _oracle_text(table) == b"0.1 1911014190010.4688\n0.0 2.0\n"
+        assert [c.args[0] for c in spy.call_args_list] == [1911014190010.46875, 0.0, 2.0]
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, rng):
+        rows = 4 * self.CHUNK // 200
+        peaks = []
+        sparse_tensor._pow10_table()  # built once per process, not per table
+        for scale in (1, 4):
+            table = rng.uniform(size=(scale * rows, 200))
+            with open(tmp_path / "body.txt", "wb") as out:
+                tracemalloc.start()
+                try:
+                    sparse_tensor.write_float_rows(out, table)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 scores = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 0.25, float("inf"), -float("inf")])

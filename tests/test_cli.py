@@ -397,8 +397,14 @@ class TestErrors:
             (lambda h: h.update(shape=5), "malformed model header"),
             (lambda h: h.update(shape=["a", 2]), "malformed model header"),
             (lambda h: h.update(shape=[[3], 2]), "malformed model header"),
+            (lambda h: h.update(rank=h["rank"] + 0.9), "malformed model header"),
+            (lambda h: h.update(rank=float(h["rank"])), "malformed model header"),
+            (lambda h: h.update(shape=[True, *h["shape"][1:]]), "malformed model header"),
         ],
-        ids=["no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent"],
+        ids=[
+            "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
+            "fractional_rank", "integral_float_rank", "bool_extent",
+        ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
         workdir = tmp_path / "run"
@@ -457,8 +463,25 @@ class TestErrors:
             (lambda s: s["kept"][0].update(origin_rank=None), "malformed selection header"),
             (lambda s: s["kept"][0].update(index_in_model="x"), "malformed selection header"),
             (lambda s: s.update(word_mode=None), "malformed selection header"),
+            (lambda s: s.update(word_mode=3.9), "malformed selection header: expected int, got 3.9"),
+            (lambda s: s["kept"][0].update(index_in_model=0.7), "malformed selection header"),
+            (lambda s: s["kept"][0].update(origin_rank=float(s["kept"][0]["origin_rank"])), "malformed selection header"),
+            (lambda s: s["kept"][0].update(index_in_model=False), "malformed selection header"),
+            (lambda s: s.pop("ranks"), "selection header has no 'ranks' field"),
+            (lambda s: s.pop("threshold"), "selection header has no 'threshold' field"),
+            (lambda s: s.pop("strategy"), "selection header has no 'strategy' field"),
+            (lambda s: s.update(ranks="3,5"), "malformed selection header"),
+            (lambda s: s.update(ranks=[3, 5.0]), "malformed selection header"),
+            (lambda s: s.update(threshold="0.35"), "malformed selection header"),
+            (lambda s: s.update(threshold=True), "malformed selection header"),
+            (lambda s: s.update(strategy=None), "malformed selection header"),
         ],
-        ids=["schema_99", "other_format", "no_kept", "null_rank", "text_index", "null_word_mode"],
+        ids=[
+            "schema_99", "other_format", "no_kept", "null_rank", "text_index", "null_word_mode",
+            "fractional_word_mode", "fractional_index", "float_rank", "bool_index",
+            "no_ranks", "no_threshold", "no_strategy", "text_ranks", "float_in_ranks",
+            "text_threshold", "bool_threshold", "null_strategy",
+        ],
     )
     def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):
         workdir = tmp_path / "run"
@@ -477,6 +500,19 @@ class TestErrors:
         assert err.startswith(f"error: {path}: ") and phrase in err
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
+
+    def test_selection_meta_keeps_its_json_types(self, selected, tmp_path):
+        # summary.json repeats ranks, threshold and strategy as selection.json holds them.
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        path = workdir / "selection.json"
+        selection = json.loads(path.read_text(encoding="utf-8"))
+        selection["threshold"] = 1
+        path.write_text(json.dumps(selection), encoding="utf-8")
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
+        summary = json.loads((workdir / "report" / "summary.json").read_text(encoding="utf-8"))
+        assert type(summary["threshold"]) is int and summary["threshold"] == 1
+        assert summary["ranks"] == selection["ranks"] and summary["strategy"] == selection["strategy"]
 
     def test_bad_ranks_value_reports_error(self, tmp_path, capsys):
         assert (
@@ -514,6 +550,13 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "usage" in proc.stdout
+
+    def test_cli_import_leaves_fractions_and_decimal_out(self):
+        # Exact arithmetic on Python ints is all the model text writer needs.
+        code = "import sys, tensortopics.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_cli_import_leaves_scipy_out(self):
         # Every stage runs in its own interpreter, so a scipy import there

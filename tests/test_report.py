@@ -247,8 +247,10 @@ class TestEmitReport:
             (lambda p: p.pop("components"), "report header has no 'components' field"),
             (lambda p: p["components"][0].update(weight=None), "malformed report header"),
             (lambda p: p["components"][0].update(modes=[]), "malformed report header"),
+            (lambda p: p["components"][0].update(origin_rank=20.9), "malformed report header"),
+            (lambda p: p["components"][0].update(index_in_model=True), "malformed report header"),
         ],
-        ids=["schema_7", "no_components", "null_weight", "list_modes"],
+        ids=["schema_7", "no_components", "null_weight", "list_modes", "fractional_rank", "bool_index"],
     )
     def test_damaged_report_is_a_named_error(self, tmp_path, edit, phrase):
         path = emit_report(self.build(), tmp_path / "report", self.META) / "report.json"

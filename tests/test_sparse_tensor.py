@@ -232,6 +232,21 @@ class TestTensorPayload:
                 ' "mode_names": ["a", "b"], "nnz": 1}',
                 "malformed tensor header",
             ),
+            (
+                '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [2, 3.9],'
+                ' "mode_names": ["a", "b"], "nnz": 1}',
+                "malformed tensor header: expected int, got 3.9",
+            ),
+            (
+                '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [2, 3],'
+                ' "mode_names": ["a", "b"], "nnz": 1.0}',
+                "malformed tensor header: expected int, got 1.0",
+            ),
+            (
+                '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [true, 3],'
+                ' "mode_names": ["a", "b"], "nnz": 1}',
+                "malformed tensor header: expected int, got True",
+            ),
         ],
     )
     def test_bad_header_is_a_named_error(self, tmp_path, rng, header, phrase):
