@@ -9,12 +9,14 @@ document is damped without vanishing.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
 import operator
 import re
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -28,6 +30,7 @@ logger = logging.getLogger(__name__)
 MODE_NAMES = ("first_author", "document", "journal", "words")
 UNKNOWN_JOURNAL = "(unknown-journal)"
 CORPUS_FORMATS = ("csv", "tsv", "jsonl")
+REQUIRED_FIELDS = ("title", "abstract", "first_author", "journal")
 
 # Classic English function-word list. Kept deliberately generic; domain
 # stopwords belong in a caller-supplied file.
@@ -118,6 +121,37 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+# What _rows yields for a jsonl line that does not parse.
+_NOT_JSON = object()
+
+
+def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
+    """(where, row) for each row of the source, `where` naming its file and
+    line: a table row as a dict, or whatever a jsonl line parses to."""
+    with source.open(encoding="utf-8", newline="") as fh:
+        if corpus_format == "jsonl":
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError:
+                        row = _NOT_JSON
+                    yield f"{source}:{line_no}", row
+            return
+        reader = csv.DictReader(fh, delimiter="," if corpus_format == "csv" else "\t")
+        fields = reader.fieldnames
+        if fields is None:
+            return
+        missing = [k for k in REQUIRED_FIELDS if k not in fields]
+        if missing:
+            raise ValueError(f"{source}: header lacks required columns {missing}")
+        if "body" not in fields and "body_path" not in fields:
+            raise ValueError(f"{source}: header needs a body or body_path column")
+        for line_no, row in enumerate(reader, start=2):
+            yield f"{source}:{line_no}", row
+
+
 def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRecord]:
     """Read a delimited table or JSON-lines file into records.
 
@@ -131,25 +165,23 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
         raise ValueError(
             f"unknown corpus format {corpus_format!r}, expected one of {CORPUS_FORMATS}"
         )
-    required = ("title", "abstract", "first_author", "journal")
     records: list[CorpusRecord] = []
-    malformed = 0
-    unreadable_bodies = 0
-
-    def build(row: dict, where: str) -> CorpusRecord | None:
-        nonlocal malformed, unreadable_bodies
-        values = {}
-        for key in required:
-            v = row.get(key)
-            if not isinstance(v, str):
-                malformed += 1
-                logger.warning("%s: missing or non-text %r field, row skipped", where, key)
-                return None
-            values[key] = v
+    malformed = unreadable_bodies = 0
+    for where, row in _rows(source, corpus_format):
+        if row is _NOT_JSON:
+            problem = "invalid JSON, row skipped"
+        elif not isinstance(row, dict):
+            problem = "row is not an object, skipped"
+        else:
+            key = next((k for k in REQUIRED_FIELDS if not isinstance(row.get(k), str)), None)
+            problem = key and f"missing or non-text {key!r} field, row skipped"
+        if problem:
+            malformed += 1
+            logger.warning("%s: %s", where, problem)
+            continue
         body = row.get("body")
-        if not isinstance(body, str):
+        if not (isinstance(body, str) and body):
             body = ""
-        if not body:
             body_path = row.get("body_path")
             if isinstance(body_path, str) and body_path:
                 try:
@@ -157,51 +189,7 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
                 except OSError:
                     unreadable_bodies += 1
                     logger.warning("%s: unreadable body_path %r", where, body_path)
-                    body = ""
-        return CorpusRecord(
-            title=values["title"],
-            abstract=values["abstract"],
-            first_author=values["first_author"],
-            journal=values["journal"],
-            body=body,
-        )
-
-    if corpus_format == "jsonl":
-        with source.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{source}:{line_no}"
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    malformed += 1
-                    logger.warning("%s: invalid JSON, row skipped", where)
-                    continue
-                if not isinstance(row, dict):
-                    malformed += 1
-                    logger.warning("%s: row is not an object, skipped", where)
-                    continue
-                record = build(row, where)
-                if record is not None:
-                    records.append(record)
-    else:
-        delimiter = "," if corpus_format == "csv" else "\t"
-        with source.open(encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            fields = reader.fieldnames
-            if fields is None:
-                return []
-            missing = [k for k in required if k not in fields]
-            if missing:
-                raise ValueError(f"{source}: header lacks required columns {missing}")
-            if "body" not in fields and "body_path" not in fields:
-                raise ValueError(f"{source}: header needs a body or body_path column")
-            for line_no, row in enumerate(reader, start=2):
-                record = build(row, f"{source}:{line_no}")
-                if record is not None:
-                    records.append(record)
+        records.append(CorpusRecord(*(row[k] for k in REQUIRED_FIELDS), body))
 
     if malformed or unreadable_bodies:
         logger.warning(
@@ -226,16 +214,11 @@ def _clean_label(text: str) -> str:
 def _nonascii_letter_fraction(text: str) -> float:
     if text.isascii():
         return 0.0
-    letters = 0
-    non_ascii = 0
-    for ch in text:
-        if ch.isalpha():
-            letters += 1
-            if ord(ch) > 127:
-                non_ascii += 1
+    letters = sum(map(str.isalpha, text))
     if letters == 0:
         return 0.0
-    return non_ascii / letters
+    ascii_letters = sum(map(str.isalpha, text.encode("ascii", "ignore").decode("ascii")))
+    return (letters - ascii_letters) / letters
 
 
 def clean_and_filter(records, rules: CleaningRules) -> list[CorpusRecord]:
@@ -334,11 +317,14 @@ def tokenize(body: str, rules: CleaningRules) -> list[str]:
 class _Scan(NamedTuple):
     """Every body's tokens as ids into one table of distinct raw tokens.
 
-    Raw token r lowercases to words[raw_word[r]] and starts lowercase if
-    raw_lower[r]. names holds the ids of the bodies' raw tokens (what the
-    name filter sees) and counted the ids of the tokens they count, each as
-    int32 (ids, the record of each id) in record and text order; counted is
-    names when every body is ASCII.
+    Ids are given at first sight: a token's id is the number of distinct
+    tokens seen before it, in record order and, within a record, in the
+    order of its raw and then its lowercased stream. Raw token r lowercases
+    to words[raw_word[r]] (words too in order of first sight) and starts
+    lowercase if raw_lower[r]. names holds the ids of the bodies' raw tokens
+    (what the name filter sees) and counted the ids of the tokens they
+    count, each as int32 (ids, the record of each id) in record and text
+    order; counted is names when every body is ASCII.
     """
 
     words: list[str]
@@ -348,20 +334,16 @@ class _Scan(NamedTuple):
     counted: tuple[np.ndarray, np.ndarray]
 
 
+def _id_table() -> defaultdict:
+    """An empty id table: looking up a new key gives it the next id, 0, 1, 2, ..."""
+    return defaultdict(itertools.count().__next__)
+
+
 def _scan(records) -> _Scan:
     """One translate-and-split scan per ASCII body, into token ids at once."""
-    raw_ids: dict[str, int] = {}
-    raw_word: list[int] = []
-    raw_lower: list[bool] = []
-    word_ids: dict[str, int] = {}
+    raw_ids = _id_table()
 
     def ids(tokens: list[str]) -> np.ndarray:
-        # New tokens are numbered in sorted order, so no id depends on set
-        # iteration order (which PYTHONHASHSEED changes).
-        for token in sorted(set(tokens).difference(raw_ids)):
-            raw_ids[token] = len(raw_ids)
-            raw_word.append(word_ids.setdefault(token.lower(), len(word_ids)))
-            raw_lower.append(token[0].islower())
         return np.fromiter(map(raw_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
 
     names, counted = [], []
@@ -379,11 +361,15 @@ def _scan(records) -> _Scan:
         record = np.repeat(np.arange(len(parts), dtype=np.int32), [len(part) for part in parts])
         return np.concatenate([np.empty(0, dtype=np.int32), *parts]), record
 
+    raw = list(raw_ids)
+    word_ids = _id_table()
+    raw_word = np.fromiter(map(word_ids.__getitem__, map(str.lower, raw)), np.int32, len(raw))
+    raw_lower = np.fromiter(map(str.islower, map(operator.itemgetter(0), raw)), bool, len(raw))
     names_flat = flat(names)
     return _Scan(
         list(word_ids),
-        np.array(raw_word, dtype=np.int32),
-        np.array(raw_lower, dtype=bool),
+        raw_word,
+        raw_lower,
         names_flat,
         names_flat if all(map(operator.is_, names, counted)) else flat(counted),
     )
@@ -470,8 +456,8 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
     words, record = words[kept], record[kept]
     per_record = np.bincount(record, minlength=len(records))
 
-    tables: tuple[dict[str, int], ...] = ({}, {}, {})
-    cells: dict[tuple[int, int, int], int] = {}
+    tables = (_id_table(), _id_table(), _id_table())
+    cells = _id_table()
     cell_of = np.zeros(len(records), dtype=np.int64)
     dropped = 0
     for i, rec in enumerate(records):
@@ -480,8 +466,7 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
             logger.info("document %r yields no tokens, dropped", rec.title)
             continue
         labels = (rec.first_author, rec.title, rec.journal if rec.journal else UNKNOWN_JOURNAL)
-        cell = tuple(table.setdefault(label, len(table)) for table, label in zip(tables, labels))
-        cell_of[i] = cells.setdefault(cell, len(cells))
+        cell_of[i] = cells[tuple(map(operator.getitem, tables, labels))]
     if dropped:
         logger.info("dropped %d tokenless document(s)", dropped)
 

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import Component
-from .sparse_tensor import REPORT, SUMMARY, AxisMap, json_int, read_header, write_json
+from .sparse_tensor import (
+    REPORT, SUMMARY, AxisMap, json_int, of_json_type, read_header, write_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -139,18 +141,19 @@ def load_reports(path: str | Path) -> list[ComponentReport]:
     checking its format and schema version; every fault raises a ValueError
     naming the file."""
     path = Path(path)
+    number = of_json_type(int, float)
     _header, (reports,) = read_header(
         path.read_bytes(), path, REPORT,
         components=lambda items: [
             ComponentReport(
                 origin_rank=json_int(item["origin_rank"]),
                 index_in_model=json_int(item["index_in_model"]),
-                weight=float(item["weight"]),
+                weight=float(number(item["weight"])),
                 mode_tops={
-                    name: [(str(label), float(score)) for label, score in pairs]
+                    name: [(str(label), float(number(score))) for label, score in pairs]
                     for name, pairs in item["modes"].items()
                 },
-                keywords=[(str(w), float(s)) for w, s in item["keywords"]],
+                keywords=[(str(w), float(number(s))) for w, s in item["keywords"]],
             )
             for item in items
         ],

@@ -182,28 +182,21 @@ class SparseTensorCOO:
                     f"coordinate {bad} out of bounds for mode {k} (extent {shape[k]})"
                 )
 
-        # Each row's row-major cell index is one int64 key in lexicographic
-        # order, unless the cells outnumber int64; the rows themselves are
-        # compared and lexsorted then.
-        try:
-            keys = np.ravel_multi_index(coords.T, shape)
-        except ValueError:
-            keys = None
-        if keys is None:
-            # From the last column to the first, consecutive rows are in order
-            # if column k rises, or holds while the later columns are in order.
-            prev, nxt = coords[:-1], coords[1:]
-            ok = nxt[:, -1] > prev[:, -1]
-            for k in range(d - 2, -1, -1):
-                ok = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & ok)
-            rising = ok.all()
-        else:
-            rising = np.all(keys[1:] > keys[:-1])
-        if not rising:
+        # From the last column to the first, consecutive rows are in order if
+        # column k rises, or holds while the later columns are in order.
+        prev, nxt = coords[:-1], coords[1:]
+        rising = nxt[:, -1] > prev[:, -1]
+        for k in range(d - 2, -1, -1):
+            rising = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & rising)
+        if not rising.all():
             # A stable sort keeps duplicates in input order, and bincount sums
             # each run in that order, so coalescing is deterministic (and
-            # equal to np.unique(axis=0) plus bincount).
-            if keys is None:
+            # equal to np.unique(axis=0) plus bincount). Each row's row-major
+            # cell index is one int64 key in lexicographic order, unless the
+            # cells outnumber int64; the rows themselves are lexsorted then.
+            try:
+                keys = np.ravel_multi_index(coords.T, shape)
+            except ValueError:
                 order = np.lexsort(coords.T[::-1])
                 starts = _run_starts(coords[order])
             else:

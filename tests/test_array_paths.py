@@ -173,6 +173,14 @@ class TestTokenFiltering:
             pairs.update(zip(raw, names))
         # one id per distinct raw token, across both bodies
         assert len({t for t, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+        # ids are given at first sight: over each body's raw and then its
+        # counted stream, in body order, first occurrences run 0, 1, 2, ...
+        streams = (scan.names, scan.counted)
+        stream = np.concatenate(
+            [ids[record == i] for i in range(len(bodies)) for ids, record in streams]
+        )
+        _, first = np.unique(stream, return_index=True)
+        assert stream[np.sort(first)].tolist() == list(range(first.shape[0]))
 
     def test_kelvin_sign_and_dotted_capital_i(self):
         # "K".lower() == "k"; "İ".lower() == "i̇", which splits tokens

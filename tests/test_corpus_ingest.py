@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -136,6 +137,62 @@ class TestLoadCorpus:
         records = load_corpus(path, "csv")
         assert len(records) == 1
         assert records[0].body == ""
+
+    @staticmethod
+    def logged(caplog):
+        return [(r.levelname, r.getMessage()) for r in caplog.records]
+
+    @pytest.mark.parametrize("fmt, delimiter", [("csv", ","), ("tsv", "\t")])
+    def test_delimited_log_lines(self, tmp_path, caplog, fmt, delimiter):
+        path = tmp_path / f"c.{fmt}"
+        rows = [
+            ("title", "abstract", "first_author", "journal", "body", "body_path"),
+            ("good", "a", "x", "j", "body text", ""),
+            ("short", "only"),
+            ("t", "a", "x", "j", "", "missing/doc.txt"),
+        ]
+        path.write_text("".join(delimiter.join(r) + "\n" for r in rows), encoding="utf-8")
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        assert [r.title for r in load_corpus(path, fmt)] == ["good", "t"]
+        assert self.logged(caplog) == [
+            ("WARNING", f"{path}:3: missing or non-text 'first_author' field, row skipped"),
+            ("WARNING", f"{path}:4: unreadable body_path 'missing/doc.txt'"),
+            ("WARNING", f"{path}: skipped 1 malformed row(s), 1 unreadable body file(s)"),
+            ("INFO", f"{path}: loaded 2 record(s)"),
+        ]
+
+    def test_jsonl_log_lines(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        good = {"title": "ok", "abstract": "a", "first_author": "x", "journal": "j", "body": "b"}
+        path.write_text(
+            json.dumps(good) + "\n"
+            "not json at all\n"
+            "\n"
+            '{"title": "missing fields"}\n'
+            + json.dumps({**good, "title": 5}) + "\n"
+            "[1, 2, 3]\n"
+            '"abc"\n'
+            + json.dumps({**good, "body": "", "body_path": "missing/doc.txt"}) + "\n",
+            encoding="utf-8",
+        )
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        assert [r.title for r in load_corpus(path, "jsonl")] == ["ok", "ok"]
+        assert self.logged(caplog) == [
+            ("WARNING", f"{path}:2: invalid JSON, row skipped"),
+            ("WARNING", f"{path}:4: missing or non-text 'abstract' field, row skipped"),
+            ("WARNING", f"{path}:5: missing or non-text 'title' field, row skipped"),
+            ("WARNING", f"{path}:6: row is not an object, skipped"),
+            ("WARNING", f"{path}:7: row is not an object, skipped"),
+            ("WARNING", f"{path}:8: unreadable body_path 'missing/doc.txt'"),
+            ("WARNING", f"{path}: skipped 5 malformed row(s), 1 unreadable body file(s)"),
+            ("INFO", f"{path}: loaded 2 record(s)"),
+        ]
+
+    def test_clean_source_logs_only_the_count(self, caplog):
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        path = DATA_DIR / "toy_corpus.csv"
+        load_corpus(path, "csv")
+        assert self.logged(caplog) == [("INFO", f"{path}: loaded 40 record(s)")]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):

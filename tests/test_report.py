@@ -249,8 +249,16 @@ class TestEmitReport:
             (lambda p: p["components"][0].update(modes=[]), "malformed report header"),
             (lambda p: p["components"][0].update(origin_rank=20.9), "malformed report header"),
             (lambda p: p["components"][0].update(index_in_model=True), "malformed report header"),
+            (lambda p: p["components"][0].update(weight="0.5"), "malformed report header"),
+            (lambda p: p["components"][0]["modes"]["words"][0].__setitem__(1, True),
+             "malformed report header"),
+            (lambda p: p["components"][0]["keywords"][0].__setitem__(1, "0.25"),
+             "malformed report header"),
         ],
-        ids=["schema_7", "no_components", "null_weight", "list_modes", "fractional_rank", "bool_index"],
+        ids=[
+            "schema_7", "no_components", "null_weight", "list_modes", "fractional_rank",
+            "bool_index", "string_weight", "bool_mode_score", "string_keyword_score",
+        ],
     )
     def test_damaged_report_is_a_named_error(self, tmp_path, edit, phrase):
         path = emit_report(self.build(), tmp_path / "report", self.META) / "report.json"
