@@ -112,9 +112,10 @@ class CleaningRules:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: one word per line, '#' comments, blanks ignored."""
+    """Read a stopword file: one word per line, '#' comments, blanks ignored.
+    A UTF-8 byte-order mark is skipped."""
     words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             words.append(line.lower())
@@ -127,29 +128,37 @@ _NOT_JSON = object()
 
 def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
     """(where, row) for each row of the source, `where` naming its file and
-    line: a table row as a dict, or whatever a jsonl line parses to."""
-    with source.open(encoding="utf-8", newline="") as fh:
-        if corpus_format == "jsonl":
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError:
-                        row = _NOT_JSON
-                    yield f"{source}:{line_no}", row
-            return
-        reader = csv.DictReader(fh, delimiter="," if corpus_format == "csv" else "\t")
-        fields = reader.fieldnames
-        if fields is None:
-            return
-        missing = [k for k in REQUIRED_FIELDS if k not in fields]
-        if missing:
-            raise ValueError(f"{source}: header lacks required columns {missing}")
-        if "body" not in fields and "body_path" not in fields:
-            raise ValueError(f"{source}: header needs a body or body_path column")
-        for line_no, row in enumerate(reader, start=2):
-            yield f"{source}:{line_no}", row
+    line: a table row as a dict, or whatever a jsonl line parses to. A UTF-8
+    byte-order mark is skipped; bytes that are not UTF-8 are a ValueError."""
+    try:
+        with source.open(encoding="utf-8-sig", newline="") as fh:
+            if corpus_format == "jsonl":
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if line:
+                        try:
+                            row = json.loads(line)
+                        except json.JSONDecodeError:
+                            row = _NOT_JSON
+                        yield f"{source}:{line_no}", row
+                return
+            reader = csv.DictReader(fh, delimiter="," if corpus_format == "csv" else "\t")
+            fields = reader.fieldnames
+            if fields is None:
+                return
+            missing = [k for k in REQUIRED_FIELDS if k not in fields]
+            if missing:
+                raise ValueError(f"{source}: header lacks required columns {missing}")
+            if "body" not in fields and "body_path" not in fields:
+                raise ValueError(f"{source}: header needs a body or body_path column")
+            for line_no, row in enumerate(reader, start=2):
+                yield f"{source}:{line_no}", row
+    except UnicodeDecodeError as exc:
+        # The reader decodes in chunks, so its error has no line. Decoded with
+        # surrogateescape, the first bad byte is the first lone surrogate.
+        text = source.read_bytes().decode("utf-8", "surrogateescape")
+        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+        raise ValueError(f"{source}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRecord]:
@@ -157,8 +166,8 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
 
     Columns: title, abstract, first_author, journal, and body (inline text)
     or body_path (file relative to the source). Malformed rows are skipped
-    and counted; an unreadable body_path yields an empty body. An unreadable
-    or badly-headed source is a hard error.
+    and counted; a body_path that is unreadable or not UTF-8 yields an empty
+    body. An unreadable, badly-headed or non-UTF-8 source is a hard error.
     """
     source = Path(source)
     if corpus_format not in CORPUS_FORMATS:
@@ -186,7 +195,7 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
             if isinstance(body_path, str) and body_path:
                 try:
                     body = (source.parent / body_path).read_text(encoding="utf-8")
-                except OSError:
+                except (OSError, UnicodeDecodeError):
                     unreadable_bodies += 1
                     logger.warning("%s: unreadable body_path %r", where, body_path)
         records.append(CorpusRecord(*(row[k] for k in REQUIRED_FIELDS), body))

@@ -84,10 +84,6 @@ class KruskalModel:
     def shape(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.factors)
 
-    def negative_weight_indices(self) -> list[int]:
-        """Components whose weight stayed negative after the sign convention."""
-        return [int(r) for r in np.nonzero(self.weights < 0.0)[0]]
-
 
 def init_factors(shape, rank: int, seed: int) -> list[np.ndarray]:
     """Uniform(0, 1) factor matrices, one per mode, seeded by (seed, mode).
@@ -313,7 +309,7 @@ def cp_als(
         residual_sq = max(norm_x * norm_x + full_gram_quad - 2.0 * inner, 0.0)
         fit_value = 1.0 - math.sqrt(residual_sq) / norm_x
         fit_history.append(fit_value)
-        if iteration > 1 and fit_value - fit_history[-2] < opts.fit_tolerance:
+        if stop_reason(fit_history, opts.fit_tolerance) != "max_iters":
             break
 
     # Free the sweep's working arrays before arrange copies the factors.
@@ -369,7 +365,7 @@ def arrange(model: KruskalModel) -> KruskalModel:
     weight), scales every column to sum to 1 with the absorbed sums moved
     into the weights, and sorts components by descending absolute weight,
     ties broken by original position. A weight that ends up negative after
-    the flips is kept and reported as-is; see negative_weight_indices().
+    the flips is kept and reported as-is.
     Represents the same tensor as the input and is idempotent up to rounding:
     a second pass divides by column sums that are off 1 by the rounding of
     summing them, which grows with cancellation inside a column.
@@ -407,9 +403,10 @@ def save_model(
     The numbers go to `<path>.npy` first: one C-ordered (1 + sum(shape),
     rank) float64 table, the weights row and then each factor's rows. Then
     the text file: line 1 is a JSON header carrying the table's CRC-32, and
-    the weights line and each factor row serialize the same floats as
-    repr() does, one row per line, space-separated. write_float_rows makes
-    that body in numpy, leaving to repr() only the rare values its fast
+    the weights line and each factor row hold the same floats as
+    format(x, ".16e") writes them (17 significant digits, which read back
+    bit for bit), one row per line, space-separated. write_float_rows makes
+    that body in numpy, leaving to format() only the rare values its fast
     path cannot decide. load_model reads the numbers from the table; the
     text body is there for readers of the documented text format.
     Axis labels are referenced by path, never embedded.

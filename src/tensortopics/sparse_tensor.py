@@ -328,14 +328,11 @@ FLOAT_CHUNK_VALUES = 1 << 15
 _FAST_MIN, _FAST_MAX = 1e-250, 1e250
 _S_MIN, _S_MAX = -236, 268  # the decimal scales s those magnitudes need
 _SPLIT = 134217729.0  # 2**27 + 1
-# A rounding decision within this fraction of the half-gap is left to repr();
-# the scaled value is accurate to about 1e-14, the half-gap is at least 0.55.
+# A rounding decision within this distance of a tie is left to format(); the
+# scaled value is accurate to about 1e-14.
 _UNSURE = 1e-7
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
 # The width of a value's byte row: sign, text, separator; NUL fills the rest.
 _CELL = 25
-# _KEEP[n] is 1 on the first n of 17 digit columns, 0 after.
-_KEEP = np.tri(18, 17, -1, dtype=np.uint8)
 
 
 @functools.cache
@@ -356,8 +353,7 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
 
 
 def _scaled(x: np.ndarray, s: np.ndarray):
-    """x * 10**s as a double-double y + r, by Dekker's exact product; and
-    10**s rounded to a double."""
+    """x * 10**s as a double-double y + r, by Dekker's exact product."""
     hi, head, tail, lo = (t[s - _S_MIN] for t in _pow10_table())
     p = x * hi
     xh = x * _SPLIT
@@ -365,72 +361,33 @@ def _scaled(x: np.ndarray, s: np.ndarray):
     xl = x - xh
     t = (((xh * head - p) + xh * tail + xl * head) + xl * tail) + x * lo
     y = p + t
-    return y, t - (y - p), hi
+    return y, t - (y - p)
 
 
-def _candidate(n: np.ndarray, r: np.ndarray, half: np.ndarray, k: int):
-    """The nearest multiple of 10**k to y = n + r, in units of 10**k; whether
-    it surely lies within `half` of y; and whether that is too close to call
-    (a near-tie between two multiples, or a distance near `half`)."""
-    u = int(_POW10[k])
-    q, rem = np.divmod(n, u)
-    a = rem + r  # y - q * u, in [-0.5, u - 0.5]
-    up = a > 0.5 * u
-    d = np.where(up, (u - rem) - r, np.abs(a))
-    tol = _UNSURE * half
-    ok = d < half
-    unsure = (np.abs(d - half) <= tol) | (ok & (np.abs(np.abs(a) - 0.5 * u) <= tol))
-    return q + up, ok & ~unsure, unsure
+def _digits17(x: np.ndarray):
+    """x's 17 significant digits, correctly rounded, as an int64 n in
+    [1e16, 1e17) with x ~ n * 10**-s; s; and which x the fast path cannot decide.
 
-
-def _shortest(x: np.ndarray, e2: np.ndarray):
-    """repr()'s digits of each positive normal x = m * 2**e2 (0.5 < m < 1):
-    the shortest decimal that reads back as x, the nearest one of that
-    length. Returns the digits as a 17-digit int64 padded with zeros, their
-    count, the decimal point position (x = 0.DIGITS * 10**decpt), and which
-    values the fast path cannot decide.
-
-    y = x * 10**s lies in [1e16, 1e17), and a decimal reads back as x iff it
-    lies within half the gap between doubles, 2**(e2 - 54) * 10**s after
-    scaling, of y. Whether the nearest n-digit candidate does is monotone in
-    n, so 16 digits are tried first, then fewer while they pass, or 17.
+    y = x * 10**s is an even integer in [1e16, 1e17), so n is y + r rounded;
+    y < 1e17 - 8 and |r| <= 8, so n never carries to 1e17. y == 1e16 with
+    r < 0 lies one decimal exponent lower, and goes to format() with the ties.
     """
     s = 16 - np.floor(np.log10(x)).astype(np.int64)
-    y, r, hi = _scaled(x, s)
-    shift = (y < 1e16).astype(np.int64) - (y >= 1e17)
-    redo = np.flatnonzero(shift)
-    if redo.size:
-        s[redo] += shift[redo]
-        y[redo], r[redo], hi[redo] = _scaled(x[redo], s[redo])
-    whole = np.rint(r)  # y is an integer in double, r at most half its ulp
-    n = y.astype(np.int64) + whole.astype(np.int64)
-    r -= whole
-    half = np.ldexp(hi, e2 - 54)
+    y, r = _scaled(x, s)
+    redo = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 was off by one
+    s[redo] += np.where(y[redo] < 1e16, 1, -1)
+    y[redo], r[redo] = _scaled(x[redo], s[redo])
+    whole = np.rint(r)
+    unsure = (np.abs(np.abs(r - whole) - 0.5) <= _UNSURE) | (y < 1e16) | (y >= 1e17)
+    unsure |= (y == 1e16) & (r < 0)
+    return y.astype(np.int64) + whole.astype(np.int64), s, unsure
 
-    digits, ok, unsure = _candidate(n, r, half, 1)
-    count = np.full(x.shape[0], 16, dtype=np.int64)
-    more = np.flatnonzero(~ok & ~unsure)
-    digits[more], ok17, _ = _candidate(n[more], r[more], half[more], 0)
-    count[more] = 17
-    unsure[more] = ~ok17
-    live = np.flatnonzero(ok)
-    for k in range(2, 17):
-        if not live.size:
-            break
-        dk, okk, unk = _candidate(n[live], r[live], half[live], k)
-        unsure[live[unk]] = True
-        live = live[okk]
-        digits[live] = dk[okk]
-        count[live] = 17 - k
-    digits *= _POW10[17 - count]
-    decpt = 17 - s
-    # A candidate rounded up to a power of ten is the one digit "1".
-    carry = digits == _POW10[17]
-    digits[carry] = _POW10[16]
-    count[carry] = 1
-    decpt[carry] += 1
-    unsure |= (digits < _POW10[16]) | (y < 1e16) | (y >= 1e17)
-    return digits, count, decpt, unsure
+
+@functools.cache
+def _exponent_text() -> np.ndarray:
+    """%e's exponent 16 - s for each scale s of _pow10_table ("e+05",
+    "e-100"), as 5-byte rows padded with NUL."""
+    return np.array([list(b"e%+03d\0" % (16 - s))[:5] for s in range(_S_MIN, _S_MAX + 1)], np.uint8)
 
 
 @functools.cache
@@ -455,80 +412,40 @@ def _ascii_digits(digits: np.ndarray) -> np.ndarray:
 
 
 def _float_text(values: np.ndarray, width: int) -> bytes:
-    """repr() of each float64 in `values`, a space after each and a newline
-    after every `width`-th, as one bytes object."""
+    """format(x, ".16e") of each float64 x in `values`, a space after each and
+    a newline after every `width`-th, as one bytes object."""
     cells = np.zeros((values.shape[0], _CELL), dtype=np.uint8)
     cells[:, -1] = ord(" ")
     cells[width - 1::width, -1] = ord("\n")
     mag = np.abs(values)
-    mant, e2 = np.frexp(mag)
-    # Zeros, subnormals, inf, nan and the far ends of the range go to repr(),
-    # and so do powers of two, whose gap below is half the gap above.
-    fast = np.flatnonzero((mag >= _FAST_MIN) & (mag <= _FAST_MAX) & (mant != 0.5))
-    digits, count, decpt, unsure = _shortest(mag[fast], e2[fast])
-
-    # Sort the decided values by layout, so that each layout is one slice:
-    # group 0 is exponent form (repr's rule: decpt <= -4 or decpt > 16),
-    # group decpt + 4 the fixed form with that decimal point position.
-    group = np.where((decpt <= -4) | (decpt > 16), 0, decpt + 4).astype(np.int8)
-    group[unsure] = -1
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(22))
-    order = order[bounds[0]:]
-    bounds -= bounds[0]
-    rows, digits, count, decpt = fast[order], digits[order], count[order], decpt[order]
-    text = np.zeros((rows.shape[0], _CELL - 1), dtype=np.uint8)
-    text[:, 0] = np.signbit(values[rows]) * np.uint8(ord("-"))
-    padded = _ascii_digits(digits)
-    trimmed = padded * _KEEP.take(count, axis=0)
-
-    at = slice(bounds[0], bounds[1])
-    t, e = text[at], decpt[at] - 1
-    t[:, 1] = padded[at, 0]
-    t[:, 2] = (count[at] > 1) * np.uint8(ord("."))
-    t[:, 3:19] = trimmed[at, 1:]
-    t[:, 19] = ord("e")
-    t[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    wide = e >= 100
-    t[:, 21] = np.where(wide, e // 100, e // 10) % 10 + ord("0")
-    t[:, 22] = np.where(wide, e // 10, e) % 10 + ord("0")
-    t[:, 23] = wide * (e % 10 + ord("0"))
-    for p in range(-3, 17):
-        at = slice(bounds[p + 4], bounds[p + 5])
-        t = text[at]
-        if not t.shape[0]:
-            continue
-        if p <= 0:
-            t[:, 1:3 - p] = np.frombuffer(b"0." + b"0" * -p, dtype=np.uint8)
-            t[:, 3 - p:20 - p] = trimmed[at]
-        else:
-            t[:, 1:1 + p] = padded[at, :p]
-            t[:, 1 + p] = ord(".")
-            t[:, 2 + p:19] = trimmed[at, p:]
-            # An integral value ends in ".0".
-            t[:, 2 + p] |= (count[at] <= p) * np.uint8(ord("0"))
-    cells[rows, :-1] = text
-
-    slow = np.ones(values.shape[0], dtype=bool)
-    slow[rows] = False
-    for i in np.flatnonzero(slow).tolist():
-        exact = repr(float(values[i])).encode()
+    # Zeros, subnormals, inf, nan and the far ends of the range go to format().
+    sure = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    digits, s, unsure = _digits17(mag[sure])
+    sure[sure] = ~unsure
+    digits = _ascii_digits(digits[~unsure])
+    # -d.dddddddddddddddde+dd, with a third exponent digit from 1e100 on.
+    text = np.zeros((digits.shape[0], _CELL - 1), dtype=np.uint8)
+    text[:, 0] = np.signbit(values[sure]) * np.uint8(ord("-"))
+    text[:, 1] = digits[:, 0]
+    text[:, 2] = ord(".")
+    text[:, 3:19] = digits[:, 1:]
+    text[:, 19:] = _exponent_text()[s[~unsure] - _S_MIN]
+    cells[sure, :-1] = text
+    for i in np.flatnonzero(~sure).tolist():
+        exact = format(float(values[i]), ".16e").encode()
         cells[i, :len(exact)] = np.frombuffer(exact, dtype=np.uint8)
     return cells[cells != 0].tobytes()
 
 
 def write_float_rows(out, table: np.ndarray) -> None:
     """Write each row of the float64 `table` to the binary file `out` as
-    `" ".join(map(repr, row.tolist())) + "\\n"`, byte for byte.
-
-    The text is made in numpy, FLOAT_CHUNK_VALUES floats at a time, by the
-    design of Grisu3 (Loitsch, PLDI 2010): a fast digit path that notices
-    the rare values it cannot decide and leaves them to repr(). Each value
-    is scaled by a power of ten as an exact double-double (Dekker 1971);
-    the nearest candidate of each length is tested against half the gap
-    between doubles; the digits go into fixed-width byte rows laid out by
-    repr's rules, and one mask compacts them.
+    `" ".join(format(x, ".16e") for x in row.tolist()) + "\\n"`, byte for
+    byte: C's %.16e, 17 correctly rounded significant digits, which read back
+    as the same double (Matula 1968; Goldberg 1991). The text is made in
+    numpy, FLOAT_CHUNK_VALUES floats at a time: each value is scaled by a
+    power of ten as an exact double-double (Dekker 1971) and rounded, the
+    rare values that cannot be decided so go to format(), and one mask
+    compacts the fixed-width byte rows.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, width = table.shape

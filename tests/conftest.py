@@ -236,11 +236,12 @@ def entries_text_oracle(tensor):
 
 
 def model_text_oracle(model):
-    """The body of a model file (after the header line), one float at a time."""
-    lines = [" ".join(repr(float(w)) for w in model.weights)]
+    """The body of a model file (after the header line), one float at a time
+    as format(x, ".16e") writes it."""
+    lines = [" ".join(format(float(w), ".16e") for w in model.weights)]
     for f in model.factors:
         for row in f:
-            lines.append(" ".join(repr(float(x)) for x in row))
+            lines.append(" ".join(format(float(x), ".16e") for x in row))
     return "\n".join(lines) + "\n"
 
 

@@ -483,6 +483,19 @@ class TestModelText:
             payload = np.load(path.with_name(path.name + ".npy"), allow_pickle=False)
             assert model_text_table(path).tobytes() == payload.tobytes(), path.name
 
+    def test_repr_body_still_loads(self, tmp_path):
+        # Model files written before the %.16e body held repr()'s digits; the
+        # header is the same, and load_model checks only the field counts.
+        model = KruskalModel(weights=[2.0, 0.1], factors=[[[0.5, 0.0], [1e-300, 3.0]], [[1.0, -0.0]]])
+        path = save_model(model, tmp_path / "m.model")
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        rows = [model.weights, *model.factors[0], *model.factors[1]]
+        body = "".join(" ".join(map(repr, r.tolist())) + "\n" for r in rows)
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        loaded, _ = load_model(path)
+        assert model_text_table(path).tobytes() == np.vstack(rows).tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+
     def _saved(self, tmp_path):
         model = KruskalModel(weights=[2.0, 1.0], factors=[[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]])
         path = save_model(model, tmp_path / "m.model")
@@ -528,9 +541,9 @@ def _oracle_text(table):
     return model_text_oracle(KruskalModel(weights=table[0], factors=[table[1:]])).encode()
 
 
-def _spy_repr():
-    """Counts the writer's calls of repr() (a module global shadows the builtin)."""
-    return mock.patch.object(sparse_tensor, "repr", create=True, side_effect=repr)
+def _spy_format():
+    """Counts the writer's calls of format() (a module global shadows the builtin)."""
+    return mock.patch.object(sparse_tensor, "format", create=True, side_effect=format)
 
 
 def _signed(rng, values):
@@ -543,11 +556,11 @@ def _with_neighbours(values):
 
 
 class TestFloatText:
-    """write_float_rows against the per-float repr() join of the model body."""
+    """write_float_rows against the per-float format(x, ".16e") join of the model body."""
 
     CHUNK = sparse_tensor.FLOAT_CHUNK_VALUES
 
-    def test_random_values_match_repr(self, rng):
+    def test_random_values_match_format(self, rng):
         n = 400_000
         tables = [
             rng.uniform(size=n).reshape(-1, 200),
@@ -564,18 +577,25 @@ class TestFloatText:
         table = np.concatenate([table, -table]).reshape(-1, 4)
         assert _written(table) == _oracle_text(table)
 
-    def test_fixed_and_exponent_forms_switch_where_repr_does(self):
-        # repr writes an exponent once the decimal point is 4 places left of
-        # the first digit, or 17 places right of it.
-        edges = [1e-4, 1e-5, 0.00012345678901234567, 1e16, 1e17, 1e15, 123456789012345.67,
-                 1234567890123456.0, 9999999999999998.0, 12345678901234568.0, 1.5e16, 0.5, 100.0]
+    def test_exponent_digits_carry_and_sign(self):
+        # Two exponent digits up to 1e+-99, three from 1e+-100 on. The double
+        # 1e-14 lies just below 10**-14 and its 17 digits carry up to it;
+        # 1e-248 scales to just below 1e16, one decimal exponent lower.
+        edges = [1e99, 1e-99, 1e100, 1e-100, 1e-14, 1e-248, 123.456, 0.1, 0.0]
         table = _with_neighbours(edges)
         table = np.concatenate([table, -table]).reshape(-1, 1)
-        text = _written(table)
+        with _spy_format() as spy:
+            text = _written(table)
         assert text == _oracle_text(table)
-        assert {b"0.0001", b"1e-05", b"1e+16", b"1234567890123456.0", b"-100.0"} <= set(text.split())
+        assert {
+            b"9.9999999999999997e+98", b"1.0000000000000000e-99", b"1.0000000000000000e+100",
+            b"-1.0000000000000000e-100", b"1.0000000000000000e-14", b"9.9999999999999998e-249",
+            b"1.2345600000000000e+02", b"-1.0000000000000001e-01", b"-0.0000000000000000e+00",
+        } <= set(text.split())
+        called = {c.args[0] for c in spy.call_args_list}
+        assert {1e-14, -1e-14, 1e-248, -1e-248} <= called
 
-    def test_specials_match_repr(self):
+    def test_specials_match_format(self):
         table = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                           1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
                           math.nan, 1.0, -2.0, 3.0]).reshape(-1, 2)
@@ -594,21 +614,24 @@ class TestFloatText:
 
     def test_fast_path_decides_nearly_all(self, rng):
         # Correct bytes alone would not show a fast path that left every
-        # value to repr().
+        # value to format().
         table = rng.uniform(size=(1000, 200)) * rng.lognormal(0.0, 3.0, (1000, 200))
-        with _spy_repr() as spy:
+        with _spy_format() as spy:
             text = _written(table)
         assert text == _oracle_text(table)
         assert spy.call_count <= 0.001 * table.size, spy.call_count
 
-    def test_undecided_values_go_to_repr(self):
+    def test_undecided_values_go_to_format(self):
         # 1911014190010.46875 lies exactly halfway between two 17-digit
-        # decimals, and 0.0 and 2.0 never enter the fast path.
+        # decimals, and 0.0 never enters the fast path.
         table = np.array([[0.1, 1911014190010.46875], [0.0, 2.0]])
-        with _spy_repr() as spy:
+        with _spy_format() as spy:
             text = _written(table)
-        assert text == _oracle_text(table) == b"0.1 1911014190010.4688\n0.0 2.0\n"
-        assert [c.args[0] for c in spy.call_args_list] == [1911014190010.46875, 0.0, 2.0]
+        assert text == _oracle_text(table) == (
+            b"1.0000000000000001e-01 1.9110141900104688e+12\n"
+            b"0.0000000000000000e+00 2.0000000000000000e+00\n"
+        )
+        assert [c.args[0] for c in spy.call_args_list] == [1911014190010.46875, 0.0]
 
     def test_memory_does_not_grow_with_the_table(self, tmp_path, rng):
         rows = 4 * self.CHUNK // 200

@@ -258,6 +258,12 @@ class TestErrors:
         assert run("ingest", "--workdir", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_reports_error(self, tmp_path, capsys):
+        corpus = tmp_path / "latin1.csv"
+        corpus.write_bytes("title,abstract,first_author,journal,body\nt,a,x,j,caf\xe9\n".encode("latin-1"))
+        assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(tmp_path / "w")) == 1
+        assert f"error: {corpus}:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_workdir_reports_error(self, capsys):
         assert run("factorize") == 1
         assert "error:" in capsys.readouterr().err

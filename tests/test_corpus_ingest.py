@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,56 @@ class TestLoadCorpus:
         records = load_corpus(path, "csv")
         assert len(records) == 1
         assert records[0].body == ""
+
+    def test_non_utf8_body_path_counted_as_unreadable(self, tmp_path, caplog):
+        (tmp_path / "latin1.txt").write_bytes("caf\xe9 body text".encode("latin-1"))
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "title,abstract,first_author,journal,body,body_path\n"
+            "t,a,x,j,,latin1.txt\n",
+            encoding="utf-8",
+        )
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        assert [r.body for r in load_corpus(path, "csv")] == [""]
+        assert self.logged(caplog) == [
+            ("WARNING", f"{path}:2: unreadable body_path 'latin1.txt'"),
+            ("WARNING", f"{path}: skipped 0 malformed row(s), 1 unreadable body file(s)"),
+            ("INFO", f"{path}: loaded 1 record(s)"),
+        ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+    def test_non_utf8_source_names_its_line(self, tmp_path, fmt):
+        # The bad byte lies past the first chunk the text reader decodes, so
+        # the line comes from the file's bytes, not from the reader.
+        rows = [("title", "abstract", "first_author", "journal", "body")]
+        rows += [(f"t{i}", "a", "x", "j", "body text") for i in range(2000)]
+        lines = [self._row_text(fmt, row, rows[0]) for row in rows]
+        lines[1500] = lines[1500].replace("body text", "caf\xe9")
+        line = "".join(lines[:1500]).count("\n") + 1
+        path = tmp_path / f"c.{fmt}"
+        path.write_bytes("".join(lines).encode("latin-1"))
+        assert path.stat().st_size > 16384
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: not UTF-8 text"):
+            load_corpus(path, fmt)
+
+    @staticmethod
+    def _row_text(fmt, row, header):
+        if fmt == "jsonl":
+            return "" if row is header else json.dumps(dict(zip(header, row)), ensure_ascii=False) + "\n"
+        return ("," if fmt == "csv" else "\t").join(row) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "jsonl"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, fmt):
+        header = ("title", "abstract", "first_author", "journal", "body")
+        rows = [header, ("t1", "a", "x", "j", "b one"), ("t2", "a", "y", "j", "b two")]
+        text = "".join(self._row_text(fmt, row, header) for row in rows)
+        plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        records = load_corpus(marked, fmt)
+        assert [r.title for r in records] == ["t1", "t2"]
+        assert records == load_corpus(plain, fmt)
 
     @staticmethod
     def logged(caplog):
@@ -327,6 +378,8 @@ class TestCleaningRulesValidation:
         path.write_text("# comment\nThe\n\nand\n", encoding="utf-8")
         words = load_stopwords(path)
         assert words == frozenset(["the", "and"])
+        path.write_text("The\nand\n", encoding="utf-8-sig")
+        assert load_stopwords(path) == frozenset(["the", "and"])
 
     def test_default_stopwords_are_lowercase_ascii(self):
         assert all(w == w.lower() and w.isascii() for w in DEFAULT_STOPWORDS)

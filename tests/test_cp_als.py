@@ -219,7 +219,7 @@ class TestArrange:
         np.testing.assert_allclose(out.factors[0][:, 0], [0.25, 0.75])
         np.testing.assert_allclose(out.factors[1][:, 0], [0.5, 0.5])
         assert out.weights[0] == pytest.approx(-32.0)
-        assert out.negative_weight_indices() == [0]
+        assert np.flatnonzero(out.weights < 0).tolist() == [0]
 
     def test_represents_same_tensor(self, rng):
         model = KruskalModel(

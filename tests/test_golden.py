@@ -6,9 +6,12 @@ binary payload came in: their header gained the payload's CRC-32 and schema
 version 2, their body lines did not change, and their two .npy payloads were
 added. The tensor's header.json was re-pinned, and its entries.npy added, in
 the same way when the tensor gained its binary payload; entries.tsv did not
-change. Any later change to how the tensor, the models, the selection or the
-report are computed or serialized must leave these hashes alone or update
-them on purpose. The model bytes depend on floating-point results of the
+change. The two model files were re-pinned once more when the model body
+became format(x, ".16e") text in place of repr()'s shortest digits: their
+header lines and .npy payloads did not change, only the body text. Any
+later change to how the tensor, the models, the selection or the report are
+computed or serialized must leave these hashes alone or update them on
+purpose. The model bytes depend on floating-point results of the
 factorization, so a different BLAS may legitimately change them.
 """
 
@@ -26,9 +29,9 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "5fc1ee7c251896cdad7a16da220909f79aaf10ffabb112070c57b173e3ac8035",
+    "models/rank_3.model": "d3c6e485b83038b625ea808588b7af66f66d4524d1734af9d64a363462c4d95a",
     "models/rank_3.model.npy": "180383bea548d9f7edb3e6b368cc7f77c25d7f4e4de1be7b20744cdf800bc421",
-    "models/rank_5.model": "d10343716b57219cae6ddd9abe0bad0a77587b208a0874a1608a470495eb032b",
+    "models/rank_5.model": "fd62d3317e2304f3f185a7d64ca81eb6eb058793c3c6a06fc30f4e72050a92a1",
     "models/rank_5.model.npy": "22b4d2ce58fa98c3683d38d667a406ae03a03c3eae560228c1facf5522a7e230",
     "selection.json": "3a16159f03b547dc62eb20037093aabe485ebf4fd18c545b29a30d7c79e72c6e",
     "report/report.json": "2227f76d382108be26e641c6d5bf20f68d67fced845791745fe7f96fd9d1d296",
