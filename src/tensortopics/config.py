@@ -100,14 +100,22 @@ def _set(cfg: PipelineConfig, obj: str | None, name: str, value) -> PipelineConf
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file.
 
-    A line without '=', an unknown or duplicate key, and a value that its
-    reader or its settings object rejects (an unreadable stopword file
-    too) each raise a ValueError naming the file and the line.
+    The file is UTF-8; a leading byte-order mark is skipped. A byte that is
+    not UTF-8, a line without '=', an unknown or duplicate key, and a value
+    that its reader or its settings object rejects (an unreadable stopword
+    file too) each raise a ValueError naming the file and the line.
     """
     path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark; number the bad
+        # byte's line the way splitlines() numbers the decoded text's.
+        line_no = len((exc.object[: exc.start] + b"x").decode("utf-8").splitlines())
+        raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     cfg = PipelineConfig()
     seen = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -381,7 +381,7 @@ def arrange(model: KruskalModel) -> KruskalModel:
         normalized, absorbed = normalize_columns_l1(f)
         factors[k] = normalized
         weights = weights * absorbed
-    order = sorted(range(weights.shape[0]), key=lambda r: (-abs(weights[r]), r))
+    order = np.argsort(-np.abs(weights), kind="stable")
     weights = weights[order]
     factors = [f[:, order] for f in factors]
     return KruskalModel(weights=weights, factors=factors)

@@ -35,10 +35,11 @@ def hadamard_all(mats: Sequence[np.ndarray]) -> np.ndarray:
 def solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve X G = RHS for X, where G is a symmetric gram-product matrix.
 
-    Tries a direct solve first (Cholesky probe for positive definiteness).
-    A numerically singular G gets a ridge of 1e-12 * trace(G) / R added to
-    the diagonal; if that still fails, or the ridge is zero, falls back to
-    the minimum-norm least-squares solution. Never aborts on singular input.
+    If a Cholesky probe finds G positive definite, X = RHS @ inv(G): one
+    R x R inverse and one matrix product, at any row count. Otherwise G gets
+    a ridge of 1e-12 * trace(G) / R on its diagonal and an LU solve; if that
+    fails too, or the ridge is zero, X is the minimum-norm least-squares
+    solution. Never aborts on singular input.
     """
     g = np.asarray(g, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -53,7 +54,7 @@ def solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     try:
         np.linalg.cholesky(g)
-        return np.linalg.solve(g, rhs.T).T
+        return rhs @ np.linalg.inv(g)
     except np.linalg.LinAlgError:
         pass
     r = g.shape[0]

@@ -264,6 +264,12 @@ class TestErrors:
         assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(tmp_path / "w")) == 1
         assert f"error: {corpus}:2: not UTF-8 text" in capsys.readouterr().err
 
+    def test_non_utf8_config_reports_error(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"seed = 1\n# caf\xe9\n")
+        assert run("factorize", "--config", str(config), "--workdir", str(tmp_path / "w")) == 1
+        assert f"error: {config}:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_workdir_reports_error(self, capsys):
         assert run("factorize") == 1
         assert "error:" in capsys.readouterr().err

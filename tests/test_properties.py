@@ -1,6 +1,7 @@
 """Properties that docstrings state, checked on generated inputs.
 
-arrange() represents the same tensor as its input (it keeps the fit), and
+arrange() represents the same tensor as its input (it keeps the fit) and
+orders components by descending absolute weight, ties by position;
 selection does not depend on the order of the pooled components. arrange()
 is idempotent only up to rounding that grows with cancellation inside a
 column: a column where it misses 1e-12 is pinned as an expected failure.
@@ -64,6 +65,27 @@ class TestArrange:
         model, tensor = case
         want = fit(tensor, model)
         assert abs(fit(tensor, arrange(model)) - want) <= 1e-12 * abs(1.0 - want)
+
+    @PROPERTY
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+                st.floats(-3.0, 3.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_orders_by_descending_magnitude_then_position(self, weights):
+        # Identity columns sum to 1, so arrange keeps each weight and the
+        # result's second factor spells out the order it chose.
+        rank = len(weights)
+        model = KruskalModel(weights=weights, factors=[np.ones((1, rank)), np.eye(rank)])
+        order = sorted(range(rank), key=lambda r: (-abs(weights[r]), r))
+        got = arrange(model)
+        assert np.argmax(got.factors[1], axis=0).tolist() == order
+        np.testing.assert_array_equal(got.weights, np.array(weights)[order])
 
     @pytest.mark.xfail(
         strict=True,
