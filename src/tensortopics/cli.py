@@ -273,17 +273,22 @@ def cli_run(argv) -> int:
 
 
 # glibc's mallopt() parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
-# A lower threshold also maps the many mid-size arrays of the low ranks, and
-# faulting their pages in slowed factorize by about 7% on the bench's
-# `ensemble` workload.
+# Arrays of this size or more are mapped on their own and unmapped when
+# freed. A lower threshold also maps the many mid-size arrays of the low
+# ranks, and faulting their pages in slowed factorize by about 7% on the
+# bench's `ensemble` workload.
 MMAP_THRESHOLD_BYTES = 4 << 20
+# Free memory at the heap top is kept up to this size, well above any stage's
+# heap churn, instead of being handed back to the kernel on each free.
+TRIM_THRESHOLD_BYTES = 256 << 20
 
 
 def fix_mmap_threshold() -> bool:
-    """Pin glibc's mmap threshold, and its arena count at one, for this
-    process; True if both were set.
+    """Pin glibc's mmap threshold, its trim threshold and its arena count at
+    one, for this process; True if all three were set.
 
     By default glibc raises the threshold to the size of each mapped block
     it frees, so later arrays up to that size come from the heap, and how
@@ -291,7 +296,12 @@ def fix_mmap_threshold() -> bool:
     allocations: the same factorize run peaked at 75 or at 87 MB depending
     on the length of the workdir path. With the threshold fixed, every
     array of 4 MiB or more is mapped on its own and unmapped when freed,
-    so the peak follows the live arrays. ensemble_models fits the ranks on
+    so the peak follows the live arrays. Fixing it also stops glibc from
+    raising the trim threshold with it, which stays at 128 KiB: every free
+    of a multi-MB temporary below 4 MiB would then give the heap top back to
+    the kernel, and the next such array would fault it in again (20 cycles
+    of a 3 MiB array cost 14,720 minor faults). So the trim threshold is
+    pinned too, and freed heap is reused. ensemble_models fits the ranks on
     a worker thread, whose first malloc would open a second arena beside
     the main one: 2 MB more factorize peak on `ensemble` (75 -> 77 MB).
     Does nothing off glibc.
@@ -300,7 +310,12 @@ def fix_mmap_threshold() -> bool:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return False
         mallopt = ctypes.CDLL(None).mallopt
-        return mallopt(_M_ARENA_MAX, 1) == mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+        # mallopt returns 1 on success; the list makes every call run.
+        return all([
+            mallopt(_M_ARENA_MAX, 1),
+            mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+        ])
     except (ValueError, OSError, AttributeError):
         return False
 

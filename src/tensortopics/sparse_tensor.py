@@ -306,9 +306,10 @@ SUMMARY = Artifact("summary", "report-summary", 1, "report")
 
 
 def write_json(path: Path, artifact: Artifact, **fields) -> dict:
-    """Write `artifact.stamp(**fields)` to `path` as indented JSON; returns it."""
+    """Write `artifact.stamp(**fields)` to `path` as one line of compact JSON;
+    returns it. Without `indent`, json.dumps runs CPython's C encoder."""
     header = artifact.stamp(**fields)
-    path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
     return header
 
 

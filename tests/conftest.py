@@ -314,7 +314,7 @@ def rewrite_tensor_payload(tensor_dir, change, restamp=False):
         header_path = Path(tensor_dir) / "header.json"
         header = json.loads(header_path.read_text(encoding="utf-8"))
         header["payload_crc32"] = zlib.crc32(np.ascontiguousarray(rows))
-        header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+        header_path.write_text(json.dumps(header) + "\n", encoding="utf-8")
 
 
 def _with_fields(rows, fields):
@@ -336,7 +336,7 @@ def _tensor_schema_1(tensor_dir):
     header = json.loads(header_path.read_text(encoding="utf-8"))
     header["schema_version"] = 1
     del header["payload_crc32"]
-    header_path.write_text(json.dumps(header, indent=2) + "\n", encoding="utf-8")
+    header_path.write_text(json.dumps(header) + "\n", encoding="utf-8")
 
 
 def _payload(tensor_dir):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -125,6 +126,25 @@ class TestPipeline:
             for other in {*artifacts.values()} - {artifact}:
                 with pytest.raises(ValueError, match="unrecognized"):
                     read_header(raw, path, other)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    def test_json_artifacts_use_the_c_encoder(self, tmp_path):
+        # json.dumps takes the pure-Python encoder, several times slower,
+        # whenever it is given an indent.
+        workdir = tmp_path / "run"
+        with mock.patch("json.encoder._make_iterencode", side_effect=AssertionError("pure-Python encoder")):
+            assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        artifacts = {
+            "tensor/header.json": TENSOR,
+            "selection.json": SELECTION,
+            "report/report.json": REPORT,
+            "report/summary.json": SUMMARY,
+        }
+        for name, artifact in artifacts.items():
+            path = workdir / name
+            raw = path.read_bytes()
+            assert raw.count(b"\n") == 1 and raw.endswith(b"\n"), name
+            read_header(raw, path, artifact)
 
     def test_custom_report_directory(self, tmp_path):
         workdir = tmp_path / "run"
@@ -605,3 +625,42 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(not fixed)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),
+        reason="the trim threshold is a glibc setting",
+    )
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_fixed_trim_threshold_reuses_freed_heap(self, fixed):
+        # Pinning the mmap threshold alone leaves the trim threshold at its
+        # 128 KiB default, so freeing an array below the mmap threshold gives
+        # the heap top back to the kernel and the next one faults it in again.
+        code = (
+            "import ctypes, resource\n"
+            "import numpy as np\n"
+            "from tensortopics import cli\n"
+            + (
+                "assert cli.fix_mmap_threshold()\n"
+                if fixed
+                else "assert ctypes.CDLL(None).mallopt(cli._M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES) == 1\n"
+            )
+            + "n = (3 << 20) // 8\n"
+            "assert n * 8 < cli.MMAP_THRESHOLD_BYTES\n"
+            "a = np.ones(n)\n"
+            "del a\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    a = np.ones(n)\n"
+            "    del a\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, resource.getpagesize())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults, page_size = map(int, proc.stdout.split())
+        pages = (3 << 20) // page_size  # one array's pages
+        if fixed:
+            assert faults < pages
+        else:
+            assert faults > 10 * pages

@@ -13,13 +13,17 @@ solve_gram began to solve the ALS normal equations as rhs @ inv(G) in place
 of an LU solve, the factors moved in their last bits, so seven files were
 re-pinned: both models and their .npy payloads, selection.json (the last
 digits of the kept weights; the kept set did not change), report.json and
-index.html. The tensor and summary.json did not move. Any later change to
-how the tensor, the models, the selection or the report are computed or
-serialized must leave these hashes alone or update them on purpose. The
-model bytes depend on floating-point results of the factorization, so the
-hashes hold for the numpy/BLAS build and BLAS thread count they were pinned
-with (numpy 2.4.6 and its bundled OpenBLAS, one thread); another build may
-legitimately change them.
+index.html. The tensor and summary.json did not move. When the JSON
+artifacts became one line of compact JSON in place of indent=2 text, so that
+json.dumps runs CPython's C encoder, four files were re-pinned:
+tensor/header.json, selection.json, report/report.json and
+report/summary.json. Each parses to the same object as before; no other byte
+moved. Any later change to how the tensor, the models, the selection or the
+report are computed or serialized must leave these hashes alone or update
+them on purpose. The model bytes depend on floating-point results of the
+factorization, so the hashes hold for the numpy/BLAS build and BLAS thread
+count they were pinned with (numpy 2.4.6 and its bundled OpenBLAS, one
+thread); another build may legitimately change them.
 """
 
 import hashlib
@@ -29,7 +33,7 @@ from tensortopics.cli import cli_run
 from conftest import DATA_DIR
 
 GOLDEN_SHA256 = {
-    "tensor/header.json": "1505396b8543bd433d10cf5ac545aab7780b025f798dd08ba9b573a171d0d629",
+    "tensor/header.json": "69e9cc9d8b5127494ba65b7483a185f57288f14ac250db96347f01cfbbf03aa4",
     "tensor/entries.npy": "7fc2e45185939b3bafddb0f7a0aa267e54d030100b2a7c92da586e116d346dbb",
     "tensor/entries.tsv": "806ef1c0d86131b5e7543db91ec463434c7fa79ecae4a96ffc29d7ae132f78bc",
     "tensor/mode0.labels.txt": "20e5114aa75ecf82dcf2ed95f8a5cf101acc44dd0ee82769a70344e28c0e4163",
@@ -40,9 +44,9 @@ GOLDEN_SHA256 = {
     "models/rank_3.model.npy": "630d4a51a7ec87da7a60f5ae415849857ee98d9b5843ed182b7045d39f3d69d3",
     "models/rank_5.model": "ac29b27a1c6160ab8f3fd42c381643f96f4216daefad4af56e1460739f29e054",
     "models/rank_5.model.npy": "3b0d18999ba8c8cfb02416900f83f9e487bd33b7d071266a5473fac9b7df24b3",
-    "selection.json": "23df69dcb397e704fd5d63e1a34558c94a6f4f50cebbca145530777fa7658b6e",
-    "report/report.json": "0c2859adfe882805d82d0ae5761966473cc8a00b22241e362abe6a1951eacfc6",
-    "report/summary.json": "62ee271e5bbf71a9731a76b2caa1a9b71a1c3d6493cec4b33c3dad3fb6e91950",
+    "selection.json": "ca9def76e4fef67c4b47bd48d5126160dad4d2310a0ed74d7846ba2017d64ac1",
+    "report/report.json": "a872cf844bb797463981bc3b9a7f1d316910574d3550853a03a555ccf62d661e",
+    "report/summary.json": "c37d872a328983133158a8bc545f54d18fd2bb11b91563f6188f1c7a01167582",
     "report/index.html": "c622e398fca1aa1b8cd45e04c5ac1dee0663fec3c3141b2c2569a3f934fb52b4",
 }
 
