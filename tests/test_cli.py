@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,12 +15,25 @@ from tensortopics.ensemble import components_from_model
 from tensortopics.sparse_tensor import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
+from test_golden import assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
+STAGE = ("-m", "tensortopics.cli")
 
 
 def run(*argv):
     return cli_run(list(argv))
+
+
+def child(*args, **kwargs):
+    """Run `python *args` with piped streams, as a shell runs a stage:
+    without PYTHONUNBUFFERED, so stdout reaches the pipe only when main()
+    flushes it, with one BLAS thread, which the golden hashes hold for, and
+    with help text 80 columns wide."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *args], text=True, timeout=120, env=env, **kwargs)
 
 
 def pipeline_files(workdir):
@@ -574,14 +588,74 @@ class TestEntryPoints:
         assert (tmp_path / "run" / "report" / "index.html").is_file()
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from tensortopics.cli import main; import sys; sys.argv=['tensortopics','--help']; main()"],
-            capture_output=True,
-            text=True,
-            timeout=60,
+        proc = child("-c", "from tensortopics.cli import main; import sys; sys.argv=['tensortopics','--help']; main()")
+        assert proc.returncode == 0, proc.stderr
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert proc.stdout == build_parser().format_help()
+
+    def test_stage_processes_write_the_golden_bytes(self, tmp_path):
+        for workdir, stages in (
+            (tmp_path / "staged", ("ingest", "factorize", "select", "report")),
+            (tmp_path / "direct", ("pipeline",)),
+        ):
+            for stage in stages:
+                proc = child(*STAGE, stage, "--config", CFG, "--workdir", str(workdir))
+                assert proc.returncode == 0, proc.stderr
+            assert_golden(workdir)
+
+    def test_stage_process_bad_flag_exits_two(self):
+        proc = child(*STAGE, "ingest", "--no-such-flag")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: tensortopics ")
+        assert proc.stderr.endswith("tensortopics: error: unrecognized arguments: --no-such-flag\n")
+
+    def test_stage_process_reports_error_and_exits_one(self, tmp_path):
+        proc = child(*STAGE, "select", "--workdir", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == "error: no model files found for the configured ranks"
+
+    def test_stage_process_logs_every_rank_fit(self, tmp_path):
+        assert run("ingest", "--config", CFG, "--workdir", str(tmp_path)) == 0
+        proc = child(*STAGE, "factorize", "--config", CFG, "--workdir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert re.findall(r"^INFO tensortopics\.ensemble: rank (\d+): fit ", proc.stderr, re.M) == ["3", "5"]
+
+    def test_failed_flush_exits_120_without_a_traceback(self):
+        # The help text waits in stdout's buffer until main() flushes it into
+        # a pipe that nobody reads.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = child(*STAGE, "--help", capture_output=False, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "end, status, fired",
+        [
+            ("cli.main()", 0, False),
+            # The handler fires on a normal exit...
+            ("sys.exit(0)", 0, True),
+            # ...and after an exception that cli_run does not catch.
+            ("cli.cli_run = None; cli.main()", 1, True),
+        ],
+    )
+    def test_stage_process_skips_interpreter_teardown(self, tmp_path, end, status, fired):
+        # main() ends with os._exit, so atexit handlers never run.
+        marker = tmp_path / "marker"
+        code = (
+            "import atexit, pathlib, sys\n"
+            "from tensortopics import cli\n"
+            f"atexit.register(pathlib.Path({str(marker)!r}).touch)\n"
+            "sys.argv = ['tensortopics', '--help']\n"
+            f"{end}\n"
         )
-        assert proc.returncode == 0
-        assert "usage" in proc.stdout
+        proc = child("-c", code)
+        assert proc.returncode == status, proc.stderr
+        assert marker.exists() == fired
 
     def test_cli_import_leaves_fractions_and_decimal_out(self):
         # Exact arithmetic on Python ints is all the model text writer needs.

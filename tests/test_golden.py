@@ -51,12 +51,17 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_toy_pipeline_bytes_are_golden(tmp_path):
-    workdir = tmp_path / "run"
-    assert cli_run(["pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+def assert_golden(workdir):
+    """`workdir` holds exactly the golden files, each with its golden bytes."""
     written = sorted(
         p.relative_to(workdir).as_posix() for p in workdir.rglob("*") if p.is_file()
     )
     assert written == sorted(GOLDEN_SHA256)
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_toy_pipeline_bytes_are_golden(tmp_path):
+    workdir = tmp_path / "run"
+    assert cli_run(["pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+    assert_golden(workdir)
