@@ -98,12 +98,19 @@ def run_select(cfg) -> Path:
     components = []
     word_mode = None
     found_ranks = []
+    first = None
     for rank in cfg.selection.ranks:
         path = _model_path(cfg, rank)
         if not path.is_file():
             logger.warning("no model file for rank %d at %s, skipping", rank, path)
             continue
         model, _header = load_model(path)
+        first = first or (path, model.shape)
+        if model.shape != first[1]:
+            raise ValueError(
+                f"{path}: model shape {model.shape} does not match {first[0]}'s "
+                f"{first[1]}; rerun factorize"
+            )
         word_mode = model.order - 1
         components.extend(components_from_model(model, rank))
         found_ranks.append(rank)
@@ -161,11 +168,18 @@ def run_report(cfg) -> Path:
             f"{selection_path}: word_mode {word_mode} is outside [0, {len(axes)})"
         )
 
+    extents = tuple(len(axis) for axis in axes)
     pools = {}
     reports = []
     for pos, (rank, index) in enumerate(kept):
         if rank not in pools:
-            model, _header = load_model(_model_path(cfg, rank))
+            path = _model_path(cfg, rank)
+            model, _header = load_model(path)
+            if model.shape != extents:
+                raise ValueError(
+                    f"{path}: model shape {model.shape} does not match the label counts "
+                    f"{extents} of {_tensor_dir(cfg)}; rerun factorize"
+                )
             pools[rank] = components_from_model(model, rank)
         if not 0 <= index < len(pools[rank]):
             raise ValueError(

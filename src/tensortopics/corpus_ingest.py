@@ -403,25 +403,13 @@ def _rare_capitalized(scan: _Scan, floor: int) -> np.ndarray:
     return (df > 0) & (df < floor) & ~lower_seen
 
 
-def _first_seen_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in the order they first occur, and each one's count."""
-    # A run of the sorted keys holds one key's positions in any order: its
-    # least is the first occurrence, and sorting runs by it restores text order.
-    order = np.argsort(keys)
-    heads = _run_starts(keys[order])
-    counts = np.diff(np.r_[heads, keys.shape[0]])
-    first = np.minimum.reduceat(order, heads)
-    by_first = np.argsort(first)
-    return keys[first[by_first]], counts[by_first]
-
-
 @dataclass(frozen=True, eq=False)
 class QuadCounts:
     """Token counts per (author, document, journal, word), plus the four axes.
 
-    coords is (n, 4) int64 and tallies (n,) int64, in the order each
-    quadruple is first seen in the text. counts is the same data as a dict
-    in that order, built on each access.
+    coords is (n, 4) int64 and tallies (n,) int64; the rows of coords are
+    distinct and in lexicographic order, the tensor's own. counts is the
+    same data as a dict in that order, built on each access.
     """
 
     coords: np.ndarray
@@ -439,18 +427,19 @@ class QuadCounts:
 def build_counts(records, rules: CleaningRules) -> QuadCounts:
     """Tokenize deduplicated records into quadruple counts.
 
-    Axis indices are assigned in first-seen order, so the same record list
-    always produces the same maps. Documents are keyed by cleaned title,
-    authors verbatim (whitespace-normalized), and a record with an empty
-    journal lands under the reserved "(unknown-journal)" label. Records
-    whose body yields no tokens are dropped with a diagnostic.
+    Axis indices are assigned in first-seen order (a word at its first kept
+    occurrence), so the same record list always produces the same maps.
+    Documents are keyed by cleaned title, authors verbatim (whitespace-
+    normalized), and a record with an empty journal lands under the reserved
+    "(unknown-journal)" label. Tokenless records are dropped with a diagnostic.
 
     Each body is scanned once (twice if it is not ASCII) into an id stream;
     every filter depends only on the word, so each distinct word is decided
-    once, and the counts are grouped over the id stream with one sort.
+    once. The counts are grouped with one sort, of keys that order as the
+    tensor's rows: the record's (author, document, journal) cell ranked
+    lexicographically, then the word's vocabulary index.
     """
     scan = _scan(records)
-    n_words = len(scan.words)
     keep = _token_filter(rules)
     kept_word = np.array([keep(w) for w in scan.words], dtype=bool)
     if rules.name_df_floor > 0:
@@ -466,8 +455,8 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
     per_record = np.bincount(record, minlength=len(records))
 
     tables = (_id_table(), _id_table(), _id_table())
-    cells = _id_table()
-    cell_of = np.zeros(len(records), dtype=np.int64)
+    # A tokenless record keeps row (0, 0, 0), which no token looks up.
+    labels_of = np.zeros((len(records), 3), dtype=np.int64)
     dropped = 0
     for i, rec in enumerate(records):
         if not per_record[i]:
@@ -475,26 +464,24 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
             logger.info("document %r yields no tokens, dropped", rec.title)
             continue
         labels = (rec.first_author, rec.title, rec.journal if rec.journal else UNKNOWN_JOURNAL)
-        cell_of[i] = cells[tuple(map(operator.getitem, tables, labels))]
+        labels_of[i] = tuple(map(operator.getitem, tables, labels))
     if dropped:
         logger.info("dropped %d tokenless document(s)", dropped)
 
-    keys, tallies = _first_seen_runs(cell_of[record] * n_words + words)
-    cell, word = np.divmod(keys, n_words)
-    # the words in the order of their first quadruple
-    first = np.full(n_words, word.shape[0])
-    np.minimum.at(first, word, np.arange(word.shape[0]))
-    vocabulary = np.argsort(first)[: np.count_nonzero(first < word.shape[0])]
-    word_index = np.zeros(n_words, dtype=np.int64)
+    first = np.full(len(scan.words), words.shape[0])
+    np.minimum.at(first, words, np.arange(words.shape[0]))
+    vocabulary = np.argsort(first)[: np.count_nonzero(first < words.shape[0])]
+    word_index = np.zeros(len(scan.words), dtype=np.int64)
     word_index[vocabulary] = np.arange(vocabulary.shape[0])
-
-    cell_coords = np.array(list(cells), dtype=np.int64).reshape(-1, 3)
-    coords = np.column_stack([cell_coords[cell], word_index[word]])
+    cells, cell_of = np.unique(labels_of, axis=0, return_inverse=True)
+    keys = cell_of[record] * vocabulary.shape[0] + word_index[words]
+    keys, tallies = np.unique(keys, return_counts=True)
+    cell, word = np.divmod(keys, vocabulary.shape[0])
     axes = (
         *(AxisMap(table) for table in tables),
         AxisMap([scan.words[w] for w in vocabulary.tolist()]),
     )
-    return QuadCounts(coords=coords, tallies=tallies, axes=axes)
+    return QuadCounts(coords=np.column_stack([cells[cell], word]), tallies=tallies, axes=axes)
 
 
 def counts_to_tensor(quad: QuadCounts) -> SparseTensorCOO:

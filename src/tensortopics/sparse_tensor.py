@@ -143,8 +143,9 @@ class SparseTensorCOO:
 
     Construction sorts, coalesces duplicates by summation, and drops exact
     zeros, so the same logical entries always produce the same arrays.
-    Rows that are already strictly increasing (as a saved container's are)
-    skip the sort and the coalescing, which would leave them unchanged.
+    Rows that are already strictly increasing (as a saved container's and
+    build_counts' are) skip the sort and the coalescing, which would leave
+    them unchanged; any other rows are lexsorted.
     The arrays are marked read-only; instances are safe to share across
     threads.
     """
@@ -189,20 +190,12 @@ class SparseTensorCOO:
         for k in range(d - 2, -1, -1):
             rising = (nxt[:, k] > prev[:, k]) | ((nxt[:, k] == prev[:, k]) & rising)
         if not rising.all():
-            # A stable sort keeps duplicates in input order, and bincount sums
-            # each run in that order, so coalescing is deterministic (and
-            # equal to np.unique(axis=0) plus bincount). Each row's row-major
-            # cell index is one int64 key in lexicographic order, unless the
-            # cells outnumber int64; the rows themselves are lexsorted then.
-            try:
-                keys = np.ravel_multi_index(coords.T, shape)
-            except ValueError:
-                order = np.lexsort(coords.T[::-1])
-                starts = _run_starts(coords[order])
-            else:
-                order = np.argsort(keys, kind="stable")
-                starts = _run_starts(keys[order])
+            # lexsort is stable, so bincount sums each run of duplicates in
+            # input order: coalescing is deterministic (and equal to
+            # np.unique(axis=0) plus bincount), at any shape.
+            order = np.lexsort(coords.T[::-1])
             coords = coords[order]
+            starts = _run_starts(coords)
             run_of = np.repeat(np.arange(starts.shape[0]), np.diff(np.r_[starts, coords.shape[0]]))
             values = np.bincount(run_of, weights=values[order], minlength=starts.shape[0])
             coords = coords[starts]
@@ -475,12 +468,17 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
             f"{source}: unsupported schema version {header.get('schema_version')!r} "
             f"(expected {artifact.schema_version}; rerun {artifact.stage})"
         )
-    try:
-        values = [convert(header[name]) for name, convert in fields.items()]
-    except KeyError as exc:
-        raise ValueError(f"{source}: {kind} header has no {exc.args[0]!r} field") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
+    values = []
+    for name, convert in fields.items():
+        if name not in header:
+            raise ValueError(f"{source}: {kind} header has no {name!r} field")
+        try:
+            values.append(convert(header[name]))
+        except KeyError as exc:
+            key = exc.args[0]
+            raise ValueError(f"{source}: malformed {kind} header: no {key!r} key in {name!r}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
     return header, values
 
 

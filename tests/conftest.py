@@ -113,15 +113,6 @@ def lower_tokens_oracle(body):
     return re.findall(r"[a-z]+", body.lower())
 
 
-def first_seen_runs_oracle(keys):
-    """Dict oracle for corpus_ingest._first_seen_runs: distinct keys in the
-    order they first occur, and how often each occurs."""
-    counts = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return list(counts), list(counts.values())
-
-
 def _is_nonsense(token, rules):
     if not any(ch in "aeiouy" for ch in token):
         return True

@@ -28,7 +28,10 @@ from tensortopics import (
     KruskalModel,
     SparseTensorCOO,
     build_counts,
+    clean_and_filter,
     counts_to_tensor,
+    dedup,
+    load_corpus,
     load_model,
     load_tensor,
     save_model,
@@ -38,7 +41,6 @@ from tensortopics import (
 from tensortopics import sparse_tensor
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
-    _first_seen_runs,
     _nonascii_letter_fraction,
     _rare_capitalized,
     _scan,
@@ -52,7 +54,6 @@ from conftest import (
     build_counts_oracle,
     coalesce_oracle,
     entries_text_oracle,
-    first_seen_runs_oracle,
     lexsort_coalesce_oracle,
     lower_tokens_oracle,
     model_text_oracle,
@@ -136,7 +137,8 @@ class TestTokenFiltering:
     def test_build_counts_matches_oracle(self, recs, rules):
         got = build_counts(recs, rules)
         want = build_counts_oracle(recs, rules)
-        assert list(got.counts.items()) == list(want.counts.items())
+        # the oracle's keys come in first-seen order, build_counts' sorted
+        assert list(got.counts.items()) == sorted(want.counts.items())
         assert got.axes == want.axes
 
     @PROPERTY
@@ -194,9 +196,8 @@ ORDER_SENSITIVE = [1e16, 1.0, 0.1, 3e-5, 7.0, 2.0**-40, 1e-300]
 
 
 class TestSortPaths:
-    """The constructor sorts one row-major cell key, and falls back to lexsort
-    when the cells outnumber int64; _first_seen_runs takes each key's first
-    occurrence from an unstable sort."""
+    """The constructor lexsorts rows that are not strictly increasing, at any
+    shape, and sorts nothing else; build_counts hands it rows that are."""
 
     BIG = (2**40, 2**40, 3)
 
@@ -221,7 +222,7 @@ class TestSortPaths:
         want_coords, want_values = lexsort_coalesce_oracle(coords, values)
         with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
             tensor = SparseTensorCOO(coords, values, shape)
-        assert lexsort.called == (shape == self.BIG)
+        assert lexsort.called
         assert tensor.coords.tobytes() == want_coords.tobytes()
         assert tensor.values.tobytes() == want_values.tobytes()
 
@@ -240,17 +241,29 @@ class TestSortPaths:
         assert tensor.coords.tolist() == coords
         assert tensor.values.tolist() == values
 
-    @PROPERTY
-    @given(keys=st.lists(st.integers(-3, 40) | st.sampled_from([2**62, -(2**62)]), max_size=300))
-    def test_first_seen_runs_matches_dict_oracle(self, keys):
-        got_keys, got_counts = _first_seen_runs(np.array(keys, dtype=np.int64))
-        assert (got_keys.tolist(), got_counts.tolist()) == first_seen_runs_oracle(keys)
+    @staticmethod
+    def assert_sorted_once(quad):
+        rows = quad.coords.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        with (
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
+        ):
+            tensor = counts_to_tensor(quad)
+        assert not lexsort.called and not argsort.called
+        assert tensor.coords.tobytes() == quad.coords.tobytes()
 
-    def test_first_seen_runs_on_long_runs(self, rng):
-        # Long runs of equal keys are where an unstable sort reorders them.
-        keys = rng.integers(0, 60, 200_000)
-        got_keys, got_counts = _first_seen_runs(keys)
-        assert (got_keys.tolist(), got_counts.tolist()) == first_seen_runs_oracle(keys.tolist())
+    def test_toy_counts_are_the_tensor_rows(self):
+        rules = CleaningRules()
+        records = dedup(clean_and_filter(load_corpus(DATA_DIR / "toy_corpus.csv", "csv"), rules))
+        self.assert_sorted_once(build_counts(records, rules))
+
+    @PROPERTY
+    @given(recs=records, rules=rules)
+    def test_counts_are_the_tensor_rows(self, recs, rules):
+        quad = build_counts(recs, rules)
+        if quad.tallies.shape[0]:
+            self.assert_sorted_once(quad)
 
 
 class TestCoalescing:

@@ -468,6 +468,41 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 
+    @staticmethod
+    def reingest_seven_rows(workdir):
+        """Re-ingest the toy workdir from the first 7 corpus rows, leaving its
+        models fitted to the 11 x 37 x 7 x 36 tensor."""
+        lines = (DATA_DIR / "toy_corpus.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus = workdir / "seven.csv"
+        corpus.write_text("".join(lines[:8]), encoding="utf-8")
+        assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(workdir)) == 0
+
+    def test_report_names_a_model_of_another_tensor(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        self.reingest_seven_rows(workdir)
+        capsys.readouterr()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_\d+\.model: model shape \(11, 37, 7, 36\)", err)
+        assert "label counts (3, 7, 2, 12)" in err and "rerun factorize" in err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
+
+    def test_select_names_models_of_two_tensors(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        self.reingest_seven_rows(workdir)
+        assert run("factorize", "--config", CFG, "--workdir", str(workdir), "--ranks", "3") == 0
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "rank_5.model: model shape (11, 37, 7, 36)" in err
+        assert "rank_3.model's (3, 7, 2, 12); rerun factorize" in err
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
     def test_offsetting_entry_lines_report_error(self, selected, tmp_path, capsys):
         workdir = tmp_path / "run"
         shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
@@ -507,6 +542,8 @@ class TestErrors:
             (lambda s: s.update(format="component-report"), "unrecognized selection format 'component-report'"),
             (lambda s: s.pop("kept"), "selection header has no 'kept' field"),
             (lambda s: s["kept"][0].update(origin_rank=None), "malformed selection header"),
+            (lambda s: s["kept"][0].pop("origin_rank"),
+             "malformed selection header: no 'origin_rank' key in 'kept'"),
             (lambda s: s["kept"][0].update(index_in_model="x"), "malformed selection header"),
             (lambda s: s.update(word_mode=None), "malformed selection header"),
             (lambda s: s.update(word_mode=3.9), "malformed selection header: expected int, got 3.9"),
@@ -523,7 +560,7 @@ class TestErrors:
             (lambda s: s.update(strategy=None), "malformed selection header"),
         ],
         ids=[
-            "schema_99", "other_format", "no_kept", "null_rank", "text_index", "null_word_mode",
+            "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
             "fractional_word_mode", "fractional_index", "float_rank", "bool_index",
             "no_ranks", "no_threshold", "no_strategy", "text_ranks", "float_in_ranks",
             "text_threshold", "bool_threshold", "null_strategy",

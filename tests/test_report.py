@@ -246,6 +246,8 @@ class TestEmitReport:
             (lambda p: p.update(schema_version=7), "unsupported schema version 7"),
             (lambda p: p.pop("components"), "report header has no 'components' field"),
             (lambda p: p["components"][0].update(weight=None), "malformed report header"),
+            (lambda p: p["components"][0].pop("weight"),
+             "malformed report header: no 'weight' key in 'components'"),
             (lambda p: p["components"][0].update(modes=[]), "malformed report header"),
             (lambda p: p["components"][0].update(origin_rank=20.9), "malformed report header"),
             (lambda p: p["components"][0].update(index_in_model=True), "malformed report header"),
@@ -256,7 +258,7 @@ class TestEmitReport:
              "malformed report header"),
         ],
         ids=[
-            "schema_7", "no_components", "null_weight", "list_modes", "fractional_rank",
+            "schema_7", "no_components", "null_weight", "no_weight", "list_modes", "fractional_rank",
             "bool_index", "string_weight", "bool_mode_score", "string_keyword_score",
         ],
     )
