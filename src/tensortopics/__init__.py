@@ -6,6 +6,9 @@ cosine similarity over word factors picks a deduplicated component set to
 report.
 """
 
+from .artifacts import (
+    ComponentReport, load_axes, load_model, load_reports, load_tensor, save_model, save_tensor,
+)
 from .corpus_ingest import (
     CleaningRules,
     CorpusRecord,
@@ -25,9 +28,7 @@ from .cp_als import (
     cp_als,
     fit,
     init_factors,
-    load_model,
     mttkrp,
-    save_model,
 )
 from .ensemble import (
     Component,
@@ -40,22 +41,8 @@ from .ensemble import (
     similarity_matrix,
 )
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .report import (
-    ComponentReport,
-    build_report,
-    emit_report,
-    load_reports,
-    top_n,
-)
-from .sparse_tensor import (
-    AxisMap,
-    SparseTensorCOO,
-    density_value,
-    from_entries,
-    load_axes,
-    load_tensor,
-    save_tensor,
-)
+from .report import build_report, emit_report, top_n
+from .sparse_tensor import AxisMap, SparseTensorCOO, density_value, from_entries
 
 __version__ = "0.1.0"
 

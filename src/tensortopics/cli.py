@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import config as config_mod
+from .artifacts import (
+    load_axes, load_model, load_selection, load_tensor, save_model, save_selection, save_tensor,
+)
 from .corpus_ingest import (
     CORPUS_FORMATS,
     MODE_NAMES,
@@ -25,7 +27,6 @@ from .corpus_ingest import (
     dedup,
     load_corpus,
 )
-from .cp_als import load_model, save_model
 from .ensemble import (
     STRATEGIES,
     components_from_model,
@@ -33,9 +34,6 @@ from .ensemble import (
     select_components_detailed,
 )
 from .report import build_report, emit_report
-from .sparse_tensor import (
-    SELECTION, json_int, load_axes, load_tensor, of_json_type, read_header, save_tensor, write_json,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -118,30 +116,8 @@ def run_select(cfg) -> Path:
         raise ValueError("no model files found for the configured ranks")
 
     result = select_components_detailed(components, cfg.selection, word_mode)
-    payload = {
-        "strategy": cfg.selection.strategy,
-        "threshold": cfg.selection.threshold,
-        "ranks": found_ranks,
-        "word_mode": word_mode,
-        "pooled_count": result.pooled_count,
-        "stable_count": result.stable_count,
-        "kept": [
-            {
-                "origin_rank": c.origin_rank,
-                "index_in_model": c.index_in_model,
-                "weight": c.weight,
-                "stability_partners": [list(p) for p in partners],
-            }
-            for c, partners in zip(result.kept, result.partners)
-        ],
-    }
-    if cfg.similarity_matrix:
-        # The cosines selection computed; null where a component was excluded.
-        payload["similarity_matrix"] = [
-            [None if math.isnan(x) else x for x in row] for row in result.similarities.tolist()
-        ]
     path = _selection_path(cfg)
-    write_json(path, SELECTION, **payload)
+    save_selection(path, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix)
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
     )
@@ -153,15 +129,7 @@ def run_report(cfg) -> Path:
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     selection_path = _selection_path(cfg)
-    # The meta fields keep their JSON types, so summary.json repeats them as written.
-    _header, (word_mode, kept, ranks, threshold, strategy) = read_header(
-        selection_path.read_bytes(), selection_path, SELECTION,
-        word_mode=json_int,
-        kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
-        ranks=lambda v: [json_int(r) for r in of_json_type(list)(v)],
-        threshold=of_json_type(int, float),
-        strategy=of_json_type(str),
-    )
+    word_mode, kept, meta = load_selection(selection_path)
     axes, mode_names = load_axes(_tensor_dir(cfg))
     if not 0 <= word_mode < len(axes):
         raise ValueError(
@@ -196,7 +164,6 @@ def run_report(cfg) -> Path:
                 word_mode=word_mode,
             )
         )
-    meta = {"ranks": ranks, "threshold": threshold, "strategy": strategy}
     return emit_report(reports, out_dir, meta)
 
 

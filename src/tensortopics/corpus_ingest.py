@@ -97,12 +97,18 @@ class CleaningRules:
             raise ValueError("stopwords must be lowercase")
         if self.min_token_length < 1:
             raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
-        if self.dna_min_run < 2:
-            raise ValueError(f"dna_min_run must be >= 2, got {self.dna_min_run}")
-        if self.max_char_repeat < 1:
-            raise ValueError(f"max_char_repeat must be >= 1, got {self.max_char_repeat}")
-        if self.max_consonant_run < 1:
-            raise ValueError(f"max_consonant_run must be >= 1, got {self.max_consonant_run}")
+        # Each is a repeat count in _token_filter's patterns (max_consonant_run
+        # plus one), and re rejects counts from its MAXREPEAT, 4294967295, up.
+        for name, low, high in (
+            ("dna_min_run", 2, 4294967294),
+            ("max_char_repeat", 1, 4294967294),
+            ("max_consonant_run", 1, 4294967293),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}, got {value}")
         if not 0.0 <= self.max_nonascii_fraction <= 1.0:
             raise ValueError(
                 f"max_nonascii_fraction must be in [0, 1], got {self.max_nonascii_fraction}"

@@ -17,19 +17,14 @@ one buffer planned once per fit, so a fit never holds a rank x nnz array.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import (
-    MODEL, SparseTensorCOO, json_int, line_fields, read_header, read_payload,
-    write_float_rows, write_payload,
-)
+from .sparse_tensor import SparseTensorCOO
 
 
 class AlsDivergenceError(RuntimeError):
@@ -385,86 +380,3 @@ def arrange(model: KruskalModel) -> KruskalModel:
     weights = weights[order]
     factors = [f[:, order] for f in factors]
     return KruskalModel(weights=weights, factors=factors)
-
-
-def _payload_path(path: Path) -> Path:
-    """The model's binary number table: the model file's name plus ".npy"."""
-    return path.with_name(path.name + ".npy")
-
-
-def save_model(
-    model: KruskalModel,
-    path: str | Path,
-    mode_names=None,
-    labels_ref: str | None = None,
-) -> Path:
-    """Write a model as a versioned text file plus its binary number table.
-
-    The numbers go to `<path>.npy` first: one C-ordered (1 + sum(shape),
-    rank) float64 table, the weights row and then each factor's rows. Then
-    the text file: line 1 is a JSON header carrying the table's CRC-32, and
-    the weights line and each factor row hold the same floats as
-    format(x, ".16e") writes them (17 significant digits, which read back
-    bit for bit), one row per line, space-separated. write_float_rows makes
-    that body in numpy, leaving to format() only the rare values its fast
-    path cannot decide. load_model reads the numbers from the table; the
-    text body is there for readers of the documented text format.
-    Axis labels are referenced by path, never embedded.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    table = np.vstack([model.weights[None, :], *model.factors])
-    crc32 = write_payload(_payload_path(path), table)
-    header = MODEL.stamp(
-        rank=model.rank,
-        shape=list(model.shape),
-        mode_names=list(mode_names) if mode_names is not None else None,
-        labels_ref=labels_ref,
-        payload_crc32=crc32,
-    )
-    with path.open("wb") as out:
-        out.write((json.dumps(header) + "\n").encode())
-        write_float_rows(out, table)
-    return path
-
-
-def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
-    """Read a model written by save_model. Returns (model, header dict).
-
-    The text file's header and its layout are checked (line count, the
-    weight count, and `rank` space-separated fields on every row after the
-    header, so an empty row is an error), but its floats are not parsed: the
-    numbers come from `<path>.npy`, whose dtype, shape and CRC-32 must match
-    the header. Every fault raises a ValueError naming the file.
-    """
-    path = Path(path)
-    with path.open("rb") as f:
-        first, body = f.readline(), f.read()
-    if not first:
-        raise ValueError(f"{path}: empty model file")
-    header, (rank, shape) = read_header(
-        first.rstrip(b"\n"), path, MODEL,
-        rank=json_int, shape=lambda v: [json_int(n) for n in v],
-    )
-    if any(n < 0 for n in shape):
-        raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
-    # The field count of the weights line, then of every factor row.
-    widths = line_fields(body, " ")
-    expected = 2 + sum(shape)
-    if 1 + len(widths) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, got {1 + len(widths)}")
-    if widths[0] != rank:
-        raise ValueError(f"{path}: weight count {widths[0]} != rank {rank}")
-    wrong = np.flatnonzero(widths != rank)
-    if wrong.size:
-        raise ValueError(
-            f"{path}: factor row has {widths[wrong[0]]} columns, rank is {rank}"
-        )
-
-    table = read_payload(
-        _payload_path(path), MODEL, np.dtype(np.float64), (expected - 1, rank),
-        header.get("payload_crc32"), f"the header of {path.name}",
-    )
-    bounds = np.cumsum([1, *shape])
-    factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return KruskalModel(weights=table[0], factors=factors), header

@@ -10,32 +10,19 @@ from __future__ import annotations
 
 import html
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import ComponentReport, save_reports
 from .ensemble import Component
-from .sparse_tensor import (
-    REPORT, SUMMARY, AxisMap, json_int, of_json_type, read_header, write_json,
-)
+from .sparse_tensor import AxisMap
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_N = 13
 DEFAULT_KEYWORD_COUNT = 50
 WORD_MODE = 3
-
-
-@dataclass
-class ComponentReport:
-    """Top labels per mode for one kept component."""
-
-    origin_rank: int
-    index_in_model: int
-    weight: float
-    mode_tops: dict[str, list[tuple[str, float]]]
-    keywords: list[tuple[str, float]]
 
 
 def top_n(component: Component, mode: int, n: int, axis: AxisMap) -> list[tuple[str, float]]:
@@ -106,59 +93,10 @@ def emit_report(reports, out_dir: str | Path, run_meta: dict) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = list(reports)
-
-    write_json(
-        out_dir / "report.json", REPORT,
-        components=[
-            {
-                "origin_rank": r.origin_rank,
-                "index_in_model": r.index_in_model,
-                "weight": r.weight,
-                "modes": {
-                    name: [[label, score] for label, score in pairs]
-                    for name, pairs in r.mode_tops.items()
-                },
-                "keywords": [[word, score] for word, score in r.keywords],
-            }
-            for r in reports
-        ],
-    )
-    summary = write_json(
-        out_dir / "summary.json", SUMMARY,
-        component_count=len(reports),
-        ranks=list(run_meta.get("ranks", [])),
-        threshold=run_meta.get("threshold"),
-        strategy=run_meta.get("strategy"),
-    )
-
+    summary = save_reports(reports, out_dir, run_meta)
     (out_dir / "index.html").write_text(_render_html(reports, summary), encoding="utf-8")
     logger.info("wrote report bundle with %d component(s) to %s", len(reports), out_dir)
     return out_dir
-
-
-def load_reports(path: str | Path) -> list[ComponentReport]:
-    """Read report.json back into ComponentReport objects (lossless), after
-    checking its format and schema version; every fault raises a ValueError
-    naming the file."""
-    path = Path(path)
-    number = of_json_type(int, float)
-    _header, (reports,) = read_header(
-        path.read_bytes(), path, REPORT,
-        components=lambda items: [
-            ComponentReport(
-                origin_rank=json_int(item["origin_rank"]),
-                index_in_model=json_int(item["index_in_model"]),
-                weight=float(number(item["weight"])),
-                mode_tops={
-                    name: [(str(label), float(number(score))) for label, score in pairs]
-                    for name, pairs in item["modes"].items()
-                },
-                keywords=[(str(w), float(number(s))) for w, s in item["keywords"]],
-            )
-            for item in items
-        ],
-    )
-    return reports
 
 
 _CSS = """

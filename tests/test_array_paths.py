@@ -38,7 +38,7 @@ from tensortopics import (
     save_tensor,
     tokenize,
 )
-from tensortopics import sparse_tensor
+from tensortopics import artifacts
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
     _nonascii_letter_fraction,
@@ -364,7 +364,7 @@ class TestTensorContainer:
     )
     def test_round_trip_bitwise_across_chunks(self, entries, chunk):
         tensor = SparseTensorCOO(list(entries), list(entries.values()), (4, 5, 3))
-        with mock.patch.object(sparse_tensor, "WRITE_CHUNK_ROWS", chunk):
+        with mock.patch.object(artifacts, "WRITE_CHUNK_ROWS", chunk):
             text, loaded = _round_trip_tensor(tensor)
         assert text == entries_text_oracle(tensor)
         assert loaded.coords.tobytes() == tensor.coords.tobytes()
@@ -374,7 +374,7 @@ class TestTensorContainer:
         coords = np.stack([rng.integers(0, 60, 50_000), rng.integers(0, 900, 50_000)], axis=1)
         values = rng.choice([math.log1p(c) for c in range(1, 6)] + [0.1, 1e300], size=50_000)
         tensor = SparseTensorCOO(coords, values, (60, 900))
-        assert tensor.nnz > sparse_tensor.WRITE_CHUNK_ROWS
+        assert tensor.nnz > artifacts.WRITE_CHUNK_ROWS
         text, loaded = _round_trip_tensor(tensor)
         assert text == entries_text_oracle(tensor)
         assert loaded == tensor
@@ -455,7 +455,7 @@ class TestLineFields:
             lines.pop()  # the newline ends the last line; it starts none
         for sep in "\t ":
             want = [line.count(sep) + 1 if line else 0 for line in lines]
-            assert sparse_tensor.line_fields(text.encode(), sep).tolist() == want
+            assert artifacts.line_fields(text.encode(), sep).tolist() == want
 
 
 class TestModelText:
@@ -543,7 +543,7 @@ class TestModelText:
 def _written(table):
     """The bytes write_float_rows gives for `table`."""
     out = io.BytesIO()
-    sparse_tensor.write_float_rows(out, np.asarray(table, dtype=np.float64))
+    artifacts.write_float_rows(out, np.asarray(table, dtype=np.float64))
     return out.getvalue()
 
 
@@ -556,7 +556,7 @@ def _oracle_text(table):
 
 def _spy_format():
     """Counts the writer's calls of format() (a module global shadows the builtin)."""
-    return mock.patch.object(sparse_tensor, "format", create=True, side_effect=format)
+    return mock.patch.object(artifacts, "format", create=True, side_effect=format)
 
 
 def _signed(rng, values):
@@ -571,7 +571,7 @@ def _with_neighbours(values):
 class TestFloatText:
     """write_float_rows against the per-float format(x, ".16e") join of the model body."""
 
-    CHUNK = sparse_tensor.FLOAT_CHUNK_VALUES
+    CHUNK = artifacts.FLOAT_CHUNK_VALUES
 
     def test_random_values_match_format(self, rng):
         n = 400_000
@@ -649,13 +649,13 @@ class TestFloatText:
     def test_memory_does_not_grow_with_the_table(self, tmp_path, rng):
         rows = 4 * self.CHUNK // 200
         peaks = []
-        sparse_tensor._pow10_table()  # built once per process, not per table
+        artifacts._pow10_table()  # built once per process, not per table
         for scale in (1, 4):
             table = rng.uniform(size=(scale * rows, 200))
             with open(tmp_path / "body.txt", "wb") as out:
                 tracemalloc.start()
                 try:
-                    sparse_tensor.write_float_rows(out, table)
+                    artifacts.write_float_rows(out, table)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()

@@ -9,10 +9,10 @@ from unittest import mock
 import pytest
 
 from tensortopics import load_model, save_model, similarity_matrix
+from tensortopics.artifacts import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header
 from tensortopics.cli import build_parser, cli_run, run_report
 from tensortopics.config import apply_overrides, load_config
 from tensortopics.ensemble import components_from_model
-from tensortopics.sparse_tensor import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
 from test_golden import assert_golden
@@ -420,6 +420,14 @@ class TestErrors:
             ("[1, 2]", "unrecognized tensor format None"),
             ('{"format": "sparse-tensor-coo"', "unreadable tensor header"),
             ('{"format": "sparse-tensor-coo", "schema_version": 2}', "no 'shape' field"),
+            *(
+                (
+                    '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [%d, 37, 7, 36],'
+                    ' "mode_names": ["a", "b", "c", "d"], "nnz": 1}' % extent,
+                    f"malformed tensor header: expected an extent >= 1, got {extent}",
+                )
+                for extent in (0, -1)
+            ),
         ],
     )
     def test_bad_tensor_header_reports_error(self, selected, tmp_path, capsys, stage, header, phrase):

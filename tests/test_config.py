@@ -163,6 +163,9 @@ class TestLoadConfig:
             ("keywords", "0", "keyword_count must be >= 1, got 0"),
             ("ranks", "40,20", "ranks must be strictly ascending"),
             ("max_nonascii_fraction", "2", r"max_nonascii_fraction must be in \[0, 1\]"),
+            ("dna_min_run", "4294967295", "dna_min_run must be <= 4294967294, got 4294967295"),
+            ("max_char_repeat", "4294967295", "max_char_repeat must be <= 4294967294, got 4294967295"),
+            ("max_consonant_run", "4294967294", "max_consonant_run must be <= 4294967293, got 4294967294"),
         ],
     )
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path, key, text, phrase):

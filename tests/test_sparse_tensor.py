@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tensortopics import AxisMap, SparseTensorCOO, from_entries, load_tensor, save_tensor
-from tensortopics.sparse_tensor import density_value, load_axes
+from tensortopics import density_value, load_axes
 
 from conftest import TENSOR_PAYLOAD_FAULTS, random_sparse, rewrite_tensor_payload, to_dense
 
@@ -246,6 +246,14 @@ class TestTensorPayload:
                 '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [true, 3],'
                 ' "mode_names": ["a", "b"], "nnz": 1}',
                 "malformed tensor header: expected int, got True",
+            ),
+            *(
+                (
+                    '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [%d, 3],'
+                    ' "mode_names": ["a", "b"], "nnz": 1}' % extent,
+                    f"malformed tensor header: expected an extent >= 1, got {extent}",
+                )
+                for extent in (0, -1)
             ),
         ],
     )
