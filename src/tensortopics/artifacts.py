@@ -485,6 +485,20 @@ def save_model(
     return path
 
 
+def remove_model(path: str | Path) -> list[Path]:
+    """Delete the model file at `path` and its number table, where they
+    exist. Returns the paths removed."""
+    path = Path(path)
+    removed = []
+    for target in (path, _payload_path(path)):
+        try:
+            target.unlink()
+        except FileNotFoundError:
+            continue
+        removed.append(target)
+    return removed
+
+
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import config as config_mod
 from .artifacts import (
-    load_axes, load_model, load_selection, load_tensor, save_model, save_selection, save_tensor,
+    load_axes, load_model, load_selection, load_tensor, remove_model, save_model, save_selection,
+    save_tensor,
 )
 from .corpus_ingest import (
     CORPUS_FORMATS,
@@ -74,20 +75,29 @@ def run_ingest(cfg) -> Path:
 
 
 def run_factorize(cfg) -> list[Path]:
-    """Tensor container -> one model file per configured rank."""
+    """Tensor container -> one model file per configured rank.
+
+    Each model is saved as soon as it and every lower rank are fit, and then
+    dropped. A rank whose solve diverged leaves no model file: any that an
+    earlier run wrote for it is deleted, so select cannot pool it.
+    """
     _require(cfg, "workdir")
     tensor, _axes, mode_names = load_tensor(_tensor_dir(cfg))
-    models = ensemble_models(tensor, cfg.selection.ranks, cfg.als, threads=cfg.threads)
-    paths = []
-    for rank in cfg.selection.ranks:
-        if rank not in models:
-            continue
+
+    def save(rank, model):
         path = _model_path(cfg, rank)
-        save_model(models[rank], path, mode_names=mode_names, labels_ref="../tensor")
-        paths.append(path)
+        return save_model(model, path, mode_names=mode_names, labels_ref="../tensor")
+
+    paths = ensemble_models(
+        tensor, cfg.selection.ranks, cfg.als, threads=cfg.threads, on_model=save
+    )
+    for rank in cfg.selection.ranks:
+        if rank not in paths:
+            for path in remove_model(_model_path(cfg, rank)):
+                logger.info("removed %s, left by an earlier run for dropped rank %d", path, rank)
     if not paths:
         raise ValueError("every configured rank failed to factorize")
-    return paths
+    return list(paths.values())
 
 
 def run_select(cfg) -> Path:

@@ -378,5 +378,7 @@ def arrange(model: KruskalModel) -> KruskalModel:
         weights = weights * absorbed
     order = np.argsort(-np.abs(weights), kind="stable")
     weights = weights[order]
-    factors = [f[:, order] for f in factors]
+    # One factor at a time, so that each old copy is freed as its new one is made.
+    for k in range(len(factors)):
+        factors[k] = factors[k][:, order]
     return KruskalModel(weights=weights, factors=factors)

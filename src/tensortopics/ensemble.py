@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -114,54 +114,64 @@ def ensemble_models(
     ranks,
     opts: AlsOptions | None = None,
     threads: int = 1,
-) -> dict[int, KruskalModel]:
-    """Fit one CP model per rank, keyed by rank.
+    on_model=None,
+) -> dict:
+    """Fit one CP model per rank. Returns {rank: model}, or with on_model
+    {rank: on_model(rank, model)}.
 
     Each rank runs with its own seed derived from (opts.seed, rank), so the
     result does not depend on execution order and thread count cannot change
-    it. Ranks run on `threads` worker threads and are collected in rank
-    order. A rank whose solve diverges is logged and dropped; the rest of the
-    ensemble still returns. Any other error is raised, and the ranks not yet
-    started then do not run. Each rank logs its final fit, its sweep count and
-    why it stopped (see stop_reason), at WARNING when the fit went down.
+    it. Ranks run on `threads` worker threads. Each model is handed over (to
+    on_model, if given) in rank order, as soon as it and every lower rank are
+    done, and only then is the next rank submitted: at most `threads` fits
+    are in flight, and a caller whose on_model saves and drops each model
+    holds at most `threads` of them at once. A rank whose solve diverges is
+    logged and dropped, and the next rank is submitted in its place; the
+    rest of the ensemble still returns. Any other error is raised once the
+    fits already in flight end, and the ranks not yet submitted never run.
+    Each rank logs its final fit, its sweep count and why it stopped (see
+    stop_reason), at WARNING when the fit went down.
     """
     if opts is None:
         opts = AlsOptions()
-    failed = threading.Event()
 
-    def run_one(rank: int):
-        if failed.is_set():
-            return None  # an earlier rank raised, and its error is raised first
+    def fit_one(rank: int):
         rank_opts = AlsOptions(
             max_iters=opts.max_iters,
             fit_tolerance=opts.fit_tolerance,
             seed=rank_seed(opts.seed, rank),
         )
-        try:
-            return cp_als(tensor, rank, rank_opts)
-        except AlsDivergenceError:
-            raise
-        except Exception:
-            failed.set()
-            raise
+        return cp_als(tensor, rank, rank_opts)
 
-    results: dict[int, KruskalModel] = {}
+    waiting = deque(ranks)
+    in_flight = deque()
+    results = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(rank, pool.submit(run_one, rank)) for rank in ranks]
-        for rank, future in futures:
-            try:
-                model, fit_history = future.result()
-            except AlsDivergenceError as exc:
-                logger.warning("dropping rank %d: %s", rank, exc)
-                continue
-            results[rank] = model
-            reason = stop_reason(fit_history, opts.fit_tolerance)
-            logger.log(
-                logging.WARNING if reason == "fit_decreased" else logging.INFO,
-                "rank %d: fit %.6f after %d sweep(s), stopped: %s",
-                rank, fit_history[-1], len(fit_history), reason,
-            )
+        while waiting or in_flight:
+            while waiting and len(in_flight) < threads:
+                rank = waiting.popleft()
+                in_flight.append((rank, pool.submit(fit_one, rank)))
+            # The popped future holds the model: it must not outlive the
+            # hand-over, so it is never bound here.
+            _hand_over(*in_flight.popleft(), opts.fit_tolerance, on_model, results)
     return results
+
+
+def _hand_over(rank: int, future, fit_tolerance: float, on_model, results: dict) -> None:
+    """Wait for one rank's fit, log it, and store on_model's result for it,
+    or the model without on_model; a diverged rank is logged and left out."""
+    try:
+        model, fit_history = future.result()
+    except AlsDivergenceError as exc:
+        logger.warning("dropping rank %d: %s", rank, exc)
+        return
+    reason = stop_reason(fit_history, fit_tolerance)
+    logger.log(
+        logging.WARNING if reason == "fit_decreased" else logging.INFO,
+        "rank %d: fit %.6f after %d sweep(s), stopped: %s",
+        rank, fit_history[-1], len(fit_history), reason,
+    )
+    results[rank] = model if on_model is None else on_model(rank, model)
 
 
 def decompose_ensemble(

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import shutil
@@ -274,6 +275,97 @@ class TestOverrides:
         assert run("pipeline", "--config", CFG, "--workdir", str(b), "--threads", "3") == 0
         for pa, pb in zip(pipeline_files(a), pipeline_files(b)):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+
+class TestStreamedFactorize:
+    """factorize saves each rank as its fit ends, in rank order, with at most
+    `threads` fits started ahead of the saves."""
+
+    RANKS = (2, 3, 4, 5)
+
+    @pytest.fixture
+    def ingested(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert run("ingest", "--config", CFG, "--workdir", str(workdir)) == 0
+        return workdir
+
+    @pytest.fixture
+    def broken(self):
+        """Rank -> the error its fit raises instead of fitting."""
+        return {}
+
+    @pytest.fixture
+    def events(self, monkeypatch, broken):
+        """The ("fit", rank) and ("save", rank) calls of factorize, in order."""
+        import tensortopics.cli as cli_mod
+        import tensortopics.ensemble as ensemble_mod
+
+        log = []
+        real_cp_als, real_save_model = ensemble_mod.cp_als, cli_mod.save_model
+
+        def cp_als(tensor, rank, opts):
+            log.append(("fit", rank))
+            if rank in broken:
+                raise broken[rank]
+            return real_cp_als(tensor, rank, opts)
+
+        def save_model(model, path, **kwargs):
+            log.append(("save", model.rank))
+            return real_save_model(model, path, **kwargs)
+
+        monkeypatch.setattr(ensemble_mod, "cp_als", cp_als)
+        monkeypatch.setattr(cli_mod, "save_model", save_model)
+        return log
+
+    def factorize(self, workdir, *argv):
+        ranks = ",".join(map(str, self.RANKS))
+        return run("factorize", "--config", CFG, "--workdir", str(workdir), "--ranks", ranks, *argv)
+
+    def test_one_thread_saves_each_rank_before_the_next_fit(self, ingested, events):
+        assert self.factorize(ingested, "--threads", "1") == 0
+        assert events == [(kind, r) for r in self.RANKS for kind in ("fit", "save")]
+
+    def test_two_threads_start_at_most_two_fits_ahead_of_the_saves(self, ingested, events):
+        assert self.factorize(ingested, "--threads", "2") == 0
+        assert [r for kind, r in events if kind == "save"] == list(self.RANKS)
+        assert sorted(r for kind, r in events if kind == "fit") == list(self.RANKS)
+        ahead = 0
+        for kind, _rank in events:
+            ahead += 1 if kind == "fit" else -1
+            assert ahead <= 2, events
+
+    def test_other_error_keeps_the_saved_ranks_and_starts_no_more(
+        self, ingested, events, broken, capsys
+    ):
+        broken[4] = ValueError("rank 4 broke")
+        assert self.factorize(ingested, "--threads", "1") == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: rank 4 broke"
+        assert events == [("fit", 2), ("save", 2), ("fit", 3), ("save", 3), ("fit", 4)]
+        models = ingested / "models"
+        assert sorted(p.name for p in models.iterdir()) == [
+            "rank_2.model", "rank_2.model.npy", "rank_3.model", "rank_3.model.npy",
+        ]
+        for rank in (2, 3):
+            assert load_model(models / f"rank_{rank}.model")[0].rank == rank
+
+    def test_dropped_rank_leaves_no_stale_model(self, tmp_path, events, broken, caplog):
+        from tensortopics import AlsDivergenceError
+
+        workdir = tmp_path / "run"
+        argv = ("--config", CFG, "--workdir", str(workdir))
+        assert run("pipeline", *argv) == 0
+        stale = [workdir / "models" / name for name in ("rank_5.model", "rank_5.model.npy")]
+        assert all(path.is_file() for path in stale)
+        broken[5] = AlsDivergenceError("non-finite factor update at iteration 1, mode 0")
+        caplog.set_level(logging.INFO, logger="tensortopics.cli")
+        caplog.clear()
+        assert run("factorize", *argv, "--seed", "8") == 0
+        assert not any(path.exists() for path in stale)
+        assert f"removed {stale[0]}, left by an earlier run for dropped rank 5" in caplog.text
+        assert run("select", *argv) == 0
+        assert "no model file for rank 5" in caplog.text
+        selection = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
+        assert selection["ranks"] == [3]
 
 
 class TestErrors:
