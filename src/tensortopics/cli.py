@@ -78,11 +78,14 @@ def run_factorize(cfg) -> list[Path]:
     """Tensor container -> one model file per configured rank.
 
     Each model is saved as soon as it and every lower rank are fit, and then
-    dropped. A rank whose solve diverged leaves no model file: any that an
-    earlier run wrote for it is deleted, so select cannot pool it.
+    dropped. Every configured rank's model files from an earlier run are
+    deleted before the first fit, so a rank that diverged or a run that
+    failed leaves none behind for select to pool.
     """
     _require(cfg, "workdir")
     tensor, _axes, mode_names = load_tensor(_tensor_dir(cfg))
+    removed = [p for rank in cfg.selection.ranks for p in remove_model(_model_path(cfg, rank))]
+    logger.info("removed %d model file(s) of the configured ranks before fitting", len(removed))
 
     def save(rank, model):
         path = _model_path(cfg, rank)
@@ -91,10 +94,6 @@ def run_factorize(cfg) -> list[Path]:
     paths = ensemble_models(
         tensor, cfg.selection.ranks, cfg.als, threads=cfg.threads, on_model=save
     )
-    for rank in cfg.selection.ranks:
-        if rank not in paths:
-            for path in remove_model(_model_path(cfg, rank)):
-                logger.info("removed %s, left by an earlier run for dropped rank %d", path, rank)
     if not paths:
         raise ValueError("every configured rank failed to factorize")
     return list(paths.values())

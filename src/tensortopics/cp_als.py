@@ -11,15 +11,14 @@ fiber storage, Smith & Karypis 2015): the public mttkrp() and every sweep of
 cp_als() run it. Within a sweep the last factor changes only at the last
 mode, so cp_als() computes the per-fiber leaf sums once and reuses them for
 every other mode (partial-product reuse, Phan, Tichavsky & Cichocki 2013).
-The two passes that touch every nonzero run in blocks of whole runs through
-one buffer planned once per fit, so a fit never holds a rank x nnz array.
+The two passes that touch every nonzero run in bands of components through
+one buffer allocated once per fit, so a fit never holds a rank x nnz array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,81 +129,45 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 
     if tensor.nnz == 0:
         return np.zeros((tensor.shape[mode], rank))
-    blocks = _plan(tensor, rank)
-    leaf_sums = None if mode == d - 1 else _leaf_sums(tensor, factors[-1], blocks)
-    return _fiber_mttkrp(tensor, factors, mode, leaf_sums, blocks)
+    buffer = _buffer(tensor, rank)
+    leaf_sums = None if mode == d - 1 else _leaf_sums(tensor, factors[-1], buffer)
+    return _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
 
 
 # The kernel works rank-major, on (rank, n) arrays: each gather and each
 # segment sum then runs along contiguous memory, which makes np.add.reduceat
 # several times faster than on (n, rank) rows. The two passes with one
-# column per nonzero, the leaf sums and the last mode, gather a block of
-# whole runs at a time into one buffer, so their working memory is
-# rank x block, never rank x nnz (cache blocking, as in SPLATT, Smith et al.
-# 2015). A block holds BLOCK_BYTES of columns, BLOCK_BYTES // (8 rank)
-# nonzeros, or one longer run: larger blocks cost memory, smaller ones a
-# Python-level step each, which shows at low ranks on large tensors.
+# column per nonzero, the leaf sums and the last mode, gather a band of rows
+# (components) over every nonzero at a time into one band x nnz buffer, so
+# their working memory is max(BLOCK_BYTES, 8 nnz) bytes at any rank, never
+# rank x nnz (cache blocking, as in SPLATT, Smith et al. 2015). A band is as
+# many rows as fit BLOCK_BYTES, at least one: larger bands cost memory,
+# smaller ones a Python-level step each, which shows at high ranks.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 
-class _Block(NamedTuple):
-    """Whole runs of one per-nonzero pass: the rows `rows` (in summation
-    order) form the runs `runs`, which start at `starts`, relative to
-    rows.start."""
-
-    rows: slice
-    runs: slice
-    starts: np.ndarray
+def _buffer(tensor: SparseTensorCOO, rank: int) -> np.ndarray:
+    """The gather buffer of a nonempty tensor's two per-nonzero passes at
+    `rank`: band x nnz floats."""
+    band = max(1, min(rank, BLOCK_BYTES // (8 * tensor.nnz)))
+    return np.empty((band, tensor.nnz))
 
 
-class _Blocks(NamedTuple):
-    """The cut points of both per-nonzero passes at one rank, and the buffer
-    every block's columns are gathered into. leaf is cut at fiber starts,
-    last at the run starts of segments[-1]."""
-
-    leaf: list[_Block]
-    last: list[_Block]
-    buffer: np.ndarray
-
-
-def _cut(starts: np.ndarray, total: int, width: int) -> list[_Block]:
-    """Split the runs starting at `starts`, of `total` rows in all, into
-    blocks of whole runs: each at most `width` rows, or one longer run."""
-    bounds = np.r_[starts, total]
-    blocks = []
-    run = 0
-    while run < starts.shape[0]:
-        fits = int(np.searchsorted(bounds, bounds[run] + width, side="right")) - 1
-        end = max(run + 1, fits)
-        rows = slice(int(bounds[run]), int(bounds[end]))
-        blocks.append(_Block(rows, slice(run, end), starts[run:end] - rows.start))
-        run = end
-    return blocks
-
-
-def _plan(tensor: SparseTensorCOO, rank: int) -> _Blocks:
-    """The blocks of a nonempty tensor's two per-nonzero passes at `rank`."""
-    fibers = tensor.fibers
-    width = max(1, BLOCK_BYTES // (8 * rank))
-    leaf = _cut(fibers.starts, tensor.nnz, width)
-    last = _cut(fibers.segments[-1].starts, tensor.nnz, width)
-    longest = max(b.rows.stop - b.rows.start for b in (*leaf, *last))
-    return _Blocks(leaf, last, np.empty(rank * longest))
-
-
-def _run_sums(blocks: list[_Block], buffer: np.ndarray, columns, index, scale):
-    """Per block: its runs, and the (rank, runs) sums over each run of
-    columns[:, index] * scale. Each run is summed whole, by one
-    np.add.reduceat along a contiguous row, so the cuts change no bit."""
-    rank = columns.shape[0]
-    for block in blocks:
-        cols = buffer[: rank * (block.rows.stop - block.rows.start)].reshape(rank, -1)
+def _run_sums(buffer: np.ndarray, columns, index, scale, starts):
+    """Per band of rows of `columns`: the rows, and the (band, runs) sums of
+    columns[rows][:, index] * scale over the runs that start at `starts`.
+    Each run is summed whole, by one np.add.reduceat along a contiguous row,
+    so the bands change no bit."""
+    rank, band = columns.shape[0], buffer.shape[0]
+    for start in range(0, rank, band):
+        rows = slice(start, min(start + band, rank))
+        cols = buffer[: rows.stop - start]
         # take's default mode="raise" fills a hidden copy of `out`; the
         # indices come from the fiber index and are in range, so "clip"
         # changes nothing.
-        columns.take(index[block.rows], axis=1, out=cols, mode="clip")
-        cols *= scale[block.rows]
-        yield block.runs, np.add.reduceat(cols, block.starts, axis=1)
+        columns[rows].take(index, axis=1, out=cols, mode="clip")
+        cols *= scale
+        yield rows, np.add.reduceat(cols, starts, axis=1)
 
 
 def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -212,20 +175,20 @@ def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(factor.T).take(index, axis=1)
 
 
-def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, blocks: _Blocks) -> np.ndarray:
+def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """(rank, fibers): per fiber, the sum of value * last-factor row."""
     fibers = tensor.fibers
     out = np.empty((last_factor.shape[1], fibers.starts.shape[0]))
     columns = np.ascontiguousarray(last_factor.T)
-    for runs, sums in _run_sums(blocks.leaf, blocks.buffer, columns, fibers.leaf, tensor.values):
-        out[:, runs] = sums
+    for rows, sums in _run_sums(buffer, columns, fibers.leaf, tensor.values, fibers.starts):
+        out[rows] = sums
     return out
 
 
-def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, blocks: _Blocks) -> np.ndarray:
+def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
     """MTTKRP for `mode` of a nonempty tensor. leaf_sums is _leaf_sums() of
     the current last factor; the last mode does not use it, and scales its
-    fiber products per nonzero in blocks."""
+    fiber products per nonzero in bands of rows through `buffer`."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
@@ -236,9 +199,10 @@ def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, blocks: _Blocks) -> np.
     segments = fibers.segments[mode]
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
     if mode == last:
-        sums = _run_sums(blocks.last, blocks.buffer, cols, segments.fibers, fibers.leaf_values)
-        for runs, block_sums in sums:
-            out[segments.targets[runs]] = block_sums.T
+        sums = _run_sums(buffer, cols, segments.fibers, fibers.leaf_values, segments.starts)
+        # Band by band: one (runs, rank) transpose would be as large as out.
+        for rows, band_sums in sums:
+            out[segments.targets, rows] = band_sums.T
     else:
         cols = cols.take(segments.fibers, axis=1)
         out[segments.targets] = np.add.reduceat(cols, segments.starts, axis=1).T
@@ -278,13 +242,13 @@ def cp_als(
     fit_history: list[float] = []
 
     projected = solved = None
-    blocks = _plan(tensor, rank)
+    buffer = _buffer(tensor, rank)
     for iteration in range(1, opts.max_iters + 1):
         # The last factor changes only at the last mode, so one set of leaf
         # sums serves every other mode of the sweep.
-        leaf_sums = _leaf_sums(tensor, factors[-1], blocks)
+        leaf_sums = _leaf_sums(tensor, factors[-1], buffer)
         for mode in range(d):
-            projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums, blocks)
+            projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
             gram_others = hadamard_all(
                 [grams[k] for k in range(d) if k != mode]
             )
@@ -308,7 +272,7 @@ def cp_als(
             break
 
     # Free the sweep's working arrays before arrange copies the factors.
-    del blocks, leaf_sums, projected, solved, gram_others
+    del buffer, leaf_sums, projected, solved, gram_others
     model = arrange(KruskalModel(weights=weights, factors=factors))
     return model, fit_history
 

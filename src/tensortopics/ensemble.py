@@ -49,6 +49,8 @@ class SelectionConfig:
             raise ValueError("ranks must be non-empty")
         if any(r < 1 for r in self.ranks):
             raise ValueError(f"ranks must be positive, got {self.ranks}")
+        if any(r > np.iinfo(np.intp).max for r in self.ranks):
+            raise ValueError(f"ranks must be at most {np.iinfo(np.intp).max}, got {self.ranks}")
         if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
             raise ValueError(f"ranks must be strictly ascending, got {self.ranks}")
         if not math.isfinite(self.threshold) or self.threshold < 0.0:

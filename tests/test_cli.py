@@ -361,7 +361,23 @@ class TestStreamedFactorize:
         caplog.clear()
         assert run("factorize", *argv, "--seed", "8") == 0
         assert not any(path.exists() for path in stale)
-        assert f"removed {stale[0]}, left by an earlier run for dropped rank 5" in caplog.text
+        assert "removed 4 model file(s) of the configured ranks before fitting" in caplog.text
+        assert run("select", *argv) == 0
+        assert "no model file for rank 5" in caplog.text
+        selection = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
+        assert selection["ranks"] == [3]
+
+    def test_failed_factorize_leaves_no_stale_model(self, tmp_path, events, broken, caplog):
+        workdir = tmp_path / "run"
+        argv = ("--config", CFG, "--workdir", str(workdir))
+        assert run("pipeline", *argv) == 0
+        broken[5] = ValueError("rank 5 broke")
+        caplog.set_level(logging.INFO, logger="tensortopics.cli")
+        caplog.clear()
+        assert run("factorize", *argv, "--seed", "8") == 1
+        assert sorted(p.name for p in (workdir / "models").iterdir()) == [
+            "rank_3.model", "rank_3.model.npy",
+        ]
         assert run("select", *argv) == 0
         assert "no model file for rank 5" in caplog.text
         selection = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
@@ -703,6 +719,14 @@ class TestErrors:
             == 1
         )
         assert "error:" in capsys.readouterr().err
+
+    def test_rank_beyond_a_numpy_dimension_fits_nothing(self, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        assert run("ingest", "--config", CFG, "--workdir", str(workdir)) == 0
+        argv = ("--config", CFG, "--workdir", str(workdir), "--ranks", "3,99999999999999999999")
+        assert run("factorize", *argv) == 1
+        assert "error: ranks must be at most " in capsys.readouterr().err
+        assert not (workdir / "models").exists()
 
 
 class TestEntryPoints:

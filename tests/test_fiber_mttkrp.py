@@ -1,5 +1,5 @@
 """The fiber-grouped MTTKRP against the COO gather/scatter oracle, the
-blocked per-nonzero passes bit for bit against whole-array ones, and the
+banded per-nonzero passes bit for bit against whole-array ones, and the
 per-sweep leaf-sum reuse in cp_als against a loop over the public mttkrp."""
 
 import importlib
@@ -25,7 +25,7 @@ from tensortopics import (
     solve_gram,
 )
 
-from tensortopics.cp_als import _cut, _fiber_mttkrp, _leaf_sums, _plan
+from tensortopics.cp_als import _buffer, _fiber_mttkrp, _leaf_sums
 
 # The package exports the function cp_als under the module's name.
 cp_als_module = importlib.import_module("tensortopics.cp_als")
@@ -157,14 +157,14 @@ class TestProperties:
     @example(case=EXTENT_ONE_LAST)
     def test_leaf_sum_reuse_matches_coo_oracle(self, case):
         # As in a cp_als sweep: one set of leaf sums for every mode, and one
-        # block buffer that _leaf_sums and the last mode both overwrite.
+        # gather buffer that _leaf_sums and the last mode both overwrite.
         tensor, factors = case
         last = tensor.order - 1
-        blocks = _plan(tensor, factors[0].shape[1])
-        blocks.buffer[:] = np.nan
-        leaf_sums = _leaf_sums(tensor, factors[-1], blocks)
+        buffer = _buffer(tensor, factors[0].shape[1])
+        buffer[:] = np.nan
+        leaf_sums = _leaf_sums(tensor, factors[-1], buffer)
         for mode in (last, *range(tensor.order)):
-            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, blocks)
+            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
             assert_within_rounding(got, tensor, factors, mode)
 
 
@@ -230,7 +230,7 @@ def test_cp_als_reuse_matches_public_mttkrp_loop(rng, rank):
 
 def whole_array_mttkrp(tensor, factors, mode):
     """The fiber kernel with each per-nonzero pass gathered into one (rank,
-    nnz) array. Its sums are the blocked passes' sums, in the same order, so
+    nnz) array. Its sums are the banded passes' sums, in the same order, so
     mttkrp must equal it bit for bit."""
     fibers = tensor.fibers
     last = tensor.order - 1
@@ -252,29 +252,29 @@ def whole_array_mttkrp(tensor, factors, mode):
     return out
 
 
-def narrow_blocks(monkeypatch, rank, width):
-    """Shrink the block budget to `width` nonzeros per block at `rank`."""
-    if width is not None:
-        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * rank * width)
+def narrow_bands(monkeypatch, tensor, band):
+    """Shrink the buffer budget to `band` factor rows of `tensor`'s nnz."""
+    if band is not None:
+        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * tensor.nnz * band)
 
 
-def test_cut_packs_whole_runs_up_to_width():
-    # Runs of 2, 1, 7, 1, 1 and 4 rows; the run of 7 is its own block.
-    blocks = _cut(np.array([0, 2, 3, 10, 11, 12]), 16, 4)
-    assert [(b.rows.start, b.rows.stop) for b in blocks] == [(0, 3), (3, 10), (10, 12), (12, 16)]
-    assert [(b.runs.start, b.runs.stop) for b in blocks] == [(0, 2), (2, 3), (3, 5), (5, 6)]
-    assert [b.starts.tolist() for b in blocks] == [[0, 2], [0], [0, 1], [0]]
+def long_word_tensor(documents=3000):
+    """A corpus-shaped tensor whose word 0 is in every document, and the
+    length of its longest last-mode run: that word's, `documents` nonzeros."""
+    entries = [((d % 4, d, 0, w), 1.0 + w) for d in range(documents) for w in (0, 1 + d % 50)]
+    tensor = from_entries(entries, (4, documents, 1, 51))
+    runs = np.diff(np.r_[tensor.fibers.segments[-1].starts, tensor.nnz])
+    return tensor, int(runs.max())
 
 
-# None is the shipped budget: one block per pass on these small tensors.
-WIDTHS = [None, 1, 4, 20]
+# None is the shipped budget: one band per pass on these small tensors.
+BANDS = [None, 1, 2]
 
 
 class TestBlockedPassesAreBitIdentical:
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_every_mode_equals_whole_array_kernel(self, rng, monkeypatch, width):
+    @pytest.mark.parametrize("band", BANDS)
+    def test_every_mode_equals_whole_array_kernel(self, rng, monkeypatch, band):
         rank = 5
-        narrow_blocks(monkeypatch, rank, width)
         tensors = [
             corpus_tensor(rng),
             random_sparse(rng, (3, 4, 2, 9), 120),
@@ -282,38 +282,42 @@ class TestBlockedPassesAreBitIdentical:
             random_sparse(rng, (6, 30), 90),
         ]
         for tensor in tensors:
-            if width is not None:
-                blocks = _plan(tensor, rank)
-                assert len(blocks.leaf) > 1 and len(blocks.last) > 1
-                longest = max(b.rows.stop - b.rows.start for b in (*blocks.leaf, *blocks.last))
-                assert blocks.buffer.shape == (rank * longest,)
+            narrow_bands(monkeypatch, tensor, band)
+            assert _buffer(tensor, rank).shape == (band or rank, tensor.nnz)
             factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
             for mode in range(tensor.order):
                 got = mttkrp(tensor, factors, mode)
                 assert np.array_equal(got, whole_array_mttkrp(tensor, factors, mode)), f"mode {mode}"
 
-    @pytest.mark.parametrize("width", [1, 4])
-    def test_blocks_include_runs_longer_than_a_block(self, rng, monkeypatch, width):
-        rank = 5
-        narrow_blocks(monkeypatch, rank, width)
-        blocks = _plan(corpus_tensor(rng), rank)
-        for cut in (blocks.leaf, blocks.last):
-            sizes = [b.rows.stop - b.rows.start for b in cut]
-            assert max(sizes) > width
-            assert all(b.runs.stop - b.runs.start == 1 for b, n in zip(cut, sizes) if n > width)
+    def test_word_run_longer_than_a_budget_of_columns(self, rng):
+        rank = 100
+        tensor, longest = long_word_tensor()
+        assert longest > cp_als_module.BLOCK_BYTES // (8 * rank)
+        band = cp_als_module.BLOCK_BYTES // (8 * tensor.nnz)
+        assert 1 < band < rank
+        assert _buffer(tensor, rank).shape == (band, tensor.nnz)
+        factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
+        for mode in range(tensor.order):
+            assert np.array_equal(mttkrp(tensor, factors, mode), whole_array_mttkrp(tensor, factors, mode))
 
-    def test_blocks_hold_several_runs(self, rng, monkeypatch):
-        rank = 5
-        narrow_blocks(monkeypatch, rank, 20)
-        blocks = _plan(corpus_tensor(rng), rank)
-        for cut in (blocks.leaf, blocks.last):
-            assert any(b.runs.stop - b.runs.start > 1 for b in cut)
+    @pytest.mark.parametrize("budget", [None, 1024])
+    def test_buffer_is_bounded_at_every_rank(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", budget)
+        tensor, longest = long_word_tensor()
+        bound = max(cp_als_module.BLOCK_BYTES, 8 * tensor.nnz)
+        ranks = (1, 2, 7, 100, 10_000, 10**9)
+        assert longest > cp_als_module.BLOCK_BYTES // (8 * ranks[3])
+        for rank in ranks:
+            buffer = _buffer(tensor, rank)
+            assert buffer.shape[1] == tensor.nnz and 1 <= buffer.shape[0] <= rank
+            assert buffer.nbytes <= bound, rank
 
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_cp_als_equals_whole_array_sweeps(self, rng, monkeypatch, width):
+    @pytest.mark.parametrize("band", BANDS)
+    def test_cp_als_equals_whole_array_sweeps(self, rng, monkeypatch, band):
         rank = 6
-        narrow_blocks(monkeypatch, rank, width)
         tensor = corpus_tensor(rng)
+        narrow_bands(monkeypatch, tensor, band)
         opts = AlsOptions(max_iters=4, fit_tolerance=1e-12, seed=5)
         model, history = cp_als(tensor, rank, opts)
         want, want_history = cp_als_via(whole_array_mttkrp, tensor, rank, opts)
