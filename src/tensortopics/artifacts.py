@@ -271,19 +271,6 @@ def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declare
     return table
 
 
-def line_fields(data: bytes, sep: str) -> np.ndarray:
-    """The number of `sep`-separated fields on each line of `data`, 0 for an
-    empty line; a last line without its newline still counts."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if data and not data.endswith(b"\n"):
-        buf = np.append(buf, np.uint8(ord("\n")))
-    ends = np.flatnonzero(buf == ord("\n"))
-    # One more field than separators between a line's end and the previous one.
-    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(sep)), ends), prepend=0) + 1
-    fields[np.diff(ends, prepend=-1) == 1] = 0
-    return fields
-
-
 def save_tensor(
     tensor: SparseTensorCOO,
     axes: Sequence[AxisMap],
@@ -296,12 +283,12 @@ def save_tensor(
     entries.npy holds the numbers that load_tensor reads: one C-ordered
     array of [("c", "<i8", (d,)), ("v", "<f8")] rows (the coordinates, then
     the value) in the tensor's sorted order, whose CRC-32 header.json
-    records. entries.tsv
-    holds the same rows as text, for outside readers: values serialized
-    with repr(), so they parse back bit for bit. It is written
-    WRITE_CHUNK_ROWS rows at a time, with each distinct value formatted once
-    per chunk and each coordinate looked up in a per-call table of index
-    texts. Nothing time- or environment-dependent is written.
+    records. entries.tsv holds the same rows as text for outside readers
+    only; no loader opens it. Its values are written with repr(), so they
+    parse back bit for bit, WRITE_CHUNK_ROWS rows at a time, with each
+    distinct value formatted once per chunk and each coordinate looked up
+    in a per-call table of index texts. Nothing time- or
+    environment-dependent is written.
     """
     out_dir = Path(out_dir)
     d = tensor.order
@@ -409,12 +396,9 @@ def _read_axes(in_dir: Path, shape) -> list[AxisMap]:
 def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
     """Load a tensor container written by save_tensor.
 
-    entries.tsv must be present and hold one line of d + 1 tab-separated
-    fields per entry, which is checked line by line (blank lines are skipped
-    but still count toward the line number that names a bad line); its
-    numbers are not parsed. The numbers come from entries.npy, whose dtype,
-    length and CRC-32 must match the header, and go through the
-    SparseTensorCOO constructor's bounds, finiteness and positivity checks.
+    The numbers come from entries.npy, whose dtype, length and CRC-32 must
+    match the header, and go through the SparseTensorCOO constructor's
+    bounds, finiteness and positivity checks. entries.tsv is never read.
     Rejects unknown formats and any mismatch between the header shape, the
     entries and the per-mode label counts; every fault raises a ValueError
     naming the file.
@@ -422,18 +406,6 @@ def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], lis
     in_dir = Path(in_dir)
     shape, mode_names, nnz, crc32 = _read_header(in_dir)
     d = len(shape)
-    entries_path = in_dir / ENTRIES_FILE
-    if not entries_path.is_file():
-        raise ValueError(f"not a tensor container: missing {entries_path}")
-    fields = line_fields(entries_path.read_bytes(), "\t")
-    bad = np.flatnonzero((fields != d + 1) & (fields != 0))
-    if bad.size:
-        raise ValueError(
-            f"{entries_path}:{bad[0] + 1}: expected {d + 1} fields, got {fields[bad[0]]}"
-        )
-    rows = np.count_nonzero(fields)
-    if rows != nnz:
-        raise ValueError(f"{entries_path}: header says {nnz} entries, file holds {rows}")
     table = read_payload(in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(d), (nnz,), crc32, HEADER_FILE)
     tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
@@ -502,15 +474,13 @@ def remove_model(path: str | Path) -> list[Path]:
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
-    The text file's header and its layout are checked (line count, the
-    weight count, and `rank` space-separated fields on every row after the
-    header, so an empty row is an error), but its floats are not parsed: the
-    numbers come from `<path>.npy`, whose dtype, shape and CRC-32 must match
-    the header. Every fault raises a ValueError naming the file.
+    Only the text file's header line is read; the numbers come from
+    `<path>.npy`, whose dtype, shape ((1 + sum(shape), rank)) and CRC-32
+    must match the header. Every fault raises a ValueError naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
-        first, body = f.readline(), f.read()
+        first = f.readline()
     if not first:
         raise ValueError(f"{path}: empty model file")
     header, (rank, shape) = read_header(
@@ -519,21 +489,8 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     )
     if any(n < 0 for n in shape):
         raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
-    # The field count of the weights line, then of every factor row.
-    widths = line_fields(body, " ")
-    expected = 2 + sum(shape)
-    if 1 + len(widths) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, got {1 + len(widths)}")
-    if widths[0] != rank:
-        raise ValueError(f"{path}: weight count {widths[0]} != rank {rank}")
-    wrong = np.flatnonzero(widths != rank)
-    if wrong.size:
-        raise ValueError(
-            f"{path}: factor row has {widths[wrong[0]]} columns, rank is {rank}"
-        )
-
     table = read_payload(
-        _payload_path(path), MODEL, np.dtype(np.float64), (expected - 1, rank),
+        _payload_path(path), MODEL, np.dtype(np.float64), (1 + sum(shape), rank),
         header.get("payload_crc32"), f"the header of {path.name}",
     )
     bounds = np.cumsum([1, *shape])

@@ -330,15 +330,17 @@ def arrange(model: KruskalModel) -> KruskalModel:
     summing them, which grows with cancellation inside a column.
     """
     weights = np.array(model.weights, dtype=np.float64)
-    factors = [np.array(f, dtype=np.float64) for f in model.factors]
-    for f in factors:
+    factors = []
+    # Copy, flip and normalize one factor at a time; rebinding f frees each
+    # copy. A flip negates exactly, so its place among the products changes no bit.
+    for f in model.factors:
+        f = np.array(f, dtype=np.float64)
         flip = f.sum(axis=0) < 0.0
         if np.any(flip):
             f[:, flip] = -f[:, flip]
             weights[flip] = -weights[flip]
-    for k, f in enumerate(factors):
-        normalized, absorbed = normalize_columns_l1(f)
-        factors[k] = normalized
+        f, absorbed = normalize_columns_l1(f)
+        factors.append(f)
         weights = weights * absorbed
     order = np.argsort(-np.abs(weights), kind="stable")
     weights = weights[order]

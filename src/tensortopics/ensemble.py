@@ -161,12 +161,16 @@ def ensemble_models(
 
 def _hand_over(rank: int, future, fit_tolerance: float, on_model, results: dict) -> None:
     """Wait for one rank's fit, log it, and store on_model's result for it,
-    or the model without on_model; a diverged rank is logged and left out."""
+    or the model without on_model; a diverged rank is logged and left out,
+    and a rank whose fit runs out of memory raises a ValueError naming it."""
     try:
         model, fit_history = future.result()
     except AlsDivergenceError as exc:
         logger.warning("dropping rank %d: %s", rank, exc)
         return
+    except MemoryError as exc:
+        # A rank too large for memory is an input error, not a crash.
+        raise ValueError(f"rank {rank}: {exc}") from exc
     reason = stop_reason(fit_history, fit_tolerance)
     logger.log(
         logging.WARNING if reason == "fit_decreased" else logging.INFO,

@@ -15,7 +15,7 @@ from tensortopics import artifacts
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensortopics"
 FORMAT_NAMES = {
     "Artifact", "TENSOR", "MODEL", "SELECTION", "REPORT", "SUMMARY",
-    "read_header", "write_json", "read_payload", "write_payload", "line_fields",
+    "read_header", "write_json", "read_payload", "write_payload",
     "json_int", "of_json_type", "zlib",
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -16,7 +17,7 @@ from tensortopics.config import apply_overrides, load_config
 from tensortopics.ensemble import components_from_model
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
-from test_golden import assert_golden
+from test_golden import GOLDEN_SHA256, assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
 STAGE = ("-m", "tensortopics.cli")
@@ -119,6 +120,26 @@ class TestPipeline:
         (workdir / "tensor" / "entries.npy").unlink()
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
         assert [p.read_bytes() for p in report_files] == before
+
+    def test_text_companions_are_write_only(self, tmp_path):
+        # No stage reads entries.tsv, or a model file past its header line.
+        workdir = tmp_path / "run"
+        argv = ("--config", CFG, "--workdir", str(workdir))
+        assert run("ingest", *argv) == 0
+        (workdir / "tensor" / "entries.tsv").unlink()
+        assert run("factorize", *argv) == 0
+        for model in (workdir / "models").glob("*.model"):
+            with model.open("rb") as f:
+                header = f.readline()
+            model.write_bytes(header)
+        assert run("select", *argv) == 0
+        assert run("report", *argv) == 0
+        computed = [
+            "tensor/entries.npy", "models/rank_3.model.npy", "models/rank_5.model.npy",
+            "selection.json", "report/report.json", "report/summary.json", "report/index.html",
+        ]
+        for name in computed:
+            assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name], name
 
     def test_every_versioned_file_reads_back_with_its_artifact(self, tmp_path):
         workdir = tmp_path / "run"
@@ -619,38 +640,6 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 
-    def test_offsetting_entry_lines_report_error(self, selected, tmp_path, capsys):
-        workdir = tmp_path / "run"
-        shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
-        entries = workdir / "tensor" / "entries.tsv"
-        lines = entries.read_text(encoding="utf-8").splitlines()
-        lines[0] += "\t7"
-        lines[1] = lines[1].rsplit("\t", 1)[0]
-        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        assert run("factorize", "--config", CFG, "--workdir", str(workdir)) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "entries.tsv:1: expected 5 fields, got 6" in err
-        assert "Traceback" not in err
-        assert not (workdir / "models").exists()
-
-    def test_empty_row_of_rank_1_model_reports_error(self, selected, tmp_path, capsys):
-        workdir = tmp_path / "run"
-        shutil.copytree(selected / "run" / "tensor", workdir / "tensor")
-        args = ("--config", CFG, "--workdir", str(workdir), "--ranks", "1")
-        assert run("factorize", *args) == 0
-        model = workdir / "models" / "rank_1.model"
-        lines = model.read_text(encoding="utf-8").splitlines()
-        lines[2] = ""
-        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        assert run("select", *args) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "rank_1.model" in err
-        assert "factor row has 0 columns, rank is 1" in err
-        assert "Traceback" not in err
-        assert not (workdir / "selection.json").exists()
-
     @pytest.mark.parametrize(
         "edit, phrase",
         [
@@ -727,6 +716,19 @@ class TestErrors:
         assert run("factorize", *argv) == 1
         assert "error: ranks must be at most " in capsys.readouterr().err
         assert not (workdir / "models").exists()
+
+    def test_rank_too_large_for_memory_reports_error(self, tmp_path, capsys):
+        # 2**45 columns: the first factor alone (11 x 2**45 doubles, 2.75 PiB)
+        # exceeds any 64-bit address space, so its allocation fails at once.
+        workdir = tmp_path / "run"
+        argv = ("--config", CFG, "--workdir", str(workdir), "--ranks", "3,35184372088832")
+        assert run("pipeline", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: rank 35184372088832: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in (workdir / "models").iterdir()) == [
+            "rank_3.model", "rank_3.model.npy",
+        ]
 
 
 class TestEntryPoints:
