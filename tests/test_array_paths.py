@@ -385,6 +385,41 @@ class TestTensorContainer:
         assert text == ""
         assert loaded.nnz == 0 and loaded.coords.shape == (0, 2)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # A blank line, then a line one field short.
+            lambda lines: [lines[0], "", lines[1], lines[2].rsplit("\t", 1)[0], *lines[3:]],
+            lambda lines: [lines[0] + "\t7", *lines[1:]],
+            # One field too many, then one too few: the tab and newline totals
+            # still match the header.
+            lambda lines: [lines[0] + "\t7", lines[1].rsplit("\t", 1)[0], *lines[2:]],
+            lambda lines: ["0\t1.0\t2.0"],
+            lambda lines: ["0\t0\t1.0"],
+            lambda lines: [lines[-1], *lines[:-1]],
+            lambda lines: None,
+        ],
+        ids=["short-line", "long-line", "offsetting-fields", "fractional-coordinate",
+             "fewer-lines-than-header", "reordered", "deleted"],
+    )
+    def test_text_edits_leave_the_load_unchanged(self, tmp_path, edit):
+        # entries.tsv is an export: load_tensor takes every number from
+        # entries.npy and never opens the text.
+        tensor = SparseTensorCOO([(0, 0), (0, 1), (1, 1), (1, 2)], [1.0, 2.0, 3.0, 4.0], (2, 3))
+        axes = [AxisMap(["a", "b"]), AxisMap(["x", "y", "z"])]
+        entries = save_tensor(tensor, axes, ["doc", "word"], tmp_path / "t") / "entries.tsv"
+        lines = edit(entries.read_text(encoding="utf-8").splitlines())
+        if lines is None:
+            entries.unlink()
+        else:
+            entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded, loaded_axes, names = load_tensor(tmp_path / "t")
+        assert loaded.shape == tensor.shape
+        assert loaded.coords.tobytes() == tensor.coords.tobytes()
+        assert loaded.values.tobytes() == tensor.values.tobytes()
+        assert [a.labels for a in loaded_axes] == [a.labels for a in axes]
+        assert names == ["doc", "word"]
+
 
 model_tables = st.tuples(st.integers(1, 4), st.lists(st.integers(1, 5), min_size=1, max_size=4)).flatmap(
     lambda shape: st.tuples(
@@ -449,6 +484,33 @@ class TestModelText:
         loaded, _ = load_model(path)
         assert model_text_table(path).tobytes() == np.vstack(rows).tobytes()
         assert loaded.weights.tobytes() == model.weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "weights, factors, edit",
+        [
+            ([2.0, 1.0], [[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]], lambda body: ["2.0", *body[1:]]),
+            ([2.0, 1.0], [[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]], lambda body: [body[0], "0.5 0.25 0.1", *body[2:]]),
+            # An empty line has no space, as a one-float row has none.
+            ([2.0], [[[0.5], [0.5]], [[1.0]]], lambda body: [body[0], "", *body[2:]]),
+            ([2.0, 1.0], [[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]], lambda body: body[:-2]),
+            ([2.0, 1.0], [[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]], lambda body: []),
+            ([2.0, 1.0], [[[0.5, 0.25], [0.5, 0.75]], [[1.0, 1.0]]], lambda body: None),
+        ],
+        ids=["weight-count", "row-width", "empty-row-at-rank-1", "truncated", "header-line-only",
+             "header-without-newline"],
+    )
+    def test_body_edits_leave_the_load_unchanged(self, tmp_path, weights, factors, edit):
+        # The body is an export: load_model reads the header line, then takes
+        # every number from the payload.
+        model = KruskalModel(weights=weights, factors=factors)
+        path = save_model(model, tmp_path / "m.model")
+        header, *body = path.read_text(encoding="utf-8").splitlines()
+        body = edit(body)
+        path.write_text(header if body is None else "\n".join([header, *body]) + "\n", encoding="utf-8")
+        loaded, loaded_header = load_model(path)
+        assert loaded_header["rank"] == len(weights)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert [f.tobytes() for f in loaded.factors] == [f.tobytes() for f in model.factors]
 
 
 def _written(table):
