@@ -349,11 +349,13 @@ def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int | N
     header, (shape, mode_names, nnz) = read_header(
         header_path.read_bytes(), header_path, TENSOR,
         shape=lambda v: tuple(_extent(n) for n in v),
-        mode_names=lambda v: [str(n) for n in v],
+        mode_names=lambda v: [of_json_type(str)(n) for n in of_json_type(list)(v)],
         nnz=json_int,
     )
     if len(mode_names) != len(shape):
         raise ValueError(f"{header_path}: mode_names length does not match shape")
+    if len(set(mode_names)) != len(mode_names):
+        raise ValueError(f"{header_path}: mode_names repeats a name in {mode_names}")
     return shape, mode_names, nnz, header.get("payload_crc32")
 
 

@@ -99,30 +99,36 @@ def run_factorize(cfg) -> list[Path]:
     return list(paths.values())
 
 
+def _components(cfg, rank: int, shape) -> list:
+    """The components of models/rank_R.model, which must be a rank-R model of
+    the tensor's label counts `shape`; any other is a ValueError naming it."""
+    path = _model_path(cfg, rank)
+    model, _header = load_model(path)
+    if model.rank != rank:
+        raise ValueError(f"{path}: holds a rank-{model.rank} model; rerun factorize")
+    if model.shape != shape:
+        raise ValueError(
+            f"{path}: model shape {model.shape} does not match the label counts "
+            f"{shape} of {_tensor_dir(cfg)}; rerun factorize"
+        )
+    return components_from_model(model, rank)
+
+
 def run_select(cfg) -> Path:
-    """Model files -> selection.json listing the kept components."""
+    """Model files checked by _components -> selection.json listing the kept components."""
     _require(cfg, "workdir")
-    components = []
-    word_mode = None
     found_ranks = []
-    first = None
     for rank in cfg.selection.ranks:
         path = _model_path(cfg, rank)
-        if not path.is_file():
+        if path.is_file():
+            found_ranks.append(rank)
+        else:
             logger.warning("no model file for rank %d at %s, skipping", rank, path)
-            continue
-        model, _header = load_model(path)
-        first = first or (path, model.shape)
-        if model.shape != first[1]:
-            raise ValueError(
-                f"{path}: model shape {model.shape} does not match {first[0]}'s "
-                f"{first[1]}; rerun factorize"
-            )
-        word_mode = model.order - 1
-        components.extend(components_from_model(model, rank))
-        found_ranks.append(rank)
-    if not components:
+    if not found_ranks:
         raise ValueError("no model files found for the configured ranks")
+    shape = tuple(len(axis) for axis in load_axes(_tensor_dir(cfg))[0])
+    components = [c for rank in found_ranks for c in _components(cfg, rank, shape)]
+    word_mode = len(shape) - 1
 
     result = select_components_detailed(components, cfg.selection, word_mode)
     path = _selection_path(cfg)
@@ -134,7 +140,7 @@ def run_select(cfg) -> Path:
 
 
 def run_report(cfg) -> Path:
-    """selection.json + models + tensor labels -> report bundle."""
+    """selection.json + models checked by _components + tensor labels -> report bundle."""
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     selection_path = _selection_path(cfg)
@@ -150,14 +156,7 @@ def run_report(cfg) -> Path:
     reports = []
     for pos, (rank, index) in enumerate(kept):
         if rank not in pools:
-            path = _model_path(cfg, rank)
-            model, _header = load_model(path)
-            if model.shape != extents:
-                raise ValueError(
-                    f"{path}: model shape {model.shape} does not match the label counts "
-                    f"{extents} of {_tensor_dir(cfg)}; rerun factorize"
-                )
-            pools[rank] = components_from_model(model, rank)
+            pools[rank] = _components(cfg, rank, extents)
         if not 0 <= index < len(pools[rank]):
             raise ValueError(
                 f"{selection_path}: kept item {pos} (rank {rank}) has index_in_model "

@@ -13,7 +13,7 @@ import logging
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,12 +138,7 @@ def ensemble_models(
         opts = AlsOptions()
 
     def fit_one(rank: int):
-        rank_opts = AlsOptions(
-            max_iters=opts.max_iters,
-            fit_tolerance=opts.fit_tolerance,
-            seed=rank_seed(opts.seed, rank),
-        )
-        return cp_als(tensor, rank, rank_opts)
+        return cp_als(tensor, rank, replace(opts, seed=rank_seed(opts.seed, rank)))
 
     waiting = deque(ranks)
     in_flight = deque()

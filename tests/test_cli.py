@@ -557,6 +557,18 @@ class TestErrors:
                 )
                 for extent in (0, -1)
             ),
+            *(
+                (
+                    '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [11, 37, 7, 36],'
+                    ' "mode_names": %s, "nnz": 1}' % names,
+                    phrase,
+                )
+                for names, phrase in (
+                    ('"abcd"', "malformed tensor header: expected list, got 'abcd'"),
+                    ("[1, 2, 3, 4]", "malformed tensor header: expected str, got 1"),
+                    ('["w", "w", "w", "w"]', "mode_names repeats a name in ['w', 'w', 'w', 'w']"),
+                )
+            ),
         ],
     )
     def test_bad_tensor_header_reports_error(self, selected, tmp_path, capsys, stage, header, phrase):
@@ -636,9 +648,37 @@ class TestErrors:
         assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
         assert "rank_5.model: model shape (11, 37, 7, 36)" in err
-        assert "rank_3.model's (3, 7, 2, 12); rerun factorize" in err
+        assert "label counts (3, 7, 2, 12)" in err and "rerun factorize" in err
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
+
+    def test_select_names_a_model_of_another_tensor(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        self.reingest_seven_rows(workdir)
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_3\.model: model shape \(11, 37, 7, 36\)", err, re.M)
+        assert "label counts (3, 7, 2, 12)" in err and "rerun factorize" in err
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
+    @pytest.mark.parametrize("stage", ["select", "report"])
+    def test_stages_name_a_model_of_another_rank(self, selected, tmp_path, capsys, stage):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        output = workdir / ("selection.json" if stage == "select" else "report")
+        output.unlink(missing_ok=True)
+        for suffix in (".model", ".model.npy"):
+            shutil.copyfile(workdir / "models" / f"rank_5{suffix}", workdir / "models" / f"rank_3{suffix}")
+        capsys.readouterr()
+        assert run(stage, "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_3\.model: holds a rank-5 model; rerun factorize$", err, re.M)
+        assert "Traceback" not in err
+        assert not output.exists()
 
     @pytest.mark.parametrize(
         "edit, phrase",
