@@ -24,8 +24,9 @@ from .sparse_tensor import AxisMap, SparseTensorCOO
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
 PAYLOAD_FILE = "entries.npy"
-# save_tensor formats entries.tsv this many rows at a time, so the text of
-# the whole file is never in memory at once.
+# save_tensor writes entries.npy and entries.tsv this many rows at a time, so
+# neither the whole payload table nor the text of the whole file is ever in
+# memory at once.
 WRITE_CHUNK_ROWS = 16384
 
 
@@ -53,12 +54,26 @@ def write_json(path: Path, artifact: Artifact, **fields) -> dict:
     return header
 
 
-def write_payload(path: Path, table: np.ndarray) -> int:
-    """Save `table` to `path` as one C-ordered .npy array, whatever its memory
-    order (arranged factors can be Fortran-ordered); returns its CRC-32."""
-    table = np.ascontiguousarray(table)
-    np.save(path, table, allow_pickle=False)
-    return zlib.crc32(table)
+def write_payload(path: Path, dtype: np.dtype, shape: tuple[int, ...], chunks) -> int:
+    """Write one C-ordered .npy array of `dtype` and `shape` to `path`, chunk
+    by chunk; returns the CRC-32 of its data.
+
+    `chunks` yields arrays of `dtype` whose rows, in turn, make up the whole
+    array; each is written in C order, whatever its memory order (arranged
+    factors can be Fortran-ordered). The file is the bytes np.save writes
+    for that array: its v1.0 header, then each chunk as it comes, folded
+    into the CRC-32, so a caller that makes its chunks one at a time never
+    holds the array whole.
+    """
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": tuple(shape)}
+    crc32 = 0
+    with path.open("wb") as out:
+        np.lib.format.write_array_header_1_0(out, header)
+        for chunk in chunks:
+            chunk = np.ascontiguousarray(chunk)
+            out.write(chunk)
+            crc32 = zlib.crc32(chunk, crc32)
+    return crc32
 
 
 # write_float_rows formats this many floats at a time, so neither the text of
@@ -283,8 +298,11 @@ def save_tensor(
     entries.npy holds the numbers that load_tensor reads: one C-ordered
     array of [("c", "<i8", (d,)), ("v", "<f8")] rows (the coordinates, then
     the value) in the tensor's sorted order, whose CRC-32 header.json
-    records. entries.tsv holds the same rows as text for outside readers
-    only; no loader opens it. Its values are written with repr(), so they
+    records. It is written through write_payload WRITE_CHUNK_ROWS rows at a
+    time, each chunk's table filled from the tensor's coordinate and value
+    arrays, so the whole (nnz,) table is never built. entries.tsv holds the
+    same rows as text for outside readers only; no loader opens it. Its
+    values are written with repr(), so they
     parse back bit for bit, WRITE_CHUNK_ROWS rows at a time, with each
     distinct value formatted once per chunk and each coordinate looked up
     in a per-call table of index texts. Nothing time- or
@@ -304,10 +322,17 @@ def save_tensor(
                 raise ValueError(f"axis label {label!r} in mode {k} contains a newline")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = np.empty(tensor.nnz, dtype=_row_dtype(d))
-    table["c"] = tensor.coords
-    table["v"] = tensor.values
-    crc32 = write_payload(out_dir / PAYLOAD_FILE, table)
+    row = _row_dtype(d)
+
+    def payload_chunks():
+        for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS):
+            hi = min(lo + WRITE_CHUNK_ROWS, tensor.nnz)
+            chunk = np.empty(hi - lo, dtype=row)
+            chunk["c"] = tensor.coords[lo:hi]
+            chunk["v"] = tensor.values[lo:hi]
+            yield chunk
+
+    crc32 = write_payload(out_dir / PAYLOAD_FILE, row, (tensor.nnz,), payload_chunks())
     write_json(
         out_dir / HEADER_FILE, TENSOR,
         shape=list(tensor.shape),
@@ -431,8 +456,9 @@ def save_model(
 ) -> Path:
     """Write a model as a versioned text file plus its binary number table.
 
-    The numbers go to `<path>.npy` first: one C-ordered (1 + sum(shape),
-    rank) float64 table, the weights row and then each factor's rows. Then
+    The numbers go to `<path>.npy` first, through write_payload: one
+    C-ordered (1 + sum(shape), rank) float64 table, the weights row and then
+    each factor's rows. Then
     the text file: line 1 is a JSON header carrying the table's CRC-32, and
     the weights line and each factor row hold the same floats as
     format(x, ".16e") writes them (17 significant digits, which read back
@@ -445,7 +471,7 @@ def save_model(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     table = np.vstack([model.weights[None, :], *model.factors])
-    crc32 = write_payload(_payload_path(path), table)
+    crc32 = write_payload(_payload_path(path), table.dtype, table.shape, [table])
     header = MODEL.stamp(
         rank=model.rank,
         shape=list(model.shape),

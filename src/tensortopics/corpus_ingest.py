@@ -404,8 +404,14 @@ def _rare_capitalized(scan: _Scan, floor: int) -> np.ndarray:
     lower_seen = np.zeros(n_words, dtype=bool)
     lower_seen[words[scan.raw_lower[raw]]] = True
     # document frequency: the distinct (record, word) pairs of each word
-    pairs = np.sort(record.astype(np.int64) * n_words + words)
-    df = np.bincount(pairs[_run_starts(pairs)] % n_words, minlength=n_words)
+    pairs = record.astype(np.int64)
+    pairs *= n_words
+    pairs += words
+    del words
+    pairs.sort()
+    pairs = pairs[_run_starts(pairs)]
+    pairs %= n_words
+    df = np.bincount(pairs, minlength=n_words)
     return (df > 0) & (df < floor) & ~lower_seen
 
 
@@ -441,13 +447,17 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
 
     Each body is scanned once (twice if it is not ASCII) into an id stream;
     every filter depends only on the word, so each distinct word is decided
-    once. The counts are grouped with one sort, of keys that order as the
-    tensor's rows: the record's (author, document, journal) cell ranked
-    lexicographically, then the word's vocabulary index.
+    once. The counts are grouped with one in-place sort and a run scan, of
+    int64 keys that order as the tensor's rows: the record's (author,
+    document, journal) cell ranked lexicographically, then the word's
+    vocabulary index. Each per-token array is held once and dropped as soon
+    as it is used up: the scan's id streams once the kept words are taken,
+    the kept words and their records once the keys are built.
     """
     scan = _scan(records)
+    all_words, raw_word = scan.words, scan.raw_word
     keep = _token_filter(rules)
-    kept_word = np.array([keep(w) for w in scan.words], dtype=bool)
+    kept_word = np.array([keep(w) for w in all_words], dtype=bool)
     if rules.name_df_floor > 0:
         excluded = _rare_capitalized(scan, rules.name_df_floor)
         if excluded.any():
@@ -455,9 +465,13 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
         kept_word &= ~excluded
 
     raw, record = scan.counted
-    words = scan.raw_word[raw]
+    del scan
+    words = raw_word[raw]
+    del raw
     kept = kept_word[words]
-    words, record = words[kept], record[kept]
+    words = words[kept]
+    record = record[kept]
+    del kept
     per_record = np.bincount(record, minlength=len(records))
 
     tables = (_id_table(), _id_table(), _id_table())
@@ -474,20 +488,33 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
     if dropped:
         logger.info("dropped %d tokenless document(s)", dropped)
 
-    first = np.full(len(scan.words), words.shape[0])
+    first = np.full(len(all_words), words.shape[0])
     np.minimum.at(first, words, np.arange(words.shape[0]))
     vocabulary = np.argsort(first)[: np.count_nonzero(first < words.shape[0])]
-    word_index = np.zeros(len(scan.words), dtype=np.int64)
+    # int32 like the word ids, so word_index[words] is a 4-byte temporary
+    word_index = np.zeros(len(all_words), dtype=np.int32)
     word_index[vocabulary] = np.arange(vocabulary.shape[0])
     cells, cell_of = np.unique(labels_of, axis=0, return_inverse=True)
-    keys = cell_of[record] * vocabulary.shape[0] + word_index[words]
-    keys, tallies = np.unique(keys, return_counts=True)
-    cell, word = np.divmod(keys, vocabulary.shape[0])
+    keys = cell_of[record]
+    del record
+    keys *= vocabulary.shape[0]
+    keys += word_index[words]
+    del words
+    keys.sort()
+    starts = _run_starts(keys)
+    tallies = np.diff(starts, append=keys.shape[0])
+    keys = keys[starts]
+    del starts
+    coords = np.empty((keys.shape[0], 4), dtype=np.int64)
+    np.remainder(keys, vocabulary.shape[0], out=coords[:, 3])
+    keys //= vocabulary.shape[0]
+    for k in range(3):
+        coords[:, k] = cells[keys, k]
     axes = (
         *(AxisMap(table) for table in tables),
-        AxisMap([scan.words[w] for w in vocabulary.tolist()]),
+        AxisMap([all_words[w] for w in vocabulary.tolist()]),
     )
-    return QuadCounts(coords=np.column_stack([cells[cell], word]), tallies=tallies, axes=axes)
+    return QuadCounts(coords=coords, tallies=tallies, axes=axes)
 
 
 def counts_to_tensor(quad: QuadCounts) -> SparseTensorCOO:

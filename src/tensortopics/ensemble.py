@@ -132,15 +132,25 @@ def ensemble_models(
     rest of the ensemble still returns. Any other error is raised once the
     fits already in flight end, and the ranks not yet submitted never run.
     Each rank logs its final fit, its sweep count and why it stopped (see
-    stop_reason), at WARNING when the fit went down.
+    stop_reason), at WARNING when the fit went down. Before any fit, each
+    rank at or above the tensor's F last-mode fibers is logged at WARNING:
+    one rank-one term per fiber reproduces the tensor exactly, so F bounds
+    its CP rank.
     """
     if opts is None:
         opts = AlsOptions()
+    waiting = deque(ranks)
+    fibers = tensor.fibers.starts.shape[0]
+    for rank in waiting:
+        if rank >= fibers:
+            logger.warning(
+                "rank %d is at or above the tensor's %d last-mode fibers, which bound its CP rank",
+                rank, fibers,
+            )
 
     def fit_one(rank: int):
         return cp_als(tensor, rank, replace(opts, seed=rank_seed(opts.seed, rank)))
 
-    waiting = deque(ranks)
     in_flight = deque()
     results = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -5,6 +5,7 @@ kernels: dense arrays, nested loops, np.kron, and a coordinate-order
 gather/scatter over the nonzeros.
 """
 
+import io
 import json
 import os
 import re
@@ -191,6 +192,47 @@ def build_counts_oracle(records, rules):
             key = (a, d, j, intern(tables[3], token))
             counts[key] = counts.get(key, 0) + 1
     return OracleCounts(counts, tuple(AxisMap(t) for t in tables))
+
+
+def quad_counts_unique_oracle(records, rules):
+    """build_counts' coords and tallies by np.unique(keys, return_counts=True)
+    over one key per kept token, the key being the rank of its record's
+    (author, document, journal) indices among the distinct ones times the
+    vocabulary size, plus its word's index, all interned as
+    build_counts_oracle interns them."""
+    excluded = rare_capitalized_oracle(records, rules)
+    tables = ({}, {}, {}, {})
+
+    def intern(table, label):
+        return table.setdefault(label, len(table))
+
+    labels, words = [], []
+    for rec in records:
+        tokens = [t for t in tokenize_oracle(rec.body, rules) if t not in excluded]
+        if tokens:
+            journal = rec.journal if rec.journal else UNKNOWN_JOURNAL
+            label = [intern(t, x) for t, x in zip(tables, (rec.first_author, rec.title, journal))]
+            for token in tokens:
+                labels.append(label)
+                words.append(intern(tables[3], token))
+    if not words:
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
+    cells, cell_of = np.unique(np.array(labels, dtype=np.int64), axis=0, return_inverse=True)
+    vocabulary = len(tables[3])
+    keys = cell_of.reshape(-1) * vocabulary + np.array(words, dtype=np.int64)
+    keys, tallies = np.unique(keys, return_counts=True)
+    return np.column_stack([cells[keys // vocabulary], keys % vocabulary]), tallies
+
+
+def entries_npy_oracle(tensor):
+    """np.save of a tensor's whole [("c", "<i8", (d,)), ("v", "<f8")] table:
+    the file's bytes, and the table."""
+    table = np.empty(tensor.nnz, dtype=[("c", "<i8", (tensor.order,)), ("v", "<f8")])
+    table["c"] = tensor.coords
+    table["v"] = tensor.values
+    out = io.BytesIO()
+    np.save(out, table, allow_pickle=False)
+    return out.getvalue(), table
 
 
 def coalesce_oracle(coords, values):

@@ -2,13 +2,17 @@
 
 Token filtering decides each distinct token once, the tensor is built and
 coalesced from arrays (rows that are already sorted skip the coalescing),
-entries.tsv is written in chunks, the model body's floats are formatted in
+quadruples are counted by an in-place sort, entries.tsv and entries.npy are
+written in chunks (the latter as np.save's bytes), the model body's floats are formatted in
 numpy, tensor and model numbers are read from binary payloads that must hold
 the same bits as the text, and top_n sorts only its candidates. Each must give exactly what the per-token, per-row,
-always-sorting or full-sort code gives.
+always-sorting or full-sort code gives. save_tensor's traced memory peak
+must not grow with nnz, and build_counts' must stay under a fixed number of
+bytes per scanned token.
 """
 
 import io
+import json
 import math
 import tempfile
 import tracemalloc
@@ -53,12 +57,14 @@ from conftest import (
     DATA_DIR,
     build_counts_oracle,
     coalesce_oracle,
+    entries_npy_oracle,
     entries_text_oracle,
     lexsort_coalesce_oracle,
     lower_tokens_oracle,
     model_text_oracle,
     model_text_table,
     nonascii_letter_fraction,
+    quad_counts_unique_oracle,
     rare_capitalized_oracle,
     raw_tokens_oracle,
     tokenize_oracle,
@@ -189,6 +195,77 @@ class TestTokenFiltering:
         body = "Kelvin İstanbul KKK protein"
         assert tokenize(body, CleaningRules()) == ["kelvin", "stanbul", "protein"]
         assert tokenize(body, CleaningRules()) == tokenize_oracle(body, CleaningRules())
+
+
+# Corpora whose vocabulary is one word or none: each body is one word,
+# repeated, or only words that every rule set drops (or nothing at all).
+one_word_records = st.lists(
+    st.builds(
+        CorpusRecord,
+        title=st.sampled_from(["t1", "t2", "t3"]),
+        abstract=st.just(""),
+        first_author=st.sampled_from(["Ann", "Bo"]),
+        journal=st.sampled_from(["j1", ""]),
+        body=st.sampled_from(["", "a of", "19 -", "protein", "protein protein", "Protein protein"]),
+    ),
+    max_size=6,
+)
+
+
+def generated_corpus(rng, documents, per_document, vocabulary):
+    """Bodies of Zipf-drawn consonant-vowel words, every 17th capitalized,
+    each ending in three stopwords."""
+    syllables = [c + v for c in "bcdfghlmnprstv" for v in "aeiou"]
+    words = sorted({"".join(rng.choice(syllables, rng.integers(2, 5))) for _ in range(vocabulary)})
+    records = []
+    for i in range(documents):
+        drawn = [words[j % len(words)] for j in rng.zipf(1.3, per_document).tolist()]
+        drawn[::17] = [w.capitalize() for w in drawn[::17]]
+        body = " ".join(drawn) + " the of and"
+        records.append(CorpusRecord(f"doc {i}", "", f"author {i % 37}", f"journal {i % 7}", body))
+    return records
+
+
+class TestCounting:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(recs=records | one_word_records, rules=rules)
+    @example(
+        recs=[
+            CorpusRecord("t1", "", "Ann", "j1", "protein protein"),
+            CorpusRecord("t2", "", "Bo", "", "the of"),
+            CorpusRecord("t3", "", "Ann", "j1", ""),
+            CorpusRecord("t3", "", "Bo", "j1", "protein"),
+        ],
+        rules=CleaningRules(),
+    )
+    def test_counts_match_unique_oracle(self, recs, rules):
+        # The in-place sort and run scan against np.unique(keys,
+        # return_counts=True) over the token-at-a-time oracle's keys.
+        quad = build_counts(recs, rules)
+        coords, tallies = quad_counts_unique_oracle(recs, rules)
+        assert quad.coords.dtype == quad.tallies.dtype == np.int64
+        assert quad.coords.shape == coords.shape
+        assert quad.coords.tobytes() == coords.tobytes()
+        assert quad.tallies.tobytes() == tallies.tobytes()
+
+    def test_peak_memory_per_scanned_token(self):
+        # build_counts holds each per-token array once and drops it when it
+        # is used up: the scan's int32 id and record streams, the kept words
+        # and records, the int64 keys. On this corpus (a third as many
+        # quadruples as tokens) that peaks at 22.7 bytes a scanned token
+        # (numpy 2.4.6). Keeping the sorted keys to the end reads 28.7, and
+        # keeping every stream to the end and counting with np.unique, whose
+        # copies come on top, 49.5.
+        records = generated_corpus(np.random.default_rng(5), 300, 400, 2000)
+        tokens = _scan(records).names[0].shape[0]
+        tracemalloc.start()
+        try:
+            quad = build_counts(records, CleaningRules())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tokens > 100_000 and 4 * quad.tallies.shape[0] > tokens
+        assert peak / tokens < 26, peak / tokens
 
 
 # Values whose sum depends on the order they are added in.
@@ -343,13 +420,25 @@ EXTREMES = [5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
 
 
 def _round_trip_tensor(tensor):
+    """Save and load `tensor`: entries.tsv's text, the loaded tensor, and the
+    bytes of entries.npy and header.json as written."""
     axes = [AxisMap([f"m{k}_{i}" for i in range(n)]) for k, n in enumerate(tensor.shape)]
     names = [f"mode{k}" for k in range(tensor.order)]
     with tempfile.TemporaryDirectory() as tmp:
-        save_tensor(tensor, axes, names, Path(tmp) / "t")
-        text = (Path(tmp) / "t" / "entries.tsv").read_text(encoding="utf-8")
-        loaded, _, _ = load_tensor(Path(tmp) / "t")
-    return text, loaded
+        out = save_tensor(tensor, axes, names, Path(tmp) / "t")
+        text = (out / "entries.tsv").read_text(encoding="utf-8")
+        payload = (out / "entries.npy").read_bytes()
+        header = json.loads((out / "header.json").read_bytes())
+        loaded, _, _ = load_tensor(out)
+    return text, loaded, payload, header
+
+
+def assert_payload_is_np_save(tensor, payload, header):
+    """entries.npy holds np.save's bytes for the whole table, and header.json
+    that table's CRC-32."""
+    want, table = entries_npy_oracle(tensor)
+    assert payload == want
+    assert header["payload_crc32"] == zlib.crc32(table)
 
 
 class TestTensorContainer:
@@ -365,8 +454,9 @@ class TestTensorContainer:
     def test_round_trip_bitwise_across_chunks(self, entries, chunk):
         tensor = SparseTensorCOO(list(entries), list(entries.values()), (4, 5, 3))
         with mock.patch.object(artifacts, "WRITE_CHUNK_ROWS", chunk):
-            text, loaded = _round_trip_tensor(tensor)
+            text, loaded, payload, header = _round_trip_tensor(tensor)
         assert text == entries_text_oracle(tensor)
+        assert_payload_is_np_save(tensor, payload, header)
         assert loaded.coords.tobytes() == tensor.coords.tobytes()
         assert loaded.values.tobytes() == tensor.values.tobytes()
 
@@ -375,15 +465,40 @@ class TestTensorContainer:
         values = rng.choice([math.log1p(c) for c in range(1, 6)] + [0.1, 1e300], size=50_000)
         tensor = SparseTensorCOO(coords, values, (60, 900))
         assert tensor.nnz > artifacts.WRITE_CHUNK_ROWS
-        text, loaded = _round_trip_tensor(tensor)
+        text, loaded, payload, header = _round_trip_tensor(tensor)
         assert text == entries_text_oracle(tensor)
+        assert_payload_is_np_save(tensor, payload, header)
         assert loaded == tensor
 
     def test_empty_tensor_gives_empty_file(self):
         tensor = SparseTensorCOO([], [], (2, 3))
-        text, loaded = _round_trip_tensor(tensor)
+        text, loaded, payload, header = _round_trip_tensor(tensor)
         assert text == ""
+        assert_payload_is_np_save(tensor, payload, header)
         assert loaded.nnz == 0 and loaded.coords.shape == (0, 2)
+
+    def test_peak_memory_does_not_grow_with_nnz(self, tmp_path, rng):
+        # entries.npy and entries.tsv are both written WRITE_CHUNK_ROWS rows
+        # at a time, so save_tensor's traced peak is set by one chunk, not by
+        # the (nnz,) payload table (40 bytes a row at order 4).
+        shape = (50, 400, 10, 3000)
+        axes = [AxisMap([f"l{i}" for i in range(n)]) for n in shape]
+        peaks = []
+        for chunks in (8, 32):
+            nnz = chunks * artifacts.WRITE_CHUNK_ROWS
+            flat = rng.choice(math.prod(shape), size=nnz, replace=False)
+            coords = np.stack(np.unravel_index(np.sort(flat), shape), axis=1)
+            tensor = SparseTensorCOO(coords, np.log1p(rng.integers(1, 6, nnz)).astype(float), shape)
+            tracemalloc.start()
+            try:
+                save_tensor(tensor, axes, ["a", "d", "j", "w"], tmp_path / f"t{chunks}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row_bytes = artifacts._row_dtype(4).itemsize
+        # The payload table of the smaller tensor alone is 5.2 MB.
+        assert peaks[1] < 1.2 * peaks[0], peaks
+        assert peaks[1] < 8 * artifacts.WRITE_CHUNK_ROWS * row_bytes, peaks
 
     @pytest.mark.parametrize(
         "edit",

@@ -1,7 +1,9 @@
 """Degenerate but legal tensors through `factorize` and `select`.
 
 Each has a defined result: a rank above every mode's extent still fits and
-saves a finite model, and a tensor whose word slices are all parallel makes
+saves a finite model, a rank at or above the tensor's last-mode fiber count
+(which bounds its CP rank) is named in a warning and still fits, and a
+tensor whose word slices are all parallel makes
 every component's word vector the same direction, which selection keeps once.
 """
 
@@ -38,6 +40,30 @@ def test_rank_above_every_extent(tmp_path, caplog):
     assert logged[3] == "tolerance" and int(logged[2]) < 60
     assert float(logged[1]) == pytest.approx(0.797, abs=1e-3)
     assert fit(tensor, model) == pytest.approx(float(logged[1]), abs=1e-6)
+
+
+# bench/checks.py reads each rank's fit and sweep count from these lines.
+FIT_LINE = re.compile(r"rank (\d+): fit (-?[0-9.]+(?:e-?\d+)?) after (\d+) sweep\(s\), stopped: \w+")
+
+
+def test_ranks_at_or_above_the_fiber_count_are_named(tmp_path, caplog):
+    workdir = tmp_path / "run"
+    assert cli_run(["ingest", "--config", CFG, "--workdir", str(workdir)]) == 0
+    tensor, _axes, _names = load_tensor(workdir / "tensor")
+    fibers = tensor.fibers.starts.shape[0]
+    assert fibers == tensor.shape[1]  # one fiber per document
+    ranks = [fibers - 1, fibers, fibers + 3]
+    caplog.clear()
+    caplog.set_level(logging.INFO)
+    argv = ["factorize", "--config", CFG, "--workdir", str(workdir), "--ranks", ",".join(map(str, ranks))]
+    assert cli_run(argv) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"rank {rank} is at or above the tensor's {fibers} last-mode fibers, which bound its CP rank"
+        for rank in ranks[1:]
+    ]
+    # Every rank still fits and logs its fit line unchanged.
+    assert sorted(int(m[1]) for m in FIT_LINE.finditer(caplog.text)) == ranks
 
 
 # Every document holds the same word counts, in its own order: each (author,

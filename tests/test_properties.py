@@ -2,7 +2,9 @@
 
 arrange() represents the same tensor as its input (it keeps the fit) and
 orders components by descending absolute weight, ties by position;
-selection does not depend on the order of the pooled components. arrange()
+selection does not depend on the order of the pooled components; one
+rank-one term per last-mode fiber reproduces a tensor exactly, so the fiber
+count bounds its CP rank, as factorize's warning states. arrange()
 is idempotent only up to rounding that grows with cancellation inside a
 column: a column where it misses 1e-12 is pinned as an expected failure.
 """
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from tensortopics import KruskalModel, SelectionConfig, SparseTensorCOO, arrange, fit
 from tensortopics.ensemble import Component, select_components_detailed
+
+from conftest import dense_from_model, to_dense
 
 PROPERTY = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -100,6 +104,40 @@ class TestArrange:
         )
         once = arrange(model)
         assert _close(arrange(once).factors[1], once.factors[1])
+
+
+@st.composite
+def tensors(draw):
+    """Order 2-4 tensors of up to 20 nonzeros, with values over 12 orders of
+    magnitude, so fibers hold one or many nonzeros."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    cells = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    nonzeros = draw(st.dictionaries(cells, st.floats(1e-6, 1e6), min_size=1, max_size=20))
+    return SparseTensorCOO(list(nonzeros), list(nonzeros.values()), shape)
+
+
+class TestFiberBound:
+    @PROPERTY
+    @given(tensor=tensors())
+    def test_one_term_per_fiber_is_exact(self, tensor):
+        # The rank bound factorize warns about: term f of the rank-F model is
+        # unit vectors at fiber f's leading coordinates times the fiber's
+        # values, so the model is the tensor and F bounds its CP rank.
+        lead, fiber_of = np.unique(tensor.coords[:, :-1], axis=0, return_inverse=True)
+        fiber_of = fiber_of.reshape(-1)
+        rank = lead.shape[0]
+        assert rank == tensor.fibers.starts.shape[0]
+        terms = np.arange(rank)
+        factors = [np.zeros((n, rank)) for n in tensor.shape]
+        for k in range(tensor.order - 1):
+            factors[k][lead[:, k], terms] = 1.0
+        factors[-1][tensor.coords[:, -1], fiber_of] = tensor.values
+        model = KruskalModel(weights=np.ones(rank), factors=factors)
+        np.testing.assert_array_equal(dense_from_model(model), to_dense(tensor))
+        # fit takes the square root of a difference of squared norms, each
+        # rounded to about nnz * eps, so an exact model reads 1 only to about
+        # sqrt(nnz * eps), 7e-8 at 20 nonzeros.
+        assert fit(tensor, model) == pytest.approx(1.0, abs=1e-6)
 
 
 @st.composite
