@@ -18,7 +18,6 @@ from .corpus_ingest import (
     counts_to_tensor,
     dedup,
     load_corpus,
-    tokenize,
 )
 from .cp_als import (
     AlsDivergenceError,
@@ -42,7 +41,7 @@ from .ensemble import (
 )
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .report import build_report, emit_report, top_n
-from .sparse_tensor import AxisMap, SparseTensorCOO, density_value, from_entries
+from .sparse_tensor import AxisMap, SparseTensorCOO
 
 __version__ = "0.1.0"
 
@@ -68,11 +67,9 @@ __all__ = [
     "cp_als",
     "decompose_ensemble",
     "dedup",
-    "density_value",
     "build_report",
     "emit_report",
     "fit",
-    "from_entries",
     "gram",
     "hadamard_all",
     "init_factors",
@@ -89,5 +86,4 @@ __all__ = [
     "similarity_matrix",
     "solve_gram",
     "top_n",
-    "tokenize",
 ]

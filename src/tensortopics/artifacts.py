@@ -504,7 +504,8 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
 
     Only the text file's header line is read; the numbers come from
     `<path>.npy`, whose dtype, shape ((1 + sum(shape), rank)) and CRC-32
-    must match the header. Every fault raises a ValueError naming the file.
+    must match the header, and which must hold only finite numbers. Every
+    fault raises a ValueError naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
@@ -521,6 +522,8 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
         _payload_path(path), MODEL, np.dtype(np.float64), (1 + sum(shape), rank),
         header.get("payload_crc32"), f"the header of {path.name}",
     )
+    if not np.isfinite(table).all():
+        raise ValueError(f"{_payload_path(path)}: model payload holds NaN or inf; rerun factorize")
     bounds = np.cumsum([1, *shape])
     factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     return KruskalModel(weights=table[0], factors=factors), header

@@ -298,7 +298,15 @@ def dedup(records) -> list[CorpusRecord]:
 
 
 def _token_filter(rules: CleaningRules) -> Callable[[str], bool]:
-    """tokenize's keep test for one lowercase token, with its regexes compiled once."""
+    """build_counts' keep test for one lowercase ASCII-alphabetic token, with
+    its regexes compiled once.
+
+    Filters, in order: shorter than min_token_length, stopwords, DNA-like
+    runs (length >= dna_min_run over the alphabet {a, c, g, t, u}), and
+    nonsense words (no vowel, any character repeated more than
+    max_char_repeat times consecutively, or a consonant run longer than
+    max_consonant_run).
+    """
     dna = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run).fullmatch
     repeat = re.compile(r"(.)\1{%d,}" % rules.max_char_repeat).search
     consonants = re.compile(r"[^aeiouy]{%d,}" % (rules.max_consonant_run + 1)).search
@@ -314,19 +322,6 @@ def _token_filter(rules: CleaningRules) -> Callable[[str], bool]:
         )
 
     return keep
-
-
-def tokenize(body: str, rules: CleaningRules) -> list[str]:
-    """Lowercase ASCII-alphabetic tokens from a body, in text order.
-
-    Filters, in order: shorter than min_token_length, stopwords, DNA-like
-    runs (length >= dna_min_run over the alphabet {a, c, g, t, u}), and
-    nonsense words (no vowel, any character repeated more than
-    max_char_repeat times consecutively, or a consonant run longer than
-    max_consonant_run).
-    """
-    keep = _token_filter(rules)
-    return [token for token in _tokens(body.lower()) if keep(token)]
 
 
 class _Scan(NamedTuple):

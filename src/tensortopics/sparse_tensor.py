@@ -19,29 +19,23 @@ import numpy as np
 
 
 class AxisMap:
-    """Bidirectional label <-> index mapping for one tensor mode.
+    """Label <-> index mapping for one tensor mode.
 
     Labels are unique strings; index order is insertion order.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels",)
 
     def __init__(self, labels: Iterable[str]):
         self.labels: list[str] = [str(label) for label in labels]
-        self._index: dict[str, int] = {}
-        for i, label in enumerate(self.labels):
-            if label in self._index:
+        seen: set[str] = set()
+        for label in self.labels:
+            if label in seen:
                 raise ValueError(f"duplicate axis label {label!r}")
-            self._index[label] = i
-
-    def index_of(self, label: str) -> int:
-        return self._index[label]
+            seen.add(label)
 
     def label_of(self, index: int) -> str:
         return self.labels[index]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -207,10 +201,6 @@ class SparseTensorCOO:
         return int(self.values.shape[0])
 
     @property
-    def density(self) -> float:
-        return density_value(self.nnz, self.shape)
-
-    @property
     def fibers(self) -> FiberIndex:
         """The last-mode fiber index, built on first use and then cached.
 
@@ -241,28 +231,3 @@ class SparseTensorCOO:
     def __repr__(self) -> str:
         return f"SparseTensorCOO(shape={self.shape}, nnz={self.nnz})"
 
-
-def from_entries(
-    entries: Iterable[tuple[Sequence[int], float]], shape: Sequence[int]
-) -> SparseTensorCOO:
-    """Build a tensor from (coordinate, value) pairs.
-
-    Duplicate coordinates are permitted and coalesced by summation; entries
-    that sum to exactly zero are dropped.
-    """
-    entries = list(entries)
-    coords = [e[0] for e in entries]
-    values = [e[1] for e in entries]
-    return SparseTensorCOO(coords, values, shape)
-
-
-def density_value(nnz: int, shape: Sequence[int]) -> float:
-    """nnz divided by the total cell count, computed in exact integer arithmetic.
-
-    Kept separate from the tensor type so corpus-scale shapes (cell counts
-    near 1e20, far past int64) can be checked without materializing anything.
-    """
-    cells = math.prod(int(n) for n in shape)
-    if cells <= 0:
-        raise ValueError(f"shape must have positive extents, got {tuple(shape)}")
-    return nnz / cells

@@ -10,15 +10,16 @@ import json
 import os
 import re
 import zlib
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from tensortopics import from_entries
+from tensortopics import CleaningRules, CorpusRecord, build_counts
 from tensortopics.corpus_ingest import UNKNOWN_JOURNAL
-from tensortopics.sparse_tensor import AxisMap
+from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -28,6 +29,13 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p
 )
+
+
+def from_entries(entries, shape):
+    """A tensor from (coordinate, value) pairs; duplicate coordinates are
+    coalesced by summation, and entries that sum to exactly zero dropped."""
+    entries = list(entries)
+    return SparseTensorCOO([e[0] for e in entries], [e[1] for e in entries], shape)
 
 
 def to_dense(tensor):
@@ -125,8 +133,8 @@ def _is_nonsense(token, rules):
 
 
 def tokenize_oracle(body, rules):
-    """Token-at-a-time oracle for corpus_ingest.tokenize: every filter runs on
-    every occurrence."""
+    """Token-at-a-time oracle for build_counts' token filter: every filter
+    runs on every occurrence of the tokens a body counts, in text order."""
     dna_re = re.compile(r"[acgtu]{%d,}" % rules.dna_min_run)
     out = []
     for token in lower_tokens_oracle(body):
@@ -140,6 +148,20 @@ def tokenize_oracle(body, rules):
             continue
         out.append(token)
     return out
+
+
+def kept_words(body, rules=CleaningRules()):
+    """The (word, count) pairs build_counts makes of a one-record corpus with
+    this body, in text order, after checking them against
+    build_counts_oracle. The name filter is off, so every token meets the
+    token filters alone."""
+    records = [CorpusRecord("t", "", "a", "j", body)]
+    rules = replace(rules, name_df_floor=0)
+    quad = build_counts(records, rules)
+    want = build_counts_oracle(records, rules)
+    assert list(quad.counts.items()) == sorted(want.counts.items())
+    assert quad.axes == want.axes
+    return [(word, quad.counts[0, 0, 0, i]) for i, word in enumerate(quad.axes[3].labels)]
 
 
 def rare_capitalized_oracle(records, rules):
@@ -289,9 +311,33 @@ def model_text_table(path):
     return table
 
 
-def _rewrite_payload(payload, change):
-    table = np.load(payload, allow_pickle=False)
-    np.save(payload, change(table), allow_pickle=False)
+def _edit_model_header(model_path, edit):
+    """Rewrite a model file's header line with edit(header) applied."""
+    header_line, _, body = model_path.read_text(encoding="utf-8").partition("\n")
+    header = json.loads(header_line)
+    edit(header)
+    model_path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+
+
+def _rewrite_payload(payload, change, restamp=False):
+    """Replace a model's payload with change(table); with restamp, the model
+    header records the new table's CRC-32, so only later checks see it."""
+    table = change(np.load(payload, allow_pickle=False))
+    np.save(payload, table, allow_pickle=False)
+    if restamp:
+        crc32 = zlib.crc32(np.ascontiguousarray(table))
+        _edit_model_header(payload.with_suffix(""), lambda h: h.update(payload_crc32=crc32))
+
+
+def _set(row, column, value):
+    """A change for _rewrite_payload: the table with one number replaced."""
+
+    def change(table):
+        table = table.copy()
+        table[row, column] = value
+        return table
+
+    return change
 
 
 def _nudge_last(table):
@@ -300,12 +346,9 @@ def _nudge_last(table):
     return table
 
 
-def _schema_1(model_path, payload):
-    header_line, _, body = model_path.read_text(encoding="utf-8").partition("\n")
-    header = json.loads(header_line)
+def _schema_1(header):
     header["schema_version"] = 1
     del header["payload_crc32"]
-    model_path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
 
 
 # Ways to damage a saved model: name -> (damage(model_path, payload_path),
@@ -322,7 +365,15 @@ PAYLOAD_FAULTS = {
     ),
     "short": (lambda m, p: _rewrite_payload(p, lambda t: t[:-1]), "declares float64 of shape"),
     "one_ulp": (lambda m, p: _rewrite_payload(p, _nudge_last), "CRC-32 does not match"),
-    "schema_1": (_schema_1, "unsupported schema version 1"),
+    "nan": (
+        lambda m, p: _rewrite_payload(p, _set(0, 0, np.nan), restamp=True),
+        "holds NaN or inf; rerun factorize",
+    ),
+    "inf": (
+        lambda m, p: _rewrite_payload(p, _set(-1, -1, -np.inf), restamp=True),
+        "holds NaN or inf; rerun factorize",
+    ),
+    "schema_1": (lambda m, p: _edit_model_header(m, _schema_1), "unsupported schema version 1"),
 }
 
 

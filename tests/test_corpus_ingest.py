@@ -14,7 +14,6 @@ from tensortopics import (
     counts_to_tensor,
     dedup,
     load_corpus,
-    tokenize,
 )
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
@@ -22,7 +21,7 @@ from tensortopics.corpus_ingest import (
     load_stopwords,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, kept_words
 
 
 def record(title="t", abstract="a", author="A B", journal="J", body="some body text"):
@@ -322,42 +321,42 @@ class TestDedup:
 
 
 class TestTokenize:
+    """build_counts' token filters on one-record corpora; kept_words also
+    checks each case against build_counts_oracle."""
+
     def test_stopwords_and_order(self):
         rules = CleaningRules(stopwords=frozenset(["the"]), min_token_length=3)
-        assert tokenize("The cat the cat", rules) == ["cat", "cat"]
+        assert kept_words("The dog the cat the dog", rules) == [("dog", 2), ("cat", 1)]
 
     def test_short_tokens_dropped(self):
-        rules = CleaningRules()
-        assert tokenize("an ox is by it", rules) == []
+        assert kept_words("an ox is by it") == []
 
     def test_dna_runs_dropped_short_dna_words_kept(self):
-        rules = CleaningRules()
-        assert tokenize("acgtacgtacgtacgt binds cat", rules) == ["binds", "cat"]
+        assert kept_words("acgtacgtacgtacgt binds cat") == [("binds", 1), ("cat", 1)]
         # 'cat' sits inside the DNA alphabet but is far below the run length
 
     def test_dna_run_length_configurable(self):
         loose = CleaningRules(dna_min_run=20)
-        assert "acgtacgtacgtacgt" in tokenize("acgtacgtacgtacgt", loose)
+        assert kept_words("acgtacgtacgtacgt", loose) == [("acgtacgtacgtacgt", 1)]
 
     def test_nonsense_no_vowel(self):
-        assert tokenize("xkcdzz protein", CleaningRules()) == ["protein"]
+        assert kept_words("xkcdzz protein") == [("protein", 1)]
 
     def test_nonsense_repeated_character(self):
-        assert tokenize("aaaaebbbb normal", CleaningRules()) == ["normal"]
+        assert kept_words("aaaaebbbb normal") == [("normal", 1)]
 
     def test_nonsense_long_consonant_run(self):
-        assert tokenize("abcdfghjk stretch", CleaningRules()) == ["stretch"]
+        assert kept_words("abcdfghjk stretch") == [("stretch", 1)]
 
     def test_digits_and_punctuation_split_tokens(self):
-        rules = CleaningRules()
-        assert tokenize("covid-19 vaccine2dose", rules) == ["covid", "vaccine", "dose"]
+        assert kept_words("covid-19 vaccine2dose") == [("covid", 1), ("vaccine", 1), ("dose", 1)]
 
     def test_non_ascii_letters_never_tokenize(self):
-        assert tokenize("naïve café", CleaningRules()) == ["caf"]
+        assert kept_words("naïve café") == [("caf", 1)]
         # the diacritic splits the token; leftovers follow the normal rules
 
     def test_empty_body(self):
-        assert tokenize("", CleaningRules()) == []
+        assert kept_words("") == []
 
 
 class TestCleaningRulesValidation:
@@ -428,10 +427,10 @@ class TestBuildCounts:
         assert quad.axes[2].labels == ["j"]
         assert quad.axes[3].labels == ["cat", "saw", "and", "dog"]
         counts = {
-            (0, 0, 0, quad.axes[3].index_of("cat")): 2,
-            (0, 0, 0, quad.axes[3].index_of("saw")): 1,
-            (0, 0, 0, quad.axes[3].index_of("and")): 1,
-            (0, 0, 0, quad.axes[3].index_of("dog")): 1,
+            (0, 0, 0, quad.axes[3].labels.index("cat")): 2,
+            (0, 0, 0, quad.axes[3].labels.index("saw")): 1,
+            (0, 0, 0, quad.axes[3].labels.index("and")): 1,
+            (0, 0, 0, quad.axes[3].labels.index("dog")): 1,
         }
         assert quad.counts == counts
 
@@ -474,8 +473,8 @@ class TestCountsToTensor:
         quad = build_counts([record(body="echo echo delta")], rules)
         tensor = counts_to_tensor(quad)
         got = dict(tensor.entries())
-        e = quad.axes[3].index_of("echo")
-        d = quad.axes[3].index_of("delta")
+        e = quad.axes[3].labels.index("echo")
+        d = quad.axes[3].labels.index("delta")
         assert got[(0, 0, 0, e)] == math.log1p(2)
         assert got[(0, 0, 0, d)] == math.log1p(1)
 
@@ -578,10 +577,10 @@ class TestToyFixture:
     def test_known_entry_value(self, pipeline):
         _, _, _, quad, tensor = pipeline
         got = dict(tensor.entries())
-        doc = quad.axes[1].index_of("airway obstruction in chronic bronchitis")
-        author = quad.axes[0].index_of("Chen Wei")
-        journal = quad.axes[2].index_of("journal of respiratory medicine")
-        word = quad.axes[3].index_of("airway")
+        doc = quad.axes[1].labels.index("airway obstruction in chronic bronchitis")
+        author = quad.axes[0].labels.index("Chen Wei")
+        journal = quad.axes[2].labels.index("journal of respiratory medicine")
+        word = quad.axes[3].labels.index("airway")
         assert got[(author, doc, journal, word)] == math.log1p(3)
 
     def test_rerun_is_identical(self, pipeline):

@@ -9,7 +9,6 @@ from tensortopics import (
     arrange,
     cp_als,
     fit,
-    from_entries,
     init_factors,
     load_model,
     mttkrp,
@@ -18,7 +17,9 @@ from tensortopics import (
 
 from tensortopics.cp_als import stop_reason
 
-from conftest import PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, random_sparse, to_dense
+from conftest import (
+    PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, from_entries, random_sparse, to_dense,
+)
 
 
 def rank1_tensor(rng, shape):

@@ -17,7 +17,6 @@ from tensortopics import (
     SparseTensorCOO,
     arrange,
     cp_als,
-    from_entries,
     gram,
     hadamard_all,
     init_factors,
@@ -30,7 +29,7 @@ from tensortopics.cp_als import _buffer, _fiber_mttkrp, _leaf_sums
 # The package exports the function cp_als under the module's name.
 cp_als_module = importlib.import_module("tensortopics.cp_als")
 
-from conftest import coo_mttkrp, random_sparse
+from conftest import coo_mttkrp, from_entries, random_sparse
 
 TOLERANCE = 1e-12
 

@@ -4,10 +4,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensortopics import AxisMap, SparseTensorCOO, from_entries, load_tensor, save_tensor
-from tensortopics import density_value, load_axes
+from tensortopics import AxisMap, SparseTensorCOO, load_axes, load_tensor, save_tensor
 
-from conftest import TENSOR_PAYLOAD_FAULTS, random_sparse, rewrite_tensor_payload, to_dense
+from conftest import (
+    TENSOR_PAYLOAD_FAULTS, from_entries, random_sparse, rewrite_tensor_payload, to_dense,
+)
 
 
 def _set(rows, field, row, value, column=None):
@@ -88,20 +89,6 @@ class TestQueries:
                 float(np.sqrt((dense**2).sum())), abs=1e-12
             )
 
-    def test_density_quarter(self):
-        t = from_entries([((0, 0), 1.0)], (2, 2))
-        assert t.density == 0.25
-
-    def test_density_empty(self):
-        assert from_entries([], (2, 2)).density == 0.0
-
-    def test_density_at_corpus_scale(self):
-        # Cell count near 1e20 exceeds int64; the computation must not overflow.
-        shape = (105300, 128359, 10321, 821410)
-        density = density_value(63418308, shape)
-        assert density == pytest.approx(5.53e-13, rel=1e-2)
-        assert density * 100.0 == pytest.approx(5.53e-11, rel=1e-2)
-
     def test_immutable_arrays(self):
         t = from_entries([((0, 0), 1.0)], (2, 2))
         with pytest.raises((ValueError, RuntimeError)):
@@ -112,7 +99,7 @@ class TestAxisMap:
     def test_round_trip(self):
         axis = AxisMap(["alpha", "beta", "gamma"])
         assert len(axis) == 3
-        assert axis.index_of("beta") == 1
+        assert axis.labels.index("beta") == 1
         assert axis.label_of(2) == "gamma"
         assert "alpha" in axis and "delta" not in axis
 
