@@ -1,8 +1,9 @@
 """Every versioned file of the pipeline, with its writer and its reader.
 
 Each has an Artifact record here: the tensor container, the model of each
-rank, selection.json, and the report bundle's report.json and summary.json.
-Every fault a reader finds raises a ValueError naming the file.
+rank, selection.json with its selection.npy, and the report bundle's
+report.json and summary.json. Every fault a reader finds raises a ValueError
+naming the file.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .cp_als import KruskalModel
+from .ensemble import Component
 from .sparse_tensor import AxisMap, SparseTensorCOO
 
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
 PAYLOAD_FILE = "entries.npy"
+SELECTION_PAYLOAD_FILE = "selection.npy"
 # save_tensor writes entries.npy and entries.tsv this many rows at a time, so
 # neither the whole payload table nor the text of the whole file is ever in
 # memory at once.
@@ -41,16 +44,17 @@ class Artifact(namedtuple("Artifact", "kind format schema_version stage")):
 
 TENSOR = Artifact("tensor", "sparse-tensor-coo", 2, "ingest")
 MODEL = Artifact("model", "kruskal-model", 2, "factorize")
-SELECTION = Artifact("selection", "component-selection", 1, "select")
+SELECTION = Artifact("selection", "component-selection", 2, "select")
 REPORT = Artifact("report", "component-report", 1, "report")
 SUMMARY = Artifact("summary", "report-summary", 1, "report")
 
 
 def write_json(path: Path, artifact: Artifact, **fields) -> dict:
     """Write `artifact.stamp(**fields)` to `path` as one line of compact JSON;
-    returns it. Without `indent`, json.dumps runs CPython's C encoder."""
+    returns it. Without `indent`, json.dumps runs CPython's C encoder. A NaN
+    or infinite float is a ValueError: strict JSON has no literal for it."""
     header = artifact.stamp(**fields)
-    path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(header, allow_nan=False) + "\n", encoding="utf-8")
     return header
 
 
@@ -260,10 +264,24 @@ def of_json_type(*types):
 json_int = of_json_type(int)
 
 
+def json_finite(value):
+    """A read_header converter that passes a JSON int or float that is a
+    finite double unchanged; NaN, an infinity and an int beyond the double
+    range are rejected."""
+    value = of_json_type(int, float)(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
     """The C-ordered .npy table at `payload`, checked against the dtype, shape
-    and CRC-32 that `declared_by` records; every fault raises a ValueError
-    naming the payload."""
+    and CRC-32 that `declared_by` records; a float table must also hold only
+    finite numbers. Every fault raises a ValueError naming the payload."""
     try:
         # read_array, unlike np.load, accepts nothing but a .npy array.
         with payload.open("rb") as f:
@@ -277,12 +295,14 @@ def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declare
     if table.dtype != dtype or table.shape != shape:
         raise ValueError(
             f"{payload}: {table.dtype} table of shape {table.shape}, "
-            f"{declared_by} declares {dtype} of shape {shape}"
+            f"{declared_by} declares {dtype} of shape {shape}; rerun {artifact.stage}"
         )
     # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.
     table = np.ascontiguousarray(table)
     if zlib.crc32(table) != crc32:
-        raise ValueError(f"{payload}: CRC-32 does not match {declared_by}")
+        raise ValueError(f"{payload}: CRC-32 does not match {declared_by}; rerun {artifact.stage}")
+    if table.dtype.kind == "f" and not np.isfinite(table).all():
+        raise ValueError(f"{payload}: {artifact.kind} payload holds NaN or inf; rerun {artifact.stage}")
     return table
 
 
@@ -522,21 +542,53 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
         _payload_path(path), MODEL, np.dtype(np.float64), (1 + sum(shape), rank),
         header.get("payload_crc32"), f"the header of {path.name}",
     )
-    if not np.isfinite(table).all():
-        raise ValueError(f"{_payload_path(path)}: model payload holds NaN or inf; rerun factorize")
-    bounds = np.cumsum([1, *shape])
-    factors = [table[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return KruskalModel(weights=table[0], factors=factors), header
+    return KruskalModel(weights=table[0], factors=[table[rows] for rows in _mode_rows(shape)]), header
 
 
-def save_selection(path: Path, selection, ranks, word_mode: int, result, similarity_matrix: bool) -> None:
-    """Write selection.json: the settings, pooled ranks and counts, and each kept
-    component with its partners; with similarity_matrix, every cosine too."""
+def _mode_rows(shape) -> list[slice]:
+    """Each mode's factor rows in a payload table laid out as a model's: the
+    weights row, then the rows of each mode of `shape` in turn."""
+    bounds = np.cumsum([1, *shape]).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def save_selection(
+    path: Path, tensor_dir: Path, selection, ranks, word_mode: int, result, similarity_matrix: bool,
+) -> None:
+    """Write selection.json and, beside it, selection.npy.
+
+    selection.npy holds the kept components' numbers, written through
+    write_payload one mode at a time: a C-ordered (1 + sum(shape), kept)
+    float64 table, one column per kept component in kept order, whose rows
+    are laid out as a model payload's (the weights row, then each mode's
+    factor rows). selection.json records the settings, pooled ranks and
+    counts, each kept component with its partners, the table's CRC-32, and
+    what it was selected from: the label counts `shape` and the
+    payload_crc32 of tensor_dir's header.json. With similarity_matrix it
+    holds every cosine too.
+    """
+    shape, _names, _nnz, tensor_crc32 = _read_header(tensor_dir)
+    kept = result.kept
+
+    def row_blocks():
+        yield np.array([[c.weight for c in kept]], dtype=np.float64)
+        for mode, extent in enumerate(shape):
+            block = np.empty((extent, len(kept)))
+            for j, c in enumerate(kept):
+                block[:, j] = c.factor_slices[mode]
+            yield block
+
+    crc32 = write_payload(
+        path.with_name(SELECTION_PAYLOAD_FILE), np.dtype(np.float64), (1 + sum(shape), len(kept)), row_blocks()
+    )
     fields = {
         "strategy": selection.strategy,
         "threshold": selection.threshold,
         "ranks": ranks,
         "word_mode": word_mode,
+        "shape": list(shape),
+        "tensor_payload_crc32": tensor_crc32,
+        "payload_crc32": crc32,
         "pooled_count": result.pooled_count,
         "stable_count": result.stable_count,
         "kept": [
@@ -546,7 +598,7 @@ def save_selection(path: Path, selection, ranks, word_mode: int, result, similar
                 "weight": c.weight,
                 "stability_partners": [list(p) for p in partners],
             }
-            for c, partners in zip(result.kept, result.partners)
+            for c, partners in zip(kept, result.partners)
         ],
     }
     if similarity_matrix:
@@ -557,18 +609,59 @@ def save_selection(path: Path, selection, ranks, word_mode: int, result, similar
     write_json(path, SELECTION, **fields)
 
 
-def load_selection(path: Path) -> tuple[int, list[tuple[int, int]], dict]:
-    """A selection.json's word mode, kept (origin_rank, index_in_model) pairs and run
-    meta: ranks, threshold and strategy, in their JSON types, for summary.json."""
-    _header, (word_mode, kept, ranks, threshold, strategy) = read_header(
+def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], dict]:
+    """A selection.json's word mode, its kept components and run meta: ranks,
+    threshold and strategy, in their JSON types, for summary.json.
+
+    Each kept component is built from its column of selection.npy, whose
+    dtype, shape and CRC-32 must match selection.json and which must hold
+    only finite numbers; no model is read. The selection must have been made
+    from the tensor in tensor_dir as it is now: its recorded label counts and
+    tensor payload CRC-32 must equal those of tensor_dir's header.json. Each
+    kept index_in_model must lie in [0, origin_rank), and the threshold must
+    be finite. Every fault raises a ValueError naming the file.
+    """
+    header, (word_mode, kept, ranks, threshold, strategy, shape, tensor_crc32) = read_header(
         path.read_bytes(), path, SELECTION,
         word_mode=json_int,
         kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
         ranks=lambda v: [json_int(r) for r in of_json_type(list)(v)],
-        threshold=of_json_type(int, float),
+        threshold=json_finite,
         strategy=of_json_type(str),
+        shape=lambda v: tuple(json_int(n) for n in of_json_type(list)(v)),
+        tensor_payload_crc32=json_int,
     )
-    return word_mode, kept, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
+    extents, _names, _nnz, current_crc32 = _read_header(tensor_dir)
+    if shape != extents:
+        raise ValueError(
+            f"{path}: selected from a tensor of label counts {shape}, "
+            f"{tensor_dir} has {extents}; rerun select"
+        )
+    if tensor_crc32 != current_crc32:
+        raise ValueError(
+            f"{path}: selected from a tensor whose payload CRC-32 is {tensor_crc32}, "
+            f"{tensor_dir / HEADER_FILE} records {current_crc32}; rerun select"
+        )
+    if not 0 <= word_mode < len(shape):
+        raise ValueError(f"{path}: word_mode {word_mode} is outside [0, {len(shape)})")
+    for pos, (rank, index) in enumerate(kept):
+        if not 0 <= index < rank:
+            raise ValueError(
+                f"{path}: kept item {pos} (rank {rank}) has index_in_model {index}, "
+                f"outside [0, {rank}); rerun select"
+            )
+    table = read_payload(
+        path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, np.dtype(np.float64),
+        (1 + sum(shape), len(kept)), header.get("payload_crc32"), path.name,
+    )
+    # One contiguous row per kept component, so each factor slice is contiguous.
+    columns = np.ascontiguousarray(table.T)
+    mode_rows = _mode_rows(shape)
+    components = [
+        Component(rank, index, float(column[0]), [column[rows] for rows in mode_rows])
+        for (rank, index), column in zip(kept, columns)
+    ]
+    return word_mode, components, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
 
 
 @dataclass
@@ -612,10 +705,10 @@ def save_reports(reports, out_dir: Path, run_meta: dict) -> dict:
 
 def load_reports(path: str | Path) -> list[ComponentReport]:
     """Read report.json back into ComponentReport objects (lossless), after
-    checking its format and schema version; every fault raises a ValueError
-    naming the file."""
+    checking its format and schema version; a weight or score that is not a
+    finite number, and every other fault, raises a ValueError naming the file."""
     path = Path(path)
-    number = of_json_type(int, float)
+    number = json_finite
     _header, (reports,) = read_header(
         path.read_bytes(), path, REPORT,
         components=lambda items: [

@@ -115,7 +115,8 @@ def _components(cfg, rank: int, shape) -> list:
 
 
 def run_select(cfg) -> Path:
-    """Model files checked by _components -> selection.json listing the kept components."""
+    """Model files checked by _components -> selection.json listing the kept
+    components, and selection.npy holding their numbers."""
     _require(cfg, "workdir")
     found_ranks = []
     for rank in cfg.selection.ranks:
@@ -132,7 +133,9 @@ def run_select(cfg) -> Path:
 
     result = select_components_detailed(components, cfg.selection, word_mode)
     path = _selection_path(cfg)
-    save_selection(path, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix)
+    save_selection(
+        path, _tensor_dir(cfg), cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
+    )
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
     )
@@ -140,38 +143,22 @@ def run_select(cfg) -> Path:
 
 
 def run_report(cfg) -> Path:
-    """selection.json + models checked by _components + tensor labels -> report bundle."""
+    """selection.json and selection.npy + tensor labels -> report bundle.
+
+    The kept components come from selection.npy alone: no model is read, so
+    a refit after select cannot change what is reported, and a tensor
+    changed since select is an error that says to rerun select.
+    """
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
-    selection_path = _selection_path(cfg)
-    word_mode, kept, meta = load_selection(selection_path)
     axes, mode_names = load_axes(_tensor_dir(cfg))
-    if not 0 <= word_mode < len(axes):
-        raise ValueError(
-            f"{selection_path}: word_mode {word_mode} is outside [0, {len(axes)})"
+    word_mode, kept, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
+    reports = [
+        build_report(
+            component, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
         )
-
-    extents = tuple(len(axis) for axis in axes)
-    pools = {}
-    reports = []
-    for pos, (rank, index) in enumerate(kept):
-        if rank not in pools:
-            pools[rank] = _components(cfg, rank, extents)
-        if not 0 <= index < len(pools[rank]):
-            raise ValueError(
-                f"{selection_path}: kept item {pos} (rank {rank}) has index_in_model "
-                f"{index}, outside [0, {len(pools[rank])})"
-            )
-        reports.append(
-            build_report(
-                pools[rank][index],
-                axes,
-                mode_names,
-                n=cfg.top_n,
-                keyword_count=cfg.keyword_count,
-                word_mode=word_mode,
-            )
-        )
+        for component in kept
+    ]
     return emit_report(reports, out_dir, meta)
 
 

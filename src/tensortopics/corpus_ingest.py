@@ -8,7 +8,6 @@ document is damped without vanishing.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import logging
@@ -136,6 +135,8 @@ def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
     """(where, row) for each row of the source, `where` naming its file and
     line: a table row as a dict, or whatever a jsonl line parses to. A UTF-8
     byte-order mark is skipped; bytes that are not UTF-8 are a ValueError."""
+    import csv  # only the table formats read it; other stages never load it
+
     try:
         with source.open(encoding="utf-8-sig", newline="") as fh:
             if corpus_format == "jsonl":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,6 +136,8 @@ def ensemble_models(
     one rank-one term per fiber reproduces the tensor exactly, so F bounds
     its CP rank.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only factorize fits, so only it loads this
+
     if opts is None:
         opts = AlsOptions()
     waiting = deque(ranks)

@@ -38,15 +38,16 @@ def top_n(component: Component, mode: int, n: int, axis: AxisMap) -> list[tuple[
         raise ValueError(
             f"axis has {len(axis)} labels but the factor slice has {values.shape[0]} rows"
         )
-    candidates = range(values.shape[0])
+    candidates = np.arange(values.shape[0])
     if n < values.shape[0] and not np.isnan(values).any():
         # Only entries at or above the n-th largest value can be in the top
         # n; every tie with it stays a candidate for the label tie-break.
         nth = values[np.argpartition(-values, n - 1)[n - 1]]
-        candidates = np.flatnonzero(values >= nth).tolist()
-    scores = values.tolist()
-    order = sorted(candidates, key=lambda i: (-scores[i], axis.label_of(i)))
-    return [(axis.label_of(i), scores[i]) for i in order[:n]]
+        candidates = np.flatnonzero(values >= nth)
+    labels = axis.labels
+    pairs = [(labels[i], score) for i, score in zip(candidates.tolist(), values[candidates].tolist())]
+    pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    return pairs[:n]
 
 
 def build_report(

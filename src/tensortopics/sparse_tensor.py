@@ -28,11 +28,12 @@ class AxisMap:
 
     def __init__(self, labels: Iterable[str]):
         self.labels: list[str] = [str(label) for label in labels]
-        seen: set[str] = set()
-        for label in self.labels:
-            if label in seen:
-                raise ValueError(f"duplicate axis label {label!r}")
-            seen.add(label)
+        if len(set(self.labels)) != len(self.labels):
+            seen: set[str] = set()
+            for label in self.labels:
+                if label in seen:
+                    raise ValueError(f"duplicate axis label {label!r}")
+                seen.add(label)
 
     def label_of(self, index: int) -> str:
         return self.labels[index]

@@ -311,22 +311,23 @@ def model_text_table(path):
     return table
 
 
-def _edit_model_header(model_path, edit):
-    """Rewrite a model file's header line with edit(header) applied."""
-    header_line, _, body = model_path.read_text(encoding="utf-8").partition("\n")
+def _edit_header(path, edit):
+    """Rewrite the header line of a model file or selection.json (whose one
+    line is its header) with edit(header) applied."""
+    header_line, _, body = path.read_text(encoding="utf-8").partition("\n")
     header = json.loads(header_line)
     edit(header)
-    model_path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+    path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
 
 
-def _rewrite_payload(payload, change, restamp=False):
-    """Replace a model's payload with change(table); with restamp, the model
-    header records the new table's CRC-32, so only later checks see it."""
+def _rewrite_payload(header_path, payload, change, restamp=False):
+    """Replace a payload with change(table); with restamp, the header at
+    header_path records the new table's CRC-32, so only later checks see it."""
     table = change(np.load(payload, allow_pickle=False))
     np.save(payload, table, allow_pickle=False)
     if restamp:
         crc32 = zlib.crc32(np.ascontiguousarray(table))
-        _edit_model_header(payload.with_suffix(""), lambda h: h.update(payload_crc32=crc32))
+        _edit_header(header_path, lambda h: h.update(payload_crc32=crc32))
 
 
 def _set(row, column, value):
@@ -351,30 +352,37 @@ def _schema_1(header):
     del header["payload_crc32"]
 
 
-# Ways to damage a saved model: name -> (damage(model_path, payload_path),
-# a phrase of the ValueError that load_model must raise).
+# Ways to damage a saved float64 payload, a model's or selection.npy:
+# name -> (damage(header_path, payload_path), a phrase of the ValueError that
+# its loader must raise, with {kind} and {stage} for the artifact's; see
+# payload_phrase). header_path is the model file or selection.json.
 PAYLOAD_FAULTS = {
-    "missing": (lambda m, p: p.unlink(), "model payload is missing"),
-    "empty": (lambda m, p: p.write_bytes(b""), "unreadable model payload"),
-    "truncated_data": (lambda m, p: p.write_bytes(p.read_bytes()[:-3]), "unreadable model payload"),
-    "truncated_header": (lambda m, p: p.write_bytes(p.read_bytes()[:40]), "unreadable model payload"),
-    "not_npy": (lambda m, p: p.write_bytes(b"0.5 0.25\n"), "unreadable model payload"),
+    "missing": (lambda h, p: p.unlink(), "{kind} payload is missing"),
+    "empty": (lambda h, p: p.write_bytes(b""), "unreadable {kind} payload"),
+    "truncated_data": (lambda h, p: p.write_bytes(p.read_bytes()[:-3]), "unreadable {kind} payload"),
+    "truncated_header": (lambda h, p: p.write_bytes(p.read_bytes()[:40]), "unreadable {kind} payload"),
+    "not_npy": (lambda h, p: p.write_bytes(b"0.5 0.25\n"), "unreadable {kind} payload"),
     "float32": (
-        lambda m, p: _rewrite_payload(p, lambda t: t.astype(np.float32)),
+        lambda h, p: _rewrite_payload(h, p, lambda t: t.astype(np.float32)),
         "float32 table",
     ),
-    "short": (lambda m, p: _rewrite_payload(p, lambda t: t[:-1]), "declares float64 of shape"),
-    "one_ulp": (lambda m, p: _rewrite_payload(p, _nudge_last), "CRC-32 does not match"),
+    "short": (lambda h, p: _rewrite_payload(h, p, lambda t: t[:-1]), "declares float64 of shape"),
+    "one_ulp": (lambda h, p: _rewrite_payload(h, p, _nudge_last), "CRC-32 does not match"),
     "nan": (
-        lambda m, p: _rewrite_payload(p, _set(0, 0, np.nan), restamp=True),
-        "holds NaN or inf; rerun factorize",
+        lambda h, p: _rewrite_payload(h, p, _set(0, 0, np.nan), restamp=True),
+        "holds NaN or inf; rerun {stage}",
     ),
     "inf": (
-        lambda m, p: _rewrite_payload(p, _set(-1, -1, -np.inf), restamp=True),
-        "holds NaN or inf; rerun factorize",
+        lambda h, p: _rewrite_payload(h, p, _set(-1, -1, -np.inf), restamp=True),
+        "holds NaN or inf; rerun {stage}",
     ),
-    "schema_1": (lambda m, p: _edit_model_header(m, _schema_1), "unsupported schema version 1"),
+    "schema_1": (lambda h, p: _edit_header(h, _schema_1), "unsupported schema version 1"),
 }
+
+
+def payload_phrase(fault, artifact):
+    """PAYLOAD_FAULTS[fault]'s phrase for a payload of `artifact`."""
+    return PAYLOAD_FAULTS[fault][1].format(kind=artifact.kind, stage=artifact.stage)
 
 
 def top_n_oracle(values, labels, n):

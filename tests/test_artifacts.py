@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensortopics"
 FORMAT_NAMES = {
     "Artifact", "TENSOR", "MODEL", "SELECTION", "REPORT", "SUMMARY",
     "read_header", "write_json", "read_payload", "write_payload",
-    "json_int", "of_json_type", "zlib",
+    "json_int", "json_finite", "of_json_type", "zlib",
 }
 
 
@@ -45,3 +45,12 @@ def test_artifacts_holds_every_format_name():
 def test_only_artifacts_knows_the_file_formats(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert _used_names(tree) & FORMAT_NAMES == set()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_non_finite_float(tmp_path, value):
+    # Strict JSON has no NaN or Infinity, and no reader here accepts them.
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        artifacts.write_json(path, artifacts.SUMMARY, threshold=value)
+    assert not path.exists()

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import zlib
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from tensortopics import load_model, save_model, similarity_matrix
@@ -16,7 +19,7 @@ from tensortopics.cli import build_parser, cli_run, run_report
 from tensortopics.config import apply_overrides, load_config
 from tensortopics.ensemble import components_from_model
 
-from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS
+from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase
 from test_golden import GOLDEN_SHA256, assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
@@ -190,6 +193,96 @@ class TestPipeline:
             == 0
         )
         assert (out / "index.html").is_file()
+        assert not (workdir / "report").exists()
+
+
+class TestReportReadsTheSelection:
+    """report builds each kept component from its column of selection.npy;
+    it reads no model, and a tensor changed since select is an error."""
+
+    @pytest.fixture(scope="class")
+    def piped(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("piped") / "run"
+        assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        return workdir
+
+    @staticmethod
+    def unreported(piped, tmp_path):
+        """A copy of the piped workdir without its report/."""
+        workdir = tmp_path / "run"
+        shutil.copytree(piped, workdir, ignore=lambda d, names: ["report"] if d == str(piped) else [])
+        return workdir
+
+    @staticmethod
+    def report_bytes(workdir):
+        names = ("report.json", "summary.json", "index.html")
+        return {name: (workdir / "report" / name).read_bytes() for name in names}
+
+    def test_report_runs_with_no_model_file(self, piped, tmp_path):
+        workdir = self.unreported(piped, tmp_path)
+        shutil.rmtree(workdir / "models")
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert self.report_bytes(workdir) == self.report_bytes(piped)
+
+    def test_refit_after_select_reports_the_selected_components(self, tmp_path):
+        workdir = tmp_path / "run"
+        argv = ("--config", CFG, "--workdir", str(workdir))
+        assert run("pipeline", *argv, "--seed", "7") == 0
+        selected = self.report_bytes(workdir)
+        models = (workdir / "models" / "rank_3.model.npy").read_bytes()
+        assert run("factorize", *argv, "--seed", "8") == 0
+        assert (workdir / "models" / "rank_3.model.npy").read_bytes() != models
+        shutil.rmtree(workdir / "report")
+        assert run("report", *argv) == 0
+        assert self.report_bytes(workdir) == selected
+
+    def test_selection_payload_holds_the_kept_model_columns(self, piped):
+        selection = json.loads((piped / "selection.json").read_text(encoding="utf-8"))
+        tensor = json.loads((piped / "tensor" / "header.json").read_text(encoding="utf-8"))
+        assert selection["shape"] == tensor["shape"]
+        assert selection["tensor_payload_crc32"] == tensor["payload_crc32"]
+        table = np.load(piped / "selection.npy", allow_pickle=False)
+        assert table.flags.c_contiguous and table.dtype == np.float64
+        assert table.shape == (1 + sum(tensor["shape"]), len(selection["kept"]))
+        assert zlib.crc32(table) == selection["payload_crc32"]
+        for column, item in zip(table.T, selection["kept"]):
+            model, _ = load_model(piped / "models" / f"rank_{item['origin_rank']}.model")
+            rows = np.vstack([model.weights[None, :], *model.factors])
+            assert np.array_equal(column, rows[:, item["index_in_model"]])
+            assert column[0] == item["weight"]
+
+    def test_same_shape_reingest_makes_report_fail(self, piped, tmp_path, capsys):
+        # One more "airway" in one body moves an entry's value but no extent.
+        workdir = self.unreported(piped, tmp_path)
+        text = (DATA_DIR / "toy_corpus.csv").read_text(encoding="utf-8")
+        body = "airway airway airway inflammation inflammation mucus"
+        assert text.count(body) == 1
+        corpus = workdir / "airway.csv"
+        corpus.write_text(text.replace(body, "airway " + body), encoding="utf-8")
+        argv = ("--config", CFG, "--workdir", str(workdir))
+        assert run("ingest", *argv, "--corpus", str(corpus)) == 0
+        header = json.loads((workdir / "tensor" / "header.json").read_text(encoding="utf-8"))
+        selection = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
+        assert header["shape"] == selection["shape"]
+        assert header["payload_crc32"] != selection["tensor_payload_crc32"]
+        capsys.readouterr()
+        assert run("report", *argv) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+selection\.json: selected from a tensor whose payload CRC-32 is", err)
+        assert err.rstrip().endswith("rerun select") and "Traceback" not in err
+        assert not (workdir / "report").exists()
+
+    def test_selection_of_another_kept_count_reports_error(self, piped, tmp_path, capsys):
+        workdir = self.unreported(piped, tmp_path)
+        path = workdir / "selection.json"
+        selection = json.loads(path.read_text(encoding="utf-8"))
+        selection["kept"].pop()
+        path.write_text(json.dumps(selection) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "selection.npy: float64 table of shape (92, 2), selection.json declares float64 of shape (92, 1)" in err
+        assert err.rstrip().endswith("rerun select") and "Traceback" not in err
         assert not (workdir / "report").exists()
 
 
@@ -481,30 +574,39 @@ class TestErrors:
 
     @pytest.fixture(scope="class")
     def selected(self, tmp_path_factory):
-        """A workdir through select, and the models of a --seed 99 factorize."""
+        """A workdir through select, and the models and selection of a
+        --seed 99 factorize and select of the same tensor."""
         base = tmp_path_factory.mktemp("selected")
         for cmd in ("ingest", "factorize", "select"):
             assert run(cmd, "--config", CFG, "--workdir", str(base / "run")) == 0
         shutil.copytree(base / "run" / "tensor", base / "seed99" / "tensor")
-        assert run("factorize", "--config", CFG, "--workdir", str(base / "seed99"), "--seed", "99") == 0
+        for cmd in ("factorize", "select"):
+            assert run(cmd, "--config", CFG, "--workdir", str(base / "seed99"), "--seed", "99") == 0
         return base
 
     @pytest.mark.parametrize("stage", ["select", "report"])
     @pytest.mark.parametrize("fault", [*sorted(PAYLOAD_FAULTS), "other_seed"])
     def test_damaged_payload_reports_error(self, selected, tmp_path, capsys, stage, fault):
+        # select reads every model's payload; report reads selection.npy alone.
         workdir = tmp_path / "run"
         shutil.copytree(selected / "run", workdir)
-        for model in sorted((workdir / "models").glob("*.model")):
-            payload = model.with_name(model.name + ".npy")
+        if stage == "select":
+            artifact, named = MODEL, ".model"
+            headers = sorted((workdir / "models").glob("*.model"))
+            pairs = [(model, model.with_name(model.name + ".npy")) for model in headers]
+        else:
+            artifact, named = SELECTION, "selection.json" if fault == "schema_1" else "selection.npy"
+            pairs = [(workdir / "selection.json", workdir / "selection.npy")]
+        for header, payload in pairs:
             if fault == "other_seed":
-                shutil.copyfile(selected / "seed99" / "models" / payload.name, payload)
+                shutil.copyfile(selected / "seed99" / payload.relative_to(workdir), payload)
             else:
-                PAYLOAD_FAULTS[fault][0](model, payload)
+                PAYLOAD_FAULTS[fault][0](header, payload)
         capsys.readouterr()
         assert run(stage, "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
-        phrase = "CRC-32 does not match" if fault == "other_seed" else PAYLOAD_FAULTS[fault][1]
-        assert "error:" in err and ".model" in err and phrase in err
+        phrase = "CRC-32 does not match" if fault == "other_seed" else payload_phrase(fault, artifact)
+        assert "error:" in err and named in err and phrase in err
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
@@ -627,14 +729,15 @@ class TestErrors:
         assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(workdir)) == 0
 
     def test_report_names_a_model_of_another_tensor(self, selected, tmp_path, capsys):
+        # report reads no model, so it names the selection made from them.
         workdir = tmp_path / "run"
         shutil.copytree(selected / "run", workdir)
         self.reingest_seven_rows(workdir)
         capsys.readouterr()
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
-        assert re.search(r"^error: \S+rank_\d+\.model: model shape \(11, 37, 7, 36\)", err)
-        assert "label counts (3, 7, 2, 12)" in err and "rerun factorize" in err
+        assert re.search(r"^error: \S+selection\.json: selected from a tensor of label counts \(11, 37, 7, 36\)", err)
+        assert err.rstrip().endswith("has (3, 7, 2, 12); rerun select")
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
@@ -665,16 +768,16 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 
-    @pytest.mark.parametrize("stage", ["select", "report"])
-    def test_stages_name_a_model_of_another_rank(self, selected, tmp_path, capsys, stage):
+    def test_select_names_a_model_of_another_rank(self, selected, tmp_path, capsys):
+        # report reads no model (TestReportReadsTheSelection).
         workdir = tmp_path / "run"
         shutil.copytree(selected / "run", workdir)
-        output = workdir / ("selection.json" if stage == "select" else "report")
-        output.unlink(missing_ok=True)
+        output = workdir / "selection.json"
+        output.unlink()
         for suffix in (".model", ".model.npy"):
             shutil.copyfile(workdir / "models" / f"rank_5{suffix}", workdir / "models" / f"rank_3{suffix}")
         capsys.readouterr()
-        assert run(stage, "--config", CFG, "--workdir", str(workdir)) == 1
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
         assert re.search(r"^error: \S+rank_3\.model: holds a rank-5 model; rerun factorize$", err, re.M)
         assert "Traceback" not in err
@@ -683,7 +786,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "edit, phrase",
         [
-            (lambda s: s.update(schema_version=99), "unsupported schema version 99 (expected 1; rerun select)"),
+            (lambda s: s.update(schema_version=99), "unsupported schema version 99 (expected 2; rerun select)"),
             (lambda s: s.update(format="component-report"), "unrecognized selection format 'component-report'"),
             (lambda s: s.pop("kept"), "selection header has no 'kept' field"),
             (lambda s: s["kept"][0].update(origin_rank=None), "malformed selection header"),
@@ -703,12 +806,21 @@ class TestErrors:
             (lambda s: s.update(threshold="0.35"), "malformed selection header"),
             (lambda s: s.update(threshold=True), "malformed selection header"),
             (lambda s: s.update(strategy=None), "malformed selection header"),
+            (lambda s: s.update(threshold=math.nan), "malformed selection header: expected a finite number, got nan"),
+            (lambda s: s.update(threshold=-math.inf), "malformed selection header: expected a finite number, got -inf"),
+            (lambda s: s.update(threshold=10**400), "malformed selection header: expected a finite number"),
+            (lambda s: s.pop("shape"), "selection header has no 'shape' field"),
+            (lambda s: s.update(shape=[11.0, 37, 7, 36]), "malformed selection header: expected int, got 11.0"),
+            (lambda s: s.pop("tensor_payload_crc32"), "selection header has no 'tensor_payload_crc32' field"),
+            (lambda s: s.update(tensor_payload_crc32=None), "malformed selection header: expected int, got None"),
         ],
         ids=[
             "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
             "fractional_word_mode", "fractional_index", "float_rank", "bool_index",
             "no_ranks", "no_threshold", "no_strategy", "text_ranks", "float_in_ranks",
             "text_threshold", "bool_threshold", "null_strategy",
+            "nan_threshold", "infinite_threshold", "huge_threshold",
+            "no_shape", "float_in_shape", "no_tensor_crc", "null_tensor_crc",
         ],
     )
     def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -863,6 +975,13 @@ class TestEntryPoints:
     def test_cli_import_leaves_fractions_and_decimal_out(self):
         # Exact arithmetic on Python ints is all the model text writer needs.
         code = "import sys, tensortopics.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+    def test_cli_import_leaves_csv_and_concurrent_futures_out(self):
+        # Only ingest's table formats use csv, and only factorize a thread pool.
+        code = "import sys, tensortopics.cli; print('csv' in sys.modules, 'concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]

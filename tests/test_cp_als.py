@@ -15,10 +15,11 @@ from tensortopics import (
     save_model,
 )
 
+from tensortopics.artifacts import MODEL
 from tensortopics.cp_als import stop_reason
 
 from conftest import (
-    PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, from_entries, random_sparse, to_dense,
+    PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, from_entries, payload_phrase, random_sparse, to_dense,
 )
 
 
@@ -330,9 +331,8 @@ class TestModelFile:
         t = random_sparse(rng, (4, 3, 5), 12)
         model, _ = cp_als(t, 2, AlsOptions(max_iters=3, seed=2))
         path = save_model(model, tmp_path / "m.model")
-        damage, phrase = PAYLOAD_FAULTS[fault]
-        damage(path, tmp_path / "m.model.npy")
-        with pytest.raises(ValueError, match=phrase) as info:
+        PAYLOAD_FAULTS[fault][0](path, tmp_path / "m.model.npy")
+        with pytest.raises(ValueError, match=payload_phrase(fault, MODEL)) as info:
             load_model(path)
         assert "m.model" in str(info.value)
 

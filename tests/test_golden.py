@@ -18,7 +18,11 @@ artifacts became one line of compact JSON in place of indent=2 text, so that
 json.dumps runs CPython's C encoder, four files were re-pinned:
 tensor/header.json, selection.json, report/report.json and
 report/summary.json. Each parses to the same object as before; no other byte
-moved. Any later change to how the tensor, the models, the selection or the
+moved. When report stopped reading the models and began to read the kept
+components from a table that select writes, selection.npy was added and
+selection.json was re-pinned: its schema version went to 2 and it gained the
+table's CRC-32 and what it was selected from (the label counts and the
+tensor payload's CRC-32). The report bytes did not move. Any later change to how the tensor, the models, the selection or the
 report are computed or serialized must leave these hashes alone or update
 them on purpose. The model bytes depend on floating-point results of the
 factorization, so the hashes hold for the numpy/BLAS build and BLAS thread
@@ -44,7 +48,8 @@ GOLDEN_SHA256 = {
     "models/rank_3.model.npy": "630d4a51a7ec87da7a60f5ae415849857ee98d9b5843ed182b7045d39f3d69d3",
     "models/rank_5.model": "ac29b27a1c6160ab8f3fd42c381643f96f4216daefad4af56e1460739f29e054",
     "models/rank_5.model.npy": "3b0d18999ba8c8cfb02416900f83f9e487bd33b7d071266a5473fac9b7df24b3",
-    "selection.json": "ca9def76e4fef67c4b47bd48d5126160dad4d2310a0ed74d7846ba2017d64ac1",
+    "selection.json": "3d8f0778684cec88e36b33f31ebbdcebcda0b716b5a22d989845a5803a1cf9e7",
+    "selection.npy": "e2db8d74b6305c8d9b031f92c8c16e7e8d675095dddbd9812272a59e42ce86d4",
     "report/report.json": "a872cf844bb797463981bc3b9a7f1d316910574d3550853a03a555ccf62d661e",
     "report/summary.json": "c37d872a328983133158a8bc545f54d18fd2bb11b91563f6188f1c7a01167582",
     "report/index.html": "c622e398fca1aa1b8cd45e04c5ac1dee0663fec3c3141b2c2569a3f934fb52b4",

@@ -256,10 +256,19 @@ class TestEmitReport:
              "malformed report header"),
             (lambda p: p["components"][0]["keywords"][0].__setitem__(1, "0.25"),
              "malformed report header"),
+            (lambda p: p["components"][0].update(weight=float("nan")),
+             "malformed report header: expected a finite number, got nan"),
+            (lambda p: p["components"][0]["modes"]["words"][0].__setitem__(1, float("inf")),
+             "malformed report header: expected a finite number, got inf"),
+            (lambda p: p["components"][0]["keywords"][0].__setitem__(1, -float("inf")),
+             "malformed report header: expected a finite number, got -inf"),
+            (lambda p: p["components"][0].update(weight=10**400),
+             "malformed report header: expected a finite number"),
         ],
         ids=[
             "schema_7", "no_components", "null_weight", "no_weight", "list_modes", "fractional_rank",
             "bool_index", "string_weight", "bool_mode_score", "string_keyword_score",
+            "nan_weight", "infinite_mode_score", "infinite_keyword_score", "huge_weight",
         ],
     )
     def test_damaged_report_is_a_named_error(self, tmp_path, edit, phrase):
