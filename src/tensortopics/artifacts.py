@@ -63,8 +63,8 @@ def write_payload(path: Path, dtype: np.dtype, shape: tuple[int, ...], chunks) -
     by chunk; returns the CRC-32 of its data.
 
     `chunks` yields arrays of `dtype` whose rows, in turn, make up the whole
-    array; each is written in C order, whatever its memory order (arranged
-    factors can be Fortran-ordered). The file is the bytes np.save writes
+    array; each is written in C order, whatever its memory order, so a chunk
+    that is not C-ordered is copied whole. The file is the bytes np.save writes
     for that array: its v1.0 header, then each chunk as it comes, folded
     into the CRC-32, so a caller that makes its chunks one at a time never
     holds the array whole.
@@ -476,22 +476,20 @@ def save_model(
 ) -> Path:
     """Write a model as a versioned text file plus its binary number table.
 
-    The numbers go to `<path>.npy` first, through write_payload: one
-    C-ordered (1 + sum(shape), rank) float64 table, the weights row and then
-    each factor's rows. Then
-    the text file: line 1 is a JSON header carrying the table's CRC-32, and
-    the weights line and each factor row hold the same floats as
-    format(x, ".16e") writes them (17 significant digits, which read back
-    bit for bit), one row per line, space-separated. write_float_rows makes
-    that body in numpy, leaving to format() only the rare values its fast
-    path cannot decide. load_model reads the numbers from the table; the
-    text body is there for readers of the documented text format.
+    The numbers go to `<path>.npy` first, through _write_table: the weights
+    row and then each factor's rows. Then the text file: line 1 is a JSON
+    header carrying the table's CRC-32, and the weights line and each factor
+    row hold the same floats as format(x, ".16e") writes them (17
+    significant digits, which read back bit for bit), one row per line,
+    space-separated. write_float_rows makes that body in numpy, block by
+    block, leaving to format() only the rare values its fast path cannot
+    decide. load_model reads the numbers from the table; the text body is
+    there for readers of the documented text format.
     Axis labels are referenced by path, never embedded.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    table = np.vstack([model.weights[None, :], *model.factors])
-    crc32 = write_payload(_payload_path(path), table.dtype, table.shape, [table])
+    crc32 = _write_table(_payload_path(path), model.weights, model.factors)
     header = MODEL.stamp(
         rank=model.rank,
         shape=list(model.shape),
@@ -501,7 +499,8 @@ def save_model(
     )
     with path.open("wb") as out:
         out.write((json.dumps(header) + "\n").encode())
-        write_float_rows(out, table)
+        for block in [model.weights[None, :], *model.factors]:
+            write_float_rows(out, block)
     return path
 
 
@@ -538,18 +537,26 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     )
     if any(n < 0 for n in shape):
         raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
-    table = read_payload(
-        _payload_path(path), MODEL, np.dtype(np.float64), (1 + sum(shape), rank),
-        header.get("payload_crc32"), f"the header of {path.name}",
-    )
-    return KruskalModel(weights=table[0], factors=[table[rows] for rows in _mode_rows(shape)]), header
+    crc32 = header.get("payload_crc32")
+    return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
 
 
-def _mode_rows(shape) -> list[slice]:
-    """Each mode's factor rows in a payload table laid out as a model's: the
-    weights row, then the rows of each mode of `shape` in turn."""
-    bounds = np.cumsum([1, *shape]).tolist()
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _write_table(path: Path, weights: np.ndarray, factors) -> int:
+    """Write a Kruskal table to `path` through write_payload: one C-ordered
+    float64 array, the weights row and then each (extent, rank) factor's
+    rows. The blocks are streamed, so the table is never built whole and a
+    C-ordered factor is written without a copy. Returns its CRC-32."""
+    shape = (1 + sum(f.shape[0] for f in factors), weights.shape[0])
+    return write_payload(path, np.dtype(np.float64), shape, [weights[None, :], *factors])
+
+
+def _read_table(payload: Path, artifact: Artifact, shape, rank: int, crc32, declared_by: str) -> KruskalModel:
+    """The Kruskal table that _write_table wrote to `payload`, checked by
+    read_payload against `shape`, `rank` and `crc32`, as a model whose
+    weights and factors are views of its rows."""
+    table = read_payload(payload, artifact, np.dtype(np.float64), (1 + sum(shape), rank), crc32, declared_by)
+    weights, *factors = np.split(table, np.cumsum([1, *shape])[:-1])
+    return KruskalModel(weights=weights, factors=factors)
 
 
 def save_selection(
@@ -558,10 +565,9 @@ def save_selection(
     """Write selection.json and, beside it, selection.npy.
 
     selection.npy holds the kept components' numbers, written through
-    write_payload one mode at a time: a C-ordered (1 + sum(shape), kept)
-    float64 table, one column per kept component in kept order, whose rows
-    are laid out as a model payload's (the weights row, then each mode's
-    factor rows). selection.json records the settings, pooled ranks and
+    _write_table in a model payload's layout: the kept weights and factors
+    form a (1 + sum(shape), kept) table, one column per kept component in
+    kept order. selection.json records the settings, pooled ranks and
     counts, each kept component with its partners, the table's CRC-32, and
     what it was selected from: the label counts `shape` and the
     payload_crc32 of tensor_dir's header.json. With similarity_matrix it
@@ -569,17 +575,13 @@ def save_selection(
     """
     shape, _names, _nnz, tensor_crc32 = _read_header(tensor_dir)
     kept = result.kept
-
-    def row_blocks():
-        yield np.array([[c.weight for c in kept]], dtype=np.float64)
-        for mode, extent in enumerate(shape):
-            block = np.empty((extent, len(kept)))
-            for j, c in enumerate(kept):
-                block[:, j] = c.factor_slices[mode]
-            yield block
-
-    crc32 = write_payload(
-        path.with_name(SELECTION_PAYLOAD_FILE), np.dtype(np.float64), (1 + sum(shape), len(kept)), row_blocks()
+    crc32 = _write_table(
+        path.with_name(SELECTION_PAYLOAD_FILE),
+        np.array([c.weight for c in kept], dtype=np.float64),
+        [
+            np.array([c.factor_slices[mode] for c in kept], dtype=np.float64).reshape(len(kept), extent).T
+            for mode, extent in enumerate(shape)
+        ],
     )
     fields = {
         "strategy": selection.strategy,
@@ -650,16 +652,11 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
                 f"{path}: kept item {pos} (rank {rank}) has index_in_model {index}, "
                 f"outside [0, {rank}); rerun select"
             )
-    table = read_payload(
-        path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, np.dtype(np.float64),
-        (1 + sum(shape), len(kept)), header.get("payload_crc32"), path.name,
-    )
-    # One contiguous row per kept component, so each factor slice is contiguous.
-    columns = np.ascontiguousarray(table.T)
-    mode_rows = _mode_rows(shape)
+    payload = path.with_name(SELECTION_PAYLOAD_FILE)
+    table = _read_table(payload, SELECTION, shape, len(kept), header.get("payload_crc32"), path.name)
     components = [
-        Component(rank, index, float(column[0]), [column[rows] for rows in mode_rows])
-        for (rank, index), column in zip(kept, columns)
+        Component(rank, index, float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
+        for j, (rank, index) in enumerate(kept)
     ]
     return word_mode, components, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
 

@@ -344,7 +344,7 @@ def arrange(model: KruskalModel) -> KruskalModel:
         weights = weights * absorbed
     order = np.argsort(-np.abs(weights), kind="stable")
     weights = weights[order]
-    # One factor at a time, so that each old copy is freed as its new one is made.
+    # One factor at a time, each old copy freed as its new one is made; take keeps C order.
     for k in range(len(factors)):
-        factors[k] = factors[k][:, order]
+        factors[k] = np.take(factors[k], order, axis=1)
     return KruskalModel(weights=weights, factors=factors)
