@@ -43,7 +43,7 @@ class Artifact(namedtuple("Artifact", "kind format schema_version stage")):
 
 
 TENSOR = Artifact("tensor", "sparse-tensor-coo", 2, "ingest")
-MODEL = Artifact("model", "kruskal-model", 2, "factorize")
+MODEL = Artifact("model", "kruskal-model", 3, "factorize")
 SELECTION = Artifact("selection", "component-selection", 2, "select")
 REPORT = Artifact("report", "component-report", 1, "report")
 SUMMARY = Artifact("summary", "report-summary", 1, "report")
@@ -234,18 +234,22 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
             f"{source}: unsupported schema version {header.get('schema_version')!r} "
             f"(expected {artifact.schema_version}; rerun {artifact.stage})"
         )
-    values = []
-    for name, convert in fields.items():
-        if name not in header:
-            raise ValueError(f"{source}: {kind} header has no {name!r} field")
-        try:
-            values.append(convert(header[name]))
-        except KeyError as exc:
-            key = exc.args[0]
-            raise ValueError(f"{source}: malformed {kind} header: no {key!r} key in {name!r}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
-    return header, values
+    return header, [header_field(header, source, artifact, name, convert) for name, convert in fields.items()]
+
+
+def header_field(header: dict, source: Path, artifact: Artifact, name: str, convert):
+    """The `name` field of a checked header, converted by `convert`; a
+    missing or malformed field raises a ValueError naming `source`."""
+    kind = artifact.kind
+    if name not in header:
+        raise ValueError(f"{source}: {kind} header has no {name!r} field")
+    try:
+        return convert(header[name])
+    except KeyError as exc:
+        key = exc.args[0]
+        raise ValueError(f"{source}: malformed {kind} header: no {key!r} key in {name!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
 
 
 def of_json_type(*types):
@@ -385,7 +389,7 @@ def _row_dtype(d: int) -> np.dtype:
     return np.dtype([("c", "<i8", (d,)), ("v", "<f8")])
 
 
-def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int | None]:
+def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int]:
     """The shape, mode names, nnz and payload CRC-32 of a container's
     header.json; every fault raises a ValueError naming the file."""
     header_path = in_dir / HEADER_FILE
@@ -401,7 +405,12 @@ def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int | N
         raise ValueError(f"{header_path}: mode_names length does not match shape")
     if len(set(mode_names)) != len(mode_names):
         raise ValueError(f"{header_path}: mode_names repeats a name in {mode_names}")
-    return shape, mode_names, nnz, header.get("payload_crc32")
+    return shape, mode_names, nnz, header_field(header, header_path, TENSOR, "payload_crc32", json_int)
+
+
+def tensor_payload_crc32(tensor_dir: str | Path) -> int:
+    """The payload_crc32 that a tensor container's header.json records."""
+    return _read_header(Path(tensor_dir))[3]
 
 
 def _extent(value) -> int:
@@ -473,6 +482,7 @@ def save_model(
     path: str | Path,
     mode_names=None,
     labels_ref: str | None = None,
+    tensor_payload_crc32: int | None = None,
 ) -> Path:
     """Write a model as a versioned text file plus its binary number table.
 
@@ -485,7 +495,9 @@ def save_model(
     block, leaving to format() only the rare values its fast path cannot
     decide. load_model reads the numbers from the table; the text body is
     there for readers of the documented text format.
-    Axis labels are referenced by path, never embedded.
+    Axis labels are referenced by path, never embedded; the header records
+    `tensor_payload_crc32`, the payload CRC-32 of the tensor the model was
+    fit to.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -495,6 +507,7 @@ def save_model(
         shape=list(model.shape),
         mode_names=list(mode_names) if mode_names is not None else None,
         labels_ref=labels_ref,
+        tensor_payload_crc32=tensor_payload_crc32,
         payload_crc32=crc32,
     )
     with path.open("wb") as out:
@@ -537,7 +550,7 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     )
     if any(n < 0 for n in shape):
         raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
-    crc32 = header.get("payload_crc32")
+    crc32 = header_field(header, path, MODEL, "payload_crc32", json_int)
     return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
 
 
@@ -653,7 +666,8 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
                 f"outside [0, {rank}); rerun select"
             )
     payload = path.with_name(SELECTION_PAYLOAD_FILE)
-    table = _read_table(payload, SELECTION, shape, len(kept), header.get("payload_crc32"), path.name)
+    crc32 = header_field(header, path, SELECTION, "payload_crc32", json_int)
+    table = _read_table(payload, SELECTION, shape, len(kept), crc32, path.name)
     components = [
         Component(rank, index, float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
         for j, (rank, index) in enumerate(kept)

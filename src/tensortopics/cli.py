@@ -17,7 +17,7 @@ from pathlib import Path
 from . import config as config_mod
 from .artifacts import (
     load_axes, load_model, load_selection, load_tensor, remove_model, save_model, save_selection,
-    save_tensor,
+    save_tensor, tensor_payload_crc32,
 )
 from .corpus_ingest import (
     CORPUS_FORMATS,
@@ -84,12 +84,15 @@ def run_factorize(cfg) -> list[Path]:
     """
     _require(cfg, "workdir")
     tensor, _axes, mode_names = load_tensor(_tensor_dir(cfg))
+    tensor_crc32 = tensor_payload_crc32(_tensor_dir(cfg))
     removed = [p for rank in cfg.selection.ranks for p in remove_model(_model_path(cfg, rank))]
     logger.info("removed %d model file(s) of the configured ranks before fitting", len(removed))
 
     def save(rank, model):
         path = _model_path(cfg, rank)
-        return save_model(model, path, mode_names=mode_names, labels_ref="../tensor")
+        return save_model(
+            model, path, mode_names=mode_names, labels_ref="../tensor", tensor_payload_crc32=tensor_crc32
+        )
 
     paths = ensemble_models(
         tensor, cfg.selection.ranks, cfg.als, threads=cfg.threads, on_model=save
@@ -99,17 +102,24 @@ def run_factorize(cfg) -> list[Path]:
     return list(paths.values())
 
 
-def _components(cfg, rank: int, shape) -> list:
+def _components(cfg, rank: int, shape, tensor_crc32: int) -> list:
     """The components of models/rank_R.model, which must be a rank-R model of
-    the tensor's label counts `shape`; any other is a ValueError naming it."""
+    the tensor's label counts `shape`, fit to the tensor whose payload CRC-32
+    is `tensor_crc32`; any other is a ValueError naming it."""
     path = _model_path(cfg, rank)
-    model, _header = load_model(path)
+    model, header = load_model(path)
     if model.rank != rank:
         raise ValueError(f"{path}: holds a rank-{model.rank} model; rerun factorize")
     if model.shape != shape:
         raise ValueError(
             f"{path}: model shape {model.shape} does not match the label counts "
             f"{shape} of {_tensor_dir(cfg)}; rerun factorize"
+        )
+    fitted = header.get("tensor_payload_crc32")
+    if fitted != tensor_crc32:
+        raise ValueError(
+            f"{path}: fit to a tensor whose payload CRC-32 is {fitted}, "
+            f"that of {_tensor_dir(cfg)} is {tensor_crc32}; rerun factorize"
         )
     return components_from_model(model, rank)
 
@@ -128,7 +138,8 @@ def run_select(cfg) -> Path:
     if not found_ranks:
         raise ValueError("no model files found for the configured ranks")
     shape = tuple(len(axis) for axis in load_axes(_tensor_dir(cfg))[0])
-    components = [c for rank in found_ranks for c in _components(cfg, rank, shape)]
+    tensor_crc32 = tensor_payload_crc32(_tensor_dir(cfg))
+    components = [c for rank in found_ranks for c in _components(cfg, rank, shape, tensor_crc32)]
     word_mode = len(shape) - 1
 
     result = select_components_detailed(components, cfg.selection, word_mode)

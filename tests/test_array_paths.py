@@ -585,6 +585,52 @@ class TestModelText:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @PROPERTY
+    @given(
+        rank=st.integers(1, 6),
+        extents=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("CF"),
+    )
+    # Factors of more than FLOAT_CHUNK_VALUES floats, written in several chunks.
+    @example(rank=7, extents=[3, 6000], seed=0, order="C")
+    @example(rank=7, extents=[3, 6000], seed=1, order="F")
+    def test_save_model_writes_the_one_table_bytes(self, rank, extents, seed, order):
+        rng = np.random.default_rng(seed)
+        model = KruskalModel(
+            weights=rng.standard_normal(rank),
+            factors=[
+                np.asarray(rng.standard_normal((n, rank)) * 10.0 ** rng.integers(-300, 300, (n, rank)), order=order)
+                for n in extents
+            ],
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.model", Path(tmp) / "want.model"
+            names = list("abcd")[:len(extents)]
+            save_model(model, got, mode_names=names, tensor_payload_crc32=7)
+            one_table_save(model, want, names, 7)
+            for suffix in ("", ".npy"):
+                assert Path(f"{got}{suffix}").read_bytes() == Path(f"{want}{suffix}").read_bytes(), suffix
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # save_model streams the weights row and each factor to both files,
+        # so its traced peak is set by write_float_rows' chunk of text, not
+        # by a (1 + sum(shape), rank) copy of the model.
+        rng = np.random.default_rng(3)
+        peaks = []
+        for words in (1580, 15800):
+            model = KruskalModel(
+                weights=rng.random(100), factors=[rng.random((n, 100)) for n in (25, 80, 10, words)]
+            )
+            tracemalloc.start()
+            try:
+                save_model(model, tmp_path / f"m{words}.model")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The larger model alone holds 12.7 MB.
+        assert peaks[1] < 1.2 * peaks[0], peaks
+
     def test_toy_models_text_equals_payload(self, tmp_path):
         workdir = tmp_path / "run"
         for stage in ("ingest", "factorize"):
@@ -634,6 +680,21 @@ class TestModelText:
         assert loaded_header["rank"] == len(weights)
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert [f.tobytes() for f in loaded.factors] == [f.tobytes() for f in model.factors]
+
+
+def one_table_save(model, path, mode_names, tensor_payload_crc32):
+    """save_model's oracle: one C-ordered (1 + sum(shape), rank) table made by
+    np.vstack, written whole by np.save and by one write_float_rows call.
+    (vstack of Fortran-ordered factors can give a Fortran-ordered table.)"""
+    table = np.ascontiguousarray(np.vstack([model.weights[None, :], *model.factors]))
+    np.save(Path(f"{path}.npy"), table, allow_pickle=False)
+    header = artifacts.MODEL.stamp(
+        rank=model.rank, shape=list(model.shape), mode_names=mode_names, labels_ref=None,
+        tensor_payload_crc32=tensor_payload_crc32, payload_crc32=zlib.crc32(table),
+    )
+    with Path(path).open("wb") as out:
+        out.write((json.dumps(header) + "\n").encode())
+        artifacts.write_float_rows(out, table)
 
 
 def _written(table):

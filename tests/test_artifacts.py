@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensortopics"
 FORMAT_NAMES = {
     "Artifact", "TENSOR", "MODEL", "SELECTION", "REPORT", "SUMMARY",
     "read_header", "write_json", "read_payload", "write_payload",
-    "json_int", "json_finite", "of_json_type", "zlib",
+    "header_field", "json_int", "json_finite", "of_json_type", "zlib",
 }
 
 

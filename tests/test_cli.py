@@ -366,7 +366,10 @@ class TestOverrides:
         # Zero the word column of (rank 5, index 4): pool entry 3 + 4.
         model, header = load_model(models[1])
         model.factors[-1][:, 4] = 0.0
-        save_model(model, models[1], mode_names=header["mode_names"], labels_ref=header["labels_ref"])
+        save_model(
+            model, models[1], mode_names=header["mode_names"], labels_ref=header["labels_ref"],
+            tensor_payload_crc32=header["tensor_payload_crc32"],
+        )
         assert run(*select) == 0
         assert "excluded 1 component(s) with all-zero word slices" in caplog.text
         plain = json.loads(selection.read_text(encoding="utf-8"))
@@ -671,6 +674,17 @@ class TestErrors:
                     ('["w", "w", "w", "w"]', "mode_names repeats a name in ['w', 'w', 'w', 'w']"),
                 )
             ),
+            *(
+                (
+                    '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [11, 37, 7, 36],'
+                    ' "mode_names": ["a", "b", "c", "d"], "nnz": 1%s}' % crc,
+                    phrase,
+                )
+                for crc, phrase in (
+                    ("", "tensor header has no 'payload_crc32' field"),
+                    (', "payload_crc32": "abc"', "malformed tensor header: expected int, got 'abc'"),
+                )
+            ),
         ],
     )
     def test_bad_tensor_header_reports_error(self, selected, tmp_path, capsys, stage, header, phrase):
@@ -697,10 +711,12 @@ class TestErrors:
             (lambda h: h.update(rank=h["rank"] + 0.9), "malformed model header"),
             (lambda h: h.update(rank=float(h["rank"])), "malformed model header"),
             (lambda h: h.update(shape=[True, *h["shape"][1:]]), "malformed model header"),
+            (lambda h: h.pop("payload_crc32"), "model header has no 'payload_crc32' field"),
+            (lambda h: h.update(payload_crc32="abc"), "malformed model header: expected int, got 'abc'"),
         ],
         ids=[
             "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
-            "fractional_rank", "integral_float_rank", "bool_extent",
+            "fractional_rank", "integral_float_rank", "bool_extent", "no_crc", "text_crc",
         ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -768,6 +784,26 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 
+    def test_select_names_a_model_of_a_same_shape_tensor(self, selected, tmp_path, capsys):
+        # One more "airway" in one body changes a count, not the label counts,
+        # so only the tensor payload CRC-32 that each model records tells.
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        text = (DATA_DIR / "toy_corpus.csv").read_text(encoding="utf-8")
+        corpus = workdir / "airway.csv"
+        corpus.write_text(text.replace("airway airway airway inflammation", "airway " * 4 + "inflammation"), "utf-8")
+        labels = [(workdir / "tensor" / f"mode{k}.labels.txt").read_bytes() for k in range(4)]
+        assert run("ingest", "--config", CFG, "--corpus", str(corpus), "--workdir", str(workdir)) == 0
+        assert [(workdir / "tensor" / f"mode{k}.labels.txt").read_bytes() for k in range(4)] == labels
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_3\.model: fit to a tensor whose payload CRC-32 is \d+, ", err, re.M)
+        assert err.rstrip().endswith("; rerun factorize")
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
     def test_select_names_a_model_of_another_rank(self, selected, tmp_path, capsys):
         # report reads no model (TestReportReadsTheSelection).
         workdir = tmp_path / "run"
@@ -813,6 +849,8 @@ class TestErrors:
             (lambda s: s.update(shape=[11.0, 37, 7, 36]), "malformed selection header: expected int, got 11.0"),
             (lambda s: s.pop("tensor_payload_crc32"), "selection header has no 'tensor_payload_crc32' field"),
             (lambda s: s.update(tensor_payload_crc32=None), "malformed selection header: expected int, got None"),
+            (lambda s: s.pop("payload_crc32"), "selection header has no 'payload_crc32' field"),
+            (lambda s: s.update(payload_crc32="abc"), "malformed selection header: expected int, got 'abc'"),
         ],
         ids=[
             "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
@@ -820,7 +858,7 @@ class TestErrors:
             "no_ranks", "no_threshold", "no_strategy", "text_ranks", "float_in_ranks",
             "text_threshold", "bool_threshold", "null_strategy",
             "nan_threshold", "infinite_threshold", "huge_threshold",
-            "no_shape", "float_in_shape", "no_tensor_crc", "null_tensor_crc",
+            "no_shape", "float_in_shape", "no_tensor_crc", "null_tensor_crc", "no_crc", "text_crc",
         ],
     )
     def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):

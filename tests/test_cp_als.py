@@ -271,6 +271,18 @@ class TestArrange:
             tracemalloc.stop()
         assert peak < 2 * factor_bytes
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factors_are_c_ordered(self, rng, order):
+        # save_model streams each factor into its payload; a factor in any
+        # other memory order would be copied whole there.
+        model = KruskalModel(
+            weights=rng.uniform(0.5, 2.0, size=4),
+            factors=[np.asarray(rng.standard_normal((n, 4)), order=order) for n in (3, 5, 1, 7)],
+        )
+        assert [f.flags.c_contiguous for f in arrange(model).factors] == [True] * 4
+        fitted, _ = cp_als(random_sparse(rng, (4, 5, 3), 20), 3, AlsOptions(max_iters=3, seed=4))
+        assert [f.flags.c_contiguous for f in fitted.factors] == [True] * 3
+
     def test_preserves_component_count_with_zero_weight(self):
         model = KruskalModel(
             weights=np.array([0.0, 1.0]),
@@ -351,7 +363,7 @@ class TestModelFile:
         # Extents summing to -1 would ask the payload for 0 rows.
         path = tmp_path / "m.model"
         path.write_text(
-            '{"format": "kruskal-model", "schema_version": 2, "rank": 1, "shape": [-1]}\n',
+            '{"format": "kruskal-model", "schema_version": %d, "rank": 1, "shape": [-1]}\n' % MODEL.schema_version,
             encoding="utf-8",
         )
         with pytest.raises(ValueError, match="negative extent in shape") as info:

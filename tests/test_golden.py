@@ -22,9 +22,12 @@ moved. When report stopped reading the models and began to read the kept
 components from a table that select writes, selection.npy was added and
 selection.json was re-pinned: its schema version went to 2 and it gained the
 table's CRC-32 and what it was selected from (the label counts and the
-tensor payload's CRC-32). The report bytes did not move. Any later change to how the tensor, the models, the selection or the
-report are computed or serialized must leave these hashes alone or update
-them on purpose. The model bytes depend on floating-point results of the
+tensor payload's CRC-32). The report bytes did not move. When each model
+began to record the tensor it was fit to, the two model files were re-pinned:
+their header line gained tensor_payload_crc32 and schema version 3, and their
+body lines and .npy payloads did not change. Any later change to how the
+tensor, the models, the selection or the report are computed or serialized
+must leave these hashes alone or update them on purpose. The model bytes depend on floating-point results of the
 factorization, so the hashes hold for the numpy/BLAS build and BLAS thread
 count they were pinned with (numpy 2.4.6 and its bundled OpenBLAS, one
 thread); another build may legitimately change them.
@@ -44,9 +47,9 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "e34fa0ae091ec1fd80d5a8ce4d419a0ce417e1276e44dc484d680febd3a43e7c",
+    "models/rank_3.model": "cd89afc2d55008396d64350c23836223bf3548bbdf872cc2d46928b616a534f2",
     "models/rank_3.model.npy": "630d4a51a7ec87da7a60f5ae415849857ee98d9b5843ed182b7045d39f3d69d3",
-    "models/rank_5.model": "ac29b27a1c6160ab8f3fd42c381643f96f4216daefad4af56e1460739f29e054",
+    "models/rank_5.model": "839f0fb2c74074c03452666f0451c1a7a9b66590a4aea573768ebf51c7771377",
     "models/rank_5.model.npy": "3b0d18999ba8c8cfb02416900f83f9e487bd33b7d071266a5473fac9b7df24b3",
     "selection.json": "3d8f0778684cec88e36b33f31ebbdcebcda0b716b5a22d989845a5803a1cf9e7",
     "selection.npy": "e2db8d74b6305c8d9b031f92c8c16e7e8d675095dddbd9812272a59e42ce86d4",
