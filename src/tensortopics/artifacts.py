@@ -234,22 +234,17 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
             f"{source}: unsupported schema version {header.get('schema_version')!r} "
             f"(expected {artifact.schema_version}; rerun {artifact.stage})"
         )
-    return header, [header_field(header, source, artifact, name, convert) for name, convert in fields.items()]
-
-
-def header_field(header: dict, source: Path, artifact: Artifact, name: str, convert):
-    """The `name` field of a checked header, converted by `convert`; a
-    missing or malformed field raises a ValueError naming `source`."""
-    kind = artifact.kind
-    if name not in header:
-        raise ValueError(f"{source}: {kind} header has no {name!r} field")
-    try:
-        return convert(header[name])
-    except KeyError as exc:
-        key = exc.args[0]
-        raise ValueError(f"{source}: malformed {kind} header: no {key!r} key in {name!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
+    values = []
+    for name, convert in fields.items():
+        if name not in header:
+            raise ValueError(f"{source}: {kind} header has no {name!r} field")
+        try:
+            values.append(convert(header[name]))
+        except KeyError as exc:
+            raise ValueError(f"{source}: malformed {kind} header: no {exc.args[0]!r} key in {name!r}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
+    return header, values
 
 
 def of_json_type(*types):
@@ -395,22 +390,27 @@ def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int]:
     header_path = in_dir / HEADER_FILE
     if not header_path.is_file():
         raise ValueError(f"not a tensor container: missing {header_path}")
-    header, (shape, mode_names, nnz) = read_header(
+    _header, (shape, mode_names, nnz, crc32) = read_header(
         header_path.read_bytes(), header_path, TENSOR,
-        shape=lambda v: tuple(_extent(n) for n in v),
-        mode_names=lambda v: [of_json_type(str)(n) for n in of_json_type(list)(v)],
-        nnz=json_int,
+        shape=lambda v: tuple(_extent(n) for n in v), mode_names=_mode_names,
+        nnz=json_int, payload_crc32=json_int,
     )
     if len(mode_names) != len(shape):
         raise ValueError(f"{header_path}: mode_names length does not match shape")
-    if len(set(mode_names)) != len(mode_names):
-        raise ValueError(f"{header_path}: mode_names repeats a name in {mode_names}")
-    return shape, mode_names, nnz, header_field(header, header_path, TENSOR, "payload_crc32", json_int)
+    return shape, mode_names, nnz, crc32
 
 
 def tensor_payload_crc32(tensor_dir: str | Path) -> int:
     """The payload_crc32 that a tensor container's header.json records."""
     return _read_header(Path(tensor_dir))[3]
+
+
+def _mode_names(value) -> list[str]:
+    """A tensor header's mode names: a JSON list of distinct strings."""
+    names = [of_json_type(str)(n) for n in of_json_type(list)(value)]
+    if len(set(names)) != len(names):
+        raise ValueError(f"mode_names repeats a name in {names}")
+    return names
 
 
 def _extent(value) -> int:
@@ -534,24 +534,30 @@ def remove_model(path: str | Path) -> list[Path]:
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
-    Only the text file's header line is read; the numbers come from
-    `<path>.npy`, whose dtype, shape ((1 + sum(shape), rank)) and CRC-32
-    must match the header, and which must hold only finite numbers. Every
-    fault raises a ValueError naming the file.
+    Only the text file's header line is read, and its tensor_payload_crc32
+    must be an int or null; the numbers come from `<path>.npy`, whose dtype,
+    shape ((1 + sum(shape), rank)) and CRC-32 must match the header, and
+    which must hold only finite numbers. Every fault raises a ValueError naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
         first = f.readline()
     if not first:
         raise ValueError(f"{path}: empty model file")
-    header, (rank, shape) = read_header(
+    header, (rank, shape, _fitted, crc32) = read_header(
         first.rstrip(b"\n"), path, MODEL,
-        rank=json_int, shape=lambda v: [json_int(n) for n in v],
+        rank=json_int, shape=_model_shape,
+        tensor_payload_crc32=of_json_type(int, type(None)), payload_crc32=json_int,
     )
-    if any(n < 0 for n in shape):
-        raise ValueError(f"{path}: malformed model header: negative extent in shape {shape}")
-    crc32 = header_field(header, path, MODEL, "payload_crc32", json_int)
     return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
+
+
+def _model_shape(value) -> list[int]:
+    """A model header's shape: a list of JSON integers, none negative."""
+    shape = [json_int(n) for n in value]
+    if any(n < 0 for n in shape):
+        raise ValueError(f"negative extent in shape {shape}")
+    return shape
 
 
 def _write_table(path: Path, weights: np.ndarray, factors) -> int:
@@ -573,7 +579,7 @@ def _read_table(payload: Path, artifact: Artifact, shape, rank: int, crc32, decl
 
 
 def save_selection(
-    path: Path, tensor_dir: Path, selection, ranks, word_mode: int, result, similarity_matrix: bool,
+    path: Path, shape, tensor_crc32: int, selection, ranks, word_mode: int, result, similarity_matrix: bool,
 ) -> None:
     """Write selection.json and, beside it, selection.npy.
 
@@ -582,11 +588,10 @@ def save_selection(
     form a (1 + sum(shape), kept) table, one column per kept component in
     kept order. selection.json records the settings, pooled ranks and
     counts, each kept component with its partners, the table's CRC-32, and
-    what it was selected from: the label counts `shape` and the
-    payload_crc32 of tensor_dir's header.json. With similarity_matrix it
-    holds every cosine too.
+    what it was selected from: the tensor's label counts `shape` and its
+    header's payload_crc32, `tensor_crc32`. With similarity_matrix it holds
+    every cosine too.
     """
-    shape, _names, _nnz, tensor_crc32 = _read_header(tensor_dir)
     kept = result.kept
     crc32 = _write_table(
         path.with_name(SELECTION_PAYLOAD_FILE),
@@ -636,7 +641,7 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
     kept index_in_model must lie in [0, origin_rank), and the threshold must
     be finite. Every fault raises a ValueError naming the file.
     """
-    header, (word_mode, kept, ranks, threshold, strategy, shape, tensor_crc32) = read_header(
+    _header, (word_mode, kept, ranks, threshold, strategy, shape, tensor_crc32, crc32) = read_header(
         path.read_bytes(), path, SELECTION,
         word_mode=json_int,
         kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
@@ -644,7 +649,7 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
         threshold=json_finite,
         strategy=of_json_type(str),
         shape=lambda v: tuple(json_int(n) for n in of_json_type(list)(v)),
-        tensor_payload_crc32=json_int,
+        tensor_payload_crc32=json_int, payload_crc32=json_int,
     )
     extents, _names, _nnz, current_crc32 = _read_header(tensor_dir)
     if shape != extents:
@@ -665,9 +670,7 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
                 f"{path}: kept item {pos} (rank {rank}) has index_in_model {index}, "
                 f"outside [0, {rank}); rerun select"
             )
-    payload = path.with_name(SELECTION_PAYLOAD_FILE)
-    crc32 = header_field(header, path, SELECTION, "payload_crc32", json_int)
-    table = _read_table(payload, SELECTION, shape, len(kept), crc32, path.name)
+    table = _read_table(path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, shape, len(kept), crc32, path.name)
     components = [
         Component(rank, index, float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
         for j, (rank, index) in enumerate(kept)
@@ -716,10 +719,10 @@ def save_reports(reports, out_dir: Path, run_meta: dict) -> dict:
 
 def load_reports(path: str | Path) -> list[ComponentReport]:
     """Read report.json back into ComponentReport objects (lossless), after
-    checking its format and schema version; a weight or score that is not a
-    finite number, and every other fault, raises a ValueError naming the file."""
+    checking its format and schema version; a non-string label or keyword, a
+    non-finite weight or score, and every other fault raise a ValueError naming the file."""
     path = Path(path)
-    number = json_finite
+    number, text = json_finite, of_json_type(str)
     _header, (reports,) = read_header(
         path.read_bytes(), path, REPORT,
         components=lambda items: [
@@ -728,10 +731,10 @@ def load_reports(path: str | Path) -> list[ComponentReport]:
                 index_in_model=json_int(item["index_in_model"]),
                 weight=float(number(item["weight"])),
                 mode_tops={
-                    name: [(str(label), float(number(score))) for label, score in pairs]
+                    name: [(text(label), float(number(score))) for label, score in pairs]
                     for name, pairs in item["modes"].items()
                 },
-                keywords=[(str(w), float(number(s))) for w, s in item["keywords"]],
+                keywords=[(text(w), float(number(s))) for w, s in item["keywords"]],
             )
             for item in items
         ],

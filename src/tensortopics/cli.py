@@ -115,7 +115,7 @@ def _components(cfg, rank: int, shape, tensor_crc32: int) -> list:
             f"{path}: model shape {model.shape} does not match the label counts "
             f"{shape} of {_tensor_dir(cfg)}; rerun factorize"
         )
-    fitted = header.get("tensor_payload_crc32")
+    fitted = header["tensor_payload_crc32"]
     if fitted != tensor_crc32:
         raise ValueError(
             f"{path}: fit to a tensor whose payload CRC-32 is {fitted}, "
@@ -145,7 +145,7 @@ def run_select(cfg) -> Path:
     result = select_components_detailed(components, cfg.selection, word_mode)
     path = _selection_path(cfg)
     save_selection(
-        path, _tensor_dir(cfg), cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
+        path, shape, tensor_crc32, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
     )
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count

@@ -713,10 +713,13 @@ class TestErrors:
             (lambda h: h.update(shape=[True, *h["shape"][1:]]), "malformed model header"),
             (lambda h: h.pop("payload_crc32"), "model header has no 'payload_crc32' field"),
             (lambda h: h.update(payload_crc32="abc"), "malformed model header: expected int, got 'abc'"),
+            (lambda h: h.pop("tensor_payload_crc32"), "model header has no 'tensor_payload_crc32' field"),
+            (lambda h: h.update(tensor_payload_crc32=str(h["tensor_payload_crc32"])), "malformed model header"),
         ],
         ids=[
             "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
             "fractional_rank", "integral_float_rank", "bool_extent", "no_crc", "text_crc",
+            "no_tensor_crc", "text_tensor_crc",
         ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):

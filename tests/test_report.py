@@ -264,11 +264,16 @@ class TestEmitReport:
              "malformed report header: expected a finite number, got -inf"),
             (lambda p: p["components"][0].update(weight=10**400),
              "malformed report header: expected a finite number"),
+            (lambda p: p["components"][0]["modes"]["words"][0].__setitem__(0, None),
+             "malformed report header: expected str, got None"),
+            (lambda p: p["components"][0]["keywords"][0].__setitem__(0, 7),
+             "malformed report header: expected str, got 7"),
         ],
         ids=[
             "schema_7", "no_components", "null_weight", "no_weight", "list_modes", "fractional_rank",
             "bool_index", "string_weight", "bool_mode_score", "string_keyword_score",
             "nan_weight", "infinite_mode_score", "infinite_keyword_score", "huge_weight",
+            "null_mode_label", "int_keyword",
         ],
     )
     def test_damaged_report_is_a_named_error(self, tmp_path, edit, phrase):
