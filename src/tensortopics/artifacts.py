@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .cp_als import KruskalModel
-from .ensemble import Component
 from .sparse_tensor import AxisMap, SparseTensorCOO
 
 HEADER_FILE = "header.json"
@@ -534,19 +533,22 @@ def remove_model(path: str | Path) -> list[Path]:
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
-    Only the text file's header line is read, and its tensor_payload_crc32
-    must be an int or null; the numbers come from `<path>.npy`, whose dtype,
-    shape ((1 + sum(shape), rank)) and CRC-32 must match the header, and
-    which must hold only finite numbers. Every fault raises a ValueError naming the file.
+    Only the text file's header line is read. Its mode_names must be null or
+    distinct strings, its labels_ref null or a string, and its
+    tensor_payload_crc32 an int or null; the numbers come from `<path>.npy`,
+    whose dtype, shape ((1 + sum(shape), rank)) and CRC-32 must match the
+    header, and which must hold only finite numbers. Every fault raises a
+    ValueError naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
         first = f.readline()
     if not first:
         raise ValueError(f"{path}: empty model file")
-    header, (rank, shape, _fitted, crc32) = read_header(
+    header, (rank, shape, _names, _labels, _fitted, crc32) = read_header(
         first.rstrip(b"\n"), path, MODEL,
         rank=json_int, shape=_model_shape,
+        mode_names=lambda v: v if v is None else _mode_names(v), labels_ref=of_json_type(str, type(None)),
         tensor_payload_crc32=of_json_type(int, type(None)), payload_crc32=json_int,
     )
     return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
@@ -629,25 +631,29 @@ def save_selection(
     write_json(path, SELECTION, **fields)
 
 
-def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], dict]:
-    """A selection.json's word mode, its kept components and run meta: ranks,
-    threshold and strategy, in their JSON types, for summary.json.
+def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, int]], KruskalModel, dict]:
+    """A selection.json's word mode, the (origin_rank, index_in_model) of each
+    kept component, the Kruskal table of selection.npy, whose column j holds
+    kept component j, and run meta: ranks, threshold and strategy, in their
+    JSON types, for summary.json.
 
-    Each kept component is built from its column of selection.npy, whose
-    dtype, shape and CRC-32 must match selection.json and which must hold
-    only finite numbers; no model is read. The selection must have been made
-    from the tensor in tensor_dir as it is now: its recorded label counts and
-    tensor payload CRC-32 must equal those of tensor_dir's header.json. Each
-    kept index_in_model must lie in [0, origin_rank), and the threshold must
-    be finite. Every fault raises a ValueError naming the file.
+    The table's dtype, shape and CRC-32 must match selection.json, and it
+    must hold only finite numbers; no model is read. The selection must have
+    been made from the tensor in tensor_dir as it is now: its recorded label
+    counts and tensor payload CRC-32 must equal those of tensor_dir's
+    header.json. Each kept index_in_model must lie in [0, origin_rank), the
+    threshold must be finite, pooled_count an int and stable_count an int or
+    null. Every fault raises a ValueError naming the file.
     """
-    _header, (word_mode, kept, ranks, threshold, strategy, shape, tensor_crc32, crc32) = read_header(
+    _header, (word_mode, kept, ranks, threshold, strategy, _pooled, _stable, shape, tensor_crc32, crc32) = read_header(
         path.read_bytes(), path, SELECTION,
         word_mode=json_int,
         kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
         ranks=lambda v: [json_int(r) for r in of_json_type(list)(v)],
         threshold=json_finite,
         strategy=of_json_type(str),
+        pooled_count=json_int,
+        stable_count=of_json_type(int, type(None)),
         shape=lambda v: tuple(json_int(n) for n in of_json_type(list)(v)),
         tensor_payload_crc32=json_int, payload_crc32=json_int,
     )
@@ -671,11 +677,7 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[Component], 
                 f"outside [0, {rank}); rerun select"
             )
     table = _read_table(path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, shape, len(kept), crc32, path.name)
-    components = [
-        Component(rank, index, float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
-        for j, (rank, index) in enumerate(kept)
-    ]
-    return word_mode, components, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
+    return word_mode, kept, table, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
 
 
 @dataclass
@@ -699,11 +701,8 @@ def save_reports(reports, out_dir: Path, run_meta: dict) -> dict:
                 "origin_rank": r.origin_rank,
                 "index_in_model": r.index_in_model,
                 "weight": r.weight,
-                "modes": {
-                    name: [[label, score] for label, score in pairs]
-                    for name, pairs in r.mode_tops.items()
-                },
-                "keywords": [[word, score] for word, score in r.keywords],
+                "modes": r.mode_tops,
+                "keywords": r.keywords,
             }
             for r in reports
         ],

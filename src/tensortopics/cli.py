@@ -31,6 +31,7 @@ from .corpus_ingest import (
 from .ensemble import (
     STRATEGIES,
     components_from_model,
+    components_from_table,
     ensemble_models,
     select_components_detailed,
 )
@@ -163,12 +164,12 @@ def run_report(cfg) -> Path:
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     axes, mode_names = load_axes(_tensor_dir(cfg))
-    word_mode, kept, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
+    word_mode, kept, table, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
     reports = [
         build_report(
             component, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
         )
-        for component in kept
+        for component in components_from_table(table, kept)
     ]
     return emit_report(reports, out_dir, meta)
 

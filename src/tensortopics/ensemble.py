@@ -95,19 +95,19 @@ def rank_seed(base_seed: int, rank: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(rank)]).generate_state(1)[0])
 
 
+def components_from_table(table: KruskalModel, ids) -> list[Component]:
+    """One Component per column of a Kruskal table; ids[j] is column j's
+    (origin_rank, index_in_model). Each column is copied, so the table can be
+    freed while its components live."""
+    return [
+        Component(int(rank), int(index), float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
+        for j, (rank, index) in enumerate(ids)
+    ]
+
+
 def components_from_model(model: KruskalModel, origin_rank: int) -> list[Component]:
     """Split a model into per-component column slices."""
-    out = []
-    for r in range(model.rank):
-        out.append(
-            Component(
-                origin_rank=int(origin_rank),
-                index_in_model=r,
-                weight=float(model.weights[r]),
-                factor_slices=[np.array(f[:, r]) for f in model.factors],
-            )
-        )
-    return out
+    return components_from_table(model, [(origin_rank, r) for r in range(model.rank)])
 
 
 def ensemble_models(

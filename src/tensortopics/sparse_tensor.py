@@ -35,9 +35,6 @@ class AxisMap:
                     raise ValueError(f"duplicate axis label {label!r}")
                 seen.add(label)
 
-    def label_of(self, index: int) -> str:
-        return self.labels[index]
-
     def __len__(self) -> int:
         return len(self.labels)
 

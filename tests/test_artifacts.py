@@ -3,6 +3,8 @@
 Every versioned file's writer and reader live there. No other module of the
 package may import (or reach through an attribute) the Artifact records, the
 header and payload helpers, or zlib, which computes the payloads' CRC-32.
+And artifacts.py sits below the modules that run the stages: it imports none
+of them.
 """
 
 import ast
@@ -18,6 +20,8 @@ FORMAT_NAMES = {
     "read_header", "write_json", "read_payload", "write_payload",
     "json_int", "json_finite", "of_json_type", "zlib",
 }
+# The modules that run the stages, which sit above the file formats.
+ABOVE_ARTIFACTS = {"ensemble", "report", "corpus_ingest", "config", "cli"}
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -32,6 +36,26 @@ def _used_names(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """Every tensortopics module a module imports, relatively or by its full name."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import cli` names the module in the alias, `from .cli import x` in the base.
+            base = ("tensortopics." if node.level else "") + (node.module or "")
+            dotted += [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("tensortopics.")}
+
+
+def test_artifacts_imports_no_module_above_it():
+    tree = ast.parse((PACKAGE / "artifacts.py").read_text(encoding="utf-8"))
+    imports = _package_imports(tree)
+    assert {"cp_als", "sparse_tensor"} <= imports  # the imports it does have are seen
+    assert imports & ABOVE_ARTIFACTS == set()
 
 
 def test_artifacts_holds_every_format_name():

@@ -20,7 +20,7 @@ from tensortopics.config import apply_overrides, load_config
 from tensortopics.ensemble import components_from_model
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase
-from test_golden import GOLDEN_SHA256, assert_golden
+from test_golden import GOLDEN_ENV, GOLDEN_SHA256, assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
 STAGE = ("-m", "tensortopics.cli")
@@ -33,10 +33,10 @@ def run(*argv):
 def child(*args, **kwargs):
     """Run `python *args` with piped streams, as a shell runs a stage:
     without PYTHONUNBUFFERED, so stdout reaches the pipe only when main()
-    flushes it, with one BLAS thread, which the golden hashes hold for, and
-    with help text 80 columns wide."""
+    flushes it, with the one BLAS thread and the OpenBLAS kernel that the
+    golden hashes hold for, and with help text 80 columns wide."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+    env.update(GOLDEN_ENV, COLUMNS="80")
     kwargs.setdefault("capture_output", True)
     return subprocess.run([sys.executable, *args], text=True, timeout=120, env=env, **kwargs)
 
@@ -126,17 +126,18 @@ class TestPipeline:
 
     def test_text_companions_are_write_only(self, tmp_path):
         # No stage reads entries.tsv, or a model file past its header line.
+        # The stages run as child processes, under the golden hashes' kernel.
         workdir = tmp_path / "run"
         argv = ("--config", CFG, "--workdir", str(workdir))
-        assert run("ingest", *argv) == 0
+        assert child(*STAGE, "ingest", *argv).returncode == 0
         (workdir / "tensor" / "entries.tsv").unlink()
-        assert run("factorize", *argv) == 0
+        assert child(*STAGE, "factorize", *argv).returncode == 0
         for model in (workdir / "models").glob("*.model"):
             with model.open("rb") as f:
                 header = f.readline()
             model.write_bytes(header)
-        assert run("select", *argv) == 0
-        assert run("report", *argv) == 0
+        assert child(*STAGE, "select", *argv).returncode == 0
+        assert child(*STAGE, "report", *argv).returncode == 0
         computed = [
             "tensor/entries.npy", "models/rank_3.model.npy", "models/rank_5.model.npy",
             "selection.json", "report/report.json", "report/summary.json", "report/index.html",
@@ -715,11 +716,17 @@ class TestErrors:
             (lambda h: h.update(payload_crc32="abc"), "malformed model header: expected int, got 'abc'"),
             (lambda h: h.pop("tensor_payload_crc32"), "model header has no 'tensor_payload_crc32' field"),
             (lambda h: h.update(tensor_payload_crc32=str(h["tensor_payload_crc32"])), "malformed model header"),
+            (lambda h: h.pop("mode_names"), "model header has no 'mode_names' field"),
+            (lambda h: h.update(mode_names="abcd"), "malformed model header: expected list, got 'abcd'"),
+            (lambda h: h.update(mode_names=["a", "a", "j", "w"]), "malformed model header: mode_names repeats a name"),
+            (lambda h: h.pop("labels_ref"), "model header has no 'labels_ref' field"),
+            (lambda h: h.update(labels_ref=7), "malformed model header: expected str or NoneType, got 7"),
         ],
         ids=[
             "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
             "fractional_rank", "integral_float_rank", "bool_extent", "no_crc", "text_crc",
-            "no_tensor_crc", "text_tensor_crc",
+            "no_tensor_crc", "text_tensor_crc", "no_mode_names", "text_mode_names", "repeated_mode_name",
+            "no_labels_ref", "int_labels_ref",
         ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -854,6 +861,10 @@ class TestErrors:
             (lambda s: s.update(tensor_payload_crc32=None), "malformed selection header: expected int, got None"),
             (lambda s: s.pop("payload_crc32"), "selection header has no 'payload_crc32' field"),
             (lambda s: s.update(payload_crc32="abc"), "malformed selection header: expected int, got 'abc'"),
+            (lambda s: s.pop("pooled_count"), "selection header has no 'pooled_count' field"),
+            (lambda s: s.update(pooled_count=8.0), "malformed selection header: expected int, got 8.0"),
+            (lambda s: s.pop("stable_count"), "selection header has no 'stable_count' field"),
+            (lambda s: s.update(stable_count="8"), "malformed selection header: expected int or NoneType, got '8'"),
         ],
         ids=[
             "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
@@ -862,6 +873,7 @@ class TestErrors:
             "text_threshold", "bool_threshold", "null_strategy",
             "nan_threshold", "infinite_threshold", "huge_threshold",
             "no_shape", "float_in_shape", "no_tensor_crc", "null_tensor_crc", "no_crc", "text_crc",
+            "no_pooled_count", "float_pooled_count", "no_stable_count", "text_stable_count",
         ],
     )
     def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):

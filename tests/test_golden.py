@@ -27,17 +27,50 @@ began to record the tensor it was fit to, the two model files were re-pinned:
 their header line gained tensor_payload_crc32 and schema version 3, and their
 body lines and .npy payloads did not change. Any later change to how the
 tensor, the models, the selection or the report are computed or serialized
-must leave these hashes alone or update them on purpose. The model bytes depend on floating-point results of the
-factorization, so the hashes hold for the numpy/BLAS build and BLAS thread
-count they were pinned with (numpy 2.4.6 and its bundled OpenBLAS, one
-thread); another build may legitimately change them.
+must leave these hashes alone or update them on purpose.
+
+The model bytes depend on floating-point results of the factorization, so
+the hashes hold for one numpy/BLAS build (numpy 2.4.6 and its bundled
+OpenBLAS), one BLAS thread and one OpenBLAS kernel. That build picks its
+kernels by CPU, and their blocking and FMA use change the order of
+summation, so the same run wrote other bytes on CPUs with and without
+AVX-512. The pipeline therefore runs in a child process under
+OPENBLAS_CORETYPE=Haswell, the kernels of AVX2 CPUs, which every x86-64 CPU
+with AVX2 and FMA can run (Zen reports Haswell and writes the same bytes),
+and a second child with the same environment must name Haswell as its core.
+The hashes were first taken under the SkylakeX kernels; pinning Haswell
+re-pinned exactly the eight files whose bytes follow the factors: both
+models and their .npy payloads, selection.json, selection.npy, report.json
+and index.html. The tensor files and summary.json did not move. The program
+pins no kernel: another kernel, a pre-AVX2 or an aarch64 machine may
+legitimately write other model bytes.
 """
 
 import hashlib
-
-from tensortopics.cli import cli_run
+import os
+import subprocess
+import sys
 
 from conftest import DATA_DIR
+
+# The environment of every child whose output is compared with the hashes.
+GOLDEN_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+# Prints the name of the core whose kernels the process's OpenBLAS runs, as
+# numpy's bundled library reports it; exits 1 naming what is missing.
+CORE_NAME = """
+import ctypes, glob, os, sys
+import numpy
+libs = sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")))
+if not libs:
+    sys.exit("numpy.libs holds no libscipy_openblas*")
+try:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+except AttributeError:
+    sys.exit(f"{libs[0]} has no scipy_openblas_get_corename64_")
+corename.argtypes = []
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+"""
 
 GOLDEN_SHA256 = {
     "tensor/header.json": "69e9cc9d8b5127494ba65b7483a185f57288f14ac250db96347f01cfbbf03aa4",
@@ -47,15 +80,15 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "cd89afc2d55008396d64350c23836223bf3548bbdf872cc2d46928b616a534f2",
-    "models/rank_3.model.npy": "630d4a51a7ec87da7a60f5ae415849857ee98d9b5843ed182b7045d39f3d69d3",
-    "models/rank_5.model": "839f0fb2c74074c03452666f0451c1a7a9b66590a4aea573768ebf51c7771377",
-    "models/rank_5.model.npy": "3b0d18999ba8c8cfb02416900f83f9e487bd33b7d071266a5473fac9b7df24b3",
-    "selection.json": "3d8f0778684cec88e36b33f31ebbdcebcda0b716b5a22d989845a5803a1cf9e7",
-    "selection.npy": "e2db8d74b6305c8d9b031f92c8c16e7e8d675095dddbd9812272a59e42ce86d4",
-    "report/report.json": "a872cf844bb797463981bc3b9a7f1d316910574d3550853a03a555ccf62d661e",
+    "models/rank_3.model": "b230803290656f1cc02c243c83bfaf688786eda5b4918d3cbfcefe35de3d0681",
+    "models/rank_3.model.npy": "70313d6034060e08de3347fcc494ffea02146a6327035ebf3b72f7dbc1a6a40a",
+    "models/rank_5.model": "eb41bc4a078ea4a9995fb11e0c5876c267cd200f01fc651c22ec76757aaea917",
+    "models/rank_5.model.npy": "9b18b770eac2f76ff5e6c21a098f5f53a2efa01a6751e78e777152af92ee03e0",
+    "selection.json": "31e8f8ccadbdf51d396463b2e540bc70ba3d8e6cfef0bb29b5449903e1627c2e",
+    "selection.npy": "d66a93f458d748da8cc9f00e273d084fb8c5f1b70ee784f8b7f836e6d132b636",
+    "report/report.json": "92d235f699c3d4f394321f00c3f4d807521fef9de1af020f1c10e0f5f953e3e6",
     "report/summary.json": "c37d872a328983133158a8bc545f54d18fd2bb11b91563f6188f1c7a01167582",
-    "report/index.html": "c622e398fca1aa1b8cd45e04c5ac1dee0663fec3c3141b2c2569a3f934fb52b4",
+    "report/index.html": "6975bf1bb5f0fa7c3e5c3a20ea23e8a0597bdf9f8cd89325b5132a6a27d66f86",
 }
 
 
@@ -69,7 +102,19 @@ def assert_golden(workdir):
         assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
 
 
+def golden_child(*args) -> subprocess.CompletedProcess:
+    """Run `python *args` under GOLDEN_ENV, with its output captured."""
+    env = {**os.environ, **GOLDEN_ENV}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_toy_pipeline_bytes_are_golden(tmp_path):
+    core = golden_child("-c", CORE_NAME)
+    assert core.returncode == 0, f"OpenBLAS core name unknown: {core.stderr.strip()}"
+    assert core.stdout.strip() == "Haswell", f"OpenBLAS runs the {core.stdout.strip()} kernels, not Haswell"
     workdir = tmp_path / "run"
-    assert cli_run(["pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+    proc = golden_child(
+        "-m", "tensortopics.cli", "pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)
+    )
+    assert proc.returncode == 0, proc.stderr
     assert_golden(workdir)

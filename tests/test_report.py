@@ -49,7 +49,7 @@ class TestTopN:
             comp = make_component([values])
             got = top_n(comp, 0, 10, axis)
             expected = sorted(
-                ((axis.label_of(i), float(values[i])) for i in range(30)),
+                ((axis.labels[i], float(values[i])) for i in range(30)),
                 key=lambda pair: (-pair[1], pair[0]),
             )[:10]
             assert got == expected
@@ -131,7 +131,7 @@ class TestBuildReport:
             axes = (AxisMap(["a"]), AxisMap(["d"]), AxisMap(["j"]), words)
             report = build_report(comp, axes, MODE_NAMES, n=n, keyword_count=keyword_count)
             ranking = sorted(
-                ((words.label_of(i), float(values[i])) for i in range(12)),
+                ((words.labels[i], float(values[i])) for i in range(12)),
                 key=lambda pair: (-pair[1], pair[0]),
             )
             assert report.mode_tops["words"] == ranking[:n]

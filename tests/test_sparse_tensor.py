@@ -100,7 +100,7 @@ class TestAxisMap:
         axis = AxisMap(["alpha", "beta", "gamma"])
         assert len(axis) == 3
         assert axis.labels.index("beta") == 1
-        assert axis.label_of(2) == "gamma"
+        assert axis.labels[2] == "gamma"
         assert "alpha" in axis and "delta" not in axis
 
     def test_duplicate_labels_rejected(self):
