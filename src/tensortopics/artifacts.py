@@ -128,14 +128,12 @@ def _digits17(x: np.ndarray):
     [1e16, 1e17) with x ~ n * 10**-s; s; and which x the fast path cannot decide.
 
     y = x * 10**s is an even integer in [1e16, 1e17), so n is y + r rounded;
-    y < 1e17 - 8 and |r| <= 8, so n never carries to 1e17. y == 1e16 with
-    r < 0 lies one decimal exponent lower, and goes to format() with the ties.
+    y < 1e17 - 8 and |r| <= 8, so n never carries to 1e17. A scale that log10
+    misjudged puts y outside [1e16, 1e17), and y == 1e16 with r < 0 lies one
+    decimal exponent lower: both go to format() with the ties.
     """
     s = 16 - np.floor(np.log10(x)).astype(np.int64)
     y, r = _scaled(x, s)
-    redo = np.flatnonzero((y < 1e16) | (y >= 1e17))  # log10 was off by one
-    s[redo] += np.where(y[redo] < 1e16, 1, -1)
-    y[redo], r[redo] = _scaled(x[redo], s[redo])
     whole = np.rint(r)
     unsure = (np.abs(np.abs(r - whole) - 0.5) <= _UNSURE) | (y < 1e16) | (y >= 1e17)
     unsure |= (y == 1e16) & (r < 0)
@@ -151,48 +149,34 @@ def _exponent_text() -> np.ndarray:
 
 @functools.cache
 def _digit_words() -> np.ndarray:
-    """"0000".."9999" as little-endian 4-byte words."""
-    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype="<u4")
-
-
-def _ascii_digits(digits: np.ndarray) -> np.ndarray:
-    """The 17 decimal digits of each int64 in [1e16, 1e17), as ASCII rows."""
-    table = _digit_words()
-    words = np.empty((digits.shape[0], 5), dtype="<u4")
-    hi, lo = np.divmod(digits, 10**8)
-    hi, lo = hi.astype(np.uint32), lo.astype(np.uint32)
-    words[:, 4] = table[lo % 10000]
-    words[:, 3] = table[lo // 10000]
-    words[:, 2] = table[hi % 10000]
-    hi //= 10000
-    words[:, 1] = table[hi % 10000]
-    words[:, 0] = (hi // 10000 + ord("0")) << 24
-    return words.view(np.uint8)[:, 3:]
+    """"0000".."9999" as little-endian 4-byte words, held as uint64."""
+    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype="<u4").astype("<u8")
 
 
 def _float_text(values: np.ndarray, width: int) -> bytes:
     """format(x, ".16e") of each float64 x in `values`, a space after each and
     a newline after every `width`-th, as one bytes object."""
-    cells = np.zeros((values.shape[0], _CELL), dtype=np.uint8)
-    cells[:, -1] = ord(" ")
-    cells[width - 1::width, -1] = ord("\n")
+    # One row per value: -d.dddddddddddddddde+dd, with a third exponent digit
+    # from 1e100 on, NUL-padded, then the separator.
+    cells = np.empty((values.shape[0], _CELL), dtype=np.uint8)
     mag = np.abs(values)
     # Zeros, subnormals, inf, nan and the far ends of the range go to format().
     sure = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
-    digits, s, unsure = _digits17(mag[sure])
-    sure[sure] = ~unsure
-    digits = _ascii_digits(digits[~unsure])
-    # -d.dddddddddddddddde+dd, with a third exponent digit from 1e100 on.
-    text = np.zeros((digits.shape[0], _CELL - 1), dtype=np.uint8)
-    text[:, 0] = np.signbit(values[sure]) * np.uint8(ord("-"))
-    text[:, 1] = digits[:, 0]
-    text[:, 2] = ord(".")
-    text[:, 3:19] = digits[:, 1:]
-    text[:, 19:] = _exponent_text()[s[~unsure] - _S_MIN]
-    cells[sure, :-1] = text
+    digits, s, unsure = _digits17(np.where(sure, mag, 1.0))
+    sure &= ~unsure
+    cells[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    lead, digits = np.divmod(digits, 10**16)
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    table = _digit_words()
+    for at, part in ((3, digits // 10**8), (11, digits % 10**8)):
+        cells[:, at:at + 8].view("<u8")[:, 0] = table[part // 10000] | table[part % 10000] << 32
+    cells[:, 19:24] = _exponent_text()[s - _S_MIN]
+    cells[:, -1] = ord(" ")
+    cells[width - 1::width, -1] = ord("\n")
     for i in np.flatnonzero(~sure).tolist():
         exact = format(float(values[i]), ".16e").encode()
-        cells[i, :len(exact)] = np.frombuffer(exact, dtype=np.uint8)
+        cells[i, :-1] = np.frombuffer(exact.ljust(_CELL - 1, b"\0"), dtype=np.uint8)
     return cells[cells != 0].tobytes()
 
 
