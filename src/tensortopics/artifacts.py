@@ -518,23 +518,27 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
     Only the text file's header line is read. Its mode_names must be null or
-    distinct strings, its labels_ref null or a string, and its
-    tensor_payload_crc32 an int or null; the numbers come from `<path>.npy`,
-    whose dtype, shape ((1 + sum(shape), rank)) and CRC-32 must match the
-    header, and which must hold only finite numbers. Every fault raises a
-    ValueError naming the file.
+    one distinct string per mode of its shape, its labels_ref null or a
+    string, and its tensor_payload_crc32 an int or null; the numbers come
+    from `<path>.npy`, whose dtype, shape ((1 + sum(shape), rank)) and CRC-32
+    must match the header, and which must hold only finite numbers. Every
+    fault raises a ValueError naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
         first = f.readline()
     if not first:
         raise ValueError(f"{path}: empty model file")
-    header, (rank, shape, _names, _labels, _fitted, crc32) = read_header(
+    header, (rank, shape, names, _labels, _fitted, crc32) = read_header(
         first.rstrip(b"\n"), path, MODEL,
         rank=json_int, shape=_model_shape,
         mode_names=lambda v: v if v is None else _mode_names(v), labels_ref=of_json_type(str, type(None)),
         tensor_payload_crc32=of_json_type(int, type(None)), payload_crc32=json_int,
     )
+    if names is not None and len(names) != len(shape):
+        raise ValueError(
+            f"{path}: model header names {len(names)} mode(s), its shape has {len(shape)}; rerun factorize"
+        )
     return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
 
 
@@ -626,10 +630,11 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, i
     been made from the tensor in tensor_dir as it is now: its recorded label
     counts and tensor payload CRC-32 must equal those of tensor_dir's
     header.json. Each kept index_in_model must lie in [0, origin_rank), the
-    threshold must be finite, pooled_count an int and stable_count an int or
-    null. Every fault raises a ValueError naming the file.
+    threshold must be finite, pooled_count an int no less than the kept
+    count, and stable_count null or an int between the two. Every fault
+    raises a ValueError naming the file.
     """
-    _header, (word_mode, kept, ranks, threshold, strategy, _pooled, _stable, shape, tensor_crc32, crc32) = read_header(
+    _header, (word_mode, kept, ranks, threshold, strategy, pooled, stable, shape, tensor_crc32, crc32) = read_header(
         path.read_bytes(), path, SELECTION,
         word_mode=json_int,
         kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
@@ -660,6 +665,13 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, i
                 f"{path}: kept item {pos} (rank {rank}) has index_in_model {index}, "
                 f"outside [0, {rank}); rerun select"
             )
+    if pooled < len(kept):
+        raise ValueError(f"{path}: pooled_count {pooled} is below the {len(kept)} kept; rerun select")
+    if stable is not None and not len(kept) <= stable <= pooled:
+        raise ValueError(
+            f"{path}: stable_count {stable} is outside [{len(kept)}, {pooled}], "
+            "from the kept count to pooled_count; rerun select"
+        )
     table = _read_table(path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, shape, len(kept), crc32, path.name)
     return word_mode, kept, table, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
 

@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from .artifacts import (
     load_axes, load_model, load_selection, load_tensor, remove_model, save_model, save_selection,
@@ -238,11 +240,7 @@ def cli_run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if not logging.getLogger().handlers:
-        logging.basicConfig(
-            level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-        )
-
+    _log_to_stderr()
     try:
         cfg = (
             config_mod.load_config(args.config)
@@ -258,6 +256,11 @@ def cli_run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _log_to_stderr() -> None:
+    """Log INFO and above to stderr, unless logging is configured already."""
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
 # glibc's mallopt() parameter numbers (malloc.h).
@@ -308,13 +311,34 @@ def fix_mmap_threshold() -> bool:
         return False
 
 
+def fix_blas_threads() -> bool:
+    """Pin numpy's bundled OpenBLAS, the library under numpy.libs, to one
+    thread for this process through ctypes; True if pinned. By default it
+    starts one thread per CPU, and two round otherwise than one (ranks 100
+    and 200 of a 25 x 80 x 10 x 1,580 tensor changed bytes), so pinned, the
+    artifacts do not depend on the CPU count. A missing library or symbol is
+    logged at INFO, and nothing is pinned."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        set_threads = ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError) as exc:
+        logger.info("BLAS thread count not pinned: %r", exc)
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
+
+
 def main() -> None:
-    """Run one subcommand from sys.argv, then end the process with os._exit
-    after flushing logging, stdout and stderr: atexit handlers and interpreter
-    teardown (15-35 ms a stage) are skipped, and tools that hook interpreter
-    exit, such as coverage, see nothing. In-process callers use cli_run. An
-    uncaught exception exits normally; a failed flush exits 120, as in CPython."""
+    """Run one subcommand from sys.argv, with malloc and BLAS pinned, then end
+    the process with os._exit after flushing logging, stdout and stderr:
+    atexit handlers and interpreter teardown (15-35 ms a stage) are skipped,
+    and tools that hook interpreter exit, such as coverage, see nothing.
+    In-process callers use cli_run, which pins neither. An uncaught exception
+    exits normally; a failed flush exits 120, as in CPython."""
     fix_mmap_threshold()
+    _log_to_stderr()
+    fix_blas_threads()
     code = cli_run(sys.argv[1:])
     logging.shutdown()
     for stream in filter(None, (sys.stdout, sys.stderr)):

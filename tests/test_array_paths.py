@@ -711,6 +711,14 @@ def _oracle_text(table):
     return model_text_oracle(KruskalModel(weights=table[0], factors=[table[1:]])).encode()
 
 
+def _assert_rows_are_format(table):
+    """write_float_rows gives, row by row, the format(x, ".16e") join of `table`'s row."""
+    table = np.asarray(table, dtype=np.float64)
+    rows = _written(table).split(b"\n")
+    assert rows.pop() == b""
+    assert rows == [" ".join(format(x, ".16e") for x in row).encode() for row in table.tolist()]
+
+
 def _spy_format():
     """Counts the writer's calls of format() (a module global shadows the builtin)."""
     return mock.patch.object(artifacts, "format", create=True, side_effect=format)
@@ -777,6 +785,60 @@ class TestFloatText:
         assert (rows * rank) % self.CHUNK and (rows * rank) > 2 * self.CHUNK
         table = _signed(rng, rng.uniform(size=(rows, rank)) * rng.lognormal(0.0, 4.0, (rows, rank)))
         assert _written(table) == _oracle_text(table)
+
+    def test_all_zero_and_all_nine_digits(self):
+        # 16 zeros or 16 nines after the point: each 8-digit word of the
+        # digits at its ends, and beside them the carries that make a
+        # 17-digit string all zeros or, past all nines, the next decade.
+        texts = [f"{d}.{digit * 16}e{e:+03d}" for digit in "09" for d in range(1, 10) for e in range(-240, 241, 6)]
+        edges = [float(t) for t in texts if format(float(t), ".16e") == t]
+        assert sum(format(x, ".16e")[2] == "9" for x in edges) >= 20
+        table = _with_neighbours(edges)
+        _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 3))
+
+    def test_lead_digit_nine_next_to_a_carry(self):
+        # Just below 9 * 10**e the 17 digits carry up into a lead 9; just
+        # below 10**e they carry out of it.
+        edges = [float(f"{d}e{e}") for d in (9, 10) for e in range(-240, 241, 5)]
+        table = _with_neighbours(edges)
+        _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 2))
+
+    @pytest.mark.parametrize("e", [-250, -248, 22, 0, 23])
+    def test_scales_log10_misjudges(self, e):
+        # log10 puts nextafter(10**e, 0) one decade too high for e = -250,
+        # -248 and 22, so its scaled value lies below 1e16; not for 0 and 23.
+        x = np.nextafter(10.0**e, 0)
+        _assert_rows_are_format(_with_neighbours([x, -x]).reshape(-1, 2))
+
+    def test_two_and_three_exponent_digits(self):
+        edges = [1e99, 1e-99, 1e100, 1e-100, 9.5e99, 1.5e-100, 3.3e99, 7.7e-99, 1e101, 1e-101]
+        table = _with_neighbours(edges)
+        _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 4))
+
+    def test_ends_of_the_fast_range(self):
+        # Magnitudes in [1e-250, 1e250] take the fast path, those beyond go
+        # to format().
+        edges = [1e250, 1e-250, 2e250, 5e-251, 1e251, 1e-251]
+        table = _with_neighbours(edges)
+        _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 6))
+
+    def test_negative_zero_and_subnormals(self):
+        _assert_rows_are_format([[-0.0, 0.0, 5e-324], [-5e-324, 1e-310, -2.2250738585072009e-308]])
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_widths_with_format_rows_at_line_ends(self, rng, width):
+        # Width 1 ends every value with a newline. 7 does not divide
+        # FLOAT_CHUNK_VALUES, so each chunk holds fewer values than it. Values
+        # left to format() sit at line ends and chunk ends too.
+        assert self.CHUNK % 7
+        n = (2 * self.CHUNK // width + 3) * width
+        values = _signed(rng, rng.uniform(size=n) * rng.lognormal(0.0, 4.0, n))
+        values[::13] = 0.0
+        values[5::17] = -0.0
+        values[9::19] = 5e-324
+        chunk = self.CHUNK // width * width
+        values[chunk - 1::chunk] = -5e-324
+        _assert_rows_are_format(values.reshape(-1, width))
 
     def test_empty_rows(self):
         assert _written(np.empty((3, 0))) == b"\n\n\n"

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from tensortopics import load_model, save_model, similarity_matrix
-from tensortopics.artifacts import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header
-from tensortopics.cli import build_parser, cli_run, run_report
+from tensortopics.artifacts import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header, save_tensor
+from tensortopics.cli import build_parser, cli_run, fix_blas_threads, run_report
 from tensortopics.config import apply_overrides, load_config
+from tensortopics.corpus_ingest import MODE_NAMES
 from tensortopics.ensemble import components_from_model
+from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
 
 from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase
 from test_golden import GOLDEN_ENV, GOLDEN_SHA256, assert_golden
@@ -721,12 +723,14 @@ class TestErrors:
             (lambda h: h.update(mode_names=["a", "a", "j", "w"]), "malformed model header: mode_names repeats a name"),
             (lambda h: h.pop("labels_ref"), "model header has no 'labels_ref' field"),
             (lambda h: h.update(labels_ref=7), "malformed model header: expected str or NoneType, got 7"),
+            (lambda h: h.update(mode_names=["x", "y"]), "model header names 2 mode(s), its shape has 4"),
+            (lambda h: h.update(mode_names=list("abcde")), "model header names 5 mode(s), its shape has 4"),
         ],
         ids=[
             "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
             "fractional_rank", "integral_float_rank", "bool_extent", "no_crc", "text_crc",
             "no_tensor_crc", "text_tensor_crc", "no_mode_names", "text_mode_names", "repeated_mode_name",
-            "no_labels_ref", "int_labels_ref",
+            "no_labels_ref", "int_labels_ref", "too_few_mode_names", "too_many_mode_names",
         ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -865,6 +869,11 @@ class TestErrors:
             (lambda s: s.update(pooled_count=8.0), "malformed selection header: expected int, got 8.0"),
             (lambda s: s.pop("stable_count"), "selection header has no 'stable_count' field"),
             (lambda s: s.update(stable_count="8"), "malformed selection header: expected int or NoneType, got '8'"),
+            (lambda s: s.update(pooled_count=-5), "pooled_count -5 is below the 2 kept; rerun select"),
+            (lambda s: s.update(pooled_count=1, stable_count=None), "pooled_count 1 is below the 2 kept"),
+            (lambda s: s.update(stable_count=1_000_000), "stable_count 1000000 is outside [2, 8]"),
+            (lambda s: s.update(stable_count=9), "stable_count 9 is outside [2, 8]"),
+            (lambda s: s.update(stable_count=1), "stable_count 1 is outside [2, 8]"),
         ],
         ids=[
             "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
@@ -874,6 +883,8 @@ class TestErrors:
             "nan_threshold", "infinite_threshold", "huge_threshold",
             "no_shape", "float_in_shape", "no_tensor_crc", "null_tensor_crc", "no_crc", "text_crc",
             "no_pooled_count", "float_pooled_count", "no_stable_count", "text_stable_count",
+            "negative_pooled_count", "pooled_below_kept", "huge_stable_count", "stable_above_pooled",
+            "stable_below_kept",
         ],
     )
     def test_bad_selection_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -1024,6 +1035,46 @@ class TestEntryPoints:
         proc = child("-c", code)
         assert proc.returncode == status, proc.stderr
         assert marker.exists() == fired
+
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # A tensor of the bench's `ensemble` size: 80 documents, each with one
+        # author, one journal and 110 distinct words of 1,580. At ranks 100
+        # and 200, OpenBLAS on two threads rounds otherwise than on one, so
+        # the payloads match only because main() pins it to one thread.
+        rng = np.random.default_rng(41)
+        shape = (25, 80, 10, 1580)
+        docs = np.repeat(np.arange(80), 110)
+        words = np.concatenate([rng.choice(1580, 110, replace=False) for _ in range(80)])
+        coords = np.column_stack([rng.integers(0, 25, 80)[docs], docs, rng.integers(0, 10, 80)[docs], words])
+        tensor = SparseTensorCOO(coords, np.log1p(rng.integers(1, 6, docs.size)).astype(np.float64), shape)
+        axes = [AxisMap(f"{name}{i}" for i in range(n)) for name, n in zip(MODE_NAMES, shape)]
+        cfg = tmp_path / "blas.cfg"
+        cfg.write_text("ranks = 100,200\nseed = 41\nmax_iters = 3\nfit_tolerance = 1e-15\n", encoding="utf-8")
+        payloads = []
+        for threads in ("1", "2"):
+            workdir = tmp_path / f"threads{threads}"
+            save_tensor(tensor, axes, MODE_NAMES, workdir / "tensor")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, *STAGE, "factorize", "--config", str(cfg), "--workdir", str(workdir)],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            payloads.append([(workdir / "models" / f"rank_{r}.model.npy").read_bytes() for r in (100, 200)])
+        assert payloads[0] == payloads[1]
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            mock.patch("tensortopics.cli.np.__file__", "/nonexistent/numpy/__init__.py"),
+            mock.patch("tensortopics.cli.ctypes.CDLL", return_value=object()),
+        ],
+        ids=["no_library", "no_symbol"],
+    )
+    def test_blas_pin_logs_what_is_missing(self, caplog, patch):
+        with caplog.at_level(logging.INFO, logger="tensortopics.cli"), patch:
+            assert not fix_blas_threads()
+        assert "BLAS thread count not pinned" in caplog.text
 
     def test_cli_import_leaves_fractions_and_decimal_out(self):
         # Exact arithmetic on Python ints is all the model text writer needs.
