@@ -223,8 +223,8 @@ def _normalize_ws(text: str) -> str:
 
 
 def _clean_label(text: str) -> str:
-    # lowercase, squash every run of digits/punctuation/other to a space
-    return _normalize_ws(re.sub(r"[^a-z]+", " ", text.lower()))
+    """The lowercased text's ASCII letter runs, joined by single spaces."""
+    return " ".join(_tokens(text.lower()))
 
 
 def _nonascii_letter_fraction(text: str) -> float:

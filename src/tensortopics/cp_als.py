@@ -231,8 +231,6 @@ def cp_als(
         raise ValueError("cannot factorize a tensor with no entries")
     if tensor.order < 2:
         raise ValueError("cp_als requires a tensor of order 2 or higher")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
 
     d = tensor.order
     factors = init_factors(tensor.shape, rank, opts.seed)

@@ -79,6 +79,7 @@ class SelectionResult:
 
     partners[i] lists (origin_rank, index_in_model) of the cross-rank
     components that certified kept[i] as stable; empty under greedy-dedup.
+    stable_count is the number of stable candidates, None under greedy-dedup.
     similarities holds the word-slice cosines the selection used, in pool
     order, with NaN in the row and column of each excluded component.
     """
@@ -192,13 +193,12 @@ def decompose_ensemble(
     opts: AlsOptions | None = None,
     threads: int = 1,
 ) -> list[Component]:
-    """Fit one CP model per configured rank and pool all components in rank order."""
-    models = ensemble_models(tensor, cfg.ranks, opts, threads)
-    pooled: list[Component] = []
-    for rank in cfg.ranks:
-        if rank in models:
-            pooled.extend(components_from_model(models[rank], rank))
-    return pooled
+    """Fit one CP model per configured rank and pool all components in rank
+    order, splitting each model into components as it is handed over."""
+    split = ensemble_models(
+        tensor, cfg.ranks, opts, threads, on_model=lambda rank, model: components_from_model(model, rank)
+    )
+    return [c for components in split.values() for c in components]
 
 
 def _word_vector(component: Component, word_mode: int) -> np.ndarray:
@@ -274,8 +274,6 @@ def select_components_detailed(
         logger.warning("excluded %d component(s) with all-zero word slices", dropped)
         similarities = np.full((n, n), np.nan)
         similarities[np.ix_(at, at)] = sims
-    if not comparable:
-        return SelectionResult([], [], n, 0, similarities)
 
     if cfg.strategy == "stable-then-dedup":
         origin = np.array([c.origin_rank for c in comparable])
