@@ -252,7 +252,7 @@ def cli_run(argv) -> int:
             overrides["ranks"] = config_mod.parse_ranks(overrides["ranks"])
         cfg = config_mod.apply_overrides(cfg, **overrides)
         _STAGES[args.command](cfg)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -550,6 +550,18 @@ class TestErrors:
         assert run("ingest", "--config", str(tmp_path / "nope.cfg")) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_key_error_is_a_bug_and_propagates(self, tmp_path, monkeypatch):
+        # Every reader names a missing key in a ValueError, so a KeyError out
+        # of a stage is a fault of the program: it shows its traceback.
+        import tensortopics.cli as cli_mod
+
+        def select(cfg):
+            raise KeyError("x")
+
+        monkeypatch.setitem(cli_mod._STAGES, "select", select)
+        with pytest.raises(KeyError, match="'x'"):
+            run("select", "--config", CFG, "--workdir", str(tmp_path))
+
     @pytest.mark.parametrize(
         "field,value",
         [

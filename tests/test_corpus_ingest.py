@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensortopics import (
     CleaningRules,
@@ -18,6 +20,7 @@ from tensortopics import (
 from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
     UNKNOWN_JOURNAL,
+    _clean_label,
     load_stopwords,
 )
 
@@ -267,6 +270,36 @@ class TestCleanAndFilter:
         )
         assert out[0].title == "covid vaccines"
         assert out[0].journal == "the lancet"
+
+    @staticmethod
+    def regex_clean_label(text):
+        """The regex form of label cleaning, the oracle of _clean_label."""
+        return " ".join(re.sub("[^a-z]+", " ", text.lower()).split())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\u212a",  # the Kelvin sign lowercases to an ASCII "k"
+            "a\u212ab",
+            "\u0130",  # "İ" lowercases to "i" plus a combining dot
+            "a\u0130b",
+            "\u00df",
+            "a\u00dfb",
+            "\ufb01",
+            "a\ufb01b",
+            "COVID-19 & Vaccines 2021!",
+            "2020--2021 ... 42",
+            "a1b22c333d!!e??",
+        ],
+    )
+    def test_label_cleaning_matches_the_regex_form(self, text):
+        assert _clean_label(text) == self.regex_clean_label(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.one_of(st.characters(), st.sampled_from("aZ9 -\u212a\u0130\u00df\ufb01")), max_size=40))
+    def test_generated_label_cleaning_matches_the_regex_form(self, text):
+        assert _clean_label(text) == self.regex_clean_label(text)
 
     def test_author_whitespace_normalized_verbatim_case(self):
         out = clean_and_filter([record(author="  Chen   Wei ")], CleaningRules())

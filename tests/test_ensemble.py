@@ -302,6 +302,19 @@ class TestSelectComponents:
         result = select_components_detailed([], cfg, WORD_MODE)
         assert result.kept == [] and result.pooled_count == 0
 
+    @pytest.mark.parametrize(
+        "pool",
+        [[], [make_component(2, 0, 5.0, np.zeros(4)), make_component(3, 0, 1.0, np.zeros(4))]],
+        ids=["empty", "all_zero_word_slices"],
+    )
+    @pytest.mark.parametrize("strategy,stable", [("stable-then-dedup", 0), ("greedy-dedup", None)])
+    def test_nothing_comparable_keeps_the_strategy_stable_count(self, pool, strategy, stable):
+        # greedy-dedup counts no stable candidates on any pool
+        cfg = SelectionConfig(ranks=(2, 3), threshold=0.35, strategy=strategy)
+        result = select_components_detailed(pool, cfg, WORD_MODE)
+        assert (result.kept, result.partners) == ([], [])
+        assert (result.pooled_count, result.stable_count) == (len(pool), stable)
+
     def test_negative_weight_ranked_by_magnitude(self):
         vec = basis(4, 0)
         pool = [
