@@ -308,8 +308,8 @@ class TestSelectComponents:
         ids=["empty", "all_zero_word_slices"],
     )
     @pytest.mark.parametrize("strategy,stable", [("stable-then-dedup", 0), ("greedy-dedup", None)])
-    def test_nothing_comparable_keeps_the_strategy_stable_count(self, pool, strategy, stable):
-        # greedy-dedup counts no stable candidates on any pool
+    def test_stable_count_when_nothing_is_comparable(self, pool, strategy, stable):
+        # greedy-dedup has no stability gate, so it counts no stable candidates
         cfg = SelectionConfig(ranks=(2, 3), threshold=0.35, strategy=strategy)
         result = select_components_detailed(pool, cfg, WORD_MODE)
         assert (result.kept, result.partners) == ([], [])

@@ -33,6 +33,7 @@ TOPIC_WORDS = (
 )
 words = st.one_of(st.sampled_from(TOPIC_WORDS), st.text(string.ascii_lowercase, min_size=1, max_size=9))
 phrases = st.lists(words, min_size=1, max_size=5).map(" ".join)
+names = st.lists(st.text(string.ascii_lowercase, min_size=1, max_size=6), min_size=1, max_size=3).map(" ".join)
 # Text between two words that every body filter drops.
 stopwords = st.sampled_from(sorted(DEFAULT_STOPWORDS))
 short_tokens = st.text(string.ascii_lowercase, min_size=1, max_size=2)
@@ -46,7 +47,7 @@ def rows(draw):
     return {
         "title": draw(phrases),
         "abstract": draw(phrases),
-        "first_author": draw(st.lists(st.text(string.ascii_lowercase, min_size=1, max_size=6), min_size=1, max_size=3).map(" ".join)),
+        "first_author": draw(names),
         "journal": draw(st.one_of(st.just(""), phrases)),
         "body": " ".join(draw(st.lists(words, max_size=12)) + [draw(st.sampled_from(TOPIC_WORDS))]),
     }
