@@ -44,14 +44,24 @@ models and their .npy payloads, selection.json, selection.npy, report.json
 and index.html. The tensor files and summary.json did not move. The program
 pins no kernel: another kernel, a pre-AVX2 or an aarch64 machine may
 legitimately write other model bytes.
+
+The toy tensor is small enough that every MTTKRP runs in one band of
+components and every model is written in one text chunk. A second golden
+run, on a planted-topic corpus of the benchmark's `ensemble` shape, pins the
+paths that only larger inputs reach: several bands, several chunks, ranks
+at and above the tensor's fiber count, and a 620-component pool. Its
+`--similarity-matrix` selection is pinned by rerunning select and report on
+a copy of its tree.
 """
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
 from conftest import DATA_DIR
+from planted_corpus import ENSEMBLE_SHAPE, generate, write_csv
 
 # The environment of every child whose output is compared with the hashes.
 GOLDEN_ENV = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
@@ -92,13 +102,13 @@ GOLDEN_SHA256 = {
 }
 
 
-def assert_golden(workdir):
-    """`workdir` holds exactly the golden files, each with its golden bytes."""
+def assert_golden(workdir, table=GOLDEN_SHA256):
+    """`workdir` holds exactly the files of `table`, each with its bytes."""
     written = sorted(
         p.relative_to(workdir).as_posix() for p in workdir.rglob("*") if p.is_file()
     )
-    assert written == sorted(GOLDEN_SHA256)
-    for name, digest in GOLDEN_SHA256.items():
+    assert written == sorted(table)
+    for name, digest in table.items():
         assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
 
 
@@ -108,13 +118,87 @@ def golden_child(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_toy_pipeline_bytes_are_golden(tmp_path):
+def assert_haswell_core():
     core = golden_child("-c", CORE_NAME)
     assert core.returncode == 0, f"OpenBLAS core name unknown: {core.stderr.strip()}"
     assert core.stdout.strip() == "Haswell", f"OpenBLAS runs the {core.stdout.strip()} kernels, not Haswell"
-    workdir = tmp_path / "run"
-    proc = golden_child(
-        "-m", "tensortopics.cli", "pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)
-    )
+
+
+def run_stage(*args):
+    """Run one CLI stage under GOLDEN_ENV; it must exit 0."""
+    proc = golden_child("-m", "tensortopics.cli", *map(str, args))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_toy_pipeline_bytes_are_golden(tmp_path):
+    assert_haswell_core()
+    workdir = tmp_path / "run"
+    run_stage("pipeline", "--config", DATA_DIR / "toy.cfg", "--workdir", workdir)
     assert_golden(workdir)
+
+
+# The benchmark's `ensemble` workload at seed 41, as its runner configures
+# it: the paper's seven ranks, 5 sweeps each (the tolerance is positive but
+# too small to stop a fit early) and threshold 0.9, at which the kept
+# components come from every rank. 620 components are pooled; every MTTKRP
+# above rank 20 runs in several bands, and the larger models are written in
+# several text chunks, which the toy run never reaches.
+ENSEMBLE_CONFIG = """\
+corpus = corpus.csv
+format = csv
+ranks = 20,40,60,80,100,120,200
+seed = 41
+max_iters = 5
+fit_tolerance = 1e-15
+threads = 1
+threshold = 0.9
+strategy = stable-then-dedup
+"""
+
+ENSEMBLE_SHA256 = {
+    "tensor/header.json": "f219b10a21456a621226f0207841ea42d68987b6d13ea609c912df1138efd4d6",
+    "tensor/entries.npy": "c862f7c4ad1876438c7b7652b7d5556ab5d262e308f80728221c8f8f571f768d",
+    "tensor/entries.tsv": "25011494c11e3b54f839fe4c4b7ae2a57c4ebaa289f00354aa4b1844122ec88c",
+    "tensor/mode0.labels.txt": "7fc3f10a392493d6dd8a8b0f22c10cdb471d9edc44a28039ef7113069cc986d9",
+    "tensor/mode1.labels.txt": "3f2f299a1b300ebdf4ca17e5d3cb6abdce50cb4a0c42e15658c8f7a4e71a6bea",
+    "tensor/mode2.labels.txt": "df2b260f9f763d7a3def4682b3557716e6ceccd945a6d5b26a8f23f81a90e9ee",
+    "tensor/mode3.labels.txt": "5a5f87126991ab2f10679e9e14b138d8b3ec5d24c00c54200e4851cc44ea6455",
+    "models/rank_20.model": "3433e8322e1d744a571d0fe89669329058e34d6e362dd7d2c10004ac004ad1f7",
+    "models/rank_20.model.npy": "1cc62513a0eb676ffb68e1e75436feb1df1d40e7046995ae01d74853f1c12468",
+    "models/rank_40.model": "c82af26a5ab6308a15d2703b4b6a1bc64764862fb57cae549bb08904f47398c2",
+    "models/rank_40.model.npy": "1844768f9b7f2ec93de03d826594130f5027327b9cd74cb6311be0dee4316508",
+    "models/rank_60.model": "bc15b91b85546935a8b11f0510531a98581cb183f4d38490a0aaa73b218270e9",
+    "models/rank_60.model.npy": "ff81c67b080eccdae66df9017d12029bdf887825902dea5c9950433ffabd5be3",
+    "models/rank_80.model": "077bb6f2fe83e88d679f8aa262e4fbbaa2ca7b16b6b338a74d58fbe67be4eded",
+    "models/rank_80.model.npy": "fc88c7b294497fa8493958a272c67c4d2835d215520122850dab6ac83f7e32ad",
+    "models/rank_100.model": "f9256760b9bd369a358f7b5e1a00fd441a30ff58e3156b05db073d70584894af",
+    "models/rank_100.model.npy": "5bb19e9abbac4175fbec37dedb956e32462f641a7f48964aadaafeec4722e54a",
+    "models/rank_120.model": "cfac49d85b740168fe01c2b98f08936b66746020c6db195581d096a84b0bbe7e",
+    "models/rank_120.model.npy": "ad438af0804677fddb20b160822be163930a1d6f26dfe694de994756c5029e0c",
+    "models/rank_200.model": "4cf5c90e723a5ce29a71a619b7ae10eebbd4fdb59b18666aafe0e643a24514e1",
+    "models/rank_200.model.npy": "c25f298ff705689b9aed0fc4a306b4c7f498095466d0ab709ac16689d0bef10d",
+    "selection.json": "d3d800237d1226cc039f1b02c0ab43d43222bf500af7d6564a5dafac233b8eab",
+    "selection.npy": "c655ef96cbe63ea395917f0b95f2a45ccdd677b7db426ca3bed78cbc7513e882",
+    "report/report.json": "165d022dc3593cb33e89eef1f548f37525892c24a8379b699f30ec63152a6f1c",
+    "report/summary.json": "775d4406a48609f7a2c56d1e875f16e4c944dd3874426ee41c58f60f409b378d",
+    "report/index.html": "0b87ed49715002b0726ced199732f3f37e77b3875e6e9af03897f944f9399ac0",
+}
+# selection.json as `select --similarity-matrix` rewrites it in that tree:
+# the same fields, then every pooled cosine. Nothing else moves.
+ENSEMBLE_MATRIX_SELECTION_SHA256 = "49947340a8d9c78acc563796ff4707346fcf76551fbee607c16da38911578072"
+
+
+def test_ensemble_pipeline_bytes_are_golden(tmp_path):
+    assert_haswell_core()
+    config = tmp_path / "input" / "ensemble.cfg"
+    write_csv(generate(41, **ENSEMBLE_SHAPE), config.parent / "corpus.csv")
+    config.write_text(ENSEMBLE_CONFIG, encoding="utf-8")
+    workdir = tmp_path / "run"
+    run_stage("pipeline", "--config", config, "--workdir", workdir)
+    assert_golden(workdir, ENSEMBLE_SHA256)
+
+    matrix = tmp_path / "matrix"
+    shutil.copytree(workdir, matrix)
+    run_stage("select", "--config", config, "--workdir", matrix, "--similarity-matrix")
+    run_stage("report", "--config", config, "--workdir", matrix)
+    assert_golden(matrix, {**ENSEMBLE_SHA256, "selection.json": ENSEMBLE_MATRIX_SELECTION_SHA256})
