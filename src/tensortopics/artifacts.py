@@ -569,46 +569,42 @@ def _read_table(payload: Path, artifact: Artifact, shape, rank: int, crc32, decl
 
 
 def save_selection(
-    path: Path, shape, tensor_crc32: int, selection, ranks, word_mode: int, result, similarity_matrix: bool,
+    path: Path, pool: KruskalModel, ids, tensor_crc32: int, selection, ranks, word_mode: int, result,
+    similarity_matrix: bool,
 ) -> None:
     """Write selection.json and, beside it, selection.npy.
 
-    selection.npy holds the kept components' numbers, written through
-    _write_table in a model payload's layout: the kept weights and factors
-    form a (1 + sum(shape), kept) table, one column per kept component in
-    kept order. selection.json records the settings, pooled ranks and
+    selection.npy holds the columns result.kept of the Kruskal table `pool`
+    that the selection ran on, in kept order, written through _write_table
+    in a model payload's layout; ids[j] is pool column j's (origin_rank,
+    index_in_model). selection.json records the settings, pooled ranks and
     counts, each kept component with its partners, the table's CRC-32, and
-    what it was selected from: the tensor's label counts `shape` and its
-    header's payload_crc32, `tensor_crc32`. With similarity_matrix it holds
-    every cosine too.
+    what it was selected from: the tensor's label counts, the pool's shape,
+    and its header's payload_crc32, `tensor_crc32`. With similarity_matrix
+    it holds every cosine too.
     """
     kept = result.kept
     crc32 = _write_table(
-        path.with_name(SELECTION_PAYLOAD_FILE),
-        np.array([c.weight for c in kept], dtype=np.float64),
-        [
-            np.array([c.factor_slices[mode] for c in kept], dtype=np.float64).reshape(len(kept), extent).T
-            for mode, extent in enumerate(shape)
-        ],
+        path.with_name(SELECTION_PAYLOAD_FILE), pool.weights[kept], [f[:, kept] for f in pool.factors]
     )
     fields = {
         "strategy": selection.strategy,
         "threshold": selection.threshold,
         "ranks": ranks,
         "word_mode": word_mode,
-        "shape": list(shape),
+        "shape": list(pool.shape),
         "tensor_payload_crc32": tensor_crc32,
         "payload_crc32": crc32,
         "pooled_count": result.pooled_count,
         "stable_count": result.stable_count,
         "kept": [
             {
-                "origin_rank": c.origin_rank,
-                "index_in_model": c.index_in_model,
-                "weight": c.weight,
+                "origin_rank": ids[j][0],
+                "index_in_model": ids[j][1],
+                "weight": float(pool.weights[j]),
                 "stability_partners": [list(p) for p in partners],
             }
-            for c, partners in zip(kept, result.partners)
+            for j, partners in zip(kept, result.partners)
         ],
     }
     if similarity_matrix:

@@ -30,13 +30,8 @@ from .corpus_ingest import (
     dedup,
     load_corpus,
 )
-from .ensemble import (
-    STRATEGIES,
-    components_from_model,
-    components_from_table,
-    ensemble_models,
-    select_components_detailed,
-)
+from .cp_als import KruskalModel
+from .ensemble import STRATEGIES, ensemble_models, select_pool
 from .report import build_report, emit_report
 
 logger = logging.getLogger(__name__)
@@ -105,10 +100,10 @@ def run_factorize(cfg) -> list[Path]:
     return list(paths.values())
 
 
-def _components(cfg, rank: int, shape, tensor_crc32: int) -> list:
-    """The components of models/rank_R.model, which must be a rank-R model of
-    the tensor's label counts `shape`, fit to the tensor whose payload CRC-32
-    is `tensor_crc32`; any other is a ValueError naming it."""
+def _model(cfg, rank: int, shape, tensor_crc32: int) -> KruskalModel:
+    """models/rank_R.model, which must be a rank-R model of the tensor's label
+    counts `shape`, fit to the tensor whose payload CRC-32 is
+    `tensor_crc32`; any other is a ValueError naming it."""
     path = _model_path(cfg, rank)
     model, header = load_model(path)
     if model.rank != rank:
@@ -124,11 +119,23 @@ def _components(cfg, rank: int, shape, tensor_crc32: int) -> list:
             f"{path}: fit to a tensor whose payload CRC-32 is {fitted}, "
             f"that of {_tensor_dir(cfg)} is {tensor_crc32}; rerun factorize"
         )
-    return components_from_model(model, rank)
+    return model
+
+
+def _pool(cfg, ranks, shape, tensor_crc32: int) -> KruskalModel:
+    """The models of `ranks`, each checked by _model, side by side in one
+    Kruskal table, in rank order. Each model is copied in and dropped before
+    the next is read, so the pool is held once."""
+    blocks = np.split(np.empty((1 + sum(shape), sum(ranks))), np.cumsum([1, *shape])[:-1])
+    for rank, end in zip(ranks, np.cumsum(ranks).tolist()):
+        model = _model(cfg, rank, shape, tensor_crc32)
+        for block, part in zip(blocks, [model.weights[None], *model.factors]):
+            block[:, end - rank:end] = part
+    return KruskalModel(blocks[0], blocks[1:])
 
 
 def run_select(cfg) -> Path:
-    """Model files checked by _components -> selection.json listing the kept
+    """Model files checked by _model -> selection.json listing the kept
     components, and selection.npy holding their numbers."""
     _require(cfg, "workdir")
     found_ranks = []
@@ -142,13 +149,14 @@ def run_select(cfg) -> Path:
         raise ValueError("no model files found for the configured ranks")
     shape = tuple(len(axis) for axis in load_axes(_tensor_dir(cfg))[0])
     tensor_crc32 = tensor_payload_crc32(_tensor_dir(cfg))
-    components = [c for rank in found_ranks for c in _components(cfg, rank, shape, tensor_crc32)]
+    pool = _pool(cfg, found_ranks, shape, tensor_crc32)
+    ids = [(rank, index) for rank in found_ranks for index in range(rank)]
     word_mode = len(shape) - 1
 
-    result = select_components_detailed(components, cfg.selection, word_mode)
+    result = select_pool(pool.weights, pool.factors[word_mode].T, ids, cfg.selection)
     path = _selection_path(cfg)
     save_selection(
-        path, shape, tensor_crc32, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
+        path, pool, ids, tensor_crc32, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
     )
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
@@ -167,12 +175,9 @@ def run_report(cfg) -> Path:
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
     axes, mode_names = load_axes(_tensor_dir(cfg))
     word_mode, kept, table, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
-    reports = [
-        build_report(
-            component, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
-        )
-        for component in components_from_table(table, kept)
-    ]
+    reports = build_report(
+        table, kept, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
+    )
     return emit_report(reports, out_dir, meta)
 
 

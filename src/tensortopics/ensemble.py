@@ -77,6 +77,8 @@ class Component:
 class SelectionResult:
     """Kept components plus the evidence behind the decision.
 
+    kept lists the kept components in kept order: their pool positions from
+    select_pool, the Components themselves from select_components_detailed.
     partners[i] lists (origin_rank, index_in_model) of the cross-rank
     components that certified kept[i] as stable; empty under greedy-dedup.
     stable_count is the number of stable candidates, None under greedy-dedup.
@@ -96,19 +98,13 @@ def rank_seed(base_seed: int, rank: int) -> int:
     return int(np.random.SeedSequence([int(base_seed), int(rank)]).generate_state(1)[0])
 
 
-def components_from_table(table: KruskalModel, ids) -> list[Component]:
-    """One Component per column of a Kruskal table; ids[j] is column j's
-    (origin_rank, index_in_model). Each column is copied, so the table can be
-    freed while its components live."""
-    return [
-        Component(int(rank), int(index), float(table.weights[j]), [np.array(f[:, j]) for f in table.factors])
-        for j, (rank, index) in enumerate(ids)
-    ]
-
-
 def components_from_model(model: KruskalModel, origin_rank: int) -> list[Component]:
-    """Split a model into per-component column slices."""
-    return components_from_table(model, [(origin_rank, r) for r in range(model.rank)])
+    """Split a model into per-component column slices. Each column is copied,
+    so the model can be freed while its components live."""
+    return [
+        Component(origin_rank, r, float(model.weights[r]), [np.array(f[:, r]) for f in model.factors])
+        for r in range(model.rank)
+    ]
 
 
 def ensemble_models(
@@ -201,118 +197,114 @@ def decompose_ensemble(
     return [c for components in split.values() for c in components]
 
 
-def _word_vector(component: Component, word_mode: int) -> np.ndarray:
-    return np.asarray(component.word_slice(word_mode), dtype=np.float64).reshape(-1)
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(v, v)))
-
-
 def cosine(u, v) -> float:
     """Cosine similarity of two equal-length vectors; zero vectors are rejected."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
         raise ValueError(f"vector length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = _norm(u)
-    nv = _norm(v)
+    nu, nv = math.sqrt(float(np.dot(u, u))), math.sqrt(float(np.dot(v, v)))
     if nu == 0.0 or nv == 0.0:
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     return float(np.dot(u, v)) / (nu * nv)
 
 
-def similarity_matrix(components, word_mode: int) -> np.ndarray:
-    """Pairwise word-slice cosine matrix: symmetric, unit diagonal.
+def _rows(words) -> tuple[np.ndarray, np.ndarray]:
+    """A C-ordered float64 copy of the (items, words) matrix `words`, and the
+    2-norm of each of its rows."""
+    rows = np.array(words, dtype=np.float64, order="C")
+    return rows, np.sqrt([np.dot(row, row) for row in rows])
 
-    The one place word slices are normalized; a zero slice has no direction
-    and raises ZeroVectorError.
-    """
-    if len(components) == 0:
-        raise ValueError("similarity_matrix requires at least one component")
-    lengths = {len(c.word_slice(word_mode)) for c in components}
-    if len(lengths) != 1:
-        raise ValueError(f"components disagree on word-mode extent: {sorted(lengths)}")
-    mat = np.array([_word_vector(c, word_mode) for c in components])
-    for row, c in zip(mat, components):
-        n = _norm(row)
-        if n == 0.0:
-            raise ZeroVectorError(
-                f"component (rank {c.origin_rank}, index {c.index_in_model}) "
-                "has an all-zero word slice"
-            )
-        row /= n
-    sims = mat @ mat.T
+
+def _cosines(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The cosine matrix of `rows`, whose 2-norms `norms` are nonzero; the
+    rows are normalized in place."""
+    rows /= norms[:, None]
+    sims = rows @ rows.T
     sims = (sims + sims.T) / 2.0
     np.fill_diagonal(sims, 1.0)
     return sims
 
 
-def select_components_detailed(
-    components, cfg: SelectionConfig, word_mode: int
-) -> SelectionResult:
-    """Select a deduplicated component subset by word-factor cosine similarity.
+def similarity_matrix(words) -> np.ndarray:
+    """Pairwise cosines of the rows of the (items, words) matrix `words`, one
+    word slice per row: symmetric, unit diagonal. An all-zero row has no
+    direction and raises ZeroVectorError naming it."""
+    rows, norms = _rows(words)
+    if rows.shape[0] == 0:
+        raise ValueError("similarity_matrix requires at least one row")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.shape[0]:
+        raise ZeroVectorError(f"row {zero[0]} is an all-zero word slice")
+    return _cosines(rows, norms)
 
-    stable-then-dedup: a component is a candidate only if some component from
-    a DIFFERENT rank matches it at cosine >= threshold (cross-rank recurrence
+
+def select_pool(weights, words, ids, cfg: SelectionConfig) -> SelectionResult:
+    """Select a deduplicated subset of a component pool by word-factor cosine
+    similarity. Pool item j is weights[j], row j of the (pool, words) matrix
+    `words`, and ids[j], its (origin_rank, index_in_model); the result's kept
+    lists the kept items' pool positions.
+
+    stable-then-dedup: an item is a candidate only if some item from a
+    DIFFERENT rank matches it at cosine >= threshold (cross-rank recurrence
     as evidence it is not an artifact of one rank choice); candidates are then
-    greedily deduplicated. greedy-dedup: all components are candidates.
+    greedily deduplicated. greedy-dedup: all items are candidates.
 
     Either way, candidates are visited in descending |weight| order (ties by
     (origin_rank, index_in_model)) and kept iff their cosine to every
-    already-kept component is < threshold. Components with all-zero word
-    slices cannot be compared and are excluded up front with a warning.
+    already-kept item is < threshold. Items with all-zero word slices cannot
+    be compared and are excluded up front with a warning.
     """
-    components = list(components)
-    n = len(components)
-    at = [i for i, c in enumerate(components) if _norm(_word_vector(c, word_mode)) != 0.0]
-    comparable = [components[i] for i in at]
-    dropped = n - len(comparable)
-    sims = similarity_matrix(comparable, word_mode) if comparable else np.empty((0, 0))
-    similarities = sims
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 2)
+    rows, norms = _rows(words)
+    n = rows.shape[0]
+    at = np.flatnonzero(norms != 0.0)
+    dropped = n - at.shape[0]
     if dropped:
         logger.warning("excluded %d component(s) with all-zero word slices", dropped)
+        rows = rows[at]
+    sims = _cosines(rows, norms[at])
+    similarities = sims
+    if dropped:
         similarities = np.full((n, n), np.nan)
         similarities[np.ix_(at, at)] = sims
 
+    origin, index, magnitude = ids[at, 0], ids[at, 1], np.abs(weights[at])
     if cfg.strategy == "stable-then-dedup":
-        origin = np.array([c.origin_rank for c in comparable])
         witness = (sims >= cfg.threshold) & (origin[:, None] != origin[None, :])
-        candidates = np.flatnonzero(witness.any(axis=1)).tolist()
-        stable_count = len(candidates)
+        candidates = np.flatnonzero(witness.any(axis=1))
+        stable_count = int(candidates.shape[0])
     else:
         witness = np.zeros(sims.shape, dtype=bool)
-        candidates = list(range(len(comparable)))
+        candidates = np.arange(at.shape[0])
         stable_count = None
 
-    candidates.sort(
-        key=lambda i: (
-            -abs(comparable[i].weight),
-            comparable[i].origin_rank,
-            comparable[i].index_in_model,
-        )
-    )
-    # sims is symmetric, so row i of a kept component is its column: a
-    # candidate is blocked iff some kept component is within the threshold.
-    blocked = np.zeros(len(comparable), dtype=bool)
-    kept_local: list[int] = []
-    for i in candidates:
+    candidates = candidates[np.lexsort((index[candidates], origin[candidates], -magnitude[candidates]))]
+    # sims is symmetric, so row i of a kept item is its column: a candidate
+    # is blocked iff some kept item is within the threshold.
+    blocked = np.zeros(at.shape[0], dtype=bool)
+    kept: list[int] = []
+    for i in candidates.tolist():
         if not blocked[i]:
-            kept_local.append(i)
+            kept.append(i)
             blocked |= sims[i] >= cfg.threshold
 
-    kept = [comparable[i] for i in kept_local]
-    partners = [
-        sorted(
-            (comparable[j].origin_rank, comparable[j].index_in_model)
-            for j in np.flatnonzero(witness[i])
-        )
-        for i in kept_local
-    ]
-    return SelectionResult(
-        kept=kept,
-        partners=partners,
-        pooled_count=n,
-        stable_count=stable_count,
-        similarities=similarities,
+    partners = [sorted(map(tuple, ids[at[witness[i]]].tolist())) for i in kept]
+    return SelectionResult(at[kept].tolist(), partners, n, stable_count, similarities)
+
+
+def select_components_detailed(
+    components, cfg: SelectionConfig, word_mode: int
+) -> SelectionResult:
+    """select_pool on a list of Components, comparing their word_mode
+    slices; the result's kept lists the kept Components themselves."""
+    components = list(components)
+    words = [c.word_slice(word_mode) for c in components]
+    result = select_pool(
+        [c.weight for c in components],
+        np.array(words, dtype=np.float64) if words else np.empty((0, 0)),
+        [(c.origin_rank, c.index_in_model) for c in components],
+        cfg,
     )
+    return replace(result, kept=[components[i] for i in result.kept])

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import ComponentReport, save_reports
-from .ensemble import Component
 from .sparse_tensor import AxisMap
 
 logger = logging.getLogger(__name__)
@@ -25,18 +24,19 @@ DEFAULT_KEYWORD_COUNT = 50
 WORD_MODE = 3
 
 
-def top_n(component: Component, mode: int, n: int, axis: AxisMap) -> list[tuple[str, float]]:
-    """The n largest entries of one factor slice as (label, score) pairs.
+def top_n(values, n: int, axis: AxisMap) -> list[tuple[str, float]]:
+    """The n largest of one factor column's scores `values` as (label,
+    score) pairs.
 
     Ordered by descending score, ties broken lexicographically by label.
     Asking for more entries than the mode has returns them all.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    values = np.asarray(component.factor_slices[mode], dtype=np.float64).reshape(-1)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(axis) != values.shape[0]:
         raise ValueError(
-            f"axis has {len(axis)} labels but the factor slice has {values.shape[0]} rows"
+            f"axis has {len(axis)} labels but the factor column has {values.shape[0]} rows"
         )
     candidates = np.arange(values.shape[0])
     if n < values.shape[0] and not np.isnan(values).any():
@@ -51,35 +51,38 @@ def top_n(component: Component, mode: int, n: int, axis: AxisMap) -> list[tuple[
 
 
 def build_report(
-    component: Component,
+    table,
+    ids,
     axes,
     mode_names,
     n: int = DEFAULT_TOP_N,
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
     word_mode: int = WORD_MODE,
-) -> ComponentReport:
-    """Summarize one component against the tensor axes.
+) -> list[ComponentReport]:
+    """Summarize each column of the Kruskal table `table` against the tensor
+    axes; ids[j] is column j's (origin_rank, index_in_model).
 
-    Each mode is ranked once: the word mode's top n and its keywords are
-    both prefixes of the same ranking.
+    Each mode of each column is ranked once: the word mode's top n and its
+    keywords are both prefixes of the same ranking.
     """
-    if len(axes) != len(mode_names) or len(axes) != len(component.factor_slices):
-        raise ValueError("axes, mode names, and factor slices must align")
+    if len(axes) != len(mode_names) or len(axes) != len(table.factors):
+        raise ValueError("axes, mode names, and factors must align")
+    if len(ids) != table.rank:
+        raise ValueError(f"{len(ids)} ids for a table of {table.rank} columns")
     if min(n, keyword_count) < 1:
         raise ValueError(f"n and keyword_count must be >= 1, got {n} and {keyword_count}")
     if not 0 <= word_mode < len(axes):
         raise ValueError(f"word_mode must be in [0, {len(axes)}), got {word_mode}")
-    ranked = [
-        top_n(component, mode, max(n, keyword_count) if mode == word_mode else n, axis)
-        for mode, axis in enumerate(axes)
-    ]
-    return ComponentReport(
-        origin_rank=component.origin_rank,
-        index_in_model=component.index_in_model,
-        weight=component.weight,
-        mode_tops={str(name): tops[:n] for name, tops in zip(mode_names, ranked)},
-        keywords=ranked[word_mode][:keyword_count],
-    )
+    counts = [max(n, keyword_count) if mode == word_mode else n for mode in range(len(axes))]
+    # Each factor is transposed once, so every column is ranked from contiguous memory.
+    columns = [np.ascontiguousarray(f.T) for f in table.factors]
+    reports = []
+    for j, (origin_rank, index_in_model) in enumerate(ids):
+        ranked = [top_n(c[j], count, axis) for c, count, axis in zip(columns, counts, axes)]
+        tops = {str(name): pairs[:n] for name, pairs in zip(mode_names, ranked)}
+        weight, keywords = float(table.weights[j]), ranked[word_mode][:keyword_count]
+        reports.append(ComponentReport(int(origin_rank), int(index_in_model), weight, tops, keywords))
+    return reports
 
 
 def emit_report(reports, out_dir: str | Path, run_meta: dict) -> Path:

@@ -7,6 +7,7 @@ gather/scatter over the nonzeros.
 
 import io
 import json
+import math
 import os
 import re
 import zlib
@@ -19,6 +20,7 @@ import pytest
 
 from tensortopics import CleaningRules, CorpusRecord, build_counts
 from tensortopics.corpus_ingest import UNKNOWN_JOURNAL
+from tensortopics.ensemble import SelectionResult, ZeroVectorError
 from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -383,6 +385,74 @@ PAYLOAD_FAULTS = {
 def payload_phrase(fault, artifact):
     """PAYLOAD_FAULTS[fault]'s phrase for a payload of `artifact`."""
     return PAYLOAD_FAULTS[fault][1].format(kind=artifact.kind, stage=artifact.stage)
+
+
+def word_rows(components, word_mode):
+    """The (items, words) matrix of the components' word slices, one per row."""
+    return np.array([c.word_slice(word_mode) for c in components], dtype=np.float64)
+
+
+def _word_vector(component, word_mode):
+    return np.asarray(component.word_slice(word_mode), dtype=np.float64).reshape(-1)
+
+
+def _norm(v):
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def similarity_matrix_oracle(components, word_mode):
+    """Per-component cosine matrix: each word slice copied into a row of one
+    matrix and divided by its own 2-norm, as a Python float, then the rows'
+    Gram matrix, symmetrized, with a unit diagonal. A zero slice raises
+    ZeroVectorError."""
+    mat = np.array([_word_vector(c, word_mode) for c in components])
+    for row in mat:
+        norm = _norm(row)
+        if norm == 0.0:
+            raise ZeroVectorError("all-zero word slice")
+        row /= norm
+    sims = mat @ mat.T
+    sims = (sims + sims.T) / 2.0
+    np.fill_diagonal(sims, 1.0)
+    return sims
+
+
+def select_components_oracle(components, cfg, word_mode):
+    """Per-component selection, as the library ran it before it selected on
+    arrays: components with all-zero word slices are set aside, the rest
+    are compared by similarity_matrix_oracle, candidates are sorted by
+    (-|weight|, origin_rank, index_in_model) with Python's sort and kept
+    greedily. Returns a SelectionResult whose kept holds the Components."""
+    components = list(components)
+    n = len(components)
+    at = [i for i, c in enumerate(components) if _norm(_word_vector(c, word_mode)) != 0.0]
+    comparable = [components[i] for i in at]
+    sims = similarity_matrix_oracle(comparable, word_mode) if comparable else np.empty((0, 0))
+    similarities = sims
+    if len(comparable) < n:
+        similarities = np.full((n, n), np.nan)
+        similarities[np.ix_(at, at)] = sims
+    if cfg.strategy == "stable-then-dedup":
+        origin = np.array([c.origin_rank for c in comparable])
+        witness = (sims >= cfg.threshold) & (origin[:, None] != origin[None, :])
+        candidates = np.flatnonzero(witness.any(axis=1)).tolist()
+        stable_count = len(candidates)
+    else:
+        witness = np.zeros(sims.shape, dtype=bool)
+        candidates = list(range(len(comparable)))
+        stable_count = None
+    candidates.sort(key=lambda i: (-abs(comparable[i].weight), comparable[i].origin_rank, comparable[i].index_in_model))
+    blocked = np.zeros(len(comparable), dtype=bool)
+    kept = []
+    for i in candidates:
+        if not blocked[i]:
+            kept.append(i)
+            blocked |= sims[i] >= cfg.threshold
+    partners = [
+        sorted((comparable[j].origin_rank, comparable[j].index_in_model) for j in np.flatnonzero(witness[i]))
+        for i in kept
+    ]
+    return SelectionResult([comparable[i] for i in kept], partners, n, stable_count, similarities)
 
 
 def top_n_oracle(values, labels, n):

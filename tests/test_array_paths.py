@@ -49,7 +49,6 @@ from tensortopics.corpus_ingest import (
     _scan,
 )
 from tensortopics.cli import cli_run
-from tensortopics.ensemble import Component
 from tensortopics.report import top_n
 
 from conftest import (
@@ -896,13 +895,11 @@ class TestTopN:
         labels = data.draw(
             st.lists(st.text(alphabet="abc", max_size=3), min_size=size, max_size=size, unique=True)
         )
-        component = Component(0, 0, 1.0, [np.array(values)])
-        assert top_n(component, 0, n, AxisMap(labels)) == top_n_oracle(values, labels, n)
+        assert top_n(np.array(values), n, AxisMap(labels)) == top_n_oracle(values, labels, n)
 
     def test_nan_slice_matches_full_sort(self):
         values = [0.5, float("nan"), 0.5, 1.0, float("nan"), 0.0]
         labels = ["f", "e", "d", "c", "b", "a"]
-        component = Component(0, 0, 1.0, [np.array(values)])
         for n in range(1, 7):
-            got = top_n(component, 0, n, AxisMap(labels))
+            got = top_n(np.array(values), n, AxisMap(labels))
             assert str(got) == str(top_n_oracle(values, labels, n))  # str: nan != nan

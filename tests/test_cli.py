@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensortopics import load_model, save_model, similarity_matrix
+from tensortopics import SelectionConfig, load_model, save_model, similarity_matrix
 from tensortopics.artifacts import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header, save_tensor
 from tensortopics.cli import build_parser, cli_run, fix_blas_threads, run_report
 from tensortopics.config import apply_overrides, load_config
@@ -21,7 +21,7 @@ from tensortopics.corpus_ingest import MODE_NAMES
 from tensortopics.ensemble import components_from_model
 from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
 
-from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase
+from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase, select_components_oracle
 from test_golden import GOLDEN_ENV, GOLDEN_SHA256, assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
@@ -337,6 +337,35 @@ class TestOverrides:
             b / "models" / "rank_3.model"
         ).read_bytes()
 
+    def test_selection_matches_the_per_component_oracle(self, tmp_path):
+        # select pools the toy models into one table; what it writes is what
+        # the per-component selection keeps from the same models.
+        workdir = tmp_path / "run"
+        for cmd in ("ingest", "factorize"):
+            assert run(cmd, "--config", CFG, "--workdir", str(workdir)) == 0
+        pool = [
+            c for r in (3, 5)
+            for c in components_from_model(load_model(workdir / "models" / f"rank_{r}.model")[0], r)
+        ]
+        for strategy in ("stable-then-dedup", "greedy-dedup"):
+            select = ("select", "--config", CFG, "--workdir", str(workdir), "--strategy", strategy)
+            assert run(*select, "--similarity-matrix") == 0
+            payload = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
+            cfg = SelectionConfig(ranks=(3, 5), threshold=0.35, strategy=strategy)
+            want = select_components_oracle(pool, cfg, 3)
+            assert want.kept
+            assert payload["kept"] == [
+                {"origin_rank": c.origin_rank, "index_in_model": c.index_in_model, "weight": c.weight,
+                 "stability_partners": [list(p) for p in partners]}
+                for c, partners in zip(want.kept, want.partners)
+            ]
+            assert (payload["pooled_count"], payload["stable_count"]) == (want.pooled_count, want.stable_count)
+            assert payload["similarity_matrix"] == want.similarities.tolist()
+            table = np.load(workdir / "selection.npy")
+            assert np.array_equal(
+                table, np.array([[c.weight, *np.concatenate(c.factor_slices)] for c in want.kept]).T
+            )
+
     def test_similarity_matrix_flag(self, tmp_path):
         workdir = tmp_path / "run"
         for cmd in ("ingest", "factorize"):
@@ -359,12 +388,13 @@ class TestOverrides:
         selection = workdir / "selection.json"
         models = [workdir / "models" / f"rank_{r}.model" for r in (3, 5)]
 
-        def pool():
-            return [c for r, m in zip((3, 5), models) for c in components_from_model(load_model(m)[0], r)]
+        def pool_words():
+            """The models' word slices, one per row, in pool order."""
+            return np.hstack([load_model(m)[0].factors[3] for m in models]).T
 
         assert run(*select, "--similarity-matrix") == 0
         matrix = json.loads(selection.read_text(encoding="utf-8"))["similarity_matrix"]
-        assert matrix == similarity_matrix(pool(), 3).tolist()
+        assert matrix == similarity_matrix(pool_words()).tolist()
 
         # Zero the word column of (rank 5, index 4): pool entry 3 + 4.
         model, header = load_model(models[1])
@@ -384,8 +414,7 @@ class TestOverrides:
         assert len(matrix) == n and all(len(row) == n for row in matrix)
         assert all(matrix[excluded][i] is None and matrix[i][excluded] is None for i in range(n))
         rest = [i for i in range(n) if i != excluded]
-        components = pool()
-        want = similarity_matrix([components[i] for i in rest], 3).tolist()
+        want = similarity_matrix(pool_words()[rest]).tolist()
         assert [[matrix[i][j] for j in rest] for i in rest] == want
 
     def test_threads_do_not_change_outputs(self, tmp_path):

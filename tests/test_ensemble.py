@@ -18,7 +18,7 @@ from tensortopics import (
 )
 from tensortopics.ensemble import components_from_model, ensemble_models, rank_seed
 
-from conftest import random_sparse
+from conftest import random_sparse, select_components_oracle, similarity_matrix_oracle, word_rows
 
 WORD_MODE = 3
 
@@ -234,7 +234,7 @@ class TestSelectComponents:
         assert result.partners[0] == [(40, 0), (60, 0)]
         assert result.partners[1] == [(60, 1)]
         # kept pair is dissimilar
-        sims = similarity_matrix(result.kept, WORD_MODE)
+        sims = similarity_matrix(word_rows(result.kept, WORD_MODE))
         assert abs(sims[0, 1]) < cfg.threshold
 
     def test_kept_pairs_always_below_threshold(self, rng):
@@ -249,7 +249,7 @@ class TestSelectComponents:
             )
             kept = select_components_detailed(pool, cfg, WORD_MODE).kept
             assert kept
-            sims = similarity_matrix(kept, WORD_MODE)
+            sims = similarity_matrix(word_rows(kept, WORD_MODE))
             off_diag = sims[~np.eye(len(kept), dtype=bool)]
             assert np.all(off_diag < cfg.threshold)
 
@@ -346,7 +346,7 @@ class TestSelectComponents:
         for threshold in (0.5, 0.8, 0.95):
             cfg = SelectionConfig(ranks=(2, 3, 5), threshold=threshold)
             result = select_components_detailed(pool, cfg, WORD_MODE)
-            sims = similarity_matrix(pool, WORD_MODE)
+            sims = similarity_matrix(word_rows(pool, WORD_MODE))
             stable = 0
             witnesses = {}
             for i, c in enumerate(pool):
@@ -418,7 +418,7 @@ class TestSelectionMatchesPairwiseOracle:
             make_component(2, 0, 3.0, [1.0, 0.0, 0.0, 0.0]),
             make_component(3, 0, 2.0, [1.0, 1.0, 1.0, 1.0]),
         ]
-        assert similarity_matrix(pool, WORD_MODE)[0, 1] == 0.5
+        assert similarity_matrix(word_rows(pool, WORD_MODE))[0, 1] == 0.5
         for threshold in (0.5, np.nextafter(0.5, 1.0)):
             cfg = SelectionConfig(ranks=(2, 3), threshold=threshold, strategy=strategy)
             result = select_components_detailed(pool, cfg, WORD_MODE)
@@ -437,7 +437,7 @@ class TestSelectionMatchesPairwiseOracle:
 class TestSimilarityMatrix:
     def test_matches_pairwise_cosine(self, rng):
         pool = [make_component(2, i, 1.0, rng.standard_normal(6)) for i in range(5)]
-        sims = similarity_matrix(pool, WORD_MODE)
+        sims = similarity_matrix(word_rows(pool, WORD_MODE))
         assert sims.shape == (5, 5)
         np.testing.assert_allclose(sims, sims.T, atol=1e-15)
         np.testing.assert_array_equal(np.diag(sims), np.ones(5))
@@ -449,12 +449,12 @@ class TestSimilarityMatrix:
     def test_zero_vector_rejected(self):
         pool = [make_component(2, 0, 1.0, np.zeros(3))]
         with pytest.raises(ZeroVectorError):
-            similarity_matrix(pool, WORD_MODE)
+            similarity_matrix(word_rows(pool, WORD_MODE))
 
     def test_names_the_first_zero_word_slice(self):
         pool = [make_component(2, i, 1.0, np.ones(3) * (i % 2 == 0)) for i in range(4)]
-        with pytest.raises(ZeroVectorError, match=r"\(rank 2, index 1\)"):
-            similarity_matrix(pool, WORD_MODE)
+        with pytest.raises(ZeroVectorError, match=r"row 1 is an all-zero word slice"):
+            similarity_matrix(word_rows(pool, WORD_MODE))
 
     def test_equals_per_row_construction_bitwise(self, rng):
         model = KruskalModel(rng.random(9), [rng.random((n, 9)) for n in (2, 3, 2, 300)])
@@ -468,8 +468,11 @@ class TestSimilarityMatrix:
         want = mat @ mat.T
         want = (want + want.T) / 2.0
         np.fill_diagonal(want, 1.0)
-        assert np.array_equal(similarity_matrix(pool, WORD_MODE), want)
+        assert np.array_equal(similarity_matrix(word_rows(pool, WORD_MODE)), want)
+        # A model's word factor, whose columns select hands over as strided rows.
+        want = similarity_matrix_oracle(pool[:9], WORD_MODE)
+        assert np.array_equal(similarity_matrix(model.factors[WORD_MODE].T), want)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            similarity_matrix([], WORD_MODE)
+            similarity_matrix(np.empty((0, 5)))

@@ -2,7 +2,9 @@
 
 arrange() represents the same tensor as its input (it keeps the fit) and
 orders components by descending absolute weight, ties by position;
-selection does not depend on the order of the pooled components; one
+selection does not depend on the order of the pooled components, and
+selecting on arrays keeps what the per-component selection kept, bit for
+bit; one
 rank-one term per last-mode fiber reproduces a tensor exactly, so the fiber
 count bounds its CP rank, as factorize's warning states. arrange()
 is idempotent only up to rounding that grows with cancellation inside a
@@ -15,9 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tensortopics import KruskalModel, SelectionConfig, SparseTensorCOO, arrange, fit
-from tensortopics.ensemble import Component, select_components_detailed
+from tensortopics.ensemble import Component, select_components_detailed, select_pool
 
-from conftest import dense_from_model, to_dense
+from conftest import dense_from_model, select_components_oracle, to_dense, word_rows
 
 PROPERTY = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -187,3 +189,63 @@ class TestSelectionOrder:
         assert ids(got) == ids(want)
         assert got.partners == want.partners
         assert got.stable_count == want.stable_count
+
+
+# cosine((1, 0, 0, 0), (1, 1, 1, 1)) is exactly 0.5, and so is the cosine of
+# their multiples by 0.5 and 3.0: threshold 0.5 puts such pairs exactly at it.
+SLICES = [
+    [1.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, 1.0, 1.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, 0.0, 0.0],
+    [0.9, 1.0, 0.1, 0.0],
+    [0.0, -0.2, 1.0, 0.7],
+    [-1.0, 0.0, 0.0, 0.0],
+]
+
+
+@st.composite
+def any_pools(draw):
+    """Pools of 0 to 12 components from ranks 2, 3 and 5, in any order,
+    with word slices from SLICES times a scale (so duplicates, pairs at the
+    threshold and all-zero slices occur) and weights with ties and signs."""
+    size = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5]), st.integers(0, 4)), min_size=size, max_size=size, unique=True))
+    return [
+        Component(
+            origin_rank=rank,
+            index_in_model=index,
+            weight=draw(st.sampled_from([1.0, -1.0, 0.5, 2.0, -2.0, 0.0])),
+            factor_slices=[np.ones(2), np.array(draw(st.sampled_from(SLICES))) * draw(st.sampled_from([1.0, 0.5, 3.0]))],
+        )
+        for rank, index in ids
+    ]
+
+
+class TestArraySelection:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        pool=any_pools(),
+        threshold=st.sampled_from([0.0, 0.3, 0.5, float(np.nextafter(0.5, 1.0)), 0.9, 1.0, 1.5]),
+        strategy=st.sampled_from(["stable-then-dedup", "greedy-dedup"]),
+    )
+    @example(pool=[], threshold=0.35, strategy="stable-then-dedup")
+    @example(pool=[], threshold=0.35, strategy="greedy-dedup")
+    def test_matches_the_per_component_oracle(self, pool, threshold, strategy):
+        cfg = SelectionConfig(ranks=(2, 3, 5), threshold=threshold, strategy=strategy)
+        want = select_components_oracle(pool, cfg, word_mode=1)
+        ids = [(c.origin_rank, c.index_in_model) for c in pool]
+        # The word slices as select hands them over: the strided rows of a
+        # table whose column j is pool item j's word slice.
+        table = np.ascontiguousarray(word_rows(pool, 1).reshape(len(pool), 4).T)
+        on_arrays = select_pool([c.weight for c in pool], table.T, ids, cfg)
+        on_components = select_components_detailed(pool, cfg, word_mode=1)
+        assert on_components.kept == want.kept
+        assert all(a is b for a, b in zip(on_components.kept, want.kept))
+        assert [ids[j] for j in on_arrays.kept] == [(c.origin_rank, c.index_in_model) for c in want.kept]
+        for got in (on_arrays, on_components):
+            assert got.partners == want.partners
+            assert all(type(x) is int for p in got.partners for pair in p for x in pair)
+            assert (got.pooled_count, got.stable_count) == (want.pooled_count, want.stable_count)
+            assert got.similarities.shape == want.similarities.shape
+            assert np.array_equal(got.similarities, want.similarities, equal_nan=True)

@@ -5,8 +5,8 @@ import pytest
 
 from tensortopics import (
     AxisMap,
-    Component,
     ComponentReport,
+    KruskalModel,
     build_report,
     emit_report,
     load_reports,
@@ -15,13 +15,16 @@ from tensortopics import (
 from tensortopics.report import DEFAULT_KEYWORD_COUNT, DEFAULT_TOP_N, WORD_MODE
 
 
-def make_component(slices, weight=2.0, origin_rank=20, index_in_model=0):
-    return Component(
-        origin_rank=origin_rank,
-        index_in_model=index_in_model,
-        weight=weight,
-        factor_slices=[np.asarray(s, dtype=np.float64) for s in slices],
-    )
+def make_table(slices, weight=2.0):
+    """A one-column Kruskal table: `weight` and one factor column per mode."""
+    return KruskalModel([weight], [np.asarray(s, dtype=np.float64)[:, None] for s in slices])
+
+
+def report_of(slices, axes, weight=2.0, origin_rank=20, index_in_model=0, **kwargs):
+    """build_report's one report on make_table(slices, weight)."""
+    table = make_table(slices, weight)
+    (report,) = build_report(table, [(origin_rank, index_in_model)], axes, MODE_NAMES, **kwargs)
+    return report
 
 
 WORD_AXIS = AxisMap(["ant", "bee", "cow", "doe", "elk"])
@@ -29,49 +32,48 @@ WORD_AXIS = AxisMap(["ant", "bee", "cow", "doe", "elk"])
 
 class TestTopN:
     def test_basic_order(self):
-        comp = make_component([[0.1, 0.5, 0.2, 0.0, 0.2]])
-        got = top_n(comp, 0, 3, WORD_AXIS)
+        got = top_n(np.array([0.1, 0.5, 0.2, 0.0, 0.2]), 3, WORD_AXIS)
         assert got == [("bee", 0.5), ("cow", 0.2), ("elk", 0.2)]
 
     def test_ties_break_lexicographically(self):
-        comp = make_component([[0.3, 0.3, 0.3, 0.3, 0.3]])
-        got = top_n(comp, 0, 5, WORD_AXIS)
+        got = top_n(np.full(5, 0.3), 5, WORD_AXIS)
         assert [label for label, _ in got] == ["ant", "bee", "cow", "doe", "elk"]
 
     def test_n_larger_than_mode_returns_all(self):
-        comp = make_component([[0.1, 0.2, 0.3, 0.4, 0.5]])
-        assert len(top_n(comp, 0, 99, WORD_AXIS)) == 5
+        assert len(top_n(np.array([0.1, 0.2, 0.3, 0.4, 0.5]), 99, WORD_AXIS)) == 5
 
     def test_matches_full_sort_oracle(self, rng):
         for _ in range(25):
             values = rng.uniform(-1.0, 1.0, size=30)
             axis = AxisMap([f"w{i:02d}" for i in range(30)])
-            comp = make_component([values])
-            got = top_n(comp, 0, 10, axis)
+            got = top_n(values, 10, axis)
             expected = sorted(
                 ((axis.labels[i], float(values[i])) for i in range(30)),
                 key=lambda pair: (-pair[1], pair[0]),
             )[:10]
             assert got == expected
 
+    def test_strided_column_ranks_as_its_copy(self, rng):
+        table = rng.integers(0, 4, size=(30, 7)) / 4.0  # plenty of ties
+        axis = AxisMap([f"w{i:02d}" for i in range(30)])
+        for j in range(7):
+            assert top_n(table[:, j], 9, axis) == top_n(table[:, j].copy(), 9, axis)
+
     def test_zero_n_rejected(self):
-        comp = make_component([[0.1]])
         with pytest.raises(ValueError, match="n must be"):
-            top_n(comp, 0, 0, AxisMap(["x"]))
+            top_n(np.array([0.1]), 0, AxisMap(["x"]))
 
     def test_axis_length_mismatch_rejected(self):
-        comp = make_component([[0.1, 0.2]])
         with pytest.raises(ValueError, match="labels"):
-            top_n(comp, 0, 1, WORD_AXIS)
+            top_n(np.array([0.1, 0.2]), 1, WORD_AXIS)
 
 
 class TestKeywordCloud:
     def test_is_top_n_on_the_word_mode(self):
         slices = [[1.0, 0.0], [0.5], [0.5], [0.4, 0.1, 0.3, 0.2, 0.0]]
         axes = (AxisMap(["a", "b"]), AxisMap(["d"]), AxisMap(["j"]), WORD_AXIS)
-        comp = make_component(slices)
-        report = build_report(comp, axes, MODE_NAMES, n=2, keyword_count=3)
-        assert report.keywords == top_n(comp, WORD_MODE, 3, WORD_AXIS)
+        report = report_of(slices, axes, n=2, keyword_count=3)
+        assert report.keywords == top_n(np.array(slices[WORD_MODE]), 3, WORD_AXIS)
         assert report.keywords == [
             ("ant", 0.4),
             ("cow", 0.3),
@@ -88,18 +90,16 @@ def small_axes():
     )
 
 
-def small_component(weight=3.5, origin_rank=40, index_in_model=1):
-    return make_component(
-        [
-            [0.75, 0.25],
-            [0.5, 0.3, 0.2],
-            [1.0],
-            [0.05, 0.45, 0.05, 0.25, 0.2],
-        ],
-        weight=weight,
-        origin_rank=origin_rank,
-        index_in_model=index_in_model,
-    )
+SMALL_SLICES = [
+    [0.75, 0.25],
+    [0.5, 0.3, 0.2],
+    [1.0],
+    [0.05, 0.45, 0.05, 0.25, 0.2],
+]
+
+
+def small_report(weight=3.5, origin_rank=40, index_in_model=1, **kwargs):
+    return report_of(SMALL_SLICES, small_axes(), weight, origin_rank, index_in_model, **kwargs)
 
 
 MODE_NAMES = ("first_author", "document", "journal", "words")
@@ -107,7 +107,7 @@ MODE_NAMES = ("first_author", "document", "journal", "words")
 
 class TestBuildReport:
     def test_structure(self):
-        report = build_report(small_component(), small_axes(), MODE_NAMES, n=2, keyword_count=3)
+        report = small_report(n=2, keyword_count=3)
         assert report.origin_rank == 40
         assert report.index_in_model == 1
         assert report.weight == 3.5
@@ -117,7 +117,7 @@ class TestBuildReport:
         assert report.keywords == [("bee", 0.45), ("doe", 0.25), ("elk", 0.2)]
 
     def test_defaults_cap_at_mode_sizes(self):
-        report = build_report(small_component(), small_axes(), MODE_NAMES)
+        report = small_report()
         assert DEFAULT_TOP_N == 13 and DEFAULT_KEYWORD_COUNT == 50
         assert len(report.mode_tops["first_author"]) == 2
         assert len(report.keywords) == 5
@@ -127,9 +127,8 @@ class TestBuildReport:
         for _ in range(10):
             words = AxisMap([f"w{i:02d}" for i in range(12)])
             values = rng.integers(0, 5, size=12) / 4.0  # plenty of ties
-            comp = make_component([[1.0], [1.0], [1.0], values])
             axes = (AxisMap(["a"]), AxisMap(["d"]), AxisMap(["j"]), words)
-            report = build_report(comp, axes, MODE_NAMES, n=n, keyword_count=keyword_count)
+            report = report_of([[1.0], [1.0], [1.0], values], axes, n=n, keyword_count=keyword_count)
             ranking = sorted(
                 ((words.labels[i], float(values[i])) for i in range(12)),
                 key=lambda pair: (-pair[1], pair[0]),
@@ -137,35 +136,52 @@ class TestBuildReport:
             assert report.mode_tops["words"] == ranking[:n]
             assert report.keywords == ranking[:keyword_count]
 
+    def test_each_column_reports_as_its_own_table(self, rng):
+        # Columns of one table, ranked together, give the reports of
+        # one-column tables of the same numbers, in column order.
+        axes = (AxisMap(["a", "b", "c"]), AxisMap(["d1", "d2"]), AxisMap(["j"]), WORD_AXIS)
+        factors = [rng.integers(-2, 4, size=(len(axis), 6)) / 4.0 for axis in axes]
+        weights = rng.uniform(-2.0, 2.0, size=6)
+        ids = [(rank, index) for rank in (2, 4) for index in range(rank)]
+        got = build_report(KruskalModel(weights, factors), ids, axes, MODE_NAMES, n=2, keyword_count=4)
+        want = [
+            report_of([f[:, j] for f in factors], axes, weights[j], *ids[j], n=2, keyword_count=4)
+            for j in range(6)
+        ]
+        assert got == want
+        assert all(type(r.origin_rank) is int and type(r.weight) is float for r in got)
+
+    def test_empty_table_reports_nothing(self):
+        table = KruskalModel(np.empty(0), [np.empty((len(axis), 0)) for axis in small_axes()])
+        assert build_report(table, [], small_axes(), MODE_NAMES) == []
+
     def test_bad_counts_and_word_mode_rejected(self):
+        table, ids = make_table(SMALL_SLICES), [(40, 1)]
         with pytest.raises(ValueError, match="keyword_count"):
-            build_report(small_component(), small_axes(), MODE_NAMES, keyword_count=0)
+            build_report(table, ids, small_axes(), MODE_NAMES, keyword_count=0)
         with pytest.raises(ValueError, match="n and keyword_count"):
-            build_report(small_component(), small_axes(), MODE_NAMES, n=0)
+            build_report(table, ids, small_axes(), MODE_NAMES, n=0)
         for word_mode in (-1, 4):
             with pytest.raises(ValueError, match="word_mode"):
-                build_report(small_component(), small_axes(), MODE_NAMES, word_mode=word_mode)
+                build_report(table, ids, small_axes(), MODE_NAMES, word_mode=word_mode)
 
     def test_misaligned_axes_rejected(self):
         with pytest.raises(ValueError, match="align"):
-            build_report(small_component(), small_axes()[:3], MODE_NAMES[:3])
+            build_report(make_table(SMALL_SLICES), [(40, 1)], small_axes()[:3], MODE_NAMES[:3])
+
+    def test_id_count_must_match_the_columns(self):
+        with pytest.raises(ValueError, match="2 ids for a table of 1 columns"):
+            build_report(make_table(SMALL_SLICES), [(40, 1), (40, 2)], small_axes(), MODE_NAMES)
 
 
 class TestEmitReport:
     META = {"ranks": [20, 40], "threshold": 0.35, "strategy": "stable-then-dedup"}
 
     def build(self):
-        reports = [
-            build_report(small_component(), small_axes(), MODE_NAMES, n=2, keyword_count=3),
-            build_report(
-                small_component(weight=-1.25, origin_rank=20, index_in_model=0),
-                small_axes(),
-                MODE_NAMES,
-                n=2,
-                keyword_count=3,
-            ),
+        return [
+            small_report(n=2, keyword_count=3),
+            small_report(weight=-1.25, origin_rank=20, index_in_model=0, n=2, keyword_count=3),
         ]
-        return reports
 
     def test_bundle_files_created(self, tmp_path):
         out = emit_report(self.build(), tmp_path / "report", self.META)
@@ -217,8 +233,7 @@ class TestEmitReport:
             AxisMap(["j"]),
             AxisMap(["w1", "w2"]),
         )
-        comp = make_component([[1.0], [1.0], [1.0], [0.6, 0.4]])
-        report = build_report(comp, axes, MODE_NAMES, n=1, keyword_count=2)
+        report = report_of([[1.0], [1.0], [1.0], [0.6, 0.4]], axes, n=1, keyword_count=2)
         out = emit_report([report], tmp_path / "report", self.META)
         page = (out / "index.html").read_text(encoding="utf-8")
         assert "<b>bold</b>" not in page
