@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the library's sparse
 kernels: dense arrays, nested loops, np.kron, and a coordinate-order
-gather/scatter over the nonzeros.
+gather/scatter over the nonzeros. The whole-fit oracle is textbook CP-ALS
+on the dense tensor, and the selection oracle is the per-component
+selection that the library ran before it selected on arrays.
 """
 
 import io
@@ -18,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from tensortopics import CleaningRules, CorpusRecord, build_counts
+from tensortopics import CleaningRules, CorpusRecord, KruskalModel, arrange, build_counts, init_factors
 from tensortopics.corpus_ingest import UNKNOWN_JOURNAL
 from tensortopics.ensemble import SelectionResult, ZeroVectorError
 from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
@@ -90,6 +92,35 @@ def dense_from_model(model):
             block = np.multiply.outer(block, f[:, r])
         dense = dense + term * block
     return dense
+
+
+def dense_cp_als(tensor, rank, sweeps, seed):
+    """CP-ALS after Kolda & Bader (SIAM Review 2009, Algorithm 1) on the dense
+    tensor, for `sweeps` sweeps from init_factors(shape, rank, seed). Mode n
+    of each sweep, in order, is the einsum MTTKRP times the pseudo-inverse of
+    the Hadamard product of the other factors' grams, with its columns scaled
+    to unit 2-norm and the norms kept as the weights. The fit after each
+    sweep is 1 - ||X - M|| / ||X|| on the dense model. Returns arrange() of
+    the model and the fit history."""
+    dense = to_dense(tensor)
+    d = dense.ndim
+    letters = "abcdefgh"[:d]
+    factors = init_factors(tensor.shape, rank, seed)
+    history = []
+    for _ in range(sweeps):
+        for n in range(d):
+            others = [k for k in range(d) if k != n]
+            spec = f"{letters},{','.join(letters[k] + 'r' for k in others)}->{letters[n]}r"
+            projected = np.einsum(spec, dense, *(factors[k] for k in others))
+            grams = np.ones((rank, rank))
+            for k in others:
+                grams *= factors[k].T @ factors[k]
+            solved = projected @ np.linalg.pinv(grams)
+            weights = np.linalg.norm(solved, axis=0)
+            factors[n] = solved / np.where(weights > 0.0, weights, 1.0)
+        residual = dense - dense_from_model(KruskalModel(weights, factors))
+        history.append(1.0 - np.linalg.norm(residual) / np.linalg.norm(dense))
+    return arrange(KruskalModel(weights, factors)), history
 
 
 def random_sparse(rng, shape, nnz, low=0.1, high=1.1):

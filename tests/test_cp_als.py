@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tensortopics import (
     AlsOptions,
@@ -17,9 +19,11 @@ from tensortopics import (
 
 from tensortopics.artifacts import MODEL
 from tensortopics.cp_als import stop_reason
+from tensortopics.sparse_tensor import SparseTensorCOO
 
 from conftest import (
-    PAYLOAD_FAULTS, dense_from_model, dense_mttkrp, from_entries, payload_phrase, random_sparse, to_dense,
+    PAYLOAD_FAULTS, dense_cp_als, dense_from_model, dense_mttkrp, from_entries, payload_phrase, random_sparse,
+    to_dense,
 )
 
 
@@ -165,6 +169,37 @@ class TestCpAls:
         t, _ = rank1_tensor(rng, (5, 4, 3))
         _, history = cp_als(t, 1, AlsOptions(max_iters=100, fit_tolerance=1e-4, seed=1))
         assert len(history) < 100
+
+
+@st.composite
+def positive_tensors(draw):
+    """A 3-way or 4-way tensor of extents 3 to 8 whose entries, drawn from
+    U(0.1, 1.1), fill 30%, 60% or all of its cells."""
+    shape = tuple(draw(st.lists(st.integers(3, 8), min_size=3, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random(shape) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+    cells.flat[0] = True
+    return SparseTensorCOO(np.argwhere(cells), rng.uniform(0.1, 1.1, size=int(cells.sum())), shape)
+
+
+def assert_relative(got, want, tolerance=1e-9):
+    """Every entry of got within tolerance times want's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tolerance * np.max(np.abs(want), initial=0.0)
+
+
+class TestDenseOracle:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tensor=positive_tensors(), rank=st.integers(1, 4), seed=st.integers(0, 2**31))
+    def test_fit_tracks_textbook_als(self, tensor, rank, seed):
+        # Six sweeps whatever the fit does: the tolerance stops no fit early.
+        model, history = cp_als(tensor, rank, AlsOptions(max_iters=6, fit_tolerance=1e-300, seed=seed))
+        want, want_history = dense_cp_als(tensor, rank, len(history), seed)
+        assert_relative(model.weights, want.weights)
+        for got_factor, want_factor in zip(model.factors, want.factors):
+            assert_relative(got_factor, want_factor)
+        assert_relative(history, want_history)
 
 
 class TestFit:
