@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus_ingest import CleaningRules, load_stopwords
+from .corpus_ingest import CORPUS_FORMATS, CleaningRules, load_stopwords
 from .cp_als import AlsOptions
 from .ensemble import SelectionConfig
 from .report import DEFAULT_KEYWORD_COUNT, DEFAULT_TOP_N
@@ -32,6 +32,8 @@ class PipelineConfig:
     similarity_matrix: bool = False
 
     def __post_init__(self):
+        if self.corpus_format not in CORPUS_FORMATS:
+            raise ValueError(f"unknown corpus format {self.corpus_format!r}, expected one of {CORPUS_FORMATS}")
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if self.keyword_count < 1:

@@ -160,6 +160,8 @@ class TestLoadConfig:
         "key, text, phrase",
         [
             ("threads", "0", "threads must be >= 1, got 0"),
+            ("format", "xml", r"unknown corpus format 'xml', expected one of \('csv', 'tsv', 'jsonl'\)"),
+            ("format", "CSV", "unknown corpus format 'CSV'"),
             ("keywords", "0", "keyword_count must be >= 1, got 0"),
             ("ranks", "40,20", "ranks must be strictly ascending"),
             ("ranks", "3,99999999999999999999", "ranks must be at most "),
@@ -180,6 +182,10 @@ class TestApplyOverrides:
     def test_none_is_ignored(self):
         cfg = apply_overrides(PipelineConfig(), seed=None, ranks=None, workdir=None)
         assert cfg == PipelineConfig()
+
+    def test_unknown_corpus_format_is_rejected_before_ingest(self):
+        with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
+            apply_overrides(PipelineConfig(), corpus_format="xml")
 
     def test_unknown_name_is_a_type_error(self):
         with pytest.raises(TypeError, match="bogus"):
