@@ -60,6 +60,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import DATA_DIR
 from planted_corpus import ENSEMBLE_SHAPE, generate, write_csv
 
@@ -118,7 +120,9 @@ def golden_child(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
-def assert_haswell_core():
+@pytest.fixture(scope="module")
+def haswell_core():
+    """Checked once per module: a child under GOLDEN_ENV runs the Haswell kernels."""
     core = golden_child("-c", CORE_NAME)
     assert core.returncode == 0, f"OpenBLAS core name unknown: {core.stderr.strip()}"
     assert core.stdout.strip() == "Haswell", f"OpenBLAS runs the {core.stdout.strip()} kernels, not Haswell"
@@ -130,8 +134,7 @@ def run_stage(*args):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_toy_pipeline_bytes_are_golden(tmp_path):
-    assert_haswell_core()
+def test_toy_pipeline_bytes_are_golden(tmp_path, haswell_core):
     workdir = tmp_path / "run"
     run_stage("pipeline", "--config", DATA_DIR / "toy.cfg", "--workdir", workdir)
     assert_golden(workdir)
@@ -188,8 +191,7 @@ ENSEMBLE_SHA256 = {
 ENSEMBLE_MATRIX_SELECTION_SHA256 = "49947340a8d9c78acc563796ff4707346fcf76551fbee607c16da38911578072"
 
 
-def test_ensemble_pipeline_bytes_are_golden(tmp_path):
-    assert_haswell_core()
+def test_ensemble_pipeline_bytes_are_golden(tmp_path, haswell_core):
     config = tmp_path / "input" / "ensemble.cfg"
     write_csv(generate(41, **ENSEMBLE_SHAPE), config.parent / "corpus.csv")
     config.write_text(ENSEMBLE_CONFIG, encoding="utf-8")

@@ -223,7 +223,7 @@ def any_pools(draw):
 
 
 class TestArraySelection:
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         pool=any_pools(),
         threshold=st.sampled_from([0.0, 0.3, 0.5, float(np.nextafter(0.5, 1.0)), 0.9, 1.0, 1.5]),
