@@ -86,7 +86,7 @@ class SelectionResult:
     order, with NaN in the row and column of each excluded component.
     """
 
-    kept: list[Component]
+    kept: list
     partners: list[list[tuple[int, int]]]
     pooled_count: int
     stable_count: int | None = None

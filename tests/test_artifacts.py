@@ -4,7 +4,9 @@ Every versioned file's writer and reader live there. No other module of the
 package may import (or reach through an attribute) the Artifact records, the
 header and payload helpers, or zlib, which computes the payloads' CRC-32.
 And artifacts.py sits below the modules that run the stages: it imports none
-of them.
+of them. The stages pass Kruskal tables: report.py imports only artifacts.py
+and sparse_tensor.py, and neither it nor cli.py imports a component type or
+splitter.
 """
 
 import ast
@@ -56,6 +58,17 @@ def test_artifacts_imports_no_module_above_it():
     imports = _package_imports(tree)
     assert {"cp_als", "sparse_tensor"} <= imports  # the imports it does have are seen
     assert imports & ABOVE_ARTIFACTS == set()
+
+
+def test_report_imports_only_artifacts_and_sparse_tensor():
+    tree = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) == {"artifacts", "sparse_tensor"}
+
+
+@pytest.mark.parametrize("module", ["cli.py", "report.py"])
+def test_stages_import_no_component_objects(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert _used_names(tree) & {"Component", "components_from_model", "components_from_table"} == set()
 
 
 def test_artifacts_holds_every_format_name():
