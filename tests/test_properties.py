@@ -144,9 +144,11 @@ class TestFiberBound:
 
 @st.composite
 def pools(draw):
-    """Components from up to three ranks, with unique (rank, index) ids, word
-    slices drawn from a few directions (so exact duplicates, near matches and
-    zero slices occur) and weights with ties."""
+    """Components from up to three ranks, possibly none, with unique (rank,
+    index) ids, word slices drawn from a few directions (so exact duplicates,
+    near matches, opposite slices and zero slices occur) and weights with
+    ties. The cosine of (1, 0, 0, 0) and (1, 1, 1, 1), at any of the
+    scales, is exactly 0.5: threshold 0.5 puts such a pair exactly at it."""
     directions = [
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0],
@@ -154,8 +156,10 @@ def pools(draw):
         [0.9, 1.0, 0.1, 0.0],
         [0.0, 0.2, 1.0, 0.7],
         [0.3, 0.3, 0.3, 0.3],
+        [1.0, 1.0, 1.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0],
     ]
-    ranks = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3, unique=True))
+    ranks = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=0, max_size=3, unique=True))
     pool = []
     for rank in sorted(ranks):
         for index in range(draw(st.integers(1, 4))):
@@ -191,41 +195,10 @@ class TestSelectionOrder:
         assert got.stable_count == want.stable_count
 
 
-# cosine((1, 0, 0, 0), (1, 1, 1, 1)) is exactly 0.5, and so is the cosine of
-# their multiples by 0.5 and 3.0: threshold 0.5 puts such pairs exactly at it.
-SLICES = [
-    [1.0, 0.0, 0.0, 0.0],
-    [1.0, 1.0, 1.0, 1.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [1.0, 1.0, 0.0, 0.0],
-    [0.9, 1.0, 0.1, 0.0],
-    [0.0, -0.2, 1.0, 0.7],
-    [-1.0, 0.0, 0.0, 0.0],
-]
-
-
-@st.composite
-def any_pools(draw):
-    """Pools of 0 to 12 components from ranks 2, 3 and 5, in any order,
-    with word slices from SLICES times a scale (so duplicates, pairs at the
-    threshold and all-zero slices occur) and weights with ties and signs."""
-    size = draw(st.integers(0, 12))
-    ids = draw(st.lists(st.tuples(st.sampled_from([2, 3, 5]), st.integers(0, 4)), min_size=size, max_size=size, unique=True))
-    return [
-        Component(
-            origin_rank=rank,
-            index_in_model=index,
-            weight=draw(st.sampled_from([1.0, -1.0, 0.5, 2.0, -2.0, 0.0])),
-            factor_slices=[np.ones(2), np.array(draw(st.sampled_from(SLICES))) * draw(st.sampled_from([1.0, 0.5, 3.0]))],
-        )
-        for rank, index in ids
-    ]
-
-
 class TestArraySelection:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        pool=any_pools(),
+        pool=pools(),
         threshold=st.sampled_from([0.0, 0.3, 0.5, float(np.nextafter(0.5, 1.0)), 0.9, 1.0, 1.5]),
         strategy=st.sampled_from(["stable-then-dedup", "greedy-dedup"]),
     )
@@ -240,7 +213,7 @@ class TestArraySelection:
         table = np.ascontiguousarray(word_rows(pool, 1).reshape(len(pool), 4).T)
         on_arrays = select_pool([c.weight for c in pool], table.T, ids, cfg)
         on_components = select_components_detailed(pool, cfg, word_mode=1)
-        assert on_components.kept == want.kept
+        assert len(on_components.kept) == len(want.kept)
         assert all(a is b for a, b in zip(on_components.kept, want.kept))
         assert [ids[j] for j in on_arrays.kept] == [(c.origin_rank, c.index_in_model) for c in want.kept]
         for got in (on_arrays, on_components):
