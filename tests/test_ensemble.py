@@ -18,7 +18,7 @@ from tensortopics import (
 )
 from tensortopics.ensemble import components_from_model, ensemble_models, rank_seed
 
-from conftest import random_sparse, select_components_oracle, similarity_matrix_oracle, word_rows
+from conftest import random_sparse, similarity_matrix_oracle, word_rows
 
 WORD_MODE = 3
 
