@@ -7,7 +7,7 @@ report.
 """
 
 from .artifacts import (
-    ComponentReport, load_axes, load_model, load_reports, load_tensor, save_model, save_tensor,
+    ComponentReport, load_model, load_reports, load_tensor, save_model, save_tensor,
 )
 from .corpus_ingest import (
     CleaningRules,
@@ -73,7 +73,6 @@ __all__ = [
     "gram",
     "hadamard_all",
     "init_factors",
-    "load_axes",
     "load_corpus",
     "load_model",
     "load_reports",

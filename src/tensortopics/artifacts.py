@@ -403,17 +403,6 @@ def _extent(value) -> int:
     return value
 
 
-def load_axes(in_dir: str | Path) -> tuple[list[AxisMap], list[str]]:
-    """The axis labels and mode names of a tensor container, without its entries.
-
-    Validates the header and checks every label count against the header
-    shape, as load_tensor does. Neither entries file is read.
-    """
-    in_dir = Path(in_dir)
-    shape, mode_names, _nnz, _crc32 = _read_header(in_dir)
-    return _read_axes(in_dir, shape), mode_names
-
-
 def _read_axes(in_dir: Path, shape) -> list[AxisMap]:
     """Each mode's label file, whose label count must be its extent in `shape`."""
     axes: list[AxisMap] = []
@@ -564,8 +553,46 @@ def _read_table(payload: Path, artifact: Artifact, shape, rank: int, crc32, decl
     read_payload against `shape`, `rank` and `crc32`, as a model whose
     weights and factors are views of its rows."""
     table = read_payload(payload, artifact, np.dtype(np.float64), (1 + sum(shape), rank), crc32, declared_by)
+    return _as_model(table, shape)
+
+
+def _as_model(table: np.ndarray, shape) -> KruskalModel:
+    """A Kruskal table of a model of `shape` as that model, viewing its rows."""
     weights, *factors = np.split(table, np.cumsum([1, *shape])[:-1])
     return KruskalModel(weights=weights, factors=factors)
+
+
+def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, tuple[int, ...], int]:
+    """The models of `models`, a non-empty map of rank to model file, side by
+    side in one Kruskal table in its order, and the label counts and payload
+    CRC-32 of tensor_dir's header.json, which each model must match; any other
+    is a ValueError naming it. No label file is read. Each model is copied in
+    and dropped before the next is read, and the pool is sized only once the
+    first has passed, so no extent in header.json is allocated unchecked."""
+    tensor_dir = Path(tensor_dir)
+    shape, _names, _nnz, tensor_crc32 = _read_header(tensor_dir)
+    pool, end = None, 0
+    for rank, path in models.items():
+        model, header = load_model(path)
+        if model.rank != rank:
+            raise ValueError(f"{path}: holds a rank-{model.rank} model; rerun factorize")
+        if model.shape != shape:
+            raise ValueError(
+                f"{path}: model shape {model.shape} does not match the label counts "
+                f"{shape} of {tensor_dir}; rerun factorize"
+            )
+        fitted = header["tensor_payload_crc32"]
+        if fitted != tensor_crc32:
+            raise ValueError(
+                f"{path}: fit to a tensor whose payload CRC-32 is {fitted}, "
+                f"that of {tensor_dir} is {tensor_crc32}; rerun factorize"
+            )
+        if pool is None:
+            pool = _as_model(np.empty((1 + sum(shape), sum(models.keys()))), shape)
+        for block, part in zip([pool.weights, *pool.factors], [model.weights, *model.factors]):
+            block[..., end:end + rank] = part
+        end += rank
+    return pool, shape, tensor_crc32
 
 
 def save_selection(
@@ -615,11 +642,13 @@ def save_selection(
     write_json(path, SELECTION, **fields)
 
 
-def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, int]], KruskalModel, dict]:
+def load_selection(
+    path: Path, tensor_dir: Path
+) -> tuple[int, list[tuple[int, int]], KruskalModel, list[AxisMap], list[str], dict]:
     """A selection.json's word mode, the (origin_rank, index_in_model) of each
     kept component, the Kruskal table of selection.npy, whose column j holds
-    kept component j, and run meta: ranks, threshold and strategy, in their
-    JSON types, for summary.json.
+    kept component j, tensor_dir's axis labels and mode names, and run meta:
+    ranks, threshold and strategy, in their JSON types, for summary.json.
 
     The table's dtype, shape and CRC-32 must match selection.json, and it
     must hold only finite numbers; no model is read. The selection must have
@@ -628,7 +657,8 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, i
     header.json. Each kept index_in_model must lie in [0, origin_rank), the
     threshold must be finite, pooled_count an int no less than the kept
     count, and stable_count null or an int between the two. Every fault
-    raises a ValueError naming the file.
+    raises a ValueError naming the file, and so does a label file whose
+    count is not its extent.
     """
     _header, (word_mode, kept, ranks, threshold, strategy, pooled, stable, shape, tensor_crc32, crc32) = read_header(
         path.read_bytes(), path, SELECTION,
@@ -642,7 +672,7 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, i
         shape=lambda v: tuple(json_int(n) for n in of_json_type(list)(v)),
         tensor_payload_crc32=json_int, payload_crc32=json_int,
     )
-    extents, _names, _nnz, current_crc32 = _read_header(tensor_dir)
+    extents, mode_names, _nnz, current_crc32 = _read_header(tensor_dir)
     if shape != extents:
         raise ValueError(
             f"{path}: selected from a tensor of label counts {shape}, "
@@ -669,7 +699,8 @@ def load_selection(path: Path, tensor_dir: Path) -> tuple[int, list[tuple[int, i
             "from the kept count to pooled_count; rerun select"
         )
     table = _read_table(path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, shape, len(kept), crc32, path.name)
-    return word_mode, kept, table, {"ranks": ranks, "threshold": threshold, "strategy": strategy}
+    meta = {"ranks": ranks, "threshold": threshold, "strategy": strategy}
+    return word_mode, kept, table, _read_axes(tensor_dir, extents), mode_names, meta
 
 
 @dataclass

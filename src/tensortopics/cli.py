@@ -18,8 +18,8 @@ import numpy as np
 
 from . import config as config_mod
 from .artifacts import (
-    load_axes, load_model, load_selection, load_tensor, remove_model, save_model, save_selection,
-    save_tensor, tensor_payload_crc32,
+    load_pool, load_selection, load_tensor, remove_model, save_model, save_selection, save_tensor,
+    tensor_payload_crc32,
 )
 from .corpus_ingest import (
     CORPUS_FORMATS,
@@ -30,7 +30,6 @@ from .corpus_ingest import (
     dedup,
     load_corpus,
 )
-from .cp_als import KruskalModel
 from .ensemble import STRATEGIES, ensemble_models, select_pool
 from .report import build_report, emit_report
 
@@ -100,63 +99,28 @@ def run_factorize(cfg) -> list[Path]:
     return list(paths.values())
 
 
-def _model(cfg, rank: int, shape, tensor_crc32: int) -> KruskalModel:
-    """models/rank_R.model, which must be a rank-R model of the tensor's label
-    counts `shape`, fit to the tensor whose payload CRC-32 is
-    `tensor_crc32`; any other is a ValueError naming it."""
-    path = _model_path(cfg, rank)
-    model, header = load_model(path)
-    if model.rank != rank:
-        raise ValueError(f"{path}: holds a rank-{model.rank} model; rerun factorize")
-    if model.shape != shape:
-        raise ValueError(
-            f"{path}: model shape {model.shape} does not match the label counts "
-            f"{shape} of {_tensor_dir(cfg)}; rerun factorize"
-        )
-    fitted = header["tensor_payload_crc32"]
-    if fitted != tensor_crc32:
-        raise ValueError(
-            f"{path}: fit to a tensor whose payload CRC-32 is {fitted}, "
-            f"that of {_tensor_dir(cfg)} is {tensor_crc32}; rerun factorize"
-        )
-    return model
-
-
-def _pool(cfg, ranks, shape, tensor_crc32: int) -> KruskalModel:
-    """The models of `ranks`, each checked by _model, side by side in one
-    Kruskal table, in rank order. Each model is copied in and dropped before
-    the next is read, so the pool is held once."""
-    blocks = np.split(np.empty((1 + sum(shape), sum(ranks))), np.cumsum([1, *shape])[:-1])
-    for rank, end in zip(ranks, np.cumsum(ranks).tolist()):
-        model = _model(cfg, rank, shape, tensor_crc32)
-        for block, part in zip(blocks, [model.weights[None], *model.factors]):
-            block[:, end - rank:end] = part
-    return KruskalModel(blocks[0], blocks[1:])
-
-
 def run_select(cfg) -> Path:
-    """Model files checked by _model -> selection.json listing the kept
-    components, and selection.npy holding their numbers."""
+    """Model files checked by load_pool against the tensor header ->
+    selection.json listing the kept components, and selection.npy holding
+    their numbers."""
     _require(cfg, "workdir")
-    found_ranks = []
+    models = {}
     for rank in cfg.selection.ranks:
         path = _model_path(cfg, rank)
         if path.is_file():
-            found_ranks.append(rank)
+            models[rank] = path
         else:
             logger.warning("no model file for rank %d at %s, skipping", rank, path)
-    if not found_ranks:
+    if not models:
         raise ValueError("no model files found for the configured ranks")
-    shape = tuple(len(axis) for axis in load_axes(_tensor_dir(cfg))[0])
-    tensor_crc32 = tensor_payload_crc32(_tensor_dir(cfg))
-    pool = _pool(cfg, found_ranks, shape, tensor_crc32)
-    ids = [(rank, index) for rank in found_ranks for index in range(rank)]
+    pool, shape, tensor_crc32 = load_pool(_tensor_dir(cfg), models)
+    ids = [(rank, index) for rank in models for index in range(rank)]
     word_mode = len(shape) - 1
 
     result = select_pool(pool.weights, pool.factors[word_mode].T, ids, cfg.selection)
     path = _selection_path(cfg)
     save_selection(
-        path, pool, ids, tensor_crc32, cfg.selection, found_ranks, word_mode, result, cfg.similarity_matrix
+        path, pool, ids, tensor_crc32, cfg.selection, list(models), word_mode, result, cfg.similarity_matrix
     )
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
@@ -173,8 +137,7 @@ def run_report(cfg) -> Path:
     """
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
-    axes, mode_names = load_axes(_tensor_dir(cfg))
-    word_mode, kept, table, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
+    word_mode, kept, table, axes, mode_names, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
     reports = build_report(
         table, kept, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
     )

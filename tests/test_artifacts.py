@@ -6,7 +6,8 @@ header and payload helpers, or zlib, which computes the payloads' CRC-32.
 And artifacts.py sits below the modules that run the stages: it imports none
 of them. The stages pass Kruskal tables: report.py imports only artifacts.py
 and sparse_tensor.py, and neither it nor cli.py imports a component type or
-splitter.
+splitter. Loading and checking each stage's inputs is artifacts.py's too:
+cli.py imports no model type and builds no table.
 """
 
 import ast
@@ -69,6 +70,12 @@ def test_report_imports_only_artifacts_and_sparse_tensor():
 def test_stages_import_no_component_objects(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert _used_names(tree) & {"Component", "components_from_model", "components_from_table"} == set()
+
+
+def test_cli_builds_no_table():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "cp_als" not in _package_imports(tree)
+    assert _used_names(tree) & {"KruskalModel", "split", "empty", "load_model"} == set()
 
 
 def test_artifacts_holds_every_format_name():

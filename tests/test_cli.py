@@ -126,6 +126,16 @@ class TestPipeline:
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 0
         assert [p.read_bytes() for p in report_files] == before
 
+    def test_select_reads_no_label_file(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        outputs = [workdir / "selection.json", workdir / "selection.npy"]
+        before = [p.read_bytes() for p in outputs]
+        for path in [*(workdir / "tensor").glob("mode*.labels.txt"), *outputs]:
+            path.unlink()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert [p.read_bytes() for p in outputs] == before
+
     def test_text_companions_are_write_only(self, tmp_path):
         # No stage reads entries.tsv, or a model file past its header line.
         # The stages run as child processes, under the golden hashes' kernel.
@@ -691,7 +701,7 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (workdir / "models").exists()
 
-    @pytest.mark.parametrize("stage", ["factorize", "report"])
+    @pytest.mark.parametrize("stage", ["factorize", "select", "report"])
     @pytest.mark.parametrize(
         "header, phrase",
         [
@@ -857,6 +867,23 @@ class TestErrors:
         assert re.search(r"^error: \S+rank_3\.model: fit to a tensor whose payload CRC-32 is \d+, ", err, re.M)
         assert err.rstrip().endswith("; rerun factorize")
         assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
+    def test_select_checks_a_model_before_sizing_the_pool(self, selected, tmp_path, capsys):
+        # A first extent of 2**40 would ask for an 8 TiB pool, were it sized
+        # before the first model's shape is checked against it.
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        path = workdir / "tensor" / "header.json"
+        header = json.loads(path.read_text(encoding="utf-8"))
+        header["shape"][0] = 2**40
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_3\.model: model shape \(11, 37, 7, 36\) does not match the label counts", err, re.M)
+        assert "MemoryError" not in err and "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 
     def test_select_names_a_model_of_another_rank(self, selected, tmp_path, capsys):
