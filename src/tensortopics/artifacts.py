@@ -263,20 +263,29 @@ def json_finite(value):
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
     """The C-ordered .npy table at `payload`, checked against the dtype, shape
     and CRC-32 that `declared_by` records; a float table must also hold only
-    finite numbers. Every fault raises a ValueError naming the payload."""
+    finite numbers. The .npy header's dtype and shape are checked before any
+    data is read, so a header that declares another shape allocates nothing.
+    Every fault raises a ValueError naming the payload."""
+    fmt = np.lib.format
+    table = None
     try:
-        # read_array, unlike np.load, accepts nothing but a .npy array.
         with payload.open("rb") as f:
-            table = np.lib.format.read_array(f, allow_pickle=False)
+            # A version other than 1.0 is read as 2.0; read_array rejects an unknown one.
+            read_npy_header = fmt.read_array_header_1_0 if fmt.read_magic(f) == (1, 0) else fmt.read_array_header_2_0
+            stored_shape, _fortran, stored_dtype = read_npy_header(f)
+            if stored_dtype == dtype and stored_shape == shape:
+                f.seek(0)
+                # read_array, unlike np.load, accepts nothing but a .npy array.
+                table = fmt.read_array(f, allow_pickle=False)
     except FileNotFoundError:
         raise ValueError(
             f"{payload}: {artifact.kind} payload is missing; rerun {artifact.stage}"
         ) from None
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{payload}: unreadable {artifact.kind} payload: {exc}") from exc
-    if table.dtype != dtype or table.shape != shape:
+    if table is None:
         raise ValueError(
-            f"{payload}: {table.dtype} table of shape {table.shape}, "
+            f"{payload}: {stored_dtype} table of shape {stored_shape}, "
             f"{declared_by} declares {dtype} of shape {shape}; rerun {artifact.stage}"
         )
     # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.

@@ -363,6 +363,25 @@ def _rewrite_payload(header_path, payload, change, restamp=False):
         _edit_header(header_path, lambda h: h.update(payload_crc32=crc32))
 
 
+# More rows than a 48-bit address space holds bytes for, at 8 bytes or more
+# a row: reading that many is a MemoryError, however far memory is overcommitted.
+VAST_ROWS = 2**45
+
+
+def _declare_vast_rows(payload):
+    """Rewrite a .npy file's header so that it declares VAST_ROWS rows, and
+    leave its data as it is."""
+    fmt = np.lib.format
+    with Path(payload).open("rb") as f:
+        assert fmt.read_magic(f) == (1, 0)
+        shape, fortran, dtype = fmt.read_array_header_1_0(f)
+        data = f.read()
+    with Path(payload).open("wb") as f:
+        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": fortran, "shape": (VAST_ROWS, *shape[1:])}
+        fmt.write_array_header_1_0(f, header)
+        f.write(data)
+
+
 def _set(row, column, value):
     """A change for _rewrite_payload: the table with one number replaced."""
 
@@ -410,6 +429,7 @@ PAYLOAD_FAULTS = {
         "holds NaN or inf; rerun {stage}",
     ),
     "schema_1": (lambda h, p: _edit_header(h, _schema_1), "unsupported schema version 1"),
+    "vast_header": (lambda h, p: _declare_vast_rows(p), "declares"),
 }
 
 
@@ -572,4 +592,5 @@ TENSOR_PAYLOAD_FAULTS = {
     "one_ulp": (lambda t: rewrite_tensor_payload(t, _nudge_last_value), "CRC-32 does not match"),
     "reversed": (lambda t: rewrite_tensor_payload(t, lambda r: r[::-1]), "CRC-32 does not match"),
     "schema_1": (_tensor_schema_1, "unsupported schema version 1"),
+    "vast_header": (lambda t: _declare_vast_rows(_payload(t)), "declares"),
 }
