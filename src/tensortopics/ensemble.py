@@ -218,10 +218,10 @@ def _rows(words) -> tuple[np.ndarray, np.ndarray]:
 
 def _cosines(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """The cosine matrix of `rows`, whose 2-norms `norms` are nonzero; the
-    rows are normalized in place."""
+    rows are normalized in place. rows @ rows.T is one syrk call, which
+    mirrors one triangle, so the matrix is exactly symmetric."""
     rows /= norms[:, None]
     sims = rows @ rows.T
-    sims = (sims + sims.T) / 2.0
     np.fill_diagonal(sims, 1.0)
     return sims
 

@@ -4,7 +4,7 @@ arrange() represents the same tensor as its input (it keeps the fit) and
 orders components by descending absolute weight, ties by position;
 selection does not depend on the order of the pooled components, and
 selecting on arrays keeps what the per-component selection kept, bit for
-bit; one
+bit, and its cosine matrix is exactly symmetric; one
 rank-one term per last-mode fiber reproduces a tensor exactly, so the fiber
 count bounds its CP rank, as factorize's warning states. arrange()
 is idempotent only up to rounding that grows with cancellation inside a
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tensortopics import KruskalModel, SelectionConfig, SparseTensorCOO, arrange, fit
-from tensortopics.ensemble import Component, select_components_detailed, select_pool
+from tensortopics.ensemble import Component, select_components_detailed, select_pool, similarity_matrix
 
 from conftest import dense_from_model, select_components_oracle, to_dense, word_rows
 
@@ -222,3 +222,17 @@ class TestArraySelection:
             assert (got.pooled_count, got.stable_count) == (want.pooled_count, want.stable_count)
             assert got.similarities.shape == want.similarities.shape
             assert np.array_equal(got.similarities, want.similarities, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pool=pools())
+    def test_cosines_are_exactly_symmetric(self, pool):
+        # rows @ rows.T is one syrk call, which computes one triangle and
+        # mirrors it, so no symmetrizing pass is needed.
+        cfg = SelectionConfig(ranks=(2, 3, 5), threshold=0.5, strategy="greedy-dedup")
+        words = word_rows(pool, 1).reshape(len(pool), 4)
+        sims = select_pool([c.weight for c in pool], words, [(c.origin_rank, c.index_in_model) for c in pool], cfg).similarities
+        assert np.array_equal(sims, sims.T, equal_nan=True)
+        comparable = words[np.any(words != 0.0, axis=1)]
+        if comparable.shape[0]:
+            sims = similarity_matrix(comparable)
+            assert np.array_equal(sims, sims.T)
