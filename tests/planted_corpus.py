@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,11 +51,25 @@ def _words(rng: np.random.Generator, count: int, syllables: int = 3) -> list[str
     return words
 
 
-def generate(
+class Truth(NamedTuple):
+    """What a corpus plants, topic by topic: its terms, most frequent first,
+    its journal and its three favoured first authors."""
+
+    terms: list[list[str]]
+    journals: list[str]
+    authors: list[list[str]]
+
+
+def generate(seed: int, **shape) -> list[dict]:
+    """Rows with title, abstract, first_author, journal and body."""
+    return planted(seed, **shape)[0]
+
+
+def planted(
     seed: int, documents: int, tokens_per_document: int, vocabulary: int, topics: int, journals: int, authors: int,
     topic_words: int = 40, topic_share: float = 0.5, zipf_exponent: float = 1.1,
-) -> list[dict]:
-    """Rows with title, abstract, first_author, journal and body."""
+) -> tuple[list[dict], Truth]:
+    """generate's rows, and the Truth they plant."""
     rng = np.random.default_rng([int(seed), 7919])
     vocab = _words(rng, vocabulary)
     background = np.arange(1, vocabulary + 1, dtype=np.float64) ** -zipf_exponent
@@ -88,7 +103,12 @@ def generate(
             "journal": journal_names[topic % journals],
             "body": body,
         })
-    return rows
+    truth = Truth(
+        terms=[[vocab[i] for i in terms.tolist()] for terms in topic_terms],
+        journals=[journal_names[topic % journals] for topic in range(topics)],
+        authors=[[author_names[(topic * 7 + k) % authors] for k in range(3)] for topic in range(topics)],
+    )
+    return rows, truth
 
 
 def write_csv(rows: list[dict], path: Path) -> Path:
