@@ -11,8 +11,8 @@ fiber storage, Smith & Karypis 2015): the public mttkrp() and every sweep of
 cp_als() run it. Within a sweep the last factor changes only at the last
 mode, so cp_als() computes the per-fiber leaf sums once and reuses them for
 every other mode (partial-product reuse, Phan, Tichavsky & Cichocki 2013).
-The two passes that touch every nonzero run in bands of components through
-one buffer allocated once per fit, so a fit never holds a rank x nnz array.
+Every pass runs in bands of components through one buffer allocated once
+per fit, and the fiber products are built in place: no rank x nnz array.
 """
 
 from __future__ import annotations
@@ -136,37 +136,38 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 
 # The kernel works rank-major, on (rank, n) arrays: each gather and each
 # segment sum then runs along contiguous memory, which makes np.add.reduceat
-# several times faster than on (n, rank) rows. The two passes with one
-# column per nonzero, the leaf sums and the last mode, gather a band of rows
-# (components) over every nonzero at a time into one band x nnz buffer, so
-# their working memory is max(BLOCK_BYTES, 8 nnz) bytes at any rank, never
-# rank x nnz (cache blocking, as in SPLATT, Smith et al. 2015). A band is as
-# many rows as fit BLOCK_BYTES, at least one: larger bands cost memory,
-# smaller ones a Python-level step each, which shows at high ranks.
+# several times faster than on (n, rank) rows. Every pass gathers a band of
+# rows (components) at a time into one band x nnz buffer: band rows over every
+# nonzero for the leaf sums and the last mode, as many rows over every fiber
+# as fit for the other modes. So working memory is max(BLOCK_BYTES, 8 nnz)
+# bytes at any rank, never rank x nnz (cache blocking, as in SPLATT, Smith et
+# al. 2015). A band is as many rows as fit BLOCK_BYTES, at least one: larger
+# bands cost memory, smaller ones a Python-level step each.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def _buffer(tensor: SparseTensorCOO, rank: int) -> np.ndarray:
-    """The gather buffer of a nonempty tensor's two per-nonzero passes at
-    `rank`: band x nnz floats."""
+    """The gather buffer of every pass over a nonempty tensor at `rank`:
+    band x nnz floats."""
     band = max(1, min(rank, BLOCK_BYTES // (8 * tensor.nnz)))
     return np.empty((band, tensor.nnz))
 
 
 def _run_sums(buffer: np.ndarray, columns, index, scale, starts):
-    """Per band of rows of `columns`: the rows, and the (band, runs) sums of
-    columns[rows][:, index] * scale over the runs that start at `starts`.
-    Each run is summed whole, by one np.add.reduceat along a contiguous row,
-    so the bands change no bit."""
-    rank, band = columns.shape[0], buffer.shape[0]
+    """Per band of rows of `columns`, as many as `buffer` holds: the rows, and
+    the (band, runs) sums of columns[rows][:, index] * scale (unscaled if None)
+    over the runs that start at `starts`. Each run is summed whole, by one
+    np.add.reduceat along a contiguous row, so the bands change no bit."""
+    rank, n = columns.shape[0], len(index)
+    band = buffer.size // n
     for start in range(0, rank, band):
         rows = slice(start, min(start + band, rank))
-        cols = buffer[: rows.stop - start]
-        # take's default mode="raise" fills a hidden copy of `out`; the
-        # indices come from the fiber index and are in range, so "clip"
-        # changes nothing.
+        cols = buffer.reshape(-1)[: (rows.stop - start) * n].reshape(-1, n)
+        # take's default mode="raise" fills a hidden copy of `out`; the fiber
+        # index is in range, so "clip" changes nothing.
         columns[rows].take(index, axis=1, out=cols, mode="clip")
-        cols *= scale
+        if scale is not None:
+            cols *= scale
         yield rows, np.add.reduceat(cols, starts, axis=1)
 
 
@@ -186,26 +187,23 @@ def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndar
 
 
 def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
-    """MTTKRP for `mode` of a nonempty tensor. leaf_sums is _leaf_sums() of
-    the current last factor; the last mode does not use it, and scales its
-    fiber products per nonzero in bands of rows through `buffer`."""
+    """MTTKRP for `mode` of a nonempty tensor, in bands through `buffer`.
+    leaf_sums is _leaf_sums() of the current last factor; the last mode does
+    not use it, and scales its fiber products per nonzero."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
     for k in range(last):
         if k != mode:
+            # Into the fresh gather, so leaf_sums is never written.
             part = _columns(factors[k], fibers.coords[:, k])
-            cols = part if cols is None else cols * part
+            cols = part if cols is None else np.multiply(part, cols, out=part)
     segments = fibers.segments[mode]
+    scale = fibers.leaf_values if mode == last else None
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
-    if mode == last:
-        sums = _run_sums(buffer, cols, segments.fibers, fibers.leaf_values, segments.starts)
-        # Band by band: one (runs, rank) transpose would be as large as out.
-        for rows, band_sums in sums:
-            out[segments.targets, rows] = band_sums.T
-    else:
-        cols = cols.take(segments.fibers, axis=1)
-        out[segments.targets] = np.add.reduceat(cols, segments.starts, axis=1).T
+    # Band by band: one (runs, rank) transpose would be as large as out.
+    for rows, sums in _run_sums(buffer, cols, segments.fibers, scale, segments.starts):
+        out[segments.targets, rows] = sums.T
     return out
 
 

@@ -266,6 +266,18 @@ def long_word_tensor(documents=3000):
     return tensor, int(runs.max())
 
 
+def one_nonzero_per_fiber(rng, shape=(5, 7, 3, 11), nnz=60):
+    """A tensor whose fibers are its nonzeros: every mode's pass then runs
+    over nnz columns, so a budget of 1 or 2 rows of nnz means several bands
+    for every mode, not only the per-nonzero passes."""
+    cells = rng.choice(math.prod(shape[:-1]), nnz, replace=False)
+    lead = np.stack(np.unravel_index(cells, shape[:-1]), axis=1)
+    coords = np.c_[lead, rng.integers(0, shape[-1], nnz)]
+    tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, nnz), shape)
+    assert tensor.fibers.starts.shape[0] == tensor.nnz == nnz
+    return tensor
+
+
 # None is the shipped budget: one band per pass on these small tensors.
 BANDS = [None, 1, 2]
 
@@ -279,6 +291,7 @@ class TestBlockedPassesAreBitIdentical:
             random_sparse(rng, (3, 4, 2, 9), 120),
             random_sparse(rng, (2, 3, 40), 150),
             random_sparse(rng, (6, 30), 90),
+            one_nonzero_per_fiber(rng),
         ]
         for tensor in tensors:
             narrow_bands(monkeypatch, tensor, band)
@@ -344,3 +357,27 @@ def test_fit_working_memory_is_far_below_rank_times_nnz():
     finally:
         tracemalloc.stop()
     assert peak < whole / 8, f"peak {peak} bytes, rank * nnz * 8 = {whole}"
+
+
+def test_each_mode_holds_few_rank_by_fiber_arrays():
+    # 10,000 one-fiber documents of 8 words at rank 100: rank x F x 8 bytes
+    # is 8 MB, and the leaf sums, one product of gathered factor rows, one
+    # transposed factor and `out` are each about that large. The buffer
+    # holds 3 of 100 rows of nnz, so every mode's pass runs in bands.
+    rng = np.random.default_rng(11)
+    documents, words, rank = 10_000, 2_000, 100
+    doc = np.repeat(np.arange(documents), 8)
+    word = (rng.integers(0, words, documents)[:, None] + 37 * np.arange(8)) % words
+    coords = np.c_[doc % 40, doc, doc % 7, word.reshape(-1)]
+    tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, doc.shape[0]), (40, documents, 7, words))
+    assert tensor.fibers.starts.shape[0] == documents  # built before tracing
+    unit = rank * documents * 8
+    factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
+    for mode in range(tensor.order):
+        tracemalloc.start()
+        try:
+            mttkrp(tensor, factors, mode)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * unit, f"mode {mode}: peak {peak / unit:.2f} x rank x F x 8 bytes"
