@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import zlib
 from collections import namedtuple
 from collections.abc import Sequence
@@ -263,9 +264,10 @@ def json_finite(value):
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
     """The C-ordered .npy table at `payload`, checked against the dtype, shape
     and CRC-32 that `declared_by` records; a float table must also hold only
-    finite numbers. The .npy header's dtype and shape are checked before any
-    data is read, so a header that declares another shape allocates nothing.
-    Every fault raises a ValueError naming the payload."""
+    finite numbers. The .npy header's dtype and shape, and then the file's
+    size, are checked before any data is read, so neither a header that
+    declares another shape nor one that agrees on a shape larger than the
+    file allocates anything. Every fault raises a ValueError naming the payload."""
     fmt = np.lib.format
     table = None
     try:
@@ -274,6 +276,10 @@ def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declare
             read_npy_header = fmt.read_array_header_1_0 if fmt.read_magic(f) == (1, 0) else fmt.read_array_header_2_0
             stored_shape, _fortran, stored_dtype = read_npy_header(f)
             if stored_dtype == dtype and stored_shape == shape:
+                size = math.prod(shape) * stored_dtype.itemsize
+                left = os.fstat(f.fileno()).st_size - f.tell()
+                if left < size:
+                    raise ValueError(f"{left} bytes of data, its shape needs {size}")
                 f.seek(0)
                 # read_array, unlike np.load, accepts nothing but a .npy array.
                 table = fmt.read_array(f, allow_pickle=False)
@@ -392,11 +398,6 @@ def _read_header(in_dir: Path) -> tuple[tuple[int, ...], list[str], int, int]:
     return shape, mode_names, nnz, crc32
 
 
-def tensor_payload_crc32(tensor_dir: str | Path) -> int:
-    """The payload_crc32 that a tensor container's header.json records."""
-    return _read_header(Path(tensor_dir))[3]
-
-
 def _mode_names(value) -> list[str]:
     """A tensor header's mode names: a JSON list of distinct strings."""
     names = [of_json_type(str)(n) for n in of_json_type(list)(value)]
@@ -430,27 +431,30 @@ def _read_axes(in_dir: Path, shape) -> list[AxisMap]:
     return axes
 
 
-def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
-    """Load a tensor container written by save_tensor.
-
-    The numbers come from entries.npy, whose dtype, length and CRC-32 must
-    match the header, and go through the SparseTensorCOO constructor's
-    bounds, finiteness and positivity checks. entries.tsv is never read.
-    Rejects unknown formats and any mismatch between the header shape, the
-    entries and the per-mode label counts; every fault raises a ValueError
-    naming the file.
-    """
+def load_tensor_payload(in_dir: str | Path) -> tuple[SparseTensorCOO, list[str], int]:
+    """The tensor, mode names and payload CRC-32 of a container written by
+    save_tensor, from one read of header.json and of entries.npy; neither
+    entries.tsv nor a label file is opened. The numbers must match the
+    header's dtype, length and CRC-32, and pass the SparseTensorCOO
+    constructor's bounds, finiteness and positivity checks. Every fault
+    raises a ValueError naming the file."""
     in_dir = Path(in_dir)
     shape, mode_names, nnz, crc32 = _read_header(in_dir)
-    d = len(shape)
-    table = read_payload(in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(d), (nnz,), crc32, HEADER_FILE)
+    table = read_payload(in_dir / PAYLOAD_FILE, TENSOR, _row_dtype(len(shape)), (nnz,), crc32, HEADER_FILE)
     tensor = SparseTensorCOO(table["c"], table["v"], shape)
     if tensor.nnz != nnz:
         raise ValueError(
             f"{in_dir / PAYLOAD_FILE}: header says {nnz} entries, "
             f"the payload holds {tensor.nnz} distinct nonzero ones"
         )
-    return tensor, _read_axes(in_dir, shape), mode_names
+    return tensor, mode_names, crc32
+
+
+def load_tensor(in_dir: str | Path) -> tuple[SparseTensorCOO, list[AxisMap], list[str]]:
+    """Load a tensor container written by save_tensor: load_tensor_payload,
+    then each mode's label file, whose label count must be its extent."""
+    tensor, mode_names, _crc32 = load_tensor_payload(in_dir)
+    return tensor, _read_axes(Path(in_dir), tensor.shape), mode_names
 
 
 def _payload_path(path: Path) -> Path:

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import config as config_mod
 from .artifacts import (
-    load_pool, load_selection, load_tensor, remove_model, save_model, save_selection, save_tensor,
-    tensor_payload_crc32,
+    load_pool, load_selection, load_tensor_payload, remove_model, save_model, save_selection, save_tensor,
 )
 from .corpus_ingest import (
     CORPUS_FORMATS,
@@ -72,7 +71,7 @@ def run_ingest(cfg) -> Path:
 
 
 def run_factorize(cfg) -> list[Path]:
-    """Tensor container -> one model file per configured rank.
+    """tensor/header.json and entries.npy -> one model file per configured rank.
 
     Each model is saved as soon as it and every lower rank are fit, and then
     dropped. Every configured rank's model files from an earlier run are
@@ -80,8 +79,7 @@ def run_factorize(cfg) -> list[Path]:
     failed leaves none behind for select to pool.
     """
     _require(cfg, "workdir")
-    tensor, _axes, mode_names = load_tensor(_tensor_dir(cfg))
-    tensor_crc32 = tensor_payload_crc32(_tensor_dir(cfg))
+    tensor, mode_names, tensor_crc32 = load_tensor_payload(_tensor_dir(cfg))
     removed = [p for rank in cfg.selection.ranks for p in remove_model(_model_path(cfg, rank))]
     logger.info("removed %d model file(s) of the configured ranks before fitting", len(removed))
 

@@ -368,8 +368,8 @@ def _rewrite_payload(header_path, payload, change, restamp=False):
 VAST_ROWS = 2**45
 
 
-def _declare_vast_rows(payload):
-    """Rewrite a .npy file's header so that it declares VAST_ROWS rows, and
+def _declare_vast_rows(payload, rows=VAST_ROWS):
+    """Rewrite a .npy file's header so that it declares `rows` rows, and
     leave its data as it is."""
     fmt = np.lib.format
     with Path(payload).open("rb") as f:
@@ -377,9 +377,19 @@ def _declare_vast_rows(payload):
         shape, fortran, dtype = fmt.read_array_header_1_0(f)
         data = f.read()
     with Path(payload).open("wb") as f:
-        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": fortran, "shape": (VAST_ROWS, *shape[1:])}
+        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": fortran, "shape": (rows, *shape[1:])}
         fmt.write_array_header_1_0(f, header)
         f.write(data)
+
+
+def declare_vast_model(path):
+    """Set a model header's first extent to VAST_ROWS, and its payload's .npy
+    header to the rows that shape needs, over unchanged data: both headers
+    agree on a table far larger than the file."""
+    path = Path(path)
+    shape = json.loads(path.read_text(encoding="utf-8").partition("\n")[0])["shape"]
+    _edit_header(path, lambda h: h.update(shape=[VAST_ROWS, *shape[1:]]))
+    _declare_vast_rows(path.with_name(path.name + ".npy"), 1 + VAST_ROWS + sum(shape[1:]))
 
 
 def _set(row, column, value):
@@ -517,6 +527,14 @@ def rng():
     return np.random.default_rng(42)
 
 
+def _edit_tensor_header(tensor_dir, edit):
+    """Rewrite a container's header.json with edit(header) applied."""
+    header_path = tensor_dir / "header.json"
+    header = json.loads(header_path.read_text(encoding="utf-8"))
+    edit(header)
+    header_path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+
+
 def rewrite_tensor_payload(tensor_dir, change, restamp=False):
     """Replace a container's entries.npy with change(rows); with restamp,
     header.json records the new rows' CRC-32, so only later checks see them."""
@@ -524,10 +542,8 @@ def rewrite_tensor_payload(tensor_dir, change, restamp=False):
     rows = change(np.load(payload, allow_pickle=False))
     np.save(payload, rows, allow_pickle=False)
     if restamp:
-        header_path = Path(tensor_dir) / "header.json"
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-        header["payload_crc32"] = zlib.crc32(np.ascontiguousarray(rows))
-        header_path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        crc32 = zlib.crc32(np.ascontiguousarray(rows))
+        _edit_tensor_header(Path(tensor_dir), lambda h: h.update(payload_crc32=crc32))
 
 
 def _with_fields(rows, fields):
@@ -544,16 +560,15 @@ def _nudge_last_value(rows):
     return rows
 
 
-def _tensor_schema_1(tensor_dir):
-    header_path = tensor_dir / "header.json"
-    header = json.loads(header_path.read_text(encoding="utf-8"))
-    header["schema_version"] = 1
-    del header["payload_crc32"]
-    header_path.write_text(json.dumps(header) + "\n", encoding="utf-8")
-
-
 def _payload(tensor_dir):
     return tensor_dir / "entries.npy"
+
+
+def _declare_vast_tensor(tensor_dir):
+    """header.json's nnz and entries.npy's row count both VAST_ROWS, over
+    unchanged data."""
+    _edit_tensor_header(tensor_dir, lambda h: h.update(nnz=VAST_ROWS))
+    _declare_vast_rows(_payload(tensor_dir))
 
 
 # Ways to damage a saved tensor container: name -> (damage(tensor_dir), a
@@ -591,6 +606,7 @@ TENSOR_PAYLOAD_FAULTS = {
     "short": (lambda t: rewrite_tensor_payload(t, lambda r: r[:-1]), "declares"),
     "one_ulp": (lambda t: rewrite_tensor_payload(t, _nudge_last_value), "CRC-32 does not match"),
     "reversed": (lambda t: rewrite_tensor_payload(t, lambda r: r[::-1]), "CRC-32 does not match"),
-    "schema_1": (_tensor_schema_1, "unsupported schema version 1"),
+    "schema_1": (lambda t: _edit_tensor_header(t, _schema_1), "unsupported schema version 1"),
     "vast_header": (lambda t: _declare_vast_rows(_payload(t)), "declares"),
+    "vast_shape": (_declare_vast_tensor, "unreadable tensor payload"),
 }

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tensortopics import SelectionConfig, load_model, save_model, similarity_matrix
+from tensortopics import SelectionConfig, artifacts, load_model, save_model, similarity_matrix
 from tensortopics.artifacts import MODEL, REPORT, SELECTION, SUMMARY, TENSOR, read_header, save_tensor
 from tensortopics.cli import build_parser, cli_run, fix_blas_threads, run_report
 from tensortopics.config import apply_overrides, load_config
@@ -21,7 +21,9 @@ from tensortopics.corpus_ingest import MODE_NAMES
 from tensortopics.ensemble import components_from_model
 from tensortopics.sparse_tensor import AxisMap, SparseTensorCOO
 
-from conftest import DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, payload_phrase, select_components_oracle
+from conftest import (
+    DATA_DIR, PAYLOAD_FAULTS, TENSOR_PAYLOAD_FAULTS, declare_vast_model, payload_phrase, select_components_oracle,
+)
 from test_golden import GOLDEN_ENV, GOLDEN_SHA256, assert_golden
 
 CFG = str(DATA_DIR / "toy.cfg")
@@ -134,6 +136,18 @@ class TestPipeline:
         for path in [*(workdir / "tensor").glob("mode*.labels.txt"), *outputs]:
             path.unlink()
         assert run("select", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert [p.read_bytes() for p in outputs] == before
+
+    def test_factorize_reads_no_label_file(self, tmp_path):
+        workdir = tmp_path / "run"
+        assert run("pipeline", "--config", CFG, "--workdir", str(workdir)) == 0
+        outputs = sorted((workdir / "models").iterdir())
+        before = [p.read_bytes() for p in outputs]
+        for path in [*(workdir / "tensor").glob("mode*.labels.txt"), *outputs]:
+            path.unlink()
+        with mock.patch.object(artifacts, "_read_header", wraps=artifacts._read_header) as read_header:
+            assert run("factorize", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert read_header.call_count == 1
         assert [p.read_bytes() for p in outputs] == before
 
     def test_text_companions_are_write_only(self, tmp_path):
@@ -666,6 +680,17 @@ class TestErrors:
         assert "error:" in err and named in err and phrase in err
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
+
+    def test_vast_model_shape_reports_error(self, selected, tmp_path, capsys):
+        # Both headers of the rank-3 model agree on a first extent of 2**45.
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        declare_vast_model(workdir / "models" / "rank_3.model")
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "rank_3.model.npy: unreadable model payload" in err
+        assert "Traceback" not in err
 
     @pytest.fixture(scope="class")
     def swapped(self, tmp_path_factory):

@@ -22,8 +22,8 @@ from tensortopics.cp_als import stop_reason
 from tensortopics.sparse_tensor import SparseTensorCOO
 
 from conftest import (
-    PAYLOAD_FAULTS, dense_cp_als, dense_from_model, dense_mttkrp, from_entries, payload_phrase, random_sparse,
-    to_dense,
+    PAYLOAD_FAULTS, declare_vast_model, dense_cp_als, dense_from_model, dense_mttkrp, from_entries, payload_phrase,
+    random_sparse, to_dense,
 )
 
 
@@ -382,6 +382,15 @@ class TestModelFile:
         with pytest.raises(ValueError, match=payload_phrase(fault, MODEL)) as info:
             load_model(path)
         assert "m.model" in str(info.value)
+
+    def test_vast_shape_on_which_both_headers_agree_is_a_named_error(self, tmp_path, rng):
+        t = random_sparse(rng, (4, 3, 5), 12)
+        model, _ = cp_als(t, 2, AlsOptions(max_iters=3, seed=2))
+        path = save_model(model, tmp_path / "m.model")
+        declare_vast_model(path)
+        with pytest.raises(ValueError, match="unreadable model payload: .* bytes of data") as info:
+            load_model(path)
+        assert "m.model.npy" in str(info.value)
 
     @pytest.mark.parametrize(
         "header, phrase",

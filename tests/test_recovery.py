@@ -7,8 +7,14 @@ threshold 0.35. A kept component matches a topic when at least 10 of its top
 20 keywords are among the topic's terms, and a topic is recovered when some
 kept component matches it. These checks read what the report means, not its
 bytes, so they still hold after a change that moves model bytes only by
-rounding.
+rounding. The same holds across OpenBLAS kernels: two children under the
+AVX2 and the AVX kernels write other model bytes, but keep the same
+components with the same keywords.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from tensortopics import load_reports
 from tensortopics.cli import cli_run
 
 from planted_corpus import ENSEMBLE_SHAPE, planted, write_csv
+from test_golden import CORE_NAME
 
 CONFIG = """\
 corpus = corpus.csv
@@ -35,14 +42,24 @@ MATCH = 10
 # 21 and 25 components that match none.
 MIN_RECOVERED = 18
 MAX_UNMATCHED = 30
+# OPENBLAS_CORETYPE values: the AVX2 kernels of the golden runs, and the AVX ones.
+KERNELS = ("Haswell", "Sandybridge")
+KERNEL_KEYWORDS = 10
+
+
+def write_inputs(directory, seed):
+    """The planted corpus of `seed` and its config in `directory`; returns
+    the config's path and what the corpus plants."""
+    rows, truth = planted(seed, **ENSEMBLE_SHAPE)
+    write_csv(rows, directory / "corpus.csv")
+    (directory / "recovery.cfg").write_text(CONFIG % seed, encoding="utf-8")
+    return directory / "recovery.cfg", truth
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
 def test_planted_topics_are_recovered(tmp_path, seed):
-    rows, truth = planted(seed, **ENSEMBLE_SHAPE)
-    write_csv(rows, tmp_path / "corpus.csv")
-    (tmp_path / "recovery.cfg").write_text(CONFIG % seed, encoding="utf-8")
-    assert cli_run(["pipeline", "--config", str(tmp_path / "recovery.cfg"), "--workdir", str(tmp_path / "run")]) == 0
+    config, truth = write_inputs(tmp_path, seed)
+    assert cli_run(["pipeline", "--config", str(config), "--workdir", str(tmp_path / "run")]) == 0
     components = load_reports(tmp_path / "run" / "report" / "report.json")
     # overlap[i, t]: how many of kept component i's top keywords are topic t's terms.
     overlap = np.array([
@@ -57,3 +74,24 @@ def test_planted_topics_are_recovered(tmp_path, seed):
         # The best match: of the components sharing the most terms, the first kept.
         best = components[int(np.argmax(overlap[:, topic]))]
         assert best.mode_tops["journal"][0][0] == truth.journals[topic].lower(), topic
+
+
+def test_kept_components_do_not_depend_on_the_blas_kernel(tmp_path):
+    config, _truth = write_inputs(tmp_path, 41)
+    kept, keywords = {}, {}
+    for kernel in KERNELS:
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"}
+        core = subprocess.run([sys.executable, "-c", CORE_NAME], env=env, capture_output=True, text=True, timeout=60)
+        assert core.returncode == 0, f"OpenBLAS core name unknown: {core.stderr.strip()}"
+        assert core.stdout.strip() == kernel, f"OpenBLAS runs the {core.stdout.strip()} kernels, not {kernel}"
+        workdir = tmp_path / kernel
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensortopics.cli", "pipeline", "--config", str(config), "--workdir", str(workdir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        components = load_reports(workdir / "report" / "report.json")
+        kept[kernel] = [(c.origin_rank, c.index_in_model) for c in components]
+        keywords[kernel] = [{word for word, _ in c.keywords[:KERNEL_KEYWORDS]} for c in components]
+    assert kept["Haswell"] == kept["Sandybridge"]
+    assert keywords["Haswell"] == keywords["Sandybridge"]
