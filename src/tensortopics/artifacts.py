@@ -264,10 +264,10 @@ def json_finite(value):
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
     """The C-ordered .npy table at `payload`, checked against the dtype, shape
     and CRC-32 that `declared_by` records; a float table must also hold only
-    finite numbers. The .npy header's dtype and shape, and then the file's
-    size, are checked before any data is read, so neither a header that
-    declares another shape nor one that agrees on a shape larger than the
-    file allocates anything. Every fault raises a ValueError naming the payload."""
+    finite numbers. The .npy header's dtype and shape, then the file's exact
+    data size, are checked before any data is read, so a header that declares
+    another shape, or a shape larger than the file, allocates nothing. Every
+    fault raises a ValueError naming the payload."""
     fmt = np.lib.format
     table = None
     try:
@@ -278,7 +278,7 @@ def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declare
             if stored_dtype == dtype and stored_shape == shape:
                 size = math.prod(shape) * stored_dtype.itemsize
                 left = os.fstat(f.fileno()).st_size - f.tell()
-                if left < size:
+                if left != size:
                     raise ValueError(f"{left} bytes of data, its shape needs {size}")
                 f.seek(0)
                 # read_array, unlike np.load, accepts nothing but a .npy array.

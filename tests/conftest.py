@@ -422,6 +422,7 @@ PAYLOAD_FAULTS = {
     "missing": (lambda h, p: p.unlink(), "{kind} payload is missing"),
     "empty": (lambda h, p: p.write_bytes(b""), "unreadable {kind} payload"),
     "truncated_data": (lambda h, p: p.write_bytes(p.read_bytes()[:-3]), "unreadable {kind} payload"),
+    "trailing_bytes": (lambda h, p: p.write_bytes(p.read_bytes() + b"\0" * 8), "unreadable {kind} payload"),
     "truncated_header": (lambda h, p: p.write_bytes(p.read_bytes()[:40]), "unreadable {kind} payload"),
     "not_npy": (lambda h, p: p.write_bytes(b"0.5 0.25\n"), "unreadable {kind} payload"),
     "float32": (
@@ -578,6 +579,10 @@ TENSOR_PAYLOAD_FAULTS = {
     "empty": (lambda t: _payload(t).write_bytes(b""), "unreadable tensor payload"),
     "truncated_data": (
         lambda t: _payload(t).write_bytes(_payload(t).read_bytes()[:-3]),
+        "unreadable tensor payload",
+    ),
+    "trailing_bytes": (
+        lambda t: _payload(t).write_bytes(_payload(t).read_bytes() + b"\0" * 8),
         "unreadable tensor payload",
     ),
     "truncated_header": (
