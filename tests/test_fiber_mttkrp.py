@@ -1,6 +1,6 @@
 """The fiber-grouped MTTKRP against the COO gather/scatter oracle, the
-banded per-nonzero passes bit for bit against whole-array ones, and the
-per-sweep leaf-sum reuse in cp_als against a loop over the public mttkrp."""
+banded passes bit for bit against whole-array ones, and the per-sweep
+leaf-sum reuse in cp_als against a loop over the public mttkrp."""
 
 import importlib
 import math
@@ -228,9 +228,9 @@ def test_cp_als_reuse_matches_public_mttkrp_loop(rng, rank):
 
 
 def whole_array_mttkrp(tensor, factors, mode):
-    """The fiber kernel with each per-nonzero pass gathered into one (rank,
-    nnz) array. Its sums are the banded passes' sums, in the same order, so
-    mttkrp must equal it bit for bit."""
+    """The fiber kernel with each pass gathered into one (rank, nnz) or
+    (rank, fibers) array. Its sums are the banded passes' sums, in the same
+    order, so mttkrp must equal it bit for bit."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None
