@@ -81,18 +81,18 @@ def write_payload(path: Path, dtype: np.dtype, shape: tuple[int, ...], chunks) -
 
 
 # write_float_rows formats this many floats at a time, so neither the text of
-# a whole table nor a (values x width) byte array of it is ever held.
+# a whole table nor a (values x 24) byte array of it is ever held.
 FLOAT_CHUNK_VALUES = 1 << 15
-# The fast path takes magnitudes in [_FAST_MIN, _FAST_MAX]: there every
-# product and Dekker split below stays a finite normal double.
-_FAST_MIN, _FAST_MAX = 1e-250, 1e250
-_S_MIN, _S_MAX = -236, 268  # the decimal scales s those magnitudes need
+# The fast path takes magnitudes in [_FAST_MIN, _FAST_MAX): there %e's exponent
+# has two digits, and every product and Dekker split below stays a finite
+# normal double.
+_FAST_MIN, _FAST_MAX = 1e-99, 1e100
+# The decimal scales s those magnitudes need, one further where log10 misjudges.
+_S_MIN, _S_MAX = -84, 116
 _SPLIT = 134217729.0  # 2**27 + 1
 # A rounding decision within this distance of a tie is left to format(); the
 # scaled value is accurate to about 1e-14.
 _UNSURE = 1e-7
-# The width of a value's byte row: sign, text, separator; NUL fills the rest.
-_CELL = 25
 
 
 @functools.cache
@@ -142,43 +142,60 @@ def _digits17(x: np.ndarray):
 
 
 @functools.cache
-def _exponent_text() -> np.ndarray:
-    """%e's exponent 16 - s for each scale s of _pow10_table ("e+05",
-    "e-100"), as 5-byte rows padded with NUL."""
-    return np.array([list(b"e%+03d\0" % (16 - s))[:5] for s in range(_S_MIN, _S_MAX + 1)], np.uint8)
-
-
-@functools.cache
-def _digit_words() -> np.ndarray:
-    """"0000".."9999" as little-endian 4-byte words, held as uint64."""
-    return np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype="<u4").astype("<u8")
+def _text_words() -> tuple[np.ndarray, ...]:
+    """The little-endian words that _float_text ORs into its cells, as uint64:
+    "0000" to "9999"; "000" to "999"; for n in [10, 100), n's digits around
+    the point in bytes 1 to 3; and for each scale s of _pow10_table, %e's
+    exponent 16 - s, where it has two digits, and a space in bytes 3 to 7."""
+    texts = (
+        [b"%04d" % i for i in range(10000)],
+        [b"%03d" % i for i in range(1000)],
+        [b"\0%d.%d" % divmod(n, 10) for n in range(100)],
+        [b"\0\0\0e%+03d " % (16 - s) if abs(16 - s) < 100 else b"" for s in range(_S_MIN, _S_MAX + 1)],
+    )
+    return tuple(np.frombuffer(b"".join(t.ljust(8, b"\0") for t in table), dtype="<u8") for table in texts)
 
 
 def _float_text(values: np.ndarray, width: int) -> bytes:
     """format(x, ".16e") of each float64 x in `values`, a space after each and
     a newline after every `width`-th, as one bytes object."""
-    # One row per value: -d.dddddddddddddddde+dd, with a third exponent digit
-    # from 1e100 on, NUL-padded, then the separator.
-    cells = np.empty((values.shape[0], _CELL), dtype=np.uint8)
     mag = np.abs(values)
-    # Zeros, subnormals, inf, nan and the far ends of the range go to format().
-    sure = (mag >= _FAST_MIN) & (mag <= _FAST_MAX)
+    # Zeros, subnormals, inf, nan and three-digit exponents go to format().
+    sure = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
     digits, s, unsure = _digits17(np.where(sure, mag, 1.0))
     sure &= ~unsure
-    cells[:, 0] = np.signbit(values) * np.uint8(ord("-"))
-    lead, digits = np.divmod(digits, 10**16)
-    cells[:, 1] = lead + ord("0")
-    cells[:, 2] = ord(".")
-    table = _digit_words()
-    for at, part in ((3, digits // 10**8), (11, digits % 10**8)):
-        cells[:, at:at + 8].view("<u8")[:, 0] = table[part // 10000] | table[part % 10000] << 32
-    cells[:, 19:24] = _exponent_text()[s - _S_MIN]
-    cells[:, -1] = ord(" ")
-    cells[width - 1::width, -1] = ord("\n")
-    for i in np.flatnonzero(~sure).tolist():
-        exact = format(float(values[i]), ".16e").encode()
-        cells[i, :-1] = np.frombuffer(exact.ljust(_CELL - 1, b"\0"), dtype=np.uint8)
-    return cells[cells != 0].tobytes()
+    sign = np.signbit(values).view(np.uint8)
+    four, three, lead, exponent = _text_words()
+    # One 24-byte cell per value, three words "-d.ddddd" "dddddddd" "ddde+dd ",
+    # NUL for a plus sign. The digit groups come from floor divisions, which
+    # numpy does faster than remainders.
+    cells = np.empty((values.shape[0], 3), dtype="<u8")
+    head = digits // 1000
+    cells[:, 2] = three[digits - head * 1000] | exponent[s - _S_MIN]
+    top = head // 10**8
+    mid = head - top * 10**8
+    del digits, s, head
+    pair = top // 10000
+    cells[:, 0] = lead[pair] | four[top - pair * 10000] << 32 | sign * np.uint64(ord("-"))
+    pair = mid // 10000
+    cells[:, 1] = four[pair] | four[mid - pair * 10000] << 32
+    del top, mid, pair
+    # A cell left to format() holds only its separator, and its text is
+    # spliced in before it.
+    at = np.flatnonzero(~sure)
+    cells[at, :2] = 0
+    cells[at, 2] = ord(" ") << 56
+    cells[width - 1::width, 2] ^= (ord(" ") ^ ord("\n")) << 56
+    text = cells.view(np.uint8)
+    body = text[text != 0]
+    del cells, text
+    if not at.size:
+        return body.tobytes()
+    pieces = np.split(body, np.cumsum(np.where(sure, 23 + sign, 1))[at] - 1)
+    out = [bytes(pieces[0])]
+    for x, piece in zip(values[at].tolist(), pieces[1:]):
+        out += format(x, ".16e").encode(), bytes(piece)
+    return b"".join(out)
 
 
 def write_float_rows(out, table: np.ndarray) -> None:

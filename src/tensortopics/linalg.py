@@ -35,11 +35,13 @@ def hadamard_all(mats: Sequence[np.ndarray]) -> np.ndarray:
 def solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve X G = RHS for X, where G is a symmetric gram-product matrix.
 
-    If a Cholesky probe finds G positive definite, X = RHS @ inv(G): one
-    R x R inverse and one matrix product, at any row count. Otherwise G gets
-    a ridge of 1e-12 * trace(G) / R on its diagonal and an LU solve; if that
-    fails too, or the ridge is zero, X is the minimum-norm least-squares
-    solution. Never aborts on singular input.
+    If a Cholesky probe finds G positive definite, X is one LU solve of
+    G X^T = RHS^T when RHS has fewer rows than G (2/3 R^3 + 2 I R^2 flops,
+    backward stable), and RHS @ inv(G) otherwise (8/3 R^3 + 2 I R^2 flops, but
+    one matrix product, which is faster than LU with as many right-hand
+    sides). Otherwise G gets a ridge of 1e-12 * trace(G) / R on its diagonal
+    and an LU solve; if that fails too, or the ridge is zero, X is the
+    minimum-norm least-squares solution. Never aborts on singular input.
     """
     g = np.asarray(g, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -54,6 +56,8 @@ def solve_gram(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     try:
         np.linalg.cholesky(g)
+        if rhs.shape[0] < g.shape[0]:
+            return np.linalg.solve(g, rhs.T).T
         return rhs @ np.linalg.inv(g)
     except np.linalg.LinAlgError:
         pass

@@ -815,9 +815,9 @@ class TestFloatText:
         _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 4))
 
     def test_ends_of_the_fast_range(self):
-        # Magnitudes in [1e-250, 1e250] take the fast path, those beyond go
-        # to format().
-        edges = [1e250, 1e-250, 2e250, 5e-251, 1e251, 1e-251]
+        # Magnitudes in [1e-99, 1e100) take the fast path; those beyond, far
+        # out to 1e+-251, go to format().
+        edges = [1e-99, 1e100, 1e250, 1e-250, 2e250, 5e-251, 1e251, 1e-251]
         table = _with_neighbours(edges)
         _assert_rows_are_format(np.concatenate([table, -table]).reshape(-1, 6))
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tensortopics import (
@@ -189,9 +189,17 @@ def assert_relative(got, want, tolerance=1e-9):
     assert np.max(np.abs(got - want), initial=0.0) <= tolerance * np.max(np.abs(want), initial=0.0)
 
 
+# A full 3 x 5 x 4 tensor, fit at rank 5: modes 0 and 2 are shorter than the
+# rank, so solve_gram takes its LU solve there and its inverse on mode 1.
+SHORT_MODES = SparseTensorCOO(
+    np.argwhere(np.ones((3, 5, 4), dtype=bool)), np.random.default_rng(7).uniform(0.1, 1.1, 60), (3, 5, 4)
+)
+
+
 class TestDenseOracle:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(tensor=positive_tensors(), rank=st.integers(1, 4), seed=st.integers(0, 2**31))
+    @example(tensor=SHORT_MODES, rank=5, seed=41)
     def test_fit_tracks_textbook_als(self, tensor, rank, seed):
         # Six sweeps whatever the fit does: the tolerance stops no fit early.
         model, history = cp_als(tensor, rank, AlsOptions(max_iters=6, fit_tolerance=1e-300, seed=seed))

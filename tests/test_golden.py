@@ -166,29 +166,29 @@ ENSEMBLE_SHA256 = {
     "tensor/mode1.labels.txt": "3f2f299a1b300ebdf4ca17e5d3cb6abdce50cb4a0c42e15658c8f7a4e71a6bea",
     "tensor/mode2.labels.txt": "df2b260f9f763d7a3def4682b3557716e6ceccd945a6d5b26a8f23f81a90e9ee",
     "tensor/mode3.labels.txt": "5a5f87126991ab2f10679e9e14b138d8b3ec5d24c00c54200e4851cc44ea6455",
-    "models/rank_20.model": "3433e8322e1d744a571d0fe89669329058e34d6e362dd7d2c10004ac004ad1f7",
-    "models/rank_20.model.npy": "1cc62513a0eb676ffb68e1e75436feb1df1d40e7046995ae01d74853f1c12468",
-    "models/rank_40.model": "c82af26a5ab6308a15d2703b4b6a1bc64764862fb57cae549bb08904f47398c2",
-    "models/rank_40.model.npy": "1844768f9b7f2ec93de03d826594130f5027327b9cd74cb6311be0dee4316508",
-    "models/rank_60.model": "bc15b91b85546935a8b11f0510531a98581cb183f4d38490a0aaa73b218270e9",
-    "models/rank_60.model.npy": "ff81c67b080eccdae66df9017d12029bdf887825902dea5c9950433ffabd5be3",
-    "models/rank_80.model": "077bb6f2fe83e88d679f8aa262e4fbbaa2ca7b16b6b338a74d58fbe67be4eded",
-    "models/rank_80.model.npy": "fc88c7b294497fa8493958a272c67c4d2835d215520122850dab6ac83f7e32ad",
-    "models/rank_100.model": "f9256760b9bd369a358f7b5e1a00fd441a30ff58e3156b05db073d70584894af",
-    "models/rank_100.model.npy": "5bb19e9abbac4175fbec37dedb956e32462f641a7f48964aadaafeec4722e54a",
-    "models/rank_120.model": "cfac49d85b740168fe01c2b98f08936b66746020c6db195581d096a84b0bbe7e",
-    "models/rank_120.model.npy": "ad438af0804677fddb20b160822be163930a1d6f26dfe694de994756c5029e0c",
-    "models/rank_200.model": "4cf5c90e723a5ce29a71a619b7ae10eebbd4fdb59b18666aafe0e643a24514e1",
-    "models/rank_200.model.npy": "c25f298ff705689b9aed0fc4a306b4c7f498095466d0ab709ac16689d0bef10d",
-    "selection.json": "d3d800237d1226cc039f1b02c0ab43d43222bf500af7d6564a5dafac233b8eab",
-    "selection.npy": "c655ef96cbe63ea395917f0b95f2a45ccdd677b7db426ca3bed78cbc7513e882",
-    "report/report.json": "165d022dc3593cb33e89eef1f548f37525892c24a8379b699f30ec63152a6f1c",
+    "models/rank_20.model": "592266e8f8be2a0a904e205c2bba3f20854a9e0d4b00ac4bd80708a33fbdaace",
+    "models/rank_20.model.npy": "710638715e82fa3c23ef8b201247c2e70851747931f129766820cecda322a41c",
+    "models/rank_40.model": "f2cce15d8eb51d4fd91295c8172b0f76636b07cb2a5c32f13a14bf1730a602cd",
+    "models/rank_40.model.npy": "906217cde77b12f9aa91d691df6d7d27b23ed68be4eb67c5d66ed00c42a79457",
+    "models/rank_60.model": "f43f8b9b1b4c6ec5e67f701c6d646f8182bb401e5c58cc24cd402d448cfd8501",
+    "models/rank_60.model.npy": "6e30541a3997aada5c91432bfca28d055950b65174b7be2ddaf2eaee799b8da8",
+    "models/rank_80.model": "6ab99f25da2280573a049a5ae95b63ca04331ced7800108642e576b9b1478684",
+    "models/rank_80.model.npy": "a0256e2bf8552f4cb7f732bf1dc03084da31d768ec9cb58b782226c043475916",
+    "models/rank_100.model": "8555c70d82e3e9958577f93462f1defa0e79f95fac2fd142a0b965bb96549c41",
+    "models/rank_100.model.npy": "9f0b8024654b5f5a814c2efa1ab13c5bdd4464edfab8b8b12f34bc6c9e6aced5",
+    "models/rank_120.model": "be0441a078b8d0119748391d3c550dbdab727fd97921423efffa322d0d30323c",
+    "models/rank_120.model.npy": "32cc503f3d750ba9cb9faede333f23134b0f132dc238292ed0e6de7cb692a01a",
+    "models/rank_200.model": "2d9970162650abe2e86359c9b155bad0851865bd13f060c63327f207a4db58fe",
+    "models/rank_200.model.npy": "5a2b8d9a72c9b1b7b7a948a277a7060304b3b28d8ff6613158b1e7779f0116d2",
+    "selection.json": "920c3586808173afa9d299c61350565063858397014bf420b3b3ad2a853c014d",
+    "selection.npy": "f5ce42c5eb5745c4e78592cc714c30684013a33e58573e9cc45aee516069714a",
+    "report/report.json": "400242efb594965aa83639b528962e89521ea4d4591ecb04a7f83c56171f7cf4",
     "report/summary.json": "775d4406a48609f7a2c56d1e875f16e4c944dd3874426ee41c58f60f409b378d",
-    "report/index.html": "0b87ed49715002b0726ced199732f3f37e77b3875e6e9af03897f944f9399ac0",
+    "report/index.html": "1e2b9f3069114c3cd9df3b27f3ad81df0c1a0d82555b37c72187d5aab2afbce1",
 }
 # selection.json as `select --similarity-matrix` rewrites it in that tree:
 # the same fields, then every pooled cosine. Nothing else moves.
-ENSEMBLE_MATRIX_SELECTION_SHA256 = "49947340a8d9c78acc563796ff4707346fcf76551fbee607c16da38911578072"
+ENSEMBLE_MATRIX_SELECTION_SHA256 = "7ee7577490c7f402d31064cd9ff70fc6298104ee71d8d5935a4ce8bdb2409fbb"
 
 
 def test_ensemble_pipeline_bytes_are_golden(tmp_path, haswell_core):

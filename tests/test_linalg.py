@@ -94,9 +94,11 @@ class TestSolveGram:
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out @ g, rhs, atol=1e-6)
 
-    def test_zero_gram_returns_minimum_norm(self):
-        out = solve_gram(np.zeros((2, 2)), np.ones((3, 2)))
-        np.testing.assert_array_equal(out, np.zeros((3, 2)))
+    # right-hand sides with fewer rows than the rank, and with more
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_zero_gram_returns_minimum_norm(self, rows):
+        out = solve_gram(np.zeros((2, 2)), np.ones((rows, 2)))
+        np.testing.assert_array_equal(out, np.zeros((rows, 2)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -127,14 +129,19 @@ class TestSolveGram:
             got = solve_gram(g, rhs)
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
-    def test_probe_passing_gram_is_rhs_times_inverse(self, rng):
+    def test_probe_passing_gram_is_lu_below_the_rank_else_rhs_times_inverse(self, rng):
+        # Fewer rows than the rank take one LU solve; as many rows as the
+        # rank, or more, take the product with the explicit inverse.
         for r in (1, 4, 40, 200):
             g = gram(rng.standard_normal((r + 30, r))) * gram(rng.standard_normal((r + 5, r)))
-            rhs = rng.standard_normal((97, r))
             np.linalg.cholesky(g)
-            np.testing.assert_array_equal(solve_gram(g, rhs), rhs @ np.linalg.inv(g))
+            for rows in sorted({1, r - 1, r, r + 1, 97} - {0}):
+                rhs = rng.standard_normal((rows, r))
+                want = np.linalg.solve(g, rhs.T).T if rows < r else rhs @ np.linalg.inv(g)
+                np.testing.assert_array_equal(solve_gram(g, rhs), want)
 
-    def test_probe_failing_gram_takes_the_ridge_path(self, rng):
+    @pytest.mark.parametrize("rows", [2, 6])
+    def test_probe_failing_gram_takes_the_ridge_path(self, rng, rows):
         # Columns v, 2v with v.v = 9, quartered, make the gram's second
         # Cholesky pivot exactly 9 - 3 * 3 = 0: PSD, rank-deficient, with a
         # positive trace.
@@ -142,7 +149,7 @@ class TestSolveGram:
         g = hadamard_all([gram(a), np.full((3, 3), 0.25)])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(g)
-        rhs = rng.standard_normal((6, 3))
+        rhs = rng.standard_normal((rows, 3))
         ridge = 1e-12 * float(np.trace(g)) / 3
         assert ridge > 0.0
         np.testing.assert_array_equal(
