@@ -321,9 +321,9 @@ def arrange(model: KruskalModel) -> KruskalModel:
     into the weights, and sorts components by descending absolute weight,
     ties broken by original position. A weight that ends up negative after
     the flips is kept and reported as-is.
-    Represents the same tensor as the input and is idempotent up to rounding:
-    a second pass divides by column sums that are off 1 by the rounding of
-    summing them, which grows with cancellation inside a column.
+    Represents the same tensor as the input and is idempotent bit for bit:
+    a second pass leaves every column whose sum is 1 to within the rounding
+    of summing it, with weight 1.
     """
     weights = np.array(model.weights, dtype=np.float64)
     factors = []

@@ -80,6 +80,8 @@ def normalize_columns_l1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     normalized: the sum's sign and size are noise, and dividing by it would
     only blow the entries up. Such a column is left unchanged with weight 1,
     or weight 0 if it is all zero (callers treat that as a dead component).
+    A column whose sum is 1 to within that error is left unchanged with
+    weight 1 too, so a second pass gives the same bits as the first.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -87,7 +89,7 @@ def normalize_columns_l1(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col_sums = a.sum(axis=0)
     # n roundings of the absolute sum bound the error of the computed sum.
     noise = a.shape[0] * np.finfo(np.float64).eps * np.abs(a).sum(axis=0)
-    summed = np.abs(col_sums) > noise
+    summed = (np.abs(col_sums) > noise) & (np.abs(col_sums - 1.0) > noise)
     normalized = a / np.where(summed, col_sums, 1.0)
     weights = np.where(summed, col_sums, np.any(a != 0.0, axis=0)).astype(np.float64)
     return normalized, weights

@@ -9,8 +9,12 @@ rules that make the relation exact:
 - no token put into a body is capitalized, because the name filter drops
   rare words that bodies show only capitalized;
 - a title keeps its cleaned form, so no two titles come to collide.
+The same corpus, re-encoded as csv, tsv or jsonl, after a byte-order mark or
+with its columns in another order, is the same corpus: reading it must give
+the same bytes too.
 """
 
+import csv
 import json
 import string
 import tempfile
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 
 from tensortopics.cli import run_ingest
 from tensortopics.config import PipelineConfig
-from tensortopics.corpus_ingest import DEFAULT_STOPWORDS, REQUIRED_FIELDS
+from tensortopics.corpus_ingest import CORPUS_FORMATS, DEFAULT_STOPWORDS, REQUIRED_FIELDS
 
 RELATION = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -54,15 +58,25 @@ def rows(draw):
 
 
 corpora = st.lists(rows(), min_size=1, max_size=8)
+FIELDS = (*REQUIRED_FIELDS, "body")
 
 
-def tensor_files(corpus) -> dict[str, bytes]:
-    """Every file of tensor/ as run_ingest writes it for a jsonl corpus."""
+def tensor_files(corpus, corpus_format="jsonl", columns=FIELDS, bom=False) -> dict[str, bytes]:
+    """Every file of tensor/ as run_ingest writes it for `corpus`, written as
+    `corpus_format` with its fields in the order of `columns`, after a UTF-8
+    byte-order mark if `bom`. A table row has every column; a jsonl row only
+    the fields it holds."""
     with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "corpus.jsonl"
-        source.write_text("".join(json.dumps(row) + "\n" for row in corpus), encoding="utf-8")
+        source = Path(tmp) / f"corpus.{corpus_format}"
+        with source.open("w", encoding="utf-8-sig" if bom else "utf-8", newline="") as out:
+            if corpus_format == "jsonl":
+                out.writelines(json.dumps({k: row[k] for k in columns if k in row}) + "\n" for row in corpus)
+            else:
+                table = csv.DictWriter(out, columns, delimiter="," if corpus_format == "csv" else "\t")
+                table.writeheader()
+                table.writerows(corpus)
         workdir = Path(tmp) / "run"
-        run_ingest(PipelineConfig(corpus=source, corpus_format="jsonl", workdir=workdir))
+        run_ingest(PipelineConfig(corpus=source, corpus_format=corpus_format, workdir=workdir))
         return {path.name: path.read_bytes() for path in sorted((workdir / "tensor").iterdir())}
 
 
@@ -155,3 +169,30 @@ def test_label_edits_that_cleaning_strips_change_nothing(corpus, data):
             )
         )
     assert_same_tensor(corpus, changed)
+
+
+# Each space of a field may become one of these, so the table writers must
+# quote: a delimiter of either table format, a quote, a line break.
+QUOTED_GAPS = st.sampled_from([" ", " ", ", ", ' "', "\t", "\n", "\r\n", "' ", " é "])
+
+
+# Every encoding but the jsonl one that tensor_files writes by default.
+ENCODINGS = [
+    (corpus_format, variant)
+    for corpus_format in CORPUS_FORMATS
+    for variant in ("plain", "byte_order_mark", "reordered_columns")
+    if (corpus_format, variant) != ("jsonl", "plain")
+]
+
+
+@pytest.mark.parametrize(("corpus_format", "variant"), ENCODINGS)
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=corpora, data=st.data())
+def test_re_encoding_changes_nothing(corpus_format, variant, corpus, data):
+    draw = data.draw
+    corpus = [{k: "".join(draw(QUOTED_GAPS) if c == " " else c for c in v) for k, v in row.items()} for row in corpus]
+    columns = FIELDS
+    if variant == "reordered_columns":
+        columns = tuple(draw(st.permutations(FIELDS).filter(lambda order: order != FIELDS)))
+    changed = tensor_files(corpus, corpus_format, columns, bom=variant == "byte_order_mark")
+    assert changed == tensor_files(corpus)

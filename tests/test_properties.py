@@ -6,9 +6,8 @@ selection does not depend on the order of the pooled components, and
 selecting on arrays keeps what the per-component selection kept, bit for
 bit, and its cosine matrix is exactly symmetric; one
 rank-one term per last-mode fiber reproduces a tensor exactly, so the fiber
-count bounds its CP rank, as factorize's warning states. arrange()
-is idempotent only up to rounding that grows with cancellation inside a
-column: a column where it misses 1e-12 is pinned as an expected failure.
+count bounds its CP rank, as factorize's warning states. arrange() is
+idempotent bit for bit, on a column whose entries cancel too.
 """
 
 import numpy as np
@@ -49,6 +48,12 @@ ZERO_SUM_MODEL = KruskalModel(
 )
 NOISE_SUM_MODEL = KruskalModel(
     weights=[1.5], factors=[np.array([[-1.0], [1.0], [2.03346144e-294]]), np.array([[0.5]])]
+)
+
+# Its arranged second column sums to 1 only to within n * eps * sum(|entries|),
+# which dividing by that sum again would move by 3.6e-12 relative.
+CANCELLING_MODEL = KruskalModel(
+    weights=[1.0], factors=[np.array([[1.0]]), np.array([[1.32863678e-06], [9.65696332e-01], [-9.65659595e-01]])]
 )
 
 
@@ -93,19 +98,20 @@ class TestArrange:
         assert np.argmax(got.factors[1], axis=0).tolist() == order
         np.testing.assert_array_equal(got.weights, np.array(weights)[order])
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="arrange divides again by the computed sum of an arranged column, which is "
-        "off 1 by up to n * eps * sum(|entries|); when the entries cancel, that moves "
-        "them by more than 1e-12 (here 3.6e-12)",
-    )
     def test_idempotent_on_a_cancelling_column(self):
-        model = KruskalModel(
-            weights=[1.0],
-            factors=[np.array([[1.0]]), np.array([[1.32863678e-06], [9.65696332e-01], [-9.65659595e-01]])],
-        )
-        once = arrange(model)
+        once = arrange(CANCELLING_MODEL)
         assert _close(arrange(once).factors[1], once.factors[1])
+
+    @PROPERTY
+    @given(case=models_and_tensors())
+    @example(case=(ZERO_SUM_MODEL, None))
+    @example(case=(NOISE_SUM_MODEL, None))
+    @example(case=(CANCELLING_MODEL, None))
+    def test_idempotent_bit_for_bit(self, case):
+        once = arrange(case[0])
+        twice = arrange(once)
+        for got, want in zip([twice.weights, *twice.factors], [once.weights, *once.factors]):
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite
