@@ -186,12 +186,10 @@ def _float_text(values: np.ndarray, width: int) -> bytes:
     cells[at, :2] = 0
     cells[at, 2] = ord(" ") << 56
     cells[width - 1::width, 2] ^= (ord(" ") ^ ord("\n")) << 56
-    text = cells.view(np.uint8)
-    body = text[text != 0]
-    del cells, text
+    text = cells.tobytes().replace(b"\0", b"")
     if not at.size:
-        return body.tobytes()
-    pieces = np.split(body, np.cumsum(np.where(sure, 23 + sign, 1))[at] - 1)
+        return text
+    pieces = np.split(np.frombuffer(text, np.uint8), np.cumsum(np.where(sure, 23 + sign, 1))[at] - 1)
     out = [bytes(pieces[0])]
     for x, piece in zip(values[at].tolist(), pieces[1:]):
         out += format(x, ".16e").encode(), bytes(piece)
@@ -205,8 +203,8 @@ def write_float_rows(out, table: np.ndarray) -> None:
     as the same double (Matula 1968; Goldberg 1991). The text is made in
     numpy, FLOAT_CHUNK_VALUES floats at a time: each value is scaled by a
     power of ten as an exact double-double (Dekker 1971) and rounded, the
-    rare values that cannot be decided so go to format(), and one mask
-    compacts the fixed-width byte rows.
+    rare values that cannot be decided so go to format(), and one
+    bytes.replace drops the NULs of the fixed-width cells.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, width = table.shape
