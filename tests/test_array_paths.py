@@ -757,7 +757,7 @@ class TestFloatText:
     def test_exponent_digits_carry_and_sign(self):
         # Two exponent digits up to 1e+-99, three from 1e+-100 on. The double
         # 1e-14 lies just below 10**-14 and its 17 digits carry up to it;
-        # 1e-248 scales to just below 1e16, one decimal exponent lower.
+        # 1e-248 lies below the fast path's range.
         edges = [1e99, 1e-99, 1e100, 1e-100, 1e-14, 1e-248, 123.456, 0.1, 0.0]
         table = _with_neighbours(edges)
         table = np.concatenate([table, -table]).reshape(-1, 1)
