@@ -43,8 +43,8 @@ class Artifact(namedtuple("Artifact", "kind format schema_version stage")):
 
 
 TENSOR = Artifact("tensor", "sparse-tensor-coo", 2, "ingest")
-MODEL = Artifact("model", "kruskal-model", 3, "factorize")
-SELECTION = Artifact("selection", "component-selection", 2, "select")
+MODEL = Artifact("model", "kruskal-model", 4, "factorize")
+SELECTION = Artifact("selection", "component-selection", 3, "select")
 REPORT = Artifact("report", "component-report", 1, "report")
 SUMMARY = Artifact("summary", "report-summary", 1, "report")
 
@@ -141,6 +141,17 @@ def _digits17(x: np.ndarray):
     return y.astype(np.int64) + whole.astype(np.int64), s, unsure
 
 
+def _digit_words(width: int) -> np.ndarray:
+    """The ASCII digits of 0 to 10**width - 1, zero-padded to `width`, as
+    little-endian uint64 words: the most significant digit in byte 0. Each
+    pass appends one digit byte to every word so far, in numeric order."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    words = digits
+    for k in range(1, width):
+        words = (words[:, None] | digits << 8 * k).ravel()
+    return words
+
+
 @functools.cache
 def _text_words() -> tuple[np.ndarray, ...]:
     """The little-endian words that _float_text ORs into its cells, as uint64:
@@ -148,12 +159,11 @@ def _text_words() -> tuple[np.ndarray, ...]:
     the point in bytes 1 to 3; and for each scale s of _pow10_table, %e's
     exponent 16 - s, where it has two digits, and a space in bytes 3 to 7."""
     texts = (
-        [b"%04d" % i for i in range(10000)],
-        [b"%03d" % i for i in range(1000)],
         [b"\0%d.%d" % divmod(n, 10) for n in range(100)],
         [b"\0\0\0e%+03d " % (16 - s) if abs(16 - s) < 100 else b"" for s in range(_S_MIN, _S_MAX + 1)],
     )
-    return tuple(np.frombuffer(b"".join(t.ljust(8, b"\0") for t in table), dtype="<u8") for table in texts)
+    lead, exponent = (np.frombuffer(b"".join(t.ljust(8, b"\0") for t in table), dtype="<u8") for table in texts)
+    return _digit_words(4), _digit_words(3), lead, exponent
 
 
 def _float_text(values: np.ndarray, width: int) -> bytes:
@@ -217,9 +227,9 @@ def write_float_rows(out, table: np.ndarray) -> None:
 
 
 def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, list]:
-    """The JSON header in `raw`, after checking its format and schema version,
-    and its `fields` (name=converter) converted in order; every fault raises a
-    ValueError naming `source`."""
+    """The JSON header in `raw`, after checking its format and its integer
+    schema version, and its `fields` (name=converter) converted in order;
+    every fault raises a ValueError naming `source`."""
     kind = artifact.kind
     try:
         header = json.loads(raw)
@@ -228,22 +238,24 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != artifact.format:
         raise ValueError(f"{source}: unrecognized {kind} format {fmt!r}")
-    if header.get("schema_version") != artifact.schema_version:
-        raise ValueError(
-            f"{source}: unsupported schema version {header.get('schema_version')!r} "
-            f"(expected {artifact.schema_version}; rerun {artifact.stage})"
-        )
-    values = []
-    for name, convert in fields.items():
+
+    def field(name, convert):
         if name not in header:
             raise ValueError(f"{source}: {kind} header has no {name!r} field")
         try:
-            values.append(convert(header[name]))
+            return convert(header[name])
         except KeyError as exc:
             raise ValueError(f"{source}: malformed {kind} header: no {exc.args[0]!r} key in {name!r}") from None
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"{source}: malformed {kind} header: {exc}") from exc
-    return header, values
+
+    version = field("schema_version", json_int)
+    if version != artifact.schema_version:
+        raise ValueError(
+            f"{source}: unsupported schema version {version}, "
+            f"expected {artifact.schema_version}; rerun {artifact.stage}"
+        )
+    return header, [field(name, convert) for name, convert in fields.items()]
 
 
 def of_json_type(*types):
@@ -480,8 +492,6 @@ def _payload_path(path: Path) -> Path:
 def save_model(
     model: KruskalModel,
     path: str | Path,
-    mode_names=None,
-    labels_ref: str | None = None,
     tensor_payload_crc32: int | None = None,
 ) -> Path:
     """Write a model as a versioned text file plus its binary number table.
@@ -494,10 +504,9 @@ def save_model(
     space-separated. write_float_rows makes that body in numpy, block by
     block, leaving to format() only the rare values its fast path cannot
     decide. load_model reads the numbers from the table; the text body is
-    there for readers of the documented text format.
-    Axis labels are referenced by path, never embedded; the header records
+    there for readers of the documented text format. The header records
     `tensor_payload_crc32`, the payload CRC-32 of the tensor the model was
-    fit to.
+    fit to; the mode names and labels are the tensor's alone.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -505,8 +514,6 @@ def save_model(
     header = MODEL.stamp(
         rank=model.rank,
         shape=list(model.shape),
-        mode_names=list(mode_names) if mode_names is not None else None,
-        labels_ref=labels_ref,
         tensor_payload_crc32=tensor_payload_crc32,
         payload_crc32=crc32,
     )
@@ -534,28 +541,22 @@ def remove_model(path: str | Path) -> list[Path]:
 def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     """Read a model written by save_model. Returns (model, header dict).
 
-    Only the text file's header line is read. Its mode_names must be null or
-    one distinct string per mode of its shape, its labels_ref null or a
-    string, and its tensor_payload_crc32 an int or null; the numbers come
-    from `<path>.npy`, whose dtype, shape ((1 + sum(shape), rank)) and CRC-32
-    must match the header, and which must hold only finite numbers. Every
-    fault raises a ValueError naming the file.
+    Only the text file's header line is read. Its tensor_payload_crc32 must
+    be an int or null; the numbers come from `<path>.npy`, whose dtype,
+    shape ((1 + sum(shape), rank)) and CRC-32 must match the header, and
+    which must hold only finite numbers. Every fault raises a ValueError
+    naming the file.
     """
     path = Path(path)
     with path.open("rb") as f:
         first = f.readline()
     if not first:
         raise ValueError(f"{path}: empty model file")
-    header, (rank, shape, names, _labels, _fitted, crc32) = read_header(
+    header, (rank, shape, _fitted, crc32) = read_header(
         first.rstrip(b"\n"), path, MODEL,
         rank=json_int, shape=_model_shape,
-        mode_names=lambda v: v if v is None else _mode_names(v), labels_ref=of_json_type(str, type(None)),
         tensor_payload_crc32=of_json_type(int, type(None)), payload_crc32=json_int,
     )
-    if names is not None and len(names) != len(shape):
-        raise ValueError(
-            f"{path}: model header names {len(names)} mode(s), its shape has {len(shape)}; rerun factorize"
-        )
     return _read_table(_payload_path(path), MODEL, shape, rank, crc32, f"the header of {path.name}"), header
 
 
@@ -590,11 +591,12 @@ def _as_model(table: np.ndarray, shape) -> KruskalModel:
     return KruskalModel(weights=weights, factors=factors)
 
 
-def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, tuple[int, ...], int]:
+def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, int]:
     """The models of `models`, a non-empty map of rank to model file, side by
-    side in one Kruskal table in its order, and the label counts and payload
-    CRC-32 of tensor_dir's header.json, which each model must match; any other
-    is a ValueError naming it. No label file is read. Each model is copied in
+    side in one Kruskal table in its order, and the payload CRC-32 of
+    tensor_dir's header.json. Each model must match that CRC-32 and the
+    header's label counts, which are the table's shape; any other is a
+    ValueError naming it. No label file is read. Each model is copied in
     and dropped before the next is read, and the pool is sized only once the
     first has passed, so no extent in header.json is allocated unchecked."""
     tensor_dir = Path(tensor_dir)
@@ -620,12 +622,11 @@ def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, tuple[int, 
         for block, part in zip([pool.weights, *pool.factors], [model.weights, *model.factors]):
             block[..., end:end + rank] = part
         end += rank
-    return pool, shape, tensor_crc32
+    return pool, tensor_crc32
 
 
 def save_selection(
-    path: Path, pool: KruskalModel, ids, tensor_crc32: int, selection, ranks, word_mode: int, result,
-    similarity_matrix: bool,
+    path: Path, pool: KruskalModel, ids, tensor_crc32: int, selection, ranks, result, similarity_matrix: bool
 ) -> None:
     """Write selection.json and, beside it, selection.npy.
 
@@ -646,7 +647,6 @@ def save_selection(
         "strategy": selection.strategy,
         "threshold": selection.threshold,
         "ranks": ranks,
-        "word_mode": word_mode,
         "shape": list(pool.shape),
         "tensor_payload_crc32": tensor_crc32,
         "payload_crc32": crc32,
@@ -672,9 +672,9 @@ def save_selection(
 
 def load_selection(
     path: Path, tensor_dir: Path
-) -> tuple[int, list[tuple[int, int]], KruskalModel, list[AxisMap], list[str], dict]:
-    """A selection.json's word mode, the (origin_rank, index_in_model) of each
-    kept component, the Kruskal table of selection.npy, whose column j holds
+) -> tuple[list[tuple[int, int]], KruskalModel, list[AxisMap], list[str], dict]:
+    """A selection.json's (origin_rank, index_in_model) of each kept
+    component, the Kruskal table of selection.npy, whose column j holds
     kept component j, tensor_dir's axis labels and mode names, and run meta:
     ranks, threshold and strategy, in their JSON types, for summary.json.
 
@@ -688,9 +688,8 @@ def load_selection(
     raises a ValueError naming the file, and so does a label file whose
     count is not its extent.
     """
-    _header, (word_mode, kept, ranks, threshold, strategy, pooled, stable, shape, tensor_crc32, crc32) = read_header(
+    _header, (kept, ranks, threshold, strategy, pooled, stable, shape, tensor_crc32, crc32) = read_header(
         path.read_bytes(), path, SELECTION,
-        word_mode=json_int,
         kept=lambda items: [(json_int(i["origin_rank"]), json_int(i["index_in_model"])) for i in items],
         ranks=lambda v: [json_int(r) for r in of_json_type(list)(v)],
         threshold=json_finite,
@@ -711,8 +710,6 @@ def load_selection(
             f"{path}: selected from a tensor whose payload CRC-32 is {tensor_crc32}, "
             f"{tensor_dir / HEADER_FILE} records {current_crc32}; rerun select"
         )
-    if not 0 <= word_mode < len(shape):
-        raise ValueError(f"{path}: word_mode {word_mode} is outside [0, {len(shape)})")
     for pos, (rank, index) in enumerate(kept):
         if not 0 <= index < rank:
             raise ValueError(
@@ -728,7 +725,7 @@ def load_selection(
         )
     table = _read_table(path.with_name(SELECTION_PAYLOAD_FILE), SELECTION, shape, len(kept), crc32, path.name)
     meta = {"ranks": ranks, "threshold": threshold, "strategy": strategy}
-    return word_mode, kept, table, _read_axes(tensor_dir, extents), mode_names, meta
+    return kept, table, _read_axes(tensor_dir, extents), mode_names, meta
 
 
 @dataclass

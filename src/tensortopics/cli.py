@@ -79,15 +79,12 @@ def run_factorize(cfg) -> list[Path]:
     failed leaves none behind for select to pool.
     """
     _require(cfg, "workdir")
-    tensor, mode_names, tensor_crc32 = load_tensor_payload(_tensor_dir(cfg))
+    tensor, _names, tensor_crc32 = load_tensor_payload(_tensor_dir(cfg))
     removed = [p for rank in cfg.selection.ranks for p in remove_model(_model_path(cfg, rank))]
     logger.info("removed %d model file(s) of the configured ranks before fitting", len(removed))
 
     def save(rank, model):
-        path = _model_path(cfg, rank)
-        return save_model(
-            model, path, mode_names=mode_names, labels_ref="../tensor", tensor_payload_crc32=tensor_crc32
-        )
+        return save_model(model, _model_path(cfg, rank), tensor_payload_crc32=tensor_crc32)
 
     paths = ensemble_models(
         tensor, cfg.selection.ranks, cfg.als, threads=cfg.threads, on_model=save
@@ -111,15 +108,12 @@ def run_select(cfg) -> Path:
             logger.warning("no model file for rank %d at %s, skipping", rank, path)
     if not models:
         raise ValueError("no model files found for the configured ranks")
-    pool, shape, tensor_crc32 = load_pool(_tensor_dir(cfg), models)
+    pool, tensor_crc32 = load_pool(_tensor_dir(cfg), models)
     ids = [(rank, index) for rank in models for index in range(rank)]
-    word_mode = len(shape) - 1
-
-    result = select_pool(pool.weights, pool.factors[word_mode].T, ids, cfg.selection)
+    # The words are the tensor's last mode.
+    result = select_pool(pool.weights, pool.factors[-1].T, ids, cfg.selection)
     path = _selection_path(cfg)
-    save_selection(
-        path, pool, ids, tensor_crc32, cfg.selection, list(models), word_mode, result, cfg.similarity_matrix
-    )
+    save_selection(path, pool, ids, tensor_crc32, cfg.selection, list(models), result, cfg.similarity_matrix)
     logger.info(
         "kept %d of %d pooled component(s)", len(result.kept), result.pooled_count
     )
@@ -135,10 +129,8 @@ def run_report(cfg) -> Path:
     """
     _require(cfg, "workdir")
     out_dir = cfg.output if cfg.output is not None else cfg.workdir / "report"
-    word_mode, kept, table, axes, mode_names, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
-    reports = build_report(
-        table, kept, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count, word_mode=word_mode
-    )
+    kept, table, axes, mode_names, meta = load_selection(_selection_path(cfg), _tensor_dir(cfg))
+    reports = build_report(table, kept, axes, mode_names, n=cfg.top_n, keyword_count=cfg.keyword_count)
     return emit_report(reports, out_dir, meta)
 
 

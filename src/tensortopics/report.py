@@ -21,7 +21,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_N = 13
 DEFAULT_KEYWORD_COUNT = 50
-WORD_MODE = 3
 
 
 def top_n(values, n: int, axis: AxisMap) -> list[tuple[str, float]]:
@@ -57,13 +56,13 @@ def build_report(
     mode_names,
     n: int = DEFAULT_TOP_N,
     keyword_count: int = DEFAULT_KEYWORD_COUNT,
-    word_mode: int = WORD_MODE,
 ) -> list[ComponentReport]:
     """Summarize each column of the Kruskal table `table` against the tensor
     axes; ids[j] is column j's (origin_rank, index_in_model).
 
-    Each mode of each column is ranked once: the word mode's top n and its
-    keywords are both prefixes of the same ranking.
+    Each mode of each column is ranked once. The keywords come from the last
+    mode, the words: its top n and its keywords are both prefixes of the
+    same ranking.
     """
     if len(axes) != len(mode_names) or len(axes) != len(table.factors):
         raise ValueError("axes, mode names, and factors must align")
@@ -71,16 +70,14 @@ def build_report(
         raise ValueError(f"{len(ids)} ids for a table of {table.rank} columns")
     if min(n, keyword_count) < 1:
         raise ValueError(f"n and keyword_count must be >= 1, got {n} and {keyword_count}")
-    if not 0 <= word_mode < len(axes):
-        raise ValueError(f"word_mode must be in [0, {len(axes)}), got {word_mode}")
-    counts = [max(n, keyword_count) if mode == word_mode else n for mode in range(len(axes))]
+    counts = [n] * (len(axes) - 1) + [max(n, keyword_count)]
     # Each factor is transposed once, so every column is ranked from contiguous memory.
     columns = [np.ascontiguousarray(f.T) for f in table.factors]
     reports = []
     for j, (origin_rank, index_in_model) in enumerate(ids):
         ranked = [top_n(c[j], count, axis) for c, count, axis in zip(columns, counts, axes)]
         tops = {str(name): pairs[:n] for name, pairs in zip(mode_names, ranked)}
-        weight, keywords = float(table.weights[j]), ranked[word_mode][:keyword_count]
+        weight, keywords = float(table.weights[j]), ranked[-1][:keyword_count]
         reports.append(ComponentReport(int(origin_rank), int(index_in_model), weight, tops, keywords))
     return reports
 

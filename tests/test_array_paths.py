@@ -605,9 +605,8 @@ class TestModelText:
         )
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.model", Path(tmp) / "want.model"
-            names = list("abcd")[:len(extents)]
-            save_model(model, got, mode_names=names, tensor_payload_crc32=7)
-            one_table_save(model, want, names, 7)
+            save_model(model, got, tensor_payload_crc32=7)
+            one_table_save(model, want, 7)
             for suffix in ("", ".npy"):
                 assert Path(f"{got}{suffix}").read_bytes() == Path(f"{want}{suffix}").read_bytes(), suffix
 
@@ -681,15 +680,15 @@ class TestModelText:
         assert [f.tobytes() for f in loaded.factors] == [f.tobytes() for f in model.factors]
 
 
-def one_table_save(model, path, mode_names, tensor_payload_crc32):
+def one_table_save(model, path, tensor_payload_crc32):
     """save_model's oracle: one C-ordered (1 + sum(shape), rank) table made by
     np.vstack, written whole by np.save and by one write_float_rows call.
     (vstack of Fortran-ordered factors can give a Fortran-ordered table.)"""
     table = np.ascontiguousarray(np.vstack([model.weights[None, :], *model.factors]))
     np.save(Path(f"{path}.npy"), table, allow_pickle=False)
     header = artifacts.MODEL.stamp(
-        rank=model.rank, shape=list(model.shape), mode_names=mode_names, labels_ref=None,
-        tensor_payload_crc32=tensor_payload_crc32, payload_crc32=zlib.crc32(table),
+        rank=model.rank, shape=list(model.shape), tensor_payload_crc32=tensor_payload_crc32,
+        payload_crc32=zlib.crc32(table),
     )
     with Path(path).open("wb") as out:
         out.write((json.dumps(header) + "\n").encode())
@@ -736,6 +735,12 @@ class TestFloatText:
     """write_float_rows against the per-float format(x, ".16e") join of the model body."""
 
     CHUNK = artifacts.FLOAT_CHUNK_VALUES
+
+    def test_digit_words_are_zero_padded_decimals(self):
+        # The words of every number's 4 and 3 digits, NUL-padded to 8 bytes.
+        four, three, _lead, _exponent = artifacts._text_words()
+        assert four.tobytes() == b"".join(b"%04d\0\0\0\0" % i for i in range(10000))
+        assert three.tobytes() == b"".join(b"%03d\0\0\0\0\0" % i for i in range(1000))
 
     def test_random_values_match_format(self, rng):
         n = 400_000

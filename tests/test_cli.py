@@ -94,7 +94,7 @@ class TestPipeline:
         assert payload["strategy"] == "stable-then-dedup"
         assert payload["threshold"] == 0.35
         assert payload["ranks"] == [3, 5]
-        assert payload["word_mode"] == 3
+        assert "word_mode" not in payload
         assert payload["pooled_count"] == 8
         assert 1 <= len(payload["kept"]) <= 8
         magnitudes = [abs(item["weight"]) for item in payload["kept"]]
@@ -423,10 +423,7 @@ class TestOverrides:
         # Zero the word column of (rank 5, index 4): pool entry 3 + 4.
         model, header = load_model(models[1])
         model.factors[-1][:, 4] = 0.0
-        save_model(
-            model, models[1], mode_names=header["mode_names"], labels_ref=header["labels_ref"],
-            tensor_payload_crc32=header["tensor_payload_crc32"],
-        )
+        save_model(model, models[1], tensor_payload_crc32=header["tensor_payload_crc32"])
         assert run(*select) == 0
         assert "excluded 1 component(s) with all-zero word slices" in caplog.text
         plain = json.loads(selection.read_text(encoding="utf-8"))
@@ -615,31 +612,20 @@ class TestErrors:
         with pytest.raises(KeyError, match="'x'"):
             run("select", "--config", CFG, "--workdir", str(tmp_path))
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("index_in_model", -1),
-            ("index_in_model", "rank"),
-            ("word_mode", 4),
-            ("word_mode", -1),
-        ],
-    )
-    def test_report_rejects_out_of_range_selection(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("value", [-1, "rank"])
+    def test_report_rejects_out_of_range_selection(self, tmp_path, capsys, value):
         workdir = tmp_path / "run"
         for cmd in ("ingest", "factorize", "select"):
             assert run(cmd, "--config", CFG, "--workdir", str(workdir)) == 0
         path = workdir / "selection.json"
         selection = json.loads(path.read_text(encoding="utf-8"))
         item = selection["kept"][-1]
-        if field == "word_mode":
-            selection["word_mode"] = value
-        else:
-            item["index_in_model"] = item["origin_rank"] if value == "rank" else value
+        item["index_in_model"] = item["origin_rank"] if value == "rank" else value
         path.write_text(json.dumps(selection), encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "selection.json" in err and field in err
+        assert "error:" in err and "selection.json" in err and "index_in_model" in err
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
@@ -733,6 +719,7 @@ class TestErrors:
             ("[1, 2]", "unrecognized tensor format None"),
             ('{"format": "sparse-tensor-coo"', "unreadable tensor header"),
             ('{"format": "sparse-tensor-coo", "schema_version": 2}', "no 'shape' field"),
+            ('{"format": "sparse-tensor-coo", "schema_version": 2.0}', "malformed tensor header: expected int"),
             *(
                 (
                     '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [%d, 37, 7, 36],'
@@ -794,19 +781,14 @@ class TestErrors:
             (lambda h: h.update(payload_crc32="abc"), "malformed model header: expected int, got 'abc'"),
             (lambda h: h.pop("tensor_payload_crc32"), "model header has no 'tensor_payload_crc32' field"),
             (lambda h: h.update(tensor_payload_crc32=str(h["tensor_payload_crc32"])), "malformed model header"),
-            (lambda h: h.pop("mode_names"), "model header has no 'mode_names' field"),
-            (lambda h: h.update(mode_names="abcd"), "malformed model header: expected list, got 'abcd'"),
-            (lambda h: h.update(mode_names=["a", "a", "j", "w"]), "malformed model header: mode_names repeats a name"),
-            (lambda h: h.pop("labels_ref"), "model header has no 'labels_ref' field"),
-            (lambda h: h.update(labels_ref=7), "malformed model header: expected str or NoneType, got 7"),
-            (lambda h: h.update(mode_names=["x", "y"]), "model header names 2 mode(s), its shape has 4"),
-            (lambda h: h.update(mode_names=list("abcde")), "model header names 5 mode(s), its shape has 4"),
+            (lambda h: h.update(schema_version=3), "unsupported schema version 3, expected 4; rerun factorize"),
+            (lambda h: h.update(schema_version=4.0), "malformed model header: expected int, got 4.0"),
+            (lambda h: h.pop("schema_version"), "model header has no 'schema_version' field"),
         ],
         ids=[
             "no_rank", "no_shape", "text_rank", "null_rank", "int_shape", "text_extent", "list_extent",
             "fractional_rank", "integral_float_rank", "bool_extent", "no_crc", "text_crc",
-            "no_tensor_crc", "text_tensor_crc", "no_mode_names", "text_mode_names", "repeated_mode_name",
-            "no_labels_ref", "int_labels_ref", "too_few_mode_names", "too_many_mode_names",
+            "no_tensor_crc", "text_tensor_crc", "schema_3", "integral_float_schema", "no_schema",
         ],
     )
     def test_bad_model_header_reports_error(self, selected, tmp_path, capsys, edit, phrase):
@@ -929,15 +911,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "edit, phrase",
         [
-            (lambda s: s.update(schema_version=99), "unsupported schema version 99 (expected 2; rerun select)"),
+            (lambda s: s.update(schema_version=99), "unsupported schema version 99, expected 3; rerun select"),
+            (lambda s: s.update(schema_version=2), "unsupported schema version 2, expected 3; rerun select"),
+            (lambda s: s.update(schema_version=3.0), "malformed selection header: expected int, got 3.0"),
             (lambda s: s.update(format="component-report"), "unrecognized selection format 'component-report'"),
             (lambda s: s.pop("kept"), "selection header has no 'kept' field"),
             (lambda s: s["kept"][0].update(origin_rank=None), "malformed selection header"),
             (lambda s: s["kept"][0].pop("origin_rank"),
              "malformed selection header: no 'origin_rank' key in 'kept'"),
             (lambda s: s["kept"][0].update(index_in_model="x"), "malformed selection header"),
-            (lambda s: s.update(word_mode=None), "malformed selection header"),
-            (lambda s: s.update(word_mode=3.9), "malformed selection header: expected int, got 3.9"),
             (lambda s: s["kept"][0].update(index_in_model=0.7), "malformed selection header"),
             (lambda s: s["kept"][0].update(origin_rank=float(s["kept"][0]["origin_rank"])), "malformed selection header"),
             (lambda s: s["kept"][0].update(index_in_model=False), "malformed selection header"),
@@ -969,8 +951,8 @@ class TestErrors:
             (lambda s: s.update(stable_count=1), "stable_count 1 is outside [2, 8]"),
         ],
         ids=[
-            "schema_99", "other_format", "no_kept", "null_rank", "no_rank", "text_index", "null_word_mode",
-            "fractional_word_mode", "fractional_index", "float_rank", "bool_index",
+            "schema_99", "schema_2", "integral_float_schema", "other_format", "no_kept", "null_rank", "no_rank",
+            "text_index", "fractional_index", "float_rank", "bool_index",
             "no_ranks", "no_threshold", "no_strategy", "text_ranks", "float_in_ranks",
             "text_threshold", "bool_threshold", "null_strategy",
             "nan_threshold", "infinite_threshold", "huge_threshold",

@@ -25,9 +25,16 @@ table's CRC-32 and what it was selected from (the label counts and the
 tensor payload's CRC-32). The report bytes did not move. When each model
 began to record the tensor it was fit to, the two model files were re-pinned:
 their header line gained tensor_payload_crc32 and schema version 3, and their
-body lines and .npy payloads did not change. Any later change to how the
-tensor, the models, the selection or the report are computed or serialized
-must leave these hashes alone or update them on purpose.
+body lines and .npy payloads did not change. When the tensor became the one
+owner of the mode names and the word mode, the model header line lost
+mode_names and labels_ref and went to schema version 4, and selection.json
+lost word_mode and went to schema version 3: the two model files and
+selection.json were re-pinned here, and so were the seven model files,
+selection.json and the --similarity-matrix selection.json of the ensemble
+run below. Every model body line, every .npy payload, the tensor files and
+the report bundles did not move. Any later change to how the tensor, the
+models, the selection or the report are computed or serialized must leave
+these hashes alone or update them on purpose.
 
 The model bytes depend on floating-point results of the factorization, so
 the hashes hold for one numpy/BLAS build (numpy 2.4.6 and its bundled
@@ -98,11 +105,11 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "b230803290656f1cc02c243c83bfaf688786eda5b4918d3cbfcefe35de3d0681",
+    "models/rank_3.model": "fd754b7e2b3d2377faddc49e074041c2ed6490c2d1c5cc5a136ca232e15e4b4c",
     "models/rank_3.model.npy": "70313d6034060e08de3347fcc494ffea02146a6327035ebf3b72f7dbc1a6a40a",
-    "models/rank_5.model": "eb41bc4a078ea4a9995fb11e0c5876c267cd200f01fc651c22ec76757aaea917",
+    "models/rank_5.model": "29d65413b3cedde30f66e73fcd6f611d91d15f56575ac527a2edad1d0bbbdd9c",
     "models/rank_5.model.npy": "9b18b770eac2f76ff5e6c21a098f5f53a2efa01a6751e78e777152af92ee03e0",
-    "selection.json": "31e8f8ccadbdf51d396463b2e540bc70ba3d8e6cfef0bb29b5449903e1627c2e",
+    "selection.json": "a981720c99ba2ad38f9f2424cb26231178ee1232137e1f1e4bf535086f59c9ad",
     "selection.npy": "d66a93f458d748da8cc9f00e273d084fb8c5f1b70ee784f8b7f836e6d132b636",
     "report/report.json": "92d235f699c3d4f394321f00c3f4d807521fef9de1af020f1c10e0f5f953e3e6",
     "report/summary.json": "c37d872a328983133158a8bc545f54d18fd2bb11b91563f6188f1c7a01167582",
@@ -172,21 +179,21 @@ ENSEMBLE_SHA256 = {
     "tensor/mode1.labels.txt": "3f2f299a1b300ebdf4ca17e5d3cb6abdce50cb4a0c42e15658c8f7a4e71a6bea",
     "tensor/mode2.labels.txt": "df2b260f9f763d7a3def4682b3557716e6ceccd945a6d5b26a8f23f81a90e9ee",
     "tensor/mode3.labels.txt": "5a5f87126991ab2f10679e9e14b138d8b3ec5d24c00c54200e4851cc44ea6455",
-    "models/rank_20.model": "592266e8f8be2a0a904e205c2bba3f20854a9e0d4b00ac4bd80708a33fbdaace",
+    "models/rank_20.model": "a7f4d4816dfaa9098693184cd4d4601a199056194827ca5e25122f09a597a61b",
     "models/rank_20.model.npy": "710638715e82fa3c23ef8b201247c2e70851747931f129766820cecda322a41c",
-    "models/rank_40.model": "f2cce15d8eb51d4fd91295c8172b0f76636b07cb2a5c32f13a14bf1730a602cd",
+    "models/rank_40.model": "7ececfe216b9f799af3d72d0e69f98647d54a9bf78985aea6a0c2cf88367dd85",
     "models/rank_40.model.npy": "906217cde77b12f9aa91d691df6d7d27b23ed68be4eb67c5d66ed00c42a79457",
-    "models/rank_60.model": "f43f8b9b1b4c6ec5e67f701c6d646f8182bb401e5c58cc24cd402d448cfd8501",
+    "models/rank_60.model": "cbc82731ddd5a5f4583f6e81b4f4a3ed427239a6b83d61f92d21030d56a44a5a",
     "models/rank_60.model.npy": "6e30541a3997aada5c91432bfca28d055950b65174b7be2ddaf2eaee799b8da8",
-    "models/rank_80.model": "6ab99f25da2280573a049a5ae95b63ca04331ced7800108642e576b9b1478684",
+    "models/rank_80.model": "c151acf3c9be016a3af1936e8861782da0dbdf3146343ff50ad99746b066e3a1",
     "models/rank_80.model.npy": "a0256e2bf8552f4cb7f732bf1dc03084da31d768ec9cb58b782226c043475916",
-    "models/rank_100.model": "8555c70d82e3e9958577f93462f1defa0e79f95fac2fd142a0b965bb96549c41",
+    "models/rank_100.model": "aac15c104c2071844fb2c0b2b5ec71005c7792e7b2ebb067dde3072f35cb3707",
     "models/rank_100.model.npy": "9f0b8024654b5f5a814c2efa1ab13c5bdd4464edfab8b8b12f34bc6c9e6aced5",
-    "models/rank_120.model": "be0441a078b8d0119748391d3c550dbdab727fd97921423efffa322d0d30323c",
+    "models/rank_120.model": "5f65312dbe1005f0cbc7a4b67db8e3b25f2e72fd3e6ce78b5fdb0813fbe6ea42",
     "models/rank_120.model.npy": "32cc503f3d750ba9cb9faede333f23134b0f132dc238292ed0e6de7cb692a01a",
-    "models/rank_200.model": "2d9970162650abe2e86359c9b155bad0851865bd13f060c63327f207a4db58fe",
+    "models/rank_200.model": "8182ba3dbf8d24c110270197f0b75cb70969423ca7ab26f8df65d0578cd510c9",
     "models/rank_200.model.npy": "5a2b8d9a72c9b1b7b7a948a277a7060304b3b28d8ff6613158b1e7779f0116d2",
-    "selection.json": "920c3586808173afa9d299c61350565063858397014bf420b3b3ad2a853c014d",
+    "selection.json": "4af35d1e04afd0a99d030beb717e06649289272aa9f12e83ff46769ae6e8eeea",
     "selection.npy": "f5ce42c5eb5745c4e78592cc714c30684013a33e58573e9cc45aee516069714a",
     "report/report.json": "400242efb594965aa83639b528962e89521ea4d4591ecb04a7f83c56171f7cf4",
     "report/summary.json": "775d4406a48609f7a2c56d1e875f16e4c944dd3874426ee41c58f60f409b378d",
@@ -194,7 +201,7 @@ ENSEMBLE_SHA256 = {
 }
 # selection.json as `select --similarity-matrix` rewrites it in that tree:
 # the same fields, then every pooled cosine. Nothing else moves.
-ENSEMBLE_MATRIX_SELECTION_SHA256 = "7ee7577490c7f402d31064cd9ff70fc6298104ee71d8d5935a4ce8bdb2409fbb"
+ENSEMBLE_MATRIX_SELECTION_SHA256 = "b9fdcf266d163338bf2d371912a8e00b35ec8fae00c8ef26c62f969081ea6c19"
 
 
 def test_ensemble_pipeline_bytes_are_golden(tmp_path, haswell_core):

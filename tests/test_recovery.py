@@ -2,14 +2,16 @@
 
 The corpus has the benchmark `ensemble` workload's shape
 (tests/planted_corpus.py): 20 topics, each with 40 terms and one journal.
-The pipeline runs in process at the paper's seven ranks, 5 sweeps each, and
-threshold 0.35. A kept component matches a topic when at least 10 of its top
-20 keywords are among the topic's terms, and a topic is recovered when some
-kept component matches it. These checks read what the report means, not its
-bytes, so they still hold after a change that moves model bytes only by
-rounding. The same holds across OpenBLAS kernels: two children under the
-AVX2 and the AVX kernels write other model bytes, but keep the same
-components with the same keywords.
+Its 80 documents put ranks 80 to 200 at or above the tensor's rank bound,
+so a second shape has 400 shorter documents, more than every rank, as the
+paper's corpus has. The pipeline runs in process at the paper's seven
+ranks, 5 sweeps each, and threshold 0.35. A kept component matches a topic
+when at least 10 of its top 20 keywords are among the topic's terms, and a
+topic is recovered when some kept component matches it. These checks read
+what the report means, not its bytes, so they still hold after a change
+that moves model bytes only by rounding. The same holds across OpenBLAS
+kernels: two children under the AVX2 and the AVX kernels write other model
+bytes, but keep the same components with the same keywords.
 """
 
 import os
@@ -42,23 +44,37 @@ MATCH = 10
 # 21 and 25 components that match none.
 MIN_RECOVERED = 18
 MAX_UNMATCHED = 30
+# 400 documents of 100 tokens: the same 2,000-word vocabulary, 20 topics
+# and 10 journals, and 60 authors. Seeds 41 to 50 kept 20 to 31 components
+# (41, 42 and 43: 29, 26 and 23), recovered 17 to 20 topics (18, 19 and 19)
+# and kept 2 to 9 components that match none (9, 2 and 3). Selection on the
+# author mode recovers every topic here, but keeps over 60 components.
+MANY_DOCUMENTS_SHAPE = {
+    "documents": 400, "tokens_per_document": 100, "vocabulary": 2000, "topics": 20, "journals": 10, "authors": 60,
+}
+MANY_DOCUMENTS_MIN_RECOVERED = 17
+MANY_DOCUMENTS_MAX_UNMATCHED = 10
+MANY_DOCUMENTS_MAX_KEPT = 40
 # OPENBLAS_CORETYPE values: the AVX2 kernels of the golden runs, and the AVX ones.
 KERNELS = ("Haswell", "Sandybridge")
 KERNEL_KEYWORDS = 10
 
 
-def write_inputs(directory, seed):
-    """The planted corpus of `seed` and its config in `directory`; returns
-    the config's path and what the corpus plants."""
-    rows, truth = planted(seed, **ENSEMBLE_SHAPE)
+def write_inputs(directory, seed, shape=ENSEMBLE_SHAPE):
+    """The planted corpus of `seed` and `shape` and its config in
+    `directory`; returns the config's path and what the corpus plants."""
+    rows, truth = planted(seed, **shape)
     write_csv(rows, directory / "corpus.csv")
     (directory / "recovery.cfg").write_text(CONFIG % seed, encoding="utf-8")
     return directory / "recovery.cfg", truth
 
 
-@pytest.mark.parametrize("seed", [41, 42, 43])
-def test_planted_topics_are_recovered(tmp_path, seed):
-    config, truth = write_inputs(tmp_path, seed)
+def assert_recovered(tmp_path, seed, shape, min_recovered, max_unmatched, max_kept=None):
+    """The pipeline on the planted corpus of `seed` and `shape` recovers at
+    least `min_recovered` topics, keeps at most `max_unmatched` components
+    that match none (and, if given, at most `max_kept` in all), and puts
+    each recovered topic's journal on top of its best match."""
+    config, truth = write_inputs(tmp_path, seed, shape)
     assert cli_run(["pipeline", "--config", str(config), "--workdir", str(tmp_path / "run")]) == 0
     components = load_reports(tmp_path / "run" / "report" / "report.json")
     # overlap[i, t]: how many of kept component i's top keywords are topic t's terms.
@@ -68,12 +84,26 @@ def test_planted_topics_are_recovered(tmp_path, seed):
     ])
     matched = overlap >= MATCH
     recovered = np.flatnonzero(matched.any(axis=0)).tolist()
-    assert len(recovered) >= MIN_RECOVERED
-    assert int((~matched.any(axis=1)).sum()) <= MAX_UNMATCHED
+    assert len(recovered) >= min_recovered
+    assert max_kept is None or len(components) <= max_kept
+    assert int((~matched.any(axis=1)).sum()) <= max_unmatched
     for topic in recovered:
         # The best match: of the components sharing the most terms, the first kept.
         best = components[int(np.argmax(overlap[:, topic]))]
         assert best.mode_tops["journal"][0][0] == truth.journals[topic].lower(), topic
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_planted_topics_are_recovered(tmp_path, seed):
+    assert_recovered(tmp_path, seed, ENSEMBLE_SHAPE, MIN_RECOVERED, MAX_UNMATCHED)
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_planted_topics_are_recovered_with_more_documents_than_ranks(tmp_path, seed):
+    assert_recovered(
+        tmp_path, seed, MANY_DOCUMENTS_SHAPE,
+        MANY_DOCUMENTS_MIN_RECOVERED, MANY_DOCUMENTS_MAX_UNMATCHED, MANY_DOCUMENTS_MAX_KEPT,
+    )
 
 
 def test_kept_components_do_not_depend_on_the_blas_kernel(tmp_path):

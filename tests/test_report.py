@@ -12,7 +12,7 @@ from tensortopics import (
     load_reports,
     top_n,
 )
-from tensortopics.report import DEFAULT_KEYWORD_COUNT, DEFAULT_TOP_N, WORD_MODE
+from tensortopics.report import DEFAULT_KEYWORD_COUNT, DEFAULT_TOP_N
 
 
 def make_table(slices, weight=2.0):
@@ -73,12 +73,20 @@ class TestKeywordCloud:
         slices = [[1.0, 0.0], [0.5], [0.5], [0.4, 0.1, 0.3, 0.2, 0.0]]
         axes = (AxisMap(["a", "b"]), AxisMap(["d"]), AxisMap(["j"]), WORD_AXIS)
         report = report_of(slices, axes, n=2, keyword_count=3)
-        assert report.keywords == top_n(np.array(slices[WORD_MODE]), 3, WORD_AXIS)
+        assert report.keywords == top_n(np.array(slices[-1]), 3, WORD_AXIS)
         assert report.keywords == [
             ("ant", 0.4),
             ("cow", 0.3),
             ("doe", 0.2),
         ]
+
+    def test_come_from_the_last_mode_of_any_order(self):
+        slices = [[0.9, 0.1], [0.4, 0.1, 0.3, 0.2, 0.0]]
+        table = make_table(slices)
+        axes = (AxisMap(["a", "b"]), WORD_AXIS)
+        (report,) = build_report(table, [(20, 0)], axes, ("doc", "word"), n=1, keyword_count=2)
+        assert report.mode_tops == {"doc": [("a", 0.9)], "word": [("ant", 0.4)]}
+        assert report.keywords == [("ant", 0.4), ("cow", 0.3)]
 
 
 def small_axes():
@@ -155,15 +163,12 @@ class TestBuildReport:
         table = KruskalModel(np.empty(0), [np.empty((len(axis), 0)) for axis in small_axes()])
         assert build_report(table, [], small_axes(), MODE_NAMES) == []
 
-    def test_bad_counts_and_word_mode_rejected(self):
+    def test_bad_counts_rejected(self):
         table, ids = make_table(SMALL_SLICES), [(40, 1)]
         with pytest.raises(ValueError, match="keyword_count"):
             build_report(table, ids, small_axes(), MODE_NAMES, keyword_count=0)
         with pytest.raises(ValueError, match="n and keyword_count"):
             build_report(table, ids, small_axes(), MODE_NAMES, n=0)
-        for word_mode in (-1, 4):
-            with pytest.raises(ValueError, match="word_mode"):
-                build_report(table, ids, small_axes(), MODE_NAMES, word_mode=word_mode)
 
     def test_misaligned_axes_rejected(self):
         with pytest.raises(ValueError, match="align"):
@@ -259,6 +264,7 @@ class TestEmitReport:
         "edit, phrase",
         [
             (lambda p: p.update(schema_version=7), "unsupported schema version 7"),
+            (lambda p: p.update(schema_version=True), "malformed report header: expected int, got True"),
             (lambda p: p.pop("components"), "report header has no 'components' field"),
             (lambda p: p["components"][0].update(weight=None), "malformed report header"),
             (lambda p: p["components"][0].pop("weight"),
@@ -285,7 +291,7 @@ class TestEmitReport:
              "malformed report header: expected str, got 7"),
         ],
         ids=[
-            "schema_7", "no_components", "null_weight", "no_weight", "list_modes", "fractional_rank",
+            "schema_7", "bool_schema", "no_components", "null_weight", "no_weight", "list_modes", "fractional_rank",
             "bool_index", "string_weight", "bool_mode_score", "string_keyword_score",
             "nan_weight", "infinite_mode_score", "infinite_keyword_score", "huge_weight",
             "null_mode_label", "int_keyword",
