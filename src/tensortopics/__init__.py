@@ -9,16 +9,9 @@ report.
 from .artifacts import (
     ComponentReport, load_model, load_reports, load_tensor, save_model, save_tensor,
 )
-from .corpus_ingest import (
-    CleaningRules,
-    CorpusRecord,
-    QuadCounts,
-    build_counts,
-    clean_and_filter,
-    counts_to_tensor,
-    dedup,
-    load_corpus,
-)
+# Loading a submodule binds it as an attribute of the package; this import
+# then rebinds cp_als to the function. Were cp_als lazy, the attribute would
+# stay the module, since the module is loaded with artifacts.
 from .cp_als import (
     AlsDivergenceError,
     AlsOptions,
@@ -29,19 +22,45 @@ from .cp_als import (
     init_factors,
     mttkrp,
 )
-from .ensemble import (
-    Component,
-    SelectionConfig,
-    SelectionResult,
-    ZeroVectorError,
-    cosine,
-    decompose_ensemble,
-    select_components_detailed,
-    similarity_matrix,
-)
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .report import build_report, emit_report, top_n
 from .sparse_tensor import AxisMap, SparseTensorCOO
+
+# Exported names whose modules load on first access (PEP 562), so that a stage
+# process imports only the modules its own stage runs.
+_LAZY = {
+    "CleaningRules": "config",
+    "SelectionConfig": "config",
+    "CorpusRecord": "corpus_ingest",
+    "QuadCounts": "corpus_ingest",
+    "build_counts": "corpus_ingest",
+    "clean_and_filter": "corpus_ingest",
+    "counts_to_tensor": "corpus_ingest",
+    "dedup": "corpus_ingest",
+    "load_corpus": "corpus_ingest",
+    "Component": "ensemble",
+    "SelectionResult": "ensemble",
+    "ZeroVectorError": "ensemble",
+    "cosine": "ensemble",
+    "decompose_ensemble": "ensemble",
+    "select_components_detailed": "ensemble",
+    "similarity_matrix": "ensemble",
+}
+
+
+def __getattr__(name):
+    """Import the module of a lazily exported name, on its first access."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

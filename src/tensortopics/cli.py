@@ -2,7 +2,8 @@
 
 Every stage reads and writes the documented on-disk formats, so stages can
 be rerun individually and a rerun with identical inputs reproduces every
-output file byte for byte.
+output file byte for byte. Each stage imports the modules that only it runs
+when it starts, so a stage process loads no other stage's.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from . import config as config_mod
 from .artifacts import (
     load_pool, load_selection, load_tensor_payload, remove_model, save_model, save_selection, save_tensor,
 )
-from .corpus_ingest import (
-    CORPUS_FORMATS,
-    MODE_NAMES,
-    build_counts,
-    clean_and_filter,
-    counts_to_tensor,
-    dedup,
-    load_corpus,
-)
-from .ensemble import STRATEGIES, ensemble_models, select_pool
+from .config import CORPUS_FORMATS, STRATEGIES
 from .report import build_report, emit_report
 
 logger = logging.getLogger(__name__)
@@ -55,6 +47,8 @@ def _require(cfg, *names):
 
 def run_ingest(cfg) -> Path:
     """Corpus file -> cleaned, deduplicated ln(1+count) tensor container."""
+    from .corpus_ingest import MODE_NAMES, build_counts, clean_and_filter, counts_to_tensor, dedup, load_corpus
+
     _require(cfg, "corpus", "workdir")
     records = load_corpus(cfg.corpus, cfg.corpus_format)
     records = dedup(clean_and_filter(records, cfg.rules))
@@ -78,6 +72,8 @@ def run_factorize(cfg) -> list[Path]:
     deleted before the first fit, so a rank that diverged or a run that
     failed leaves none behind for select to pool.
     """
+    from .ensemble import ensemble_models
+
     _require(cfg, "workdir")
     tensor, _names, tensor_crc32 = load_tensor_payload(_tensor_dir(cfg))
     removed = [p for rank in cfg.selection.ranks for p in remove_model(_model_path(cfg, rank))]
@@ -98,6 +94,8 @@ def run_select(cfg) -> Path:
     """Model files checked by load_pool against the tensor header ->
     selection.json listing the kept components, and selection.npy holding
     their numbers."""
+    from .ensemble import select_pool
+
     _require(cfg, "workdir")
     models = {}
     for rank in cfg.selection.ranks:

@@ -2,17 +2,128 @@
 
 Relative paths in a config file resolve against the config file's directory,
 so a config checked in next to its corpus keeps working from any cwd.
+
+The settings types of the stages live here too, so a stage process loads
+only the modules its own stage runs: corpus_ingest and ensemble import them
+from this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus_ingest import CORPUS_FORMATS, CleaningRules, load_stopwords
+import numpy as np
+
 from .cp_als import AlsOptions
-from .ensemble import SelectionConfig
 from .report import DEFAULT_KEYWORD_COUNT, DEFAULT_TOP_N
+
+CORPUS_FORMATS = ("csv", "tsv", "jsonl")
+STRATEGIES = ("stable-then-dedup", "greedy-dedup")
+DEFAULT_RANKS = (20, 40, 60, 80, 100, 120, 200)
+
+# Classic English function-word list. Kept deliberately generic; domain
+# stopwords belong in a caller-supplied file.
+DEFAULT_STOPWORDS = frozenset(
+    """
+    a about above after again against all also am an and any are as at be
+    because been before being below between both but by can could did do does
+    doing down during each few for from further had has have having he her
+    here hers herself him himself his how i if in into is it its itself just
+    me more most my myself no nor not now of off on once only or other our
+    ours ourselves out over own same she should so some such than that the
+    their theirs them themselves then there these they this those through to
+    too under until up very was we were what when where which while who whom
+    why will with would you your yours yourself yourselves
+    """.split()
+)
+
+
+@dataclass(frozen=True)
+class CleaningRules:
+    """Knobs for record filtering and tokenization.
+
+    name_df_floor drives a heuristic pass that drops tokens appearing only
+    capitalized in the corpus with document frequency below the floor; these
+    are overwhelmingly person and place names. 0 disables the pass.
+    """
+
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS
+    min_token_length: int = 3
+    dna_min_run: int = 8
+    max_char_repeat: int = 3
+    max_consonant_run: int = 5
+    max_nonascii_fraction: float = 0.5
+    name_df_floor: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
+        if any(w != w.lower() for w in self.stopwords):
+            raise ValueError("stopwords must be lowercase")
+        if self.min_token_length < 1:
+            raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
+        # Each is a repeat count in corpus_ingest._token_filter's patterns
+        # (max_consonant_run plus one), and re rejects counts from its
+        # MAXREPEAT, 4294967295, up.
+        for name, low, high in (
+            ("dna_min_run", 2, 4294967294),
+            ("max_char_repeat", 1, 4294967294),
+            ("max_consonant_run", 1, 4294967293),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}, got {value}")
+        if not 0.0 <= self.max_nonascii_fraction <= 1.0:
+            raise ValueError(
+                f"max_nonascii_fraction must be in [0, 1], got {self.max_nonascii_fraction}"
+            )
+        if self.name_df_floor < 0:
+            raise ValueError(f"name_df_floor must be >= 0, got {self.name_df_floor}")
+
+
+def load_stopwords(path: str | Path) -> frozenset[str]:
+    """Read a stopword file: one word per line, '#' comments, blanks ignored.
+    A UTF-8 byte-order mark is skipped."""
+    words = []
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            words.append(line.lower())
+    return frozenset(words)
+
+
+@dataclass(frozen=True)
+class SelectionConfig:
+    """Rank set plus the cosine threshold and strategy used for selection.
+
+    threshold is meaningful on [0, 1]; values above 1 make every pair
+    dissimilar, which disables deduplication (occasionally useful for
+    diagnostics under greedy-dedup).
+    """
+
+    ranks: tuple[int, ...] = DEFAULT_RANKS
+    threshold: float = 0.35
+    strategy: str = "stable-then-dedup"
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        if len(self.ranks) == 0:
+            raise ValueError("ranks must be non-empty")
+        if any(r < 1 for r in self.ranks):
+            raise ValueError(f"ranks must be positive, got {self.ranks}")
+        if any(r > np.iinfo(np.intp).max for r in self.ranks):
+            raise ValueError(f"ranks must be at most {np.iinfo(np.intp).max}, got {self.ranks}")
+        if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
+            raise ValueError(f"ranks must be strictly ascending, got {self.ranks}")
+        if not math.isfinite(self.threshold) or self.threshold < 0.0:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
+            )
 
 
 @dataclass(frozen=True)

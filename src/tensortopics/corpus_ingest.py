@@ -22,30 +22,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The settings types are defined in config and importable from here too.
+from .config import CORPUS_FORMATS, DEFAULT_STOPWORDS, CleaningRules, load_stopwords
 from .sparse_tensor import AxisMap, SparseTensorCOO, _run_starts
 
 logger = logging.getLogger(__name__)
 
 MODE_NAMES = ("first_author", "document", "journal", "words")
 UNKNOWN_JOURNAL = "(unknown-journal)"
-CORPUS_FORMATS = ("csv", "tsv", "jsonl")
 REQUIRED_FIELDS = ("title", "abstract", "first_author", "journal")
-
-# Classic English function-word list. Kept deliberately generic; domain
-# stopwords belong in a caller-supplied file.
-DEFAULT_STOPWORDS = frozenset(
-    """
-    a about above after again against all also am an and any are as at be
-    because been before being below between both but by can could did do does
-    doing down during each few for from further had has have having he her
-    here hers herself him himself his how i if in into is it its itself just
-    me more most my myself no nor not now of off on once only or other our
-    ours ourselves out over own same she should so some such than that the
-    their theirs them themselves then there these they this those through to
-    too under until up very was we were what when where which while who whom
-    why will with would you your yours yourself yourselves
-    """.split()
-)
 
 _VOWELS = frozenset("aeiouy")
 # str.translate table: ASCII letters stay and every other ASCII character
@@ -71,60 +56,6 @@ class CorpusRecord:
     first_author: str
     journal: str
     body: str
-
-
-@dataclass(frozen=True)
-class CleaningRules:
-    """Knobs for record filtering and tokenization.
-
-    name_df_floor drives a heuristic pass that drops tokens appearing only
-    capitalized in the corpus with document frequency below the floor; these
-    are overwhelmingly person and place names. 0 disables the pass.
-    """
-
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    min_token_length: int = 3
-    dna_min_run: int = 8
-    max_char_repeat: int = 3
-    max_consonant_run: int = 5
-    max_nonascii_fraction: float = 0.5
-    name_df_floor: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
-        if any(w != w.lower() for w in self.stopwords):
-            raise ValueError("stopwords must be lowercase")
-        if self.min_token_length < 1:
-            raise ValueError(f"min_token_length must be >= 1, got {self.min_token_length}")
-        # Each is a repeat count in _token_filter's patterns (max_consonant_run
-        # plus one), and re rejects counts from its MAXREPEAT, 4294967295, up.
-        for name, low, high in (
-            ("dna_min_run", 2, 4294967294),
-            ("max_char_repeat", 1, 4294967294),
-            ("max_consonant_run", 1, 4294967293),
-        ):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            if value > high:
-                raise ValueError(f"{name} must be <= {high}, got {value}")
-        if not 0.0 <= self.max_nonascii_fraction <= 1.0:
-            raise ValueError(
-                f"max_nonascii_fraction must be in [0, 1], got {self.max_nonascii_fraction}"
-            )
-        if self.name_df_floor < 0:
-            raise ValueError(f"name_df_floor must be >= 0, got {self.name_df_floor}")
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: one word per line, '#' comments, blanks ignored.
-    A UTF-8 byte-order mark is skipped."""
-    words = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line.lower())
-    return frozenset(words)
 
 
 # What _rows yields for a jsonl line that does not parse.

@@ -16,48 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# The settings types are defined in config and importable from here too.
+from .config import DEFAULT_RANKS, STRATEGIES, SelectionConfig
 from .cp_als import AlsDivergenceError, AlsOptions, KruskalModel, cp_als, stop_reason
 from .sparse_tensor import SparseTensorCOO
 
 logger = logging.getLogger(__name__)
 
-STRATEGIES = ("stable-then-dedup", "greedy-dedup")
-DEFAULT_RANKS = (20, 40, 60, 80, 100, 120, 200)
-
 
 class ZeroVectorError(ValueError):
     """Raised when a cosine similarity is requested against a zero vector."""
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Rank set plus the cosine threshold and strategy used for selection.
-
-    threshold is meaningful on [0, 1]; values above 1 make every pair
-    dissimilar, which disables deduplication (occasionally useful for
-    diagnostics under greedy-dedup).
-    """
-
-    ranks: tuple[int, ...] = DEFAULT_RANKS
-    threshold: float = 0.35
-    strategy: str = "stable-then-dedup"
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if len(self.ranks) == 0:
-            raise ValueError("ranks must be non-empty")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError(f"ranks must be positive, got {self.ranks}")
-        if any(r > np.iinfo(np.intp).max for r in self.ranks):
-            raise ValueError(f"ranks must be at most {np.iinfo(np.intp).max}, got {self.ranks}")
-        if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError(f"ranks must be strictly ascending, got {self.ranks}")
-        if not math.isfinite(self.threshold) or self.threshold < 0.0:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
-            )
 
 
 @dataclass

@@ -8,7 +8,6 @@ self-contained page, no external assets), and summary.json (run metadata).
 
 from __future__ import annotations
 
-import html
 import logging
 from pathlib import Path
 
@@ -126,6 +125,8 @@ def _fmt_score(score: float) -> str:
 
 
 def _render_html(reports, summary: dict) -> str:
+    import html  # only report renders html; other stages never load it
+
     parts = [
         "<meta charset=\"utf-8\">",
         "<title>Component report</title>",
@@ -163,6 +164,8 @@ def _render_html(reports, summary: dict) -> str:
 
 
 def _render_cloud(keywords) -> str:
+    import html
+
     if not keywords:
         return "(none)"
     peak = max(abs(score) for _, score in keywords)

@@ -1048,13 +1048,24 @@ class TestEntryPoints:
             assert proc.stdout == build_parser().format_help()
 
     def test_stage_processes_write_the_golden_bytes(self, tmp_path):
+        # Each stage process also imports only the modules its stage runs;
+        # -X importtime names every module imported, on stderr.
+        own = {
+            "ingest": {"tensortopics.corpus_ingest"},
+            "factorize": {"tensortopics.ensemble"},
+            "select": {"tensortopics.ensemble"},
+            "report": {"html"},
+            "pipeline": {"tensortopics.corpus_ingest", "tensortopics.ensemble", "html"},
+        }
         for workdir, stages in (
             (tmp_path / "staged", ("ingest", "factorize", "select", "report")),
             (tmp_path / "direct", ("pipeline",)),
         ):
             for stage in stages:
-                proc = child(*STAGE, stage, "--config", CFG, "--workdir", str(workdir))
+                proc = child("-X", "importtime", *STAGE, stage, "--config", CFG, "--workdir", str(workdir))
                 assert proc.returncode == 0, proc.stderr
+                imported = set(re.findall(r"^import time:.*\| +(\S+)$", proc.stderr, re.M))
+                assert imported & own["pipeline"] == own[stage]
             assert_golden(workdir)
 
     def test_stage_process_bad_flag_exits_two(self):
@@ -1151,31 +1162,26 @@ class TestEntryPoints:
             assert not fix_blas_threads()
         assert "BLAS thread count not pinned" in caplog.text
 
-    def test_cli_import_leaves_fractions_and_decimal_out(self):
-        # Exact arithmetic on Python ints is all the model text writer needs.
-        code = "import sys, tensortopics.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
-
-    def test_cli_import_leaves_csv_and_concurrent_futures_out(self):
-        # Only ingest's table formats use csv, and only factorize a thread pool.
-        code = "import sys, tensortopics.cli; print('csv' in sys.modules, 'concurrent.futures' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
-
-    def test_cli_import_leaves_scipy_out(self):
-        # Every stage runs in its own interpreter, so a scipy import there
-        # would be paid again by each stage.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, tensortopics.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            timeout=60,
+    def test_cli_import_leaves_what_only_some_stages_use_out(self):
+        # Every stage runs in its own interpreter, which pays for each module
+        # imported at start-up. Exact arithmetic on Python ints is all the
+        # model text writer needs, and nothing uses scipy. Only ingest runs
+        # corpus_ingest and reads csv, only factorize and select run
+        # ensemble, only factorize starts a thread pool, and only report
+        # renders html. The package's exports of those modules load on first
+        # access, and dir() lists them before it.
+        unwanted = [
+            "fractions", "decimal", "scipy", "csv", "concurrent.futures",
+            "tensortopics.corpus_ingest", "tensortopics.ensemble", "html",
+        ]
+        code = (
+            "import sys, tensortopics.cli\n"
+            f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+            "print(sorted(set(tensortopics.__all__) - set(dir(tensortopics))))\n"
         )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     @pytest.mark.skipif(
         not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),

@@ -1,0 +1,34 @@
+"""The package root exports every name in its __all__.
+
+Names of the modules that only some stages run (corpus_ingest, ensemble, and
+the settings types in config) load on first access, so each must still be
+the object its module defines, and a star import must still bind them all.
+"""
+
+import importlib
+import sys
+
+import pytest
+
+import tensortopics
+
+
+@pytest.mark.parametrize("name", tensortopics.__all__)
+def test_export_is_the_object_its_module_defines(name):
+    value = getattr(tensortopics, name)
+    assert value.__module__.startswith("tensortopics.")
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_every_export():
+    scope = {}
+    exec("from tensortopics import *", scope)
+    assert sorted(name for name in scope if name != "__builtins__") == sorted(tensortopics.__all__)
+
+
+def test_cp_als_stays_the_function_when_its_module_is_imported():
+    # Importing a submodule binds it as an attribute of its package, and the
+    # package has a module and a function both named cp_als.
+    importlib.import_module("tensortopics.ensemble")
+    module = importlib.import_module("tensortopics.cp_als")
+    assert tensortopics.cp_als is module.cp_als
