@@ -6,29 +6,38 @@ cosine similarity over word factors picks a deduplicated component set to
 report.
 """
 
-from .artifacts import (
-    ComponentReport, load_model, load_reports, load_tensor, save_model, save_tensor,
-)
-# Loading a submodule binds it as an attribute of the package; this import
-# then rebinds cp_als to the function. Were cp_als lazy, the attribute would
-# stay the module, since the module is loaded with artifacts.
-from .cp_als import (
-    AlsDivergenceError,
-    AlsOptions,
-    KruskalModel,
-    arrange,
-    cp_als,
-    fit,
-    init_factors,
-    mttkrp,
-)
-from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .report import build_report, emit_report, top_n
-from .sparse_tensor import AxisMap, SparseTensorCOO
+# Loading a submodule binds it as an attribute of the package, and the
+# function cp_als shares its module's name. Bound here, the function takes
+# the name once its module is loaded, which no later import rebinds.
+from .cp_als import cp_als
 
-# Exported names whose modules load on first access (PEP 562), so that a stage
-# process imports only the modules its own stage runs.
-_LAZY = {
+# Each exported name and the module that defines it. A name's module loads on
+# its first access (PEP 562), so that a stage process imports only the
+# modules its own stage runs.
+_EXPORTS = {
+    "AxisMap": "sparse_tensor",
+    "SparseTensorCOO": "sparse_tensor",
+    "gram": "linalg",
+    "hadamard_all": "linalg",
+    "normalize_columns_l1": "linalg",
+    "solve_gram": "linalg",
+    "AlsDivergenceError": "cp_als",
+    "AlsOptions": "cp_als",
+    "KruskalModel": "cp_als",
+    "arrange": "cp_als",
+    "cp_als": "cp_als",
+    "fit": "cp_als",
+    "init_factors": "cp_als",
+    "mttkrp": "cp_als",
+    "ComponentReport": "artifacts",
+    "load_model": "artifacts",
+    "load_reports": "artifacts",
+    "load_tensor": "artifacts",
+    "save_model": "artifacts",
+    "save_tensor": "artifacts",
+    "build_report": "report",
+    "emit_report": "report",
+    "top_n": "report",
     "CleaningRules": "config",
     "SelectionConfig": "config",
     "CorpusRecord": "corpus_ingest",
@@ -49,59 +58,22 @@ _LAZY = {
 
 
 def __getattr__(name):
-    """Import the module of a lazily exported name, on its first access."""
-    if name not in _LAZY:
+    """Import a module the table names, or an exported name's module and then
+    keep the name, on first access."""
+    module = name if name in _EXPORTS.values() else _EXPORTS.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    # Given a fromlist, __import__ returns the submodule itself. It binds the
+    # submodule here, as `from . import` does, and -X importtime lists it.
+    value = __import__(f"{__name__}.{module}", fromlist=[name])
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+    return sorted(set(globals()) | set(_EXPORTS))
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlsDivergenceError",
-    "AlsOptions",
-    "AxisMap",
-    "CleaningRules",
-    "Component",
-    "ComponentReport",
-    "CorpusRecord",
-    "KruskalModel",
-    "QuadCounts",
-    "SelectionConfig",
-    "SelectionResult",
-    "SparseTensorCOO",
-    "ZeroVectorError",
-    "arrange",
-    "build_counts",
-    "clean_and_filter",
-    "cosine",
-    "counts_to_tensor",
-    "cp_als",
-    "decompose_ensemble",
-    "dedup",
-    "build_report",
-    "emit_report",
-    "fit",
-    "gram",
-    "hadamard_all",
-    "init_factors",
-    "load_corpus",
-    "load_model",
-    "load_reports",
-    "load_tensor",
-    "mttkrp",
-    "normalize_columns_l1",
-    "save_model",
-    "save_tensor",
-    "select_components_detailed",
-    "similarity_matrix",
-    "solve_gram",
-    "top_n",
-]
+__all__ = list(_EXPORTS)

@@ -1,7 +1,8 @@
 """The package root exports every name in its __all__.
 
-Names of the modules that only some stages run (corpus_ingest, ensemble, and
-the settings types in config) load on first access, so each must still be
+One table in the root maps each exported name to the module that defines it,
+and the name loads on its first access; only the function cp_als, which
+shares its module's name, is bound on import. So each export must still be
 the object its module defines, and a star import must still bind them all.
 """
 
