@@ -591,17 +591,18 @@ def _as_model(table: np.ndarray, shape) -> KruskalModel:
     return KruskalModel(weights=weights, factors=factors)
 
 
-def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, int]:
+def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, list[tuple[int, int]], int]:
     """The models of `models`, a non-empty map of rank to model file, side by
-    side in one Kruskal table in its order, and the payload CRC-32 of
-    tensor_dir's header.json. Each model must match that CRC-32 and the
+    side in one Kruskal table in its order, the (origin_rank, index_in_model)
+    of each of its columns, and the payload CRC-32 of tensor_dir's
+    header.json. Each model must match that CRC-32 and the
     header's label counts, which are the table's shape; any other is a
     ValueError naming it. No label file is read. Each model is copied in
     and dropped before the next is read, and the pool is sized only once the
     first has passed, so no extent in header.json is allocated unchecked."""
     tensor_dir = Path(tensor_dir)
     shape, _names, _nnz, tensor_crc32 = _read_header(tensor_dir)
-    pool, end = None, 0
+    pool, ids = None, []
     for rank, path in models.items():
         model, header = load_model(path)
         if model.rank != rank:
@@ -620,9 +621,9 @@ def load_pool(tensor_dir: str | Path, models) -> tuple[KruskalModel, int]:
         if pool is None:
             pool = _as_model(np.empty((1 + sum(shape), sum(models.keys()))), shape)
         for block, part in zip([pool.weights, *pool.factors], [model.weights, *model.factors]):
-            block[..., end:end + rank] = part
-        end += rank
-    return pool, tensor_crc32
+            block[..., len(ids):len(ids) + rank] = part
+        ids += [(rank, index) for index in range(rank)]
+    return pool, ids, tensor_crc32
 
 
 def save_selection(
@@ -682,7 +683,8 @@ def load_selection(
     must hold only finite numbers; no model is read. The selection must have
     been made from the tensor in tensor_dir as it is now: its recorded label
     counts and tensor payload CRC-32 must equal those of tensor_dir's
-    header.json. Each kept index_in_model must lie in [0, origin_rank), the
+    header.json. Each kept origin_rank must be one of the pooled ranks, each
+    index_in_model must lie in [0, origin_rank), no kept pair may repeat, the
     threshold must be finite, pooled_count an int no less than the kept
     count, and stable_count null or an int between the two. Every fault
     raises a ValueError naming the file, and so does a label file whose
@@ -710,12 +712,22 @@ def load_selection(
             f"{path}: selected from a tensor whose payload CRC-32 is {tensor_crc32}, "
             f"{tensor_dir / HEADER_FILE} records {current_crc32}; rerun select"
         )
+    seen = set()
     for pos, (rank, index) in enumerate(kept):
+        if rank not in ranks:
+            raise ValueError(
+                f"{path}: kept item {pos} has origin_rank {rank}, not one of the pooled ranks {ranks}; rerun select"
+            )
         if not 0 <= index < rank:
             raise ValueError(
                 f"{path}: kept item {pos} (rank {rank}) has index_in_model {index}, "
                 f"outside [0, {rank}); rerun select"
             )
+        if (rank, index) in seen:
+            raise ValueError(
+                f"{path}: kept item {pos} repeats (origin_rank, index_in_model) {(rank, index)}; rerun select"
+            )
+        seen.add((rank, index))
     if pooled < len(kept):
         raise ValueError(f"{path}: pooled_count {pooled} is below the {len(kept)} kept; rerun select")
     if stable is not None and not len(kept) <= stable <= pooled:

@@ -106,8 +106,7 @@ def run_select(cfg) -> Path:
             logger.warning("no model file for rank %d at %s, skipping", rank, path)
     if not models:
         raise ValueError("no model files found for the configured ranks")
-    pool, tensor_crc32 = load_pool(_tensor_dir(cfg), models)
-    ids = [(rank, index) for rank in models for index in range(rank)]
+    pool, ids, tensor_crc32 = load_pool(_tensor_dir(cfg), models)
     # The words are the tensor's last mode.
     result = select_pool(pool.weights, pool.factors[-1].T, ids, cfg.selection)
     path = _selection_path(cfg)

@@ -13,9 +13,10 @@ cli.py imports no model type and builds no table.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tensortopics import artifacts
+from tensortopics import AxisMap, KruskalModel, SparseTensorCOO, artifacts
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensortopics"
 FORMAT_NAMES = {
@@ -98,3 +99,27 @@ def test_write_json_refuses_a_non_finite_float(tmp_path, value):
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         artifacts.write_json(path, artifacts.SUMMARY, threshold=value)
     assert not path.exists()
+
+
+def test_load_pool_names_each_column_it_fills(tmp_path):
+    # select passes load_pool's ids on as they are, so column j of the pool
+    # must be column ids[j][1] of the rank-ids[j][0] model.
+    rng = np.random.default_rng(5)
+    shape = (2, 3, 4)
+    tensor = SparseTensorCOO([[0, 1, 2], [1, 2, 3]], [1.0, 2.0], shape)
+    axes = [AxisMap(f"{mode}{i}" for i in range(n)) for mode, n in zip("abc", shape)]
+    artifacts.save_tensor(tensor, axes, ["a", "b", "c"], tmp_path / "tensor")
+    _tensor, _names, crc32 = artifacts.load_tensor_payload(tmp_path / "tensor")
+    models, paths = {}, {}
+    for rank in (3, 2):
+        models[rank] = KruskalModel(rng.random(rank), [rng.random((n, rank)) for n in shape])
+        paths[rank] = artifacts.save_model(models[rank], tmp_path / f"rank_{rank}.model", tensor_payload_crc32=crc32)
+    pool, ids, pool_crc32 = artifacts.load_pool(tmp_path / "tensor", paths)
+    assert pool_crc32 == crc32
+    assert sorted(ids) == sorted((rank, index) for rank in models for index in range(rank))
+    assert pool.rank == len(ids)
+    for j, (rank, index) in enumerate(ids):
+        source = models[rank]
+        assert pool.weights[j] == source.weights[index]
+        for pooled, factor in zip(pool.factors, source.factors):
+            np.testing.assert_array_equal(pooled[:, j], factor[:, index])

@@ -612,20 +612,29 @@ class TestErrors:
         with pytest.raises(KeyError, match="'x'"):
             run("select", "--config", CFG, "--workdir", str(tmp_path))
 
-    @pytest.mark.parametrize("value", [-1, "rank"])
+    @pytest.mark.parametrize("value", [-1, "rank", "unpooled_rank", "repeat"])
     def test_report_rejects_out_of_range_selection(self, tmp_path, capsys, value):
+        # The last kept item gets an index_in_model outside [0, origin_rank),
+        # an origin_rank that was not pooled, or the first item's pair.
         workdir = tmp_path / "run"
         for cmd in ("ingest", "factorize", "select"):
             assert run(cmd, "--config", CFG, "--workdir", str(workdir)) == 0
         path = workdir / "selection.json"
         selection = json.loads(path.read_text(encoding="utf-8"))
-        item = selection["kept"][-1]
-        item["index_in_model"] = item["origin_rank"] if value == "rank" else value
+        first, item = selection["kept"][0], selection["kept"][-1]
+        if value == "unpooled_rank":
+            item.update(origin_rank=999, index_in_model=0)
+        elif value == "repeat":
+            item.update(origin_rank=first["origin_rank"], index_in_model=first["index_in_model"])
+        else:
+            item["index_in_model"] = item["origin_rank"] if value == "rank" else value
         path.write_text(json.dumps(selection), encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "selection.json" in err and "index_in_model" in err
+        phrase = {"unpooled_rank": "origin_rank 999", "repeat": "repeats"}.get(value, "index_in_model")
+        assert "error:" in err and "selection.json" in err and phrase in err
+        assert err.endswith("; rerun select\n")
         assert "Traceback" not in err
         assert not (workdir / "report").exists()
 
@@ -1164,24 +1173,28 @@ class TestEntryPoints:
 
     def test_cli_import_leaves_what_only_some_stages_use_out(self):
         # Every stage runs in its own interpreter, which pays for each module
-        # imported at start-up. Exact arithmetic on Python ints is all the
-        # model text writer needs, and nothing uses scipy. Only ingest runs
-        # corpus_ingest and reads csv, only factorize and select run
-        # ensemble, only factorize starts a thread pool, and only report
-        # renders html. The package's exports of those modules load on first
-        # access, and dir() lists them before it.
+        # imported at start-up. The model text writer builds its text from
+        # numpy words, so it needs neither fractions nor decimal, and nothing
+        # uses scipy. Only ingest runs corpus_ingest and reads csv, only
+        # factorize and select run ensemble, only factorize starts a thread
+        # pool, and only report renders html. The package root imports only
+        # cp_als, with the two modules below it; every other export loads on
+        # first access, and dir() lists them before it.
         unwanted = [
             "fractions", "decimal", "scipy", "csv", "concurrent.futures",
             "tensortopics.corpus_ingest", "tensortopics.ensemble", "html",
         ]
         code = (
-            "import sys, tensortopics.cli\n"
+            "import sys, tensortopics\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tensortopics.')))\n"
+            "import tensortopics.cli\n"
             f"print([m for m in {unwanted!r} if m in sys.modules])\n"
             "print(sorted(set(tensortopics.__all__) - set(dir(tensortopics))))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        root = ["tensortopics.cp_als", "tensortopics.linalg", "tensortopics.sparse_tensor"]
+        assert proc.stdout.splitlines() == [repr(root), "[]", "[]"]
 
     @pytest.mark.skipif(
         not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),
