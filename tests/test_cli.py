@@ -1178,8 +1178,9 @@ class TestEntryPoints:
         # uses scipy. Only ingest runs corpus_ingest and reads csv, only
         # factorize and select run ensemble, only factorize starts a thread
         # pool, and only report renders html. The package root imports only
-        # cp_als, with the two modules below it; every other export loads on
-        # first access, and dir() lists them before it.
+        # cp_als, with the two modules below it; every other export, and a
+        # module its table names, loads on first access, and dir() lists the
+        # exports before it.
         unwanted = [
             "fractions", "decimal", "scipy", "csv", "concurrent.futures",
             "tensortopics.corpus_ingest", "tensortopics.ensemble", "html",
@@ -1187,6 +1188,7 @@ class TestEntryPoints:
         code = (
             "import sys, tensortopics\n"
             "print(sorted(m for m in sys.modules if m.startswith('tensortopics.')))\n"
+            "print(tensortopics.artifacts.__name__)\n"
             "import tensortopics.cli\n"
             f"print([m for m in {unwanted!r} if m in sys.modules])\n"
             "print(sorted(set(tensortopics.__all__) - set(dir(tensortopics))))\n"
@@ -1194,7 +1196,7 @@ class TestEntryPoints:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         root = ["tensortopics.cp_als", "tensortopics.linalg", "tensortopics.sparse_tensor"]
-        assert proc.stdout.splitlines() == [repr(root), "[]", "[]"]
+        assert proc.stdout.splitlines() == [repr(root), "tensortopics.artifacts", "[]", "[]"]
 
     @pytest.mark.skipif(
         not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),

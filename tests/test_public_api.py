@@ -33,3 +33,10 @@ def test_cp_als_stays_the_function_when_its_module_is_imported():
     importlib.import_module("tensortopics.ensemble")
     module = importlib.import_module("tensortopics.cp_als")
     assert tensortopics.cp_als is module.cp_als
+
+
+def test_every_export_is_kept_once_loaded():
+    # The module __getattr__ runs only on a name's first access.
+    for name in tensortopics.__all__:
+        getattr(tensortopics, name)
+    assert set(tensortopics.__all__) <= set(vars(tensortopics))
