@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .cp_als import KruskalModel
-from .sparse_tensor import AxisMap, SparseTensorCOO
+from .sparse_tensor import AxisMap, SparseTensorCOO, _run_starts
 
 HEADER_FILE = "header.json"
 ENTRIES_FILE = "entries.tsv"
@@ -346,10 +346,12 @@ def save_tensor(
     time, each chunk's table filled from the tensor's coordinate and value
     arrays, so the whole (nnz,) table is never built. entries.tsv holds the
     same rows as text for outside readers only; no loader opens it. Its
-    values are written with repr(), so they
-    parse back bit for bit, WRITE_CHUNK_ROWS rows at a time, with each
-    distinct value formatted once per chunk and each coordinate looked up
-    in a per-call table of index texts. Nothing time- or
+    values are written with repr(), so they parse back bit for bit. It too
+    is written WRITE_CHUNK_ROWS rows at a time, each chunk as one array of
+    fixed-width byte cells, a row per entry: each coordinate's text and tab
+    gathered from its mode's per-call table, each value's text and newline
+    from the chunk's distinct repr() texts, formatted once each, all
+    NUL-padded; one bytes.replace drops the padding. Nothing time- or
     environment-dependent is written.
     """
     out_dir = Path(out_dir)
@@ -384,18 +386,24 @@ def save_tensor(
         nnz=tensor.nnz,
         payload_crc32=crc32,
     )
-    # The decimal text of every index, formatted once; the axes already hold
-    # one label per index, so the table is no larger than they are.
-    digits = np.array([str(i) for i in range(max(tensor.shape))], dtype=object)
-    with (out_dir / ENTRIES_FILE).open("w", encoding="utf-8") as fh:
+    # Each mode's index texts, each with its tab, NUL-padded to the widest
+    # and formatted once; the axes already hold one label per index, so no
+    # table is larger than they are.
+    digits = [np.array([b"%d\t" % i for i in range(n)]) for n in tensor.shape]
+    with (out_dir / ENTRIES_FILE).open("wb") as fh:
         for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS):
             rows = slice(lo, lo + WRITE_CHUNK_ROWS)
-            # repr once per distinct value: ln(1 + count) takes few values
-            distinct, which = np.unique(tensor.values[rows], return_inverse=True)
-            texts = [repr(v) for v in distinct.tolist()]
-            columns = [digits[col].tolist() for col in tensor.coords[rows].T]
-            columns.append([texts[i] for i in which.tolist()])
-            fh.write("\n".join(map("\t".join, zip(*columns))) + "\n")
+            values = tensor.values[rows]
+            # repr once per distinct value: ln(1 + count) takes few values.
+            # np.unique without return_inverse would import numpy.ma (8 ms
+            # or more) in every ingest child, so a sort and a run scan it is.
+            distinct = np.sort(values)
+            distinct = distinct[_run_starts(distinct)]
+            texts = np.array([repr(v) + "\n" for v in distinct.tolist()], dtype="S")
+            fields = [table[col] for table, col in zip(digits, tensor.coords[rows].T)]
+            fields.append(texts[np.searchsorted(distinct, values)])
+            # Each entry's row of fixed-width cells, without their padding
+            fh.write(np.rec.fromarrays(fields).tobytes().replace(b"\0", b""))
     for k, axis in enumerate(axes):
         path = out_dir / f"mode{k}.labels.txt"
         path.write_text(

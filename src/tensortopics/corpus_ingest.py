@@ -16,7 +16,7 @@ import operator
 import re
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -188,11 +188,12 @@ def clean_and_filter(records, rules: CleaningRules) -> list[CorpusRecord]:
             dropped_lang += 1
             continue
         kept.append(
-            replace(
-                rec,
-                title=_clean_label(rec.title),
-                journal=_clean_label(rec.journal),
-                first_author=_normalize_ws(rec.first_author),
+            CorpusRecord(
+                _clean_label(rec.title),
+                rec.abstract,
+                _normalize_ws(rec.first_author),
+                _clean_label(rec.journal),
+                rec.body,
             )
         )
     if dropped_empty or dropped_lang:
@@ -324,17 +325,22 @@ def _rare_capitalized(scan: _Scan, floor: int) -> np.ndarray:
     Proxy for stripping author and place names out of the vocabulary: a
     capitalized-only word that almost no document mentions is far more
     likely a name than a topic word.
+
+    Lowercase starts are marked once per distinct raw token of the bodies'
+    raw streams. Only the tokens of the words left, the few candidates, are
+    sorted as (record, word) pairs to count each one's bodies.
     """
     n_words = len(scan.words)
     raw, record = scan.names
-    words = scan.raw_word[raw]
+    named = np.zeros(scan.raw_word.shape[0], dtype=bool)
+    named[raw] = True
     lower_seen = np.zeros(n_words, dtype=bool)
-    lower_seen[words[scan.raw_lower[raw]]] = True
-    # document frequency: the distinct (record, word) pairs of each word
-    pairs = record.astype(np.int64)
+    lower_seen[scan.raw_word[named & scan.raw_lower]] = True
+    candidate = np.flatnonzero(~lower_seen[scan.raw_word][raw])
+    # document frequency: the distinct (record, word) pairs of each candidate
+    pairs = record[candidate].astype(np.int64)
     pairs *= n_words
-    pairs += words
-    del words
+    pairs += scan.raw_word[raw[candidate]]
     pairs.sort()
     pairs = pairs[_run_starts(pairs)]
     pairs %= n_words
@@ -445,11 +451,16 @@ def build_counts(records, rules: CleaningRules) -> QuadCounts:
 
 
 def counts_to_tensor(quad: QuadCounts) -> SparseTensorCOO:
-    """ln(1 + count) tensor over the (author, document, journal, word) axes."""
+    """ln(1 + count) tensor over the (author, document, journal, word) axes.
+
+    Each tally is looked up in a table indexed by count, which holds
+    math.log1p of each distinct count (np.log1p may differ in the last bit).
+    The table has max(tally) + 1 entries, never more than the tokens counted.
+    """
     if not quad.tallies.shape[0]:
         raise ValueError("cannot build a tensor from an empty corpus")
     shape = tuple(len(axis) for axis in quad.axes)
-    # math.log1p once per distinct count (np.log1p may differ in the last bit)
-    distinct, which = np.unique(quad.tallies, return_inverse=True)
-    logs = np.array([math.log1p(c) for c in distinct.tolist()], dtype=np.float64)
-    return SparseTensorCOO(quad.coords, logs[which], shape)
+    logs = np.zeros(int(quad.tallies.max()) + 1)
+    distinct = np.flatnonzero(np.bincount(quad.tallies))
+    logs[distinct] = [math.log1p(c) for c in distinct.tolist()]
+    return SparseTensorCOO(quad.coords, logs[quad.tallies], shape)
