@@ -8,6 +8,7 @@ self-contained page, no external assets), and summary.json (run metadata).
 
 from __future__ import annotations
 
+import functools
 import logging
 from pathlib import Path
 
@@ -127,6 +128,8 @@ def _fmt_score(score: float) -> str:
 def _render_html(reports, summary: dict) -> str:
     import html  # only report renders html; other stages never load it
 
+    # Components share most of their labels, so each is escaped once per render.
+    escape = functools.cache(html.escape)
     parts = [
         "<meta charset=\"utf-8\">",
         "<title>Component report</title>",
@@ -150,22 +153,20 @@ def _render_html(reports, summary: dict) -> str:
             f"weight {_fmt_score(r.weight)})</span></h2>"
         )
         for name, pairs in r.mode_tops.items():
-            parts.append(f"<h3>{html.escape(name)}</h3>")
+            parts.append(f"<h3>{escape(name)}</h3>")
             parts.append("<table><tr><th>label</th><th>score</th></tr>")
             for label, score in pairs:
-                shown = html.escape(label) if label else "&nbsp;"
+                shown = escape(label) if label else "&nbsp;"
                 parts.append(
                     f'<tr><td>{shown}</td><td class="score">{_fmt_score(score)}</td></tr>'
                 )
             parts.append("</table>")
         parts.append("<h3>keywords</h3>")
-        parts.append(f'<div class="cloud">{_render_cloud(r.keywords)}</div>')
+        parts.append(f'<div class="cloud">{_render_cloud(r.keywords, escape)}</div>')
     return "\n".join(parts) + "\n"
 
 
-def _render_cloud(keywords) -> str:
-    import html
-
+def _render_cloud(keywords, escape) -> str:
     if not keywords:
         return "(none)"
     peak = max(abs(score) for _, score in keywords)
@@ -175,6 +176,6 @@ def _render_cloud(keywords) -> str:
         cls = ' class="negative"' if score < 0.0 else ""
         spans.append(
             f'<span{cls} style="font-size:{size:.2f}em" title="{score!r}">'
-            f"{html.escape(word)}</span>"
+            f"{escape(word)}</span>"
         )
     return " ".join(spans)

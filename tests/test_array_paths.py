@@ -160,6 +160,15 @@ class TestTokenFiltering:
         assert tensor.coords.tobytes() == coords.tobytes()
         assert tensor.values.tobytes() == values.tobytes()
 
+    def test_counts_to_tensor_log_table_spans_one_far_tally(self):
+        # counts_to_tensor looks each tally up in a table as long as the
+        # largest one, which here is far above the rest.
+        body = "virus " * 70_000 + "cells cells protein"
+        quad = build_counts([CorpusRecord("t", "", "a", "j", body)], CleaningRules())
+        assert sorted(quad.tallies.tolist()) == [1, 2, 70_000]
+        tensor = counts_to_tensor(quad)
+        assert tensor.values.tolist() == [math.log1p(c) for c in quad.tallies.tolist()]
+
     @PROPERTY
     @given(body=token_texts)
     @example(body="\u212aelvin \u0130stanbul stra\u00dfe caf\u00e9\u2028x\u00a0y\x0bz\x0cw\u0307v")
@@ -416,6 +425,10 @@ finite_positive = st.floats(
 finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
 # the smallest subnormal, the smallest normal, a subnormal, the largest float
 EXTREMES = [5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+# repr() texts of 3, 6 and 23 characters
+MIXED_REPRS = [1.0, 5e-324, 1.7976931348623157e308]
+# Each extent's last index has one more digit than the one before it.
+STRADDLING_EXTENTS = (11, 101, 1001)
 
 
 def _round_trip_tensor(tensor):
@@ -458,6 +471,26 @@ class TestTensorContainer:
         assert_payload_is_np_save(tensor, payload, header)
         assert loaded.coords.tobytes() == tensor.coords.tobytes()
         assert loaded.values.tobytes() == tensor.values.tobytes()
+
+    @PROPERTY
+    @given(
+        entries=st.dictionaries(
+            st.tuples(*(st.sampled_from([0, n - 2, n - 1]) | st.integers(0, n - 1) for n in STRADDLING_EXTENTS)),
+            st.sampled_from(MIXED_REPRS) | finite_positive,
+            max_size=40,
+        ),
+        chunk=st.integers(1, 7),
+    )
+    @example(entries=dict(zip([(9, 99, 999), (9, 100, 1000), (10, 99, 1000)], MIXED_REPRS)), chunk=3)
+    def test_round_trip_mixes_index_widths_and_repr_lengths(self, entries, chunk):
+        # One chunk holds indices on both sides of each mode's last
+        # digit-width boundary and values whose repr() lengths differ.
+        tensor = SparseTensorCOO(list(entries), list(entries.values()), STRADDLING_EXTENTS)
+        with mock.patch.object(artifacts, "WRITE_CHUNK_ROWS", chunk):
+            text, loaded, payload, header = _round_trip_tensor(tensor)
+        assert text == entries_text_oracle(tensor)
+        assert_payload_is_np_save(tensor, payload, header)
+        assert loaded == tensor
 
     def test_more_rows_than_one_chunk(self, rng):
         coords = np.stack([rng.integers(0, 60, 50_000), rng.integers(0, 900, 50_000)], axis=1)

@@ -40,3 +40,18 @@ def test_every_export_is_kept_once_loaded():
     for name in tensortopics.__all__:
         getattr(tensortopics, name)
     assert set(tensortopics.__all__) <= set(vars(tensortopics))
+
+
+def test_export_list_is_pinned():
+    # __all__, dir() and the star import all come from one table, so a name
+    # dropped from it would vanish from every one of them at once.
+    assert sorted(tensortopics.__all__) == [
+        "AlsDivergenceError", "AlsOptions", "AxisMap", "CleaningRules", "Component",
+        "ComponentReport", "CorpusRecord", "KruskalModel", "QuadCounts", "SelectionConfig",
+        "SelectionResult", "SparseTensorCOO", "ZeroVectorError", "arrange", "build_counts",
+        "build_report", "clean_and_filter", "cosine", "counts_to_tensor", "cp_als",
+        "decompose_ensemble", "dedup", "emit_report", "fit", "gram", "hadamard_all",
+        "init_factors", "load_corpus", "load_model", "load_reports", "load_tensor",
+        "mttkrp", "normalize_columns_l1", "save_model", "save_tensor",
+        "select_components_detailed", "similarity_matrix", "solve_gram", "top_n",
+    ]
