@@ -289,27 +289,27 @@ def json_finite(value):
 
 
 def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declared_by: str):
-    """The C-ordered .npy table at `payload`, checked against the dtype, shape
-    and CRC-32 that `declared_by` records; a float table must also hold only
-    finite numbers. The .npy header's dtype and shape, then the file's exact
-    data size, are checked before any data is read, so a header that declares
-    another shape, or a shape larger than the file, allocates nothing. Every
-    fault raises a ValueError naming the payload."""
+    """The .npy table at `payload`, in the one layout write_payload writes (a
+    version 1.0 header, C order), checked against the dtype, shape and CRC-32
+    that `declared_by` records; a float table must also hold only finite
+    numbers. The header is parsed once: its order, dtype and shape, then the
+    file's exact data size, are checked before one np.fromfile reads the
+    data, so a header that declares another shape, or a shape larger than
+    the file, allocates nothing. Any other layout is refused as another
+    run's table is. Every fault raises a ValueError naming the payload."""
     fmt = np.lib.format
     table = None
     try:
         with payload.open("rb") as f:
-            # A version other than 1.0 is read as 2.0; read_array rejects an unknown one.
-            read_npy_header = fmt.read_array_header_1_0 if fmt.read_magic(f) == (1, 0) else fmt.read_array_header_2_0
-            stored_shape, _fortran, stored_dtype = read_npy_header(f)
-            if stored_dtype == dtype and stored_shape == shape:
-                size = math.prod(shape) * stored_dtype.itemsize
-                left = os.fstat(f.fileno()).st_size - f.tell()
-                if left != size:
-                    raise ValueError(f"{left} bytes of data, its shape needs {size}")
-                f.seek(0)
-                # read_array, unlike np.load, accepts nothing but a .npy array.
-                table = fmt.read_array(f, allow_pickle=False)
+            version = fmt.read_magic(f)
+            if version == (1, 0):
+                stored_shape, fortran, stored_dtype = fmt.read_array_header_1_0(f)
+                if not fortran and stored_dtype == dtype and stored_shape == shape:
+                    size = math.prod(shape) * dtype.itemsize
+                    left = os.fstat(f.fileno()).st_size - f.tell()
+                    if left != size:
+                        raise ValueError(f"{left} bytes of data, its shape needs {size}")
+                    table = np.fromfile(f, dtype=dtype, count=math.prod(shape)).reshape(shape)
     except FileNotFoundError:
         raise ValueError(
             f"{payload}: {artifact.kind} payload is missing; rerun {artifact.stage}"
@@ -317,12 +317,13 @@ def read_payload(payload: Path, artifact: Artifact, dtype, shape, crc32, declare
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{payload}: unreadable {artifact.kind} payload: {exc}") from exc
     if table is None:
-        raise ValueError(
-            f"{payload}: {stored_dtype} table of shape {stored_shape}, "
-            f"{declared_by} declares {dtype} of shape {shape}; rerun {artifact.stage}"
-        )
-    # A table stored in Fortran order reads back Fortran-ordered; crc32 needs C order.
-    table = np.ascontiguousarray(table)
+        if version != (1, 0):
+            found = f"{artifact.kind} payload in .npy format {version[0]}.{version[1]}, {artifact.stage} writes 1.0"
+        elif fortran:
+            found = f"Fortran-ordered {artifact.kind} payload, {artifact.stage} writes C order"
+        else:
+            found = f"{stored_dtype} table of shape {stored_shape}, {declared_by} declares {dtype} of shape {shape}"
+        raise ValueError(f"{payload}: {found}; rerun {artifact.stage}")
     if zlib.crc32(table) != crc32:
         raise ValueError(f"{payload}: CRC-32 does not match {declared_by}; rerun {artifact.stage}")
     if table.dtype.kind == "f" and not np.isfinite(table).all():
@@ -343,14 +344,14 @@ def save_tensor(
     array of [("c", "<i8", (d,)), ("v", "<f8")] rows (the coordinates, then
     the value) in the tensor's sorted order, whose CRC-32 header.json
     records. It is written through write_payload WRITE_CHUNK_ROWS rows at a
-    time, each chunk's table filled from the tensor's coordinate and value
-    arrays, so the whole (nnz,) table is never built. entries.tsv holds the
-    same rows as text for outside readers only; no loader opens it. Its
-    values are written with repr(), so they parse back bit for bit. It too
-    is written WRITE_CHUNK_ROWS rows at a time, each chunk as one array of
-    fixed-width byte cells, a row per entry: each coordinate's text and tab
-    gathered from its mode's per-call table, each value's text and newline
-    from the chunk's distinct repr() texts, formatted once each, all
+    time, each chunk one np.rec.fromarrays of the tensor's coordinate and
+    value arrays, so the whole (nnz,) table is never built. entries.tsv
+    holds the same rows as text for outside readers only; no loader opens
+    it. Its values are written with repr(), so they parse back bit for bit.
+    It too is written WRITE_CHUNK_ROWS rows at a time, each chunk as one
+    array of fixed-width byte cells, a row per entry: each coordinate's text
+    and tab gathered from its mode's per-call table, each value's text and
+    newline from the chunk's distinct repr() texts, formatted once each, all
     NUL-padded; one bytes.replace drops the padding. Nothing time- or
     environment-dependent is written.
     """
@@ -369,16 +370,11 @@ def save_tensor(
 
     out_dir.mkdir(parents=True, exist_ok=True)
     row = _row_dtype(d)
-
-    def payload_chunks():
-        for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS):
-            hi = min(lo + WRITE_CHUNK_ROWS, tensor.nnz)
-            chunk = np.empty(hi - lo, dtype=row)
-            chunk["c"] = tensor.coords[lo:hi]
-            chunk["v"] = tensor.values[lo:hi]
-            yield chunk
-
-    crc32 = write_payload(out_dir / PAYLOAD_FILE, row, (tensor.nnz,), payload_chunks())
+    chunks = (
+        np.rec.fromarrays([tensor.coords[lo:lo + WRITE_CHUNK_ROWS], tensor.values[lo:lo + WRITE_CHUNK_ROWS]], dtype=row)
+        for lo in range(0, tensor.nnz, WRITE_CHUNK_ROWS)
+    )
+    crc32 = write_payload(out_dir / PAYLOAD_FILE, row, (tensor.nnz,), chunks)
     write_json(
         out_dir / HEADER_FILE, TENSOR,
         shape=list(tensor.shape),
@@ -558,8 +554,6 @@ def load_model(path: str | Path) -> tuple[KruskalModel, dict]:
     path = Path(path)
     with path.open("rb") as f:
         first = f.readline()
-    if not first:
-        raise ValueError(f"{path}: empty model file")
     header, (rank, shape, _fitted, crc32) = read_header(
         first.rstrip(b"\n"), path, MODEL,
         rank=json_int, shape=_model_shape,

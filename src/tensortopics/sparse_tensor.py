@@ -210,8 +210,13 @@ class SparseTensorCOO:
         return self._fibers
 
     def frobenius_norm(self) -> float:
-        """Square root of the sum of squared stored values."""
-        return math.sqrt(float(np.dot(self.values, self.values)))
+        """Square root of the sum of squared stored values; a ValueError,
+        without numpy's RuntimeWarning, where that sum overflows float64."""
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.dot(self.values, self.values))
+        if math.isinf(norm_sq):
+            raise ValueError("the tensor's norm overflows float64: its squared values sum past the largest double")
+        return math.sqrt(norm_sq)
 
     def entries(self):
         """Yield (coordinate tuple, value) pairs in sorted order."""

@@ -368,18 +368,32 @@ def _rewrite_payload(header_path, payload, change, restamp=False):
 VAST_ROWS = 2**45
 
 
-def _declare_vast_rows(payload, rows=VAST_ROWS):
-    """Rewrite a .npy file's header so that it declares `rows` rows, and
-    leave its data as it is."""
+def _edit_npy_header(payload, edit):
+    """Rewrite a .npy file's version 1.0 header with edit(header) applied to
+    its dict of descr, fortran_order and shape, and leave its data as it is."""
     fmt = np.lib.format
     with Path(payload).open("rb") as f:
         assert fmt.read_magic(f) == (1, 0)
         shape, fortran, dtype = fmt.read_array_header_1_0(f)
         data = f.read()
+    header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": fortran, "shape": shape}
+    edit(header)
     with Path(payload).open("wb") as f:
-        header = {"descr": fmt.dtype_to_descr(dtype), "fortran_order": fortran, "shape": (rows, *shape[1:])}
         fmt.write_array_header_1_0(f, header)
         f.write(data)
+
+
+def _declare_vast_rows(payload, rows=VAST_ROWS):
+    """Rewrite a .npy file's header so that it declares `rows` rows, and
+    leave its data as it is."""
+    _edit_npy_header(payload, lambda h: h.update(shape=(rows, *h["shape"][1:])))
+
+
+def save_npy_version(payload, version):
+    """Rewrite a .npy file as the same table under a header of `version`."""
+    table = np.load(payload, allow_pickle=False)
+    with Path(payload).open("wb") as f:
+        np.lib.format.write_array(f, table, version=version, allow_pickle=False)
 
 
 def declare_vast_model(path):
@@ -441,6 +455,15 @@ PAYLOAD_FAULTS = {
     ),
     "schema_1": (lambda h, p: _edit_header(h, _schema_1), "unsupported schema version 1"),
     "vast_header": (lambda h, p: _declare_vast_rows(p), "declares"),
+    # The same numbers, in a layout write_payload never writes.
+    "fortran_order": (
+        lambda h, p: _rewrite_payload(h, p, np.asfortranarray),
+        "Fortran-ordered {kind} payload, {stage} writes C order; rerun {stage}",
+    ),
+    "npy_version_2": (
+        lambda h, p: save_npy_version(p, (2, 0)),
+        "{kind} payload in .npy format 2.0, {stage} writes 1.0; rerun {stage}",
+    ),
 }
 
 
@@ -614,4 +637,14 @@ TENSOR_PAYLOAD_FAULTS = {
     "schema_1": (lambda t: _edit_tensor_header(t, _schema_1), "unsupported schema version 1"),
     "vast_header": (lambda t: _declare_vast_rows(_payload(t)), "declares"),
     "vast_shape": (_declare_vast_tensor, "unreadable tensor payload"),
+    # A one-dimensional table is the same bytes in either order, so np.save
+    # never marks it Fortran-ordered; only the header says so.
+    "fortran_order": (
+        lambda t: _edit_npy_header(_payload(t), lambda h: h.update(fortran_order=True)),
+        "Fortran-ordered tensor payload, ingest writes C order; rerun ingest",
+    ),
+    "npy_version_2": (
+        lambda t: save_npy_version(_payload(t), (2, 0)),
+        "tensor payload in .npy format 2.0, ingest writes 1.0; rerun ingest",
+    ),
 }

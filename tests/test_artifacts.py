@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from tensortopics import AxisMap, KruskalModel, SparseTensorCOO, artifacts
+from tensortopics.cli import cli_run
+
+from conftest import DATA_DIR
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensortopics"
 FORMAT_NAMES = {
@@ -123,3 +126,18 @@ def test_load_pool_names_each_column_it_fills(tmp_path):
         assert pool.weights[j] == source.weights[index]
         for pooled, factor in zip(pool.factors, source.factors):
             np.testing.assert_array_equal(pooled[:, j], factor[:, index])
+
+
+def test_no_load_parses_a_payload_header_twice(tmp_path, monkeypatch):
+    # read_payload parses each .npy header once and reads the data with one
+    # np.fromfile; np.lib.format.read_array would parse the header again.
+    def read_array(*args, **kwargs):
+        raise AssertionError("np.lib.format.read_array called")
+
+    monkeypatch.setattr(np.lib.format, "read_array", read_array)
+    workdir = tmp_path / "run"
+    assert cli_run(["pipeline", "--config", str(DATA_DIR / "toy.cfg"), "--workdir", str(workdir)]) == 0
+    artifacts.load_tensor(workdir / "tensor")
+    for path in sorted((workdir / "models").glob("*.model")):
+        artifacts.load_model(path)
+    artifacts.load_selection(workdir / "selection.json", workdir / "tensor")

@@ -518,6 +518,18 @@ class TestStreamedFactorize:
         for rank in (2, 3):
             assert load_model(models / f"rank_{rank}.model")[0].rank == rank
 
+    def test_every_rank_diverging_is_an_error(self, ingested, events, broken, capsys):
+        from tensortopics import AlsDivergenceError
+
+        diverged = AlsDivergenceError("non-finite factor update at iteration 1, mode 0")
+        broken.update((rank, diverged) for rank in self.RANKS)
+        assert self.factorize(ingested, "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: every configured rank failed to factorize"
+        assert "Traceback" not in err
+        assert [kind for kind, _rank in events] == ["fit"] * len(self.RANKS)
+        assert list((ingested / "models").glob("*")) == []
+
     def test_dropped_rank_leaves_no_stale_model(self, tmp_path, events, broken, caplog):
         from tensortopics import AlsDivergenceError
 
@@ -760,6 +772,11 @@ class TestErrors:
                     (', "payload_crc32": "abc"', "malformed tensor header: expected int, got 'abc'"),
                 )
             ),
+            (
+                '{"format": "sparse-tensor-coo", "schema_version": 2, "shape": [11, 37, 7, 36],'
+                ' "mode_names": ["a", "b", "c"], "nnz": 1, "payload_crc32": 0}',
+                "mode_names length does not match shape",
+            ),
         ],
     )
     def test_bad_tensor_header_reports_error(self, selected, tmp_path, capsys, stage, header, phrase):
@@ -813,6 +830,30 @@ class TestErrors:
         assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
         err = capsys.readouterr().err
         assert "error:" in err and ".model" in err and phrase in err
+        assert "Traceback" not in err
+        assert not (workdir / "selection.json").exists()
+
+    def test_report_names_a_missing_label_file(self, selected, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "tensor" / "mode2.labels.txt").unlink()
+        capsys.readouterr()
+        assert run("report", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: not a tensor container: missing \S+mode2\.labels\.txt$", err, re.M), err
+        assert "Traceback" not in err
+        assert not (workdir / "report").exists()
+
+    def test_select_names_an_empty_model_file(self, selected, tmp_path, capsys):
+        # An empty file has an empty header line, which read_header cannot parse.
+        workdir = tmp_path / "run"
+        shutil.copytree(selected / "run", workdir)
+        (workdir / "selection.json").unlink()
+        (workdir / "models" / "rank_3.model").write_bytes(b"")
+        capsys.readouterr()
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: \S+rank_3\.model: unreadable model header", err, re.M), err
         assert "Traceback" not in err
         assert not (workdir / "selection.json").exists()
 

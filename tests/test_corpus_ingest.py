@@ -21,6 +21,7 @@ from tensortopics.corpus_ingest import (
     DEFAULT_STOPWORDS,
     UNKNOWN_JOURNAL,
     _clean_label,
+    _nonascii_letter_fraction,
     load_stopwords,
 )
 
@@ -309,6 +310,12 @@ class TestCleanAndFilter:
         body = "вирусная пневмония у взрослых пациентов"
         out = clean_and_filter([record(body=body)], CleaningRules())
         assert out == []
+
+    def test_non_ascii_body_without_letters_kept(self):
+        # No letters, so no non-English ones: the fraction is 0, not 0 / 0.
+        body = "\u2605 42 \u2014 \u20ac"
+        assert _nonascii_letter_fraction(body) == 0.0
+        assert len(clean_and_filter([record(body=body)], CleaningRules())) == 1
 
     def test_threshold_is_configurable(self):
         body = "мир peace"  # 3 of 8 letters non-ASCII

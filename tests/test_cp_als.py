@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from tensortopics.sparse_tensor import SparseTensorCOO
 
 from conftest import (
     PAYLOAD_FAULTS, declare_vast_model, dense_cp_als, dense_from_model, dense_mttkrp, from_entries, payload_phrase,
-    random_sparse, to_dense,
+    random_sparse, save_npy_version, to_dense,
 )
 
 
@@ -244,6 +246,43 @@ class TestFit:
         with pytest.raises(ValueError, match="shape"):
             fit(t, model)
 
+    def test_tensor_without_entries_rejected(self):
+        t = from_entries([], (3, 3, 3))
+        model = KruskalModel(weights=np.ones(1), factors=[np.ones((3, 1))] * 3)
+        with pytest.raises(ValueError, match="fit is undefined for a tensor with zero norm"):
+            fit(t, model)
+
+
+class TestNormOverflow:
+    """A tensor whose sum of squared values overflows float64 has no fit:
+    frobenius_norm, and so cp_als and fit, name it, with no RuntimeWarning on
+    the way, where they once gave a zero model and NaN fits."""
+
+    @staticmethod
+    def scaled(scale):
+        return SparseTensorCOO([[0, 0, 0], [1, 1, 1], [0, 1, 0]], [scale, 2 * scale, 3 * scale], (2, 2, 2))
+
+    def test_overflowing_norm_is_a_named_error(self):
+        t = self.scaled(1e200)
+        model = KruskalModel(weights=np.ones(2), factors=[np.ones((2, 2))] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="the tensor's norm overflows float64"):
+                t.frobenius_norm()
+            with pytest.raises(ValueError, match="the tensor's norm overflows float64"):
+                cp_als(t, 2, AlsOptions(max_iters=3))
+            with pytest.raises(ValueError, match="the tensor's norm overflows float64"):
+                fit(t, model)
+
+    def test_large_finite_norm_still_fits(self):
+        t = self.scaled(1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, history = cp_als(t, 2, AlsOptions(max_iters=3))
+            assert fit(t, model) == pytest.approx(history[-1], rel=1e-12)
+        assert np.all(model.weights > 0)
+        assert history[-1] == pytest.approx(0.906, abs=1e-3)
+
 
 class TestArrange:
     def test_sorts_by_weight_magnitude(self):
@@ -372,13 +411,14 @@ class TestModelFile:
         loaded, _ = load_model(path)
         np.testing.assert_array_equal(loaded.factors[0], [[0.5, 0.25], [0.5, 0.75]])
 
-    def test_fortran_ordered_payload_reads(self, tmp_path):
+    def test_npy_version_3_is_refused(self, tmp_path):
+        # save_model writes version 1.0 alone; PAYLOAD_FAULTS covers 2.0.
         model = KruskalModel(weights=[2.0, 1.0], factors=[np.arange(6.0).reshape(3, 2)])
         path = save_model(model, tmp_path / "m.model")
-        payload = tmp_path / "m.model.npy"
-        np.save(payload, np.asfortranarray(np.load(payload)), allow_pickle=False)
-        loaded, _ = load_model(path)
-        np.testing.assert_array_equal(loaded.factors[0], model.factors[0])
+        save_npy_version(tmp_path / "m.model.npy", (3, 0))
+        phrase = "model payload in .npy format 3.0, factorize writes 1.0; rerun factorize"
+        with pytest.raises(ValueError, match=re.escape(phrase)):
+            load_model(path)
 
     @pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
     def test_payload_fault_is_a_named_error(self, tmp_path, rng, fault):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,13 @@ class TestEmitReport:
         page = (out / "index.html").read_text(encoding="utf-8")
         assert "<b>bold</b>" not in page
         assert "&lt;b&gt;bold&lt;/b&gt; &amp; co" in page
+
+    def test_component_without_keywords_shows_none(self, tmp_path):
+        report = replace(small_report(n=2, keyword_count=3), keywords=[])
+        out = emit_report([report], tmp_path / "report", self.META)
+        page = (out / "index.html").read_text(encoding="utf-8")
+        assert '<div class="cloud">(none)</div>' in page
+        assert load_reports(out / "report.json") == [report]
 
     def test_empty_selection_bundle(self, tmp_path):
         out = emit_report([], tmp_path / "report", self.META)

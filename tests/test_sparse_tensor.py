@@ -154,6 +154,24 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="mode 1"):
             save_tensor(t, axes, names, tmp_path / "t")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r"])
+    def test_label_with_a_newline_rejected_on_save(self, tmp_path, rng, newline):
+        # One label a line: a newline inside a label would split it in two.
+        t, axes, names = self._make(rng)
+        axes[2] = AxisMap(["j0", f"j{newline}1"])
+        with pytest.raises(ValueError, match="contains a newline"):
+            save_tensor(t, axes, names, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("drop", ["axes", "mode_names"])
+    def test_wrong_axis_count_rejected_on_save(self, tmp_path, rng, drop):
+        t, axes, names = self._make(rng)
+        args = {"axes": axes, "mode_names": names}
+        args[drop] = args[drop][:-1]
+        with pytest.raises(ValueError, match="expected 4 axes and mode names"):
+            save_tensor(t, out_dir=tmp_path / "t", **args)
+        assert not (tmp_path / "t").exists()
+
     def test_unknown_format_rejected(self, tmp_path, rng):
         t, axes, names = self._make(rng)
         save_tensor(t, axes, names, tmp_path / "t")
