@@ -159,8 +159,6 @@ def parse_ranks(text: str) -> tuple[int, ...]:
         ranks = tuple(int(part.strip()) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"ranks must be comma-separated integers, got {text!r}")
-    if not ranks:
-        raise ValueError(f"ranks must be non-empty, got {text!r}")
     return ranks
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import SparseTensorCOO
+from .sparse_tensor import Segments, SparseTensorCOO
 
 
 class AlsDivergenceError(RuntimeError):
@@ -153,22 +153,24 @@ def _buffer(tensor: SparseTensorCOO, rank: int) -> np.ndarray:
     return np.empty((band, tensor.nnz))
 
 
-def _run_sums(buffer: np.ndarray, columns, index, scale, starts):
-    """Per band of rows of `columns`, as many as `buffer` holds: the rows, and
-    the (band, runs) sums of columns[rows][:, index] * scale (unscaled if None)
-    over the runs that start at `starts`. Each run is summed whole, by one
+def _sums(buffer: np.ndarray, columns: np.ndarray, segments: Segments, out: np.ndarray) -> np.ndarray:
+    """Run the pass `segments` over the rows of `columns`, as many as `buffer`
+    holds at a time: gather columns[rows][:, index], scale it, and write its
+    run sums to out[targets, rows]. Each run is summed whole, by one
     np.add.reduceat along a contiguous row, so the bands change no bit."""
-    rank, n = columns.shape[0], len(index)
+    rank, n = columns.shape[0], len(segments.index)
     band = buffer.size // n
     for start in range(0, rank, band):
         rows = slice(start, min(start + band, rank))
         cols = buffer.reshape(-1)[: (rows.stop - start) * n].reshape(-1, n)
-        # take's default mode="raise" fills a hidden copy of `out`; the fiber
-        # index is in range, so "clip" changes nothing.
-        columns[rows].take(index, axis=1, out=cols, mode="clip")
-        if scale is not None:
-            cols *= scale
-        yield rows, np.add.reduceat(cols, starts, axis=1)
+        # take's default mode="raise" fills a hidden copy of the band; the
+        # pass's index is in range, so "clip" changes nothing.
+        columns[rows].take(segments.index, axis=1, out=cols, mode="clip")
+        if segments.scale is not None:
+            cols *= segments.scale
+        # Band by band: one (runs, rank) transpose would be as large as out.
+        out[segments.targets, rows] = np.add.reduceat(cols, segments.starts, axis=1).T
+    return out
 
 
 def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -179,17 +181,16 @@ def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """(rank, fibers): per fiber, the sum of value * last-factor row."""
     fibers = tensor.fibers
-    out = np.empty((last_factor.shape[1], fibers.starts.shape[0]))
-    columns = np.ascontiguousarray(last_factor.T)
-    for rows, sums in _run_sums(buffer, columns, fibers.leaf, tensor.values, fibers.starts):
-        out[rows] = sums
+    out = np.empty((last_factor.shape[1], fibers.coords.shape[0]))
+    # Written through the transposed view, so the sums stay rank-major.
+    _sums(buffer, np.ascontiguousarray(last_factor.T), fibers.leaf_pass, out.T)
     return out
 
 
 def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
     """MTTKRP for `mode` of a nonempty tensor, in bands through `buffer`.
     leaf_sums is _leaf_sums() of the current last factor; the last mode does
-    not use it, and scales its fiber products per nonzero."""
+    not use it, and its pass scales the fiber products per nonzero."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
@@ -198,17 +199,19 @@ def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> 
             # Into the fresh gather, so leaf_sums is never written.
             part = _columns(factors[k], fibers.coords[:, k])
             cols = part if cols is None else np.multiply(part, cols, out=part)
-    segments = fibers.segments[mode]
-    scale = fibers.leaf_values if mode == last else None
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
-    # Band by band: one (runs, rank) transpose would be as large as out.
-    for rows, sums in _run_sums(buffer, cols, segments.fibers, scale, segments.starts):
-        out[segments.targets, rows] = sums.T
-    return out
+    return _sums(buffer, cols, fibers.segments[mode], out)
 
 
 def _model_norm_sq(weights: np.ndarray, grams) -> float:
     return float(weights @ hadamard_all(grams) @ weights)
+
+
+def _fit_value(norm_x: float, weights: np.ndarray, grams, inner: float) -> float:
+    """1 - ||X - M|| / ||X||, from ||X - M||^2 = ||X||^2 + ||M||^2 - 2 <X, M>
+    clamped at zero, so that an exact fit cannot go NaN."""
+    residual_sq = max(norm_x * norm_x + _model_norm_sq(weights, grams) - 2.0 * inner, 0.0)
+    return 1.0 - math.sqrt(residual_sq) / norm_x
 
 
 def cp_als(
@@ -260,10 +263,7 @@ def cp_als(
         # After the final mode update, <X, M> = sum(projected * solved) because
         # `solved` still carries the weights and `projected` is that mode's MTTKRP.
         inner = float(np.sum(projected * solved))
-        full_gram_quad = _model_norm_sq(weights, grams)
-        residual_sq = max(norm_x * norm_x + full_gram_quad - 2.0 * inner, 0.0)
-        fit_value = 1.0 - math.sqrt(residual_sq) / norm_x
-        fit_history.append(fit_value)
+        fit_history.append(_fit_value(norm_x, weights, grams, inner))
         if stop_reason(fit_history, opts.fit_tolerance) != "max_iters":
             break
 
@@ -290,12 +290,8 @@ def stop_reason(fit_history, fit_tolerance: float) -> str:
 
 
 def fit(tensor: SparseTensorCOO, model: KruskalModel) -> float:
-    """1 - ||X - M||_F / ||X||_F, evaluated without densifying.
-
-    Uses ||X - M||^2 = ||X||^2 + ||M||^2 - 2 <X, M> with <X, M> computed from
-    a single mode-0 MTTKRP. The difference is clamped at zero before the
-    square root so exact fits cannot go NaN.
-    """
+    """1 - ||X - M||_F / ||X||_F, evaluated without densifying: <X, M> is
+    computed from a single mode-0 MTTKRP."""
     if model.order != tensor.order or model.shape != tensor.shape:
         raise ValueError(
             f"model shape {model.shape} does not match tensor shape {tensor.shape}"
@@ -304,13 +300,11 @@ def fit(tensor: SparseTensorCOO, model: KruskalModel) -> float:
     if norm_x == 0.0:
         raise ValueError("fit is undefined for a tensor with zero norm")
     grams = [gram(f) for f in model.factors]
-    norm_m_sq = _model_norm_sq(model.weights, grams)
     projected = mttkrp(tensor, model.factors, 0)
     inner = float(
         model.weights @ np.einsum("ir,ir->r", projected, model.factors[0])
     )
-    residual_sq = max(norm_x * norm_x + norm_m_sq - 2.0 * inner, 0.0)
-    return 1.0 - math.sqrt(residual_sq) / norm_x
+    return _fit_value(norm_x, model.weights, grams, inner)
 
 
 def arrange(model: KruskalModel) -> KruskalModel:

@@ -106,7 +106,7 @@ def ensemble_models(
     if opts is None:
         opts = AlsOptions()
     waiting = deque(ranks)
-    fibers = tensor.fibers.starts.shape[0]
+    fibers = tensor.fibers.coords.shape[0]
     for rank in waiting:
         if rank >= fibers:
             logger.warning(

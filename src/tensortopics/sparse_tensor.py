@@ -49,15 +49,17 @@ class AxisMap:
 
 
 class Segments(NamedTuple):
-    """Rows grouped by a key, for summing with np.add.reduceat.
+    """One summation pass: gathered rows grouped by a key, for np.add.reduceat.
 
-    fibers[i] is the fiber that supplies the i-th row in summation order;
-    the rows of each run starts[j]:starts[j + 1] share the key targets[j].
+    index[i] is the column that supplies the i-th row in summation order,
+    scaled by scale[i] (None: unscaled); the rows of each run
+    starts[j]:starts[j + 1] share the key targets[j].
     """
 
-    fibers: np.ndarray
+    index: np.ndarray
     starts: np.ndarray
     targets: np.ndarray
+    scale: np.ndarray | None = None
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -68,31 +70,29 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[rows.shape[0] > 0, changed])
 
 
-def _segments(keys: np.ndarray, fibers: np.ndarray) -> tuple[np.ndarray, Segments]:
-    """Stable sort order of `keys` and the Segments it induces on `fibers`."""
+def _segments(keys: np.ndarray, index: np.ndarray, scale=None) -> Segments:
+    """The pass that sums `index`'s rows, scaled, per key in keys' stable order."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = _run_starts(keys)
-    return order, Segments(fibers[order], starts, keys[starts])
+    return Segments(index[order], starts, keys[starts], None if scale is None else scale[order])
 
 
 @dataclass(frozen=True)
 class FiberIndex:
     """The last-mode fibers of a sorted tensor: one level of compressed sparse
-    fiber (CSF) storage.
+    fiber (CSF) storage, as a table of summation passes.
 
-    starts : (S,) first nonzero of each fiber; coords : (S, d-1) its leading
-    coordinates; leaf : (nnz,) each nonzero's last coordinate, contiguous for
-    fast gathers. segments[k] groups rows by their mode-k coordinate: the S
-    fibers for k < d-1, the nonzeros (stably sorted by last coordinate) for
-    the last mode, whose values in that order are leaf_values.
+    coords : (F, d-1) each fiber's leading coordinates. leaf_pass sums each
+    fiber's nonzeros in storage order (last coordinates scaled by values, one
+    run per fiber). segments[k] is mode k's pass: over the F fibers grouped
+    by their mode-k coordinate for k < d-1; over the nonzeros, stably sorted
+    by last coordinate and scaled by their values, for the last mode.
     """
 
-    starts: np.ndarray
     coords: np.ndarray
-    leaf: np.ndarray
+    leaf_pass: Segments
     segments: tuple[Segments, ...]
-    leaf_values: np.ndarray
 
     @classmethod
     def build(cls, coords: np.ndarray, values: np.ndarray) -> "FiberIndex":
@@ -100,11 +100,11 @@ class FiberIndex:
         starts = _run_starts(lead)
         fiber_coords = lead[starts]
         fiber_ids = np.arange(starts.shape[0])
-        segments = [_segments(fiber_coords[:, k], fiber_ids)[1] for k in range(lead.shape[1])]
+        segments = [_segments(fiber_coords[:, k], fiber_ids) for k in range(lead.shape[1])]
         fiber_of = np.repeat(fiber_ids, np.diff(np.r_[starts, coords.shape[0]]))
         leaf = np.ascontiguousarray(coords[:, -1])
-        order, by_leaf = _segments(leaf, fiber_of)
-        return cls(starts, fiber_coords, leaf, (*segments, by_leaf), values[order])
+        leaf_pass = Segments(leaf, starts, fiber_ids, values)
+        return cls(fiber_coords, leaf_pass, (*segments, _segments(leaf, fiber_of, values)))
 
 
 class SparseTensorCOO:
@@ -211,11 +211,14 @@ class SparseTensorCOO:
 
     def frobenius_norm(self) -> float:
         """Square root of the sum of squared stored values; a ValueError,
-        without numpy's RuntimeWarning, where that sum overflows float64."""
+        without numpy's RuntimeWarning, where that sum overflows float64, or
+        underflows to zero although values are stored."""
         with np.errstate(over="ignore"):
             norm_sq = float(np.dot(self.values, self.values))
         if math.isinf(norm_sq):
             raise ValueError("the tensor's norm overflows float64: its squared values sum past the largest double")
+        if norm_sq == 0.0 and self.nnz:
+            raise ValueError("the tensor's norm underflows float64: its squared values sum to zero")
         return math.sqrt(norm_sq)
 
     def entries(self):

@@ -1050,6 +1050,31 @@ class TestErrors:
         )
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ranks", [",", " , "])
+    def test_empty_ranks_flag_is_named(self, tmp_path, capsys, ranks):
+        assert run("factorize", "--config", CFG, "--workdir", str(tmp_path), "--ranks", ranks) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: ranks must be non-empty"
+
+    def test_underflowing_tensor_norm_is_named(self, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        tensor = SparseTensorCOO([[0, 0, 0, 0], [1, 1, 1, 1]], [1e-200, 1e-200], (2, 2, 2, 2))
+        axes = [AxisMap(f"{name}{i}" for i in range(2)) for name in MODE_NAMES]
+        save_tensor(tensor, axes, MODE_NAMES, workdir / "tensor")
+        assert run("factorize", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: the tensor's norm underflows float64: its squared values sum to zero"
+        assert "Traceback" not in err
+
+    def test_select_without_models_reports_error(self, tmp_path, capsys, caplog):
+        workdir = tmp_path / "run"
+        assert run("ingest", "--config", CFG, "--workdir", str(workdir)) == 0
+        assert run("select", "--config", CFG, "--workdir", str(workdir)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: no model files found for the configured ranks"
+        assert "Traceback" not in err
+        assert "no model file for rank 3" in caplog.text and "no model file for rank 5" in caplog.text
+        assert not (workdir / "selection.json").exists()
+
     def test_rank_beyond_a_numpy_dimension_fits_nothing(self, tmp_path, capsys):
         workdir = tmp_path / "run"
         assert run("ingest", "--config", CFG, "--workdir", str(workdir)) == 0

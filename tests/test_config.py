@@ -164,6 +164,7 @@ class TestLoadConfig:
             ("format", "CSV", "unknown corpus format 'CSV'"),
             ("keywords", "0", "keyword_count must be >= 1, got 0"),
             ("ranks", "40,20", "ranks must be strictly ascending"),
+            ("ranks", ",", "ranks must be non-empty"),
             ("ranks", "3,99999999999999999999", "ranks must be at most "),
             ("max_nonascii_fraction", "2", r"max_nonascii_fraction must be in \[0, 1\]"),
             ("dna_min_run", "4294967295", "dna_min_run must be <= 4294967294, got 4294967295"),

@@ -284,6 +284,26 @@ class TestNormOverflow:
         assert history[-1] == pytest.approx(0.906, abs=1e-3)
 
 
+class TestNormUnderflow:
+    """A tensor whose squared values all underflow to zero has no fit either:
+    frobenius_norm, cp_als and fit name it, where cp_als once divided by the
+    zero norm."""
+
+    TENSOR = SparseTensorCOO([[0, 0], [1, 1]], [1e-200, 1e-200], (2, 2))
+
+    def test_underflowing_norm_is_a_named_error(self):
+        model = KruskalModel(weights=np.ones(1), factors=[np.ones((2, 1))] * 2)
+        for call in (self.TENSOR.frobenius_norm, lambda: cp_als(self.TENSOR, 1), lambda: fit(self.TENSOR, model)):
+            with pytest.raises(ValueError, match="the tensor's norm underflows float64"):
+                call()
+
+    def test_small_nonzero_norm_still_fits(self):
+        t = SparseTensorCOO([[0, 0], [1, 1]], [1e-150, 1e-150], (2, 2))
+        model, history = cp_als(t, 2, AlsOptions(max_iters=3))
+        assert t.frobenius_norm() > 0.0
+        assert np.isfinite(history).all() and fit(t, model) == pytest.approx(history[-1], rel=1e-12)
+
+
 class TestArrange:
     def test_sorts_by_weight_magnitude(self):
         model = KruskalModel(

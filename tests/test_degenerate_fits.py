@@ -50,7 +50,7 @@ def test_ranks_at_or_above_the_fiber_count_are_named(tmp_path, caplog):
     workdir = tmp_path / "run"
     assert cli_run(["ingest", "--config", CFG, "--workdir", str(workdir)]) == 0
     tensor, _axes, _names = load_tensor(workdir / "tensor")
-    fibers = tensor.fibers.starts.shape[0]
+    fibers = tensor.fibers.leaf_pass.starts.shape[0]
     assert fibers == tensor.shape[1]  # one fiber per document
     ranks = [fibers - 1, fibers, fibers + 3]
     caplog.clear()

@@ -79,7 +79,7 @@ class TestAgainstCooOracle:
     def test_single_fiber(self, rng):
         entries = [((1, 2, 0, w), float(w + 1)) for w in (0, 3, 4, 7)]
         tensor = from_entries(entries, (3, 4, 2, 9))
-        assert tensor.fibers.starts.tolist() == [0]
+        assert tensor.fibers.leaf_pass.starts.tolist() == [0]
         assert_matches_oracle(tensor, 5, rng)
 
     def test_unused_last_mode_indices_give_zero_rows(self, rng):
@@ -92,7 +92,7 @@ class TestAgainstCooOracle:
 
     def test_corpus_shaped_tensor(self, rng):
         tensor = corpus_tensor(rng)
-        assert tensor.fibers.starts.shape[0] == 30  # one fiber per document
+        assert tensor.fibers.leaf_pass.starts.shape[0] == 30  # one fiber per document
         assert_matches_oracle(tensor, 12, rng)
 
 
@@ -173,7 +173,7 @@ class TestFiberIndex:
         fibers = tensor.fibers
         lead = [tuple(row) for row in tensor.coords[:, :-1].tolist()]
         expected = [i for i in range(len(lead)) if i == 0 or lead[i] != lead[i - 1]]
-        assert fibers.starts.tolist() == expected
+        assert fibers.leaf_pass.starts.tolist() == expected
         assert [tuple(row) for row in fibers.coords.tolist()] == [lead[i] for i in expected]
 
     def test_built_once_and_cached(self, rng):
@@ -184,14 +184,14 @@ class TestFiberIndex:
         tensor = random_sparse(rng, (4, 3, 6), 40)
         fibers = tensor.fibers
         for mode, segments in enumerate(fibers.segments):
-            rows = fibers.starts.shape[0] if mode < tensor.order - 1 else tensor.nnz
-            assert segments.fibers.shape[0] == rows
+            rows = fibers.leaf_pass.starts.shape[0] if mode < tensor.order - 1 else tensor.nnz
+            assert segments.index.shape[0] == rows
             assert segments.starts[0] == 0
             assert np.all(np.diff(segments.targets) > 0)
 
     def test_empty_tensor_has_no_fibers(self):
         tensor = SparseTensorCOO(np.zeros((0, 3)), [], (2, 2, 2))
-        assert tensor.fibers.starts.shape == (0,)
+        assert tensor.fibers.leaf_pass.starts.shape == (0,)
 
 
 def cp_als_via(kernel, tensor, rank, opts):
@@ -235,17 +235,17 @@ def whole_array_mttkrp(tensor, factors, mode):
     last = tensor.order - 1
     cols = None
     if mode != last:
-        leaf = np.ascontiguousarray(factors[-1].T).take(fibers.leaf, axis=1)
+        leaf = np.ascontiguousarray(factors[-1].T).take(fibers.leaf_pass.index, axis=1)
         leaf *= tensor.values
-        cols = np.add.reduceat(leaf, fibers.starts, axis=1)
+        cols = np.add.reduceat(leaf, fibers.leaf_pass.starts, axis=1)
     for k in range(last):
         if k != mode:
             part = np.ascontiguousarray(factors[k].T).take(fibers.coords[:, k], axis=1)
             cols = part if cols is None else cols * part
     segments = fibers.segments[mode]
-    cols = cols.take(segments.fibers, axis=1)
+    cols = cols.take(segments.index, axis=1)
     if mode == last:
-        cols *= fibers.leaf_values
+        cols *= segments.scale
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
     out[segments.targets] = np.add.reduceat(cols, segments.starts, axis=1).T
     return out
@@ -274,7 +274,7 @@ def one_nonzero_per_fiber(rng, shape=(5, 7, 3, 11), nnz=60):
     lead = np.stack(np.unravel_index(cells, shape[:-1]), axis=1)
     coords = np.c_[lead, rng.integers(0, shape[-1], nnz)]
     tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, nnz), shape)
-    assert tensor.fibers.starts.shape[0] == tensor.nnz == nnz
+    assert tensor.fibers.leaf_pass.starts.shape[0] == tensor.nnz == nnz
     return tensor
 
 
@@ -370,7 +370,7 @@ def test_each_mode_holds_few_rank_by_fiber_arrays():
     word = (rng.integers(0, words, documents)[:, None] + 37 * np.arange(8)) % words
     coords = np.c_[doc % 40, doc, doc % 7, word.reshape(-1)]
     tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, doc.shape[0]), (40, documents, 7, words))
-    assert tensor.fibers.starts.shape[0] == documents  # built before tracing
+    assert tensor.fibers.leaf_pass.starts.shape[0] == documents  # built before tracing
     unit = rank * documents * 8
     factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
     for mode in range(tensor.order):

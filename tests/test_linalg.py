@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tensortopics import gram, hadamard_all, normalize_columns_l1, solve_gram
+from tensortopics import (
+    AlsOptions, SparseTensorCOO, cp_als, gram, hadamard_all, normalize_columns_l1, solve_gram,
+)
 
 from conftest import kr_columnwise
 
@@ -67,6 +69,35 @@ class TestHadamardAll:
                 hadamard_all([gram(a), gram(b)]),
                 atol=1e-10,
             )
+
+
+@pytest.fixture
+def solve_paths(monkeypatch):
+    """The numpy routines each later solve_gram call ran, one tuple per call
+    (a call starts with its Cholesky probe); a routine that raised
+    LinAlgError is named with " failed"."""
+    events = []
+    for name in ("cholesky", "solve", "inv", "lstsq"):
+        def spy(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            try:
+                out = _real(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                events.append(f"{_name} failed")
+                raise
+            events.append(_name)
+            return out
+
+        monkeypatch.setattr(np.linalg, name, spy)
+
+    def paths():
+        calls = []
+        for event in events:
+            if event.startswith("cholesky"):
+                calls.append(())
+            calls[-1] += (event,)
+        return calls
+
+    return paths
 
 
 class TestSolveGram:
@@ -155,6 +186,24 @@ class TestSolveGram:
         np.testing.assert_array_equal(
             solve_gram(g, rhs), np.linalg.solve(g + ridge * np.eye(3), rhs.T).T
         )
+
+    def test_cp_als_solves_its_singular_grams_by_the_ridge(self, solve_paths):
+        # Two modes of extent 1 at rank 3: each of their factors' grams has
+        # rank 1, and 4 of the 6 solves of the fit's 2 sweeps fail the probe.
+        tensor = SparseTensorCOO([[0, 0, k] for k in range(5)], [1.0, 2.0, 3.0, 4.0, 5.0], (1, 1, 5))
+        model, history = cp_als(tensor, 3, AlsOptions())
+        paths = solve_paths()
+        assert len(paths) == 3 * len(history) == 6
+        assert paths.count(("cholesky failed", "solve")) == 4
+        assert paths.count(("cholesky", "solve")) == 2
+        assert np.all(np.isfinite(model.weights)) and all(np.all(np.isfinite(f)) for f in model.factors)
+        assert np.all(np.isfinite(history))
+
+    def test_zero_gram_takes_the_least_squares_path(self, solve_paths):
+        # A zero trace leaves no ridge to add.
+        out = solve_gram(np.zeros((2, 2)), np.ones((1, 2)))
+        assert solve_paths() == [("cholesky failed", "lstsq")]
+        assert np.all(np.isfinite(out))
 
 
 class TestNormalizeColumnsL1:

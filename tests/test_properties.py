@@ -134,7 +134,7 @@ class TestFiberBound:
         lead, fiber_of = np.unique(tensor.coords[:, :-1], axis=0, return_inverse=True)
         fiber_of = fiber_of.reshape(-1)
         rank = lead.shape[0]
-        assert rank == tensor.fibers.starts.shape[0]
+        assert rank == tensor.fibers.leaf_pass.starts.shape[0]
         terms = np.arange(rank)
         factors = [np.zeros((n, rank)) for n in tensor.shape]
         for k in range(tensor.order - 1):

@@ -7,7 +7,9 @@ so a second shape has 400 shorter documents, more than every rank, as the
 paper's corpus has. The pipeline runs in process at the paper's seven
 ranks, 5 sweeps each, and threshold 0.35. A kept component matches a topic
 when at least 10 of its top 20 keywords are among the topic's terms, and a
-topic is recovered when some kept component matches it. These checks read
+topic is recovered when some kept component matches it. Its best match
+must also put the topic's journal and one of its documents on top, and
+rank the topic's favoured first authors high. These checks read
 what the report means, not its bytes, so they still hold after a change
 that moves model bytes only by rounding. The same holds across OpenBLAS
 kernels: two children under the AVX2 and the AVX kernels write other model
@@ -55,6 +57,15 @@ MANY_DOCUMENTS_SHAPE = {
 MANY_DOCUMENTS_MIN_RECOVERED = 17
 MANY_DOCUMENTS_MAX_UNMATCHED = 10
 MANY_DOCUMENTS_MAX_KEPT = 40
+# The best matches' authors, at both shapes. Over seeds 41 to 50 the share
+# of recovered topics whose top author is one of the topic's three favoured
+# ones was 0.63 to 0.95 at the first shape and 0.47 to 0.85 at the second
+# (chance: 3 in 25 and 3 in 60), and the mean count of favoured authors in
+# the top 3 was 1.25 to 1.95 and 1.41 to 1.95. Each recovered topic's best
+# match had one of the topic's own documents on top on seeds 41 to 43 at
+# both shapes (and on 44 to 46 at the first, all but 1 or 2 topics).
+MIN_TOP_AUTHOR_SHARE = 0.45
+MIN_TOP3_FAVOURED_AUTHORS = 1.2
 # OPENBLAS_CORETYPE values: the AVX2 kernels of the golden runs, and the AVX ones.
 KERNELS = ("Haswell", "Sandybridge")
 KERNEL_KEYWORDS = 10
@@ -73,7 +84,8 @@ def assert_recovered(tmp_path, seed, shape, min_recovered, max_unmatched, max_ke
     """The pipeline on the planted corpus of `seed` and `shape` recovers at
     least `min_recovered` topics, keeps at most `max_unmatched` components
     that match none (and, if given, at most `max_kept` in all), and puts
-    each recovered topic's journal on top of its best match."""
+    each recovered topic's journal and one of its documents on top of its
+    best match, and favoured authors near the top (see mode_scores)."""
     config, truth = write_inputs(tmp_path, seed, shape)
     assert cli_run(["pipeline", "--config", str(config), "--workdir", str(tmp_path / "run")]) == 0
     components = load_reports(tmp_path / "run" / "report" / "report.json")
@@ -87,10 +99,39 @@ def assert_recovered(tmp_path, seed, shape, min_recovered, max_unmatched, max_ke
     assert len(recovered) >= min_recovered
     assert max_kept is None or len(components) <= max_kept
     assert int((~matched.any(axis=1)).sum()) <= max_unmatched
-    for topic in recovered:
-        # The best match: of the components sharing the most terms, the first kept.
-        best = components[int(np.argmax(overlap[:, topic]))]
-        assert best.mode_tops["journal"][0][0] == truth.journals[topic].lower(), topic
+    # The best match: of the components sharing the most terms, the first kept.
+    best = {topic: components[int(np.argmax(overlap[:, topic]))] for topic in recovered}
+    for topic, match in best.items():
+        assert match.mode_tops["journal"][0][0] == truth.journals[topic].lower(), topic
+    documents, top_author, top3_authors = mode_scores(best, truth)
+    assert documents == recovered
+    assert top_author >= MIN_TOP_AUTHOR_SHARE
+    assert top3_authors >= MIN_TOP3_FAVOURED_AUTHORS
+
+
+def document_topic(label, topics):
+    """The topic of the document whose cleaned title is `label`: its trailing
+    letter code, read as the base-26 document number, modulo `topics`."""
+    number = 0
+    for letter in label.split()[-1]:
+        number = 26 * number + ord(letter) - ord("a")
+    return number % topics
+
+
+def mode_scores(best, truth):
+    """Over the recovered topics, keys of `best` (topic -> its best match):
+    the topics whose best match has one of the topic's own documents on top,
+    the share whose top author is one of the topic's favoured three, and the
+    mean number of favoured authors among its top 3."""
+    documents, top_author, top3_authors = [], 0, 0
+    for topic, match in best.items():
+        if document_topic(match.mode_tops["document"][0][0], len(truth.terms)) == topic:
+            documents.append(topic)
+        favoured = set(truth.authors[topic])
+        authors = [label for label, _ in match.mode_tops["first_author"][:3]]
+        top_author += authors[0] in favoured
+        top3_authors += len(favoured.intersection(authors))
+    return documents, top_author / len(best), top3_authors / len(best)
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
