@@ -13,6 +13,10 @@ mode, so cp_als() computes the per-fiber leaf sums once and reuses them for
 every other mode (partial-product reuse, Phan, Tichavsky & Cichocki 2013).
 Every pass runs in bands of components through one buffer allocated once
 per fit, and the fiber products are built in place: no rank x nnz array.
+The leaf sums and the last mode are the products W_last^T X^T and X^T P of
+the F x J fiber-value matrix X (Bader & Kolda 2007); where the tensor keeps X
+dense (small and full enough, see FiberIndex), they run as those two BLAS
+matrix products instead of passes over the nonzeros.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import Segments, SparseTensorCOO
+from .sparse_tensor import BLOCK_BYTES, Segments, SparseTensorCOO
 
 
 class AlsDivergenceError(RuntimeError):
@@ -106,8 +110,11 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
     runs over fibers, not nonzeros. For the last mode, each nonzero takes its
     fiber's product of leading factor rows times its value, summed per
     last-mode index. Every sum is an np.add.reduceat over a fixed stable
-    order, so the result is deterministic. The factor supplied for `mode` is
-    ignored.
+    order, so the result is deterministic. Where the tensor keeps its fiber
+    values X dense, the leaf sums are instead one BLAS product W_last^T X^T,
+    and the last mode X^T P, P the fibers' products of leading factor rows;
+    these are deterministic for one BLAS kernel and thread count. The factor
+    supplied for `mode` is ignored.
     """
     d = tensor.order
     if d < 2:
@@ -142,15 +149,18 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 # as fit for the other modes. So working memory is max(BLOCK_BYTES, 8 nnz)
 # bytes at any rank, never rank x nnz (cache blocking, as in SPLATT, Smith et
 # al. 2015). A band is as many rows as fit BLOCK_BYTES, at least one: larger
-# bands cost memory, smaller ones a Python-level step each.
-BLOCK_BYTES = 2 * 1024 * 1024
+# bands cost memory, smaller ones a Python-level step each. The budget,
+# BLOCK_BYTES, also bounds the fiber-value matrix that a tensor keeps dense;
+# then no pass runs over the nonzeros, and the buffer spans the F fibers.
 
 
 def _buffer(tensor: SparseTensorCOO, rank: int) -> np.ndarray:
     """The gather buffer of every pass over a nonempty tensor at `rank`:
-    band x nnz floats."""
-    band = max(1, min(rank, BLOCK_BYTES // (8 * tensor.nnz)))
-    return np.empty((band, tensor.nnz))
+    band x n floats, n the longest pass: nnz, or F if X is dense."""
+    fibers = tensor.fibers
+    n = tensor.nnz if fibers.dense is None else fibers.coords.shape[0]
+    band = max(1, min(rank, BLOCK_BYTES // (8 * n)))
+    return np.empty((band, n))
 
 
 def _sums(buffer: np.ndarray, columns: np.ndarray, segments: Segments, out: np.ndarray) -> np.ndarray:
@@ -181,6 +191,8 @@ def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     """(rank, fibers): per fiber, the sum of value * last-factor row."""
     fibers = tensor.fibers
+    if fibers.dense is not None:
+        return last_factor.T @ fibers.dense.T
     out = np.empty((last_factor.shape[1], fibers.coords.shape[0]))
     # Written through the transposed view, so the sums stay rank-major.
     _sums(buffer, np.ascontiguousarray(last_factor.T), fibers.leaf_pass, out.T)
@@ -190,7 +202,8 @@ def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndar
 def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
     """MTTKRP for `mode` of a nonempty tensor, in bands through `buffer`.
     leaf_sums is _leaf_sums() of the current last factor; the last mode does
-    not use it, and its pass scales the fiber products per nonzero."""
+    not use it: its pass scales the fiber products per nonzero, or it is
+    X^T times them if X is dense."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
@@ -199,6 +212,8 @@ def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> 
             # Into the fresh gather, so leaf_sums is never written.
             part = _columns(factors[k], fibers.coords[:, k])
             cols = part if cols is None else np.multiply(part, cols, out=part)
+    if mode == last and fibers.dense is not None:
+        return fibers.dense.T @ cols.T
     out = np.zeros((tensor.shape[mode], cols.shape[0]))
     return _sums(buffer, cols, fibers.segments[mode], out)
 

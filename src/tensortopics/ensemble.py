@@ -96,8 +96,9 @@ def ensemble_models(
     rest of the ensemble still returns. Any other error is raised once the
     fits already in flight end, and the ranks not yet submitted never run.
     Each rank logs its final fit, its sweep count and why it stopped (see
-    stop_reason), at WARNING when the fit went down. Before any fit, each
-    rank at or above the tensor's F last-mode fibers is logged at WARNING:
+    stop_reason), at WARNING when the fit went down. Before any fit, the
+    form that the fiber products run in (see FiberIndex) is logged at INFO,
+    and each rank at or above the tensor's F last-mode fibers at WARNING:
     one rank-one term per fiber reproduces the tensor exactly, so F bounds
     its CP rank.
     """
@@ -107,6 +108,11 @@ def ensemble_models(
         opts = AlsOptions()
     waiting = deque(ranks)
     fibers = tensor.fibers.coords.shape[0]
+    dense = tensor.fibers.dense
+    if dense is None:
+        logger.info("fiber products: banded passes over %d nonzeros", tensor.nnz)
+    else:
+        logger.info("fiber products: dense %d x %d (%.1f%% full)", *dense.shape, 100.0 * tensor.nnz / dense.size)
     for rank in waiting:
         if rank >= fibers:
             logger.warning(

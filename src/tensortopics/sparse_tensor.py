@@ -4,7 +4,8 @@ Coordinates are kept lexicographically sorted and coalesced so that every
 downstream kernel (MTTKRP in particular) accumulates in a fixed order and
 reruns are bitwise reproducible. The sort also makes each last-mode fiber
 (the nonzeros sharing their first d-1 coordinates) a contiguous run, which
-FiberIndex records for the MTTKRP kernel. The on-disk container is
+FiberIndex records for the MTTKRP kernel, with the fiber values kept dense
+where they are small and full enough. The on-disk container is
 written and read by the artifacts module.
 """
 
@@ -78,33 +79,57 @@ def _segments(keys: np.ndarray, index: np.ndarray, scale=None) -> Segments:
     return Segments(index[order], starts, keys[starts], None if scale is None else scale[order])
 
 
+# The working memory of one MTTKRP pass, in bytes (see cp_als): the largest
+# gather buffer, and the largest fiber-value matrix kept dense.
+BLOCK_BYTES = 2 * 1024 * 1024
+# kappa: the fiber-value matrix is kept dense when at least 1/kappa of it is
+# nonzero. One leaf pass plus one last-mode pass through BLAS took 0.3x to
+# 0.94x the banded passes' time at 3% full, and 1.2x to 2.1x at 0.5% full at
+# the larger two of F x J = 20 x 200, 100 x 2,500 and 400 x 600 (ranks 20 and
+# 200, one BLAS thread, one core of an x86-64 VM).
+MAX_DENSE_SPARSITY = 32
+
+
 @dataclass(frozen=True)
 class FiberIndex:
     """The last-mode fibers of a sorted tensor: one level of compressed sparse
     fiber (CSF) storage, as a table of summation passes.
 
-    coords : (F, d-1) each fiber's leading coordinates. leaf_pass sums each
-    fiber's nonzeros in storage order (last coordinates scaled by values, one
-    run per fiber). segments[k] is mode k's pass: over the F fibers grouped
-    by their mode-k coordinate for k < d-1; over the nonzeros, stably sorted
-    by last coordinate and scaled by their values, for the last mode.
+    coords : (F, d-1) each fiber's leading coordinates. segments[k] for
+    k < d-1 is mode k's pass, over the F fibers grouped by their mode-k
+    coordinate. The F x J fiber values X (X[f, j]: fiber f's value at last
+    coordinate j) are stored in one of two forms, picked by build:
+    - dense: X itself, where it fits BLOCK_BYTES and at least
+      1/MAX_DENSE_SPARSITY of it is nonzero; leaf_pass is None and segments
+      holds d-1 passes.
+    - banded: dense is None; leaf_pass sums each fiber's nonzeros in storage
+      order (last coordinates scaled by values, one run per fiber), and
+      segments[d-1] is the last mode's pass over the nonzeros, stably sorted
+      by last coordinate and scaled by their values.
     """
 
     coords: np.ndarray
-    leaf_pass: Segments
+    leaf_pass: Segments | None
     segments: tuple[Segments, ...]
+    dense: np.ndarray | None
 
     @classmethod
-    def build(cls, coords: np.ndarray, values: np.ndarray) -> "FiberIndex":
+    def build(cls, coords: np.ndarray, values: np.ndarray, extent: int) -> "FiberIndex":
+        """The index of sorted `coords` and `values` whose last mode has `extent` indices."""
         lead = coords[:, :-1]
         starts = _run_starts(lead)
         fiber_coords = lead[starts]
         fiber_ids = np.arange(starts.shape[0])
-        segments = [_segments(fiber_coords[:, k], fiber_ids) for k in range(lead.shape[1])]
+        segments = tuple(_segments(fiber_coords[:, k], fiber_ids) for k in range(lead.shape[1]))
         fiber_of = np.repeat(fiber_ids, np.diff(np.r_[starts, coords.shape[0]]))
         leaf = np.ascontiguousarray(coords[:, -1])
+        cells = starts.shape[0] * extent
+        if 0 < 8 * cells <= BLOCK_BYTES and values.shape[0] * MAX_DENSE_SPARSITY >= cells:
+            dense = np.zeros((starts.shape[0], extent))
+            dense[fiber_of, leaf] = values
+            return cls(fiber_coords, None, segments, dense)
         leaf_pass = Segments(leaf, starts, fiber_ids, values)
-        return cls(fiber_coords, leaf_pass, (*segments, _segments(leaf, fiber_of, values)))
+        return cls(fiber_coords, leaf_pass, (*segments, _segments(leaf, fiber_of, values)), None)
 
 
 class SparseTensorCOO:
@@ -206,7 +231,7 @@ class SparseTensorCOO:
         race on the first use each build the same index; either one is kept.
         """
         if self._fibers is None:
-            self._fibers = FiberIndex.build(self.coords, self.values)
+            self._fibers = FiberIndex.build(self.coords, self.values, self.shape[-1])
         return self._fibers
 
     def frobenius_norm(self) -> float:

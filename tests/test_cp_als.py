@@ -29,6 +29,11 @@ from conftest import (
 )
 
 
+def exactly(message):
+    """A pytest.raises pattern that matches `message` and nothing more."""
+    return f"^{re.escape(message)}$"
+
+
 def rank1_tensor(rng, shape):
     vectors = [rng.uniform(0.5, 1.5, size=s) for s in shape]
     dense = vectors[0]
@@ -77,6 +82,27 @@ class TestInitFactors:
         with pytest.raises(ValueError, match="rank"):
             init_factors((4, 4), 0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=exactly("seed must be a non-negative integer, got -1")):
+            init_factors((4, 4), 2, seed=-1)
+
+
+class TestKruskalModel:
+    def test_no_factors_rejected(self):
+        with pytest.raises(ValueError, match=exactly("a model needs at least one factor matrix")):
+            KruskalModel(weights=[1.0], factors=[])
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (np.ones((4, 3)), "factor 1 must have 2 columns, got shape (4, 3)"),
+            (np.ones(4), "factor 1 must have 2 columns, got shape (4,)"),
+        ],
+    )
+    def test_factor_columns_must_match_the_rank(self, second, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            KruskalModel(weights=[1.0, 2.0], factors=[np.ones((3, 2)), second])
+
 
 class TestMttkrp:
     def test_empty_tensor_gives_zero_matrix(self, rng):
@@ -115,7 +141,23 @@ class TestMttkrp:
     def test_wrong_factor_rows_rejected(self, rng):
         t = random_sparse(rng, (3, 4), 4)
         factors = [rng.random((3, 2)), rng.random((5, 2))]
-        with pytest.raises(ValueError, match="mode 1"):
+        with pytest.raises(ValueError, match=exactly("factor for mode 1 has 5 rows, tensor extent is 4")):
+            mttkrp(t, factors, 0)
+
+    def test_order_one_tensor_rejected(self):
+        t = SparseTensorCOO([(0,), (2,)], [1.0, 2.0], (3,))
+        with pytest.raises(ValueError, match=exactly("mttkrp requires a tensor of order 2 or higher")):
+            mttkrp(t, [np.ones((3, 2))], 0)
+
+    def test_factor_count_must_match_the_order(self, rng):
+        t = random_sparse(rng, (3, 4, 2), 6)
+        with pytest.raises(ValueError, match=exactly("expected 3 factor matrices, got 2")):
+            mttkrp(t, [np.ones((3, 2)), np.ones((4, 2))], 0)
+
+    def test_other_factors_must_share_their_column_count(self, rng):
+        t = random_sparse(rng, (3, 4, 2), 6)
+        factors = [np.ones((3, 5)), np.ones((4, 2)), np.ones((2, 3))]
+        with pytest.raises(ValueError, match=exactly("factor column counts disagree: [2, 3]")):
             mttkrp(t, factors, 0)
 
 
@@ -161,6 +203,11 @@ class TestCpAls:
         t = random_sparse(rng, (3, 3), 4)
         with pytest.raises(ValueError, match="rank"):
             cp_als(t, 0)
+
+    def test_order_one_tensor_rejected(self):
+        t = SparseTensorCOO([(0,), (2,)], [1.0, 2.0], (3,))
+        with pytest.raises(ValueError, match=exactly("cp_als requires a tensor of order 2 or higher")):
+            cp_als(t, 1)
 
     def test_max_iters_caps_sweeps(self, rng):
         t = random_sparse(rng, (5, 5, 5), 30)

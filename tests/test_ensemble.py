@@ -1,6 +1,8 @@
+import importlib.util
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tensortopics import (
     Component,
     KruskalModel,
     SelectionConfig,
+    SparseTensorCOO,
     ZeroVectorError,
     cosine,
     decompose_ensemble,
@@ -19,6 +22,13 @@ from tensortopics import (
 from tensortopics.ensemble import components_from_model, ensemble_models, rank_seed
 
 from conftest import random_sparse, similarity_matrix_oracle, word_rows
+
+# bench/checks.py, whose FIT_LOG_RE reads each rank's fit from factorize's log.
+_spec = importlib.util.spec_from_file_location(
+    "bench_checks", Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+)
+BENCH_CHECKS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BENCH_CHECKS)
 
 WORD_MODE = 3
 
@@ -142,7 +152,7 @@ class TestDecomposeEnsemble:
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="tensortopics.ensemble"):
             ensemble_models(t, (2,), opts)
-        (message,) = [r.getMessage() for r in caplog.records]
+        (message,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rank ")]
         assert re.fullmatch(r"rank 2: fit -?[0-9.]+ after 2 sweep\(s\), stopped: max_iters", message)
 
     def test_fit_decrease_logged_as_warning(self, rng, caplog, monkeypatch):
@@ -153,9 +163,31 @@ class TestDecomposeEnsemble:
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="tensortopics.ensemble"):
             ensemble_models(random_sparse(rng, (3, 3), 5), (1,))
-        (record,) = caplog.records
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("rank ")]
         assert record.levelno == logging.WARNING
         assert record.getMessage() == "rank 1: fit 0.400000 after 2 sweep(s), stopped: fit_decreased"
+
+
+    @pytest.mark.parametrize(
+        "entries, shape, line",
+        [
+            # 2 x 3 fiber values, 3 of them nonzero: at least 1/kappa full.
+            ([(0, 0, 0), (0, 0, 1), (1, 0, 2)], (2, 1, 3), "fiber products: dense 2 x 3 (50.0% full)"),
+            # 2 x 100, 2 of them nonzero: too sparse to keep dense.
+            ([(0, 0, 0), (1, 0, 99)], (2, 1, 100), "fiber products: banded passes over 2 nonzeros"),
+        ],
+        ids=["dense", "banded"],
+    )
+    def test_log_names_the_fiber_form(self, caplog, entries, shape, line):
+        t = SparseTensorCOO(entries, [1.0] * len(entries), shape)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tensortopics.ensemble"):
+            ensemble_models(t, (1, 2), AlsOptions(max_iters=2, seed=1))
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert messages[0] == line
+        # The bench reads each rank's fit from the log: the form line is not a fit line.
+        assert BENCH_CHECKS.FIT_LOG_RE.search(line) is None
+        assert sorted(BENCH_CHECKS.parse_fit_log(caplog.text)) == [1, 2]
 
 
 class TestCosine:

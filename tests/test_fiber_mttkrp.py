@@ -1,10 +1,12 @@
-"""The fiber-grouped MTTKRP against the COO gather/scatter oracle, the
-banded passes bit for bit against whole-array ones, and the per-sweep
-leaf-sum reuse in cp_als against a loop over the public mttkrp."""
+"""The fiber-grouped MTTKRP against the COO gather/scatter oracle in both
+storage forms of the fiber values, the banded passes bit for bit against
+whole-array ones, and the per-sweep leaf-sum reuse in cp_als against a loop
+over the public mttkrp."""
 
 import importlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ from tensortopics.cp_als import _buffer, _fiber_mttkrp, _leaf_sums
 
 # The package exports the function cp_als under the module's name.
 cp_als_module = importlib.import_module("tensortopics.cp_als")
+sparse_tensor_module = importlib.import_module("tensortopics.sparse_tensor")
 
-from conftest import coo_mttkrp, from_entries, random_sparse
+from conftest import coo_mttkrp, from_entries, random_sparse, to_dense
 
 TOLERANCE = 1e-12
 
@@ -46,6 +49,15 @@ def assert_matches_oracle(tensor, rank, rng):
         want = coo_mttkrp(tensor, factors, mode)
         assert got.shape == want.shape
         assert relative_error(got, want) <= TOLERANCE, f"mode {mode}"
+
+
+def banded(tensor):
+    """A copy of `tensor` whose fiber index is built in the banded form,
+    whatever its size and fill."""
+    copy = SparseTensorCOO(tensor.coords, tensor.values, tensor.shape)
+    with mock.patch.object(sparse_tensor_module, "MAX_DENSE_SPARSITY", 0):
+        assert copy.fibers.dense is None
+    return copy
 
 
 def corpus_tensor(rng, documents=30, authors=7, journals=3, words=40, per_doc=9):
@@ -79,7 +91,7 @@ class TestAgainstCooOracle:
     def test_single_fiber(self, rng):
         entries = [((1, 2, 0, w), float(w + 1)) for w in (0, 3, 4, 7)]
         tensor = from_entries(entries, (3, 4, 2, 9))
-        assert tensor.fibers.leaf_pass.starts.tolist() == [0]
+        assert tensor.fibers.coords.shape[0] == 1
         assert_matches_oracle(tensor, 5, rng)
 
     def test_unused_last_mode_indices_give_zero_rows(self, rng):
@@ -92,7 +104,7 @@ class TestAgainstCooOracle:
 
     def test_corpus_shaped_tensor(self, rng):
         tensor = corpus_tensor(rng)
-        assert tensor.fibers.leaf_pass.starts.shape[0] == 30  # one fiber per document
+        assert tensor.fibers.coords.shape[0] == 30  # one fiber per document
         assert_matches_oracle(tensor, 12, rng)
 
 
@@ -147,8 +159,9 @@ class TestProperties:
     @example(case=EXTENT_ONE_LAST)
     def test_every_mode_matches_coo_oracle(self, case):
         tensor, factors = case
-        for mode in range(tensor.order):
-            assert_within_rounding(mttkrp(tensor, factors, mode), tensor, factors, mode)
+        for form in (tensor, banded(tensor)):
+            for mode in range(tensor.order):
+                assert_within_rounding(mttkrp(form, factors, mode), tensor, factors, mode)
 
     @PROPERTY
     @given(case=fibered_tensors())
@@ -159,17 +172,18 @@ class TestProperties:
         # gather buffer that _leaf_sums and the last mode both overwrite.
         tensor, factors = case
         last = tensor.order - 1
-        buffer = _buffer(tensor, factors[0].shape[1])
-        buffer[:] = np.nan
-        leaf_sums = _leaf_sums(tensor, factors[-1], buffer)
-        for mode in (last, *range(tensor.order)):
-            got = _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
-            assert_within_rounding(got, tensor, factors, mode)
+        for form in (tensor, banded(tensor)):
+            buffer = _buffer(form, factors[0].shape[1])
+            buffer[:] = np.nan
+            leaf_sums = _leaf_sums(form, factors[-1], buffer)
+            for mode in (last, *range(tensor.order)):
+                got = _fiber_mttkrp(form, factors, mode, leaf_sums, buffer)
+                assert_within_rounding(got, tensor, factors, mode)
 
 
 class TestFiberIndex:
     def test_fibers_are_the_runs_of_leading_coordinates(self, rng):
-        tensor = random_sparse(rng, (3, 4, 5), 30)
+        tensor = banded(random_sparse(rng, (3, 4, 5), 30))
         fibers = tensor.fibers
         lead = [tuple(row) for row in tensor.coords[:, :-1].tolist()]
         expected = [i for i in range(len(lead)) if i == 0 or lead[i] != lead[i - 1]]
@@ -181,7 +195,7 @@ class TestFiberIndex:
         assert tensor.fibers is tensor.fibers
 
     def test_segments_cover_every_row_once(self, rng):
-        tensor = random_sparse(rng, (4, 3, 6), 40)
+        tensor = banded(random_sparse(rng, (4, 3, 6), 40))
         fibers = tensor.fibers
         for mode, segments in enumerate(fibers.segments):
             rows = fibers.leaf_pass.starts.shape[0] if mode < tensor.order - 1 else tensor.nnz
@@ -192,6 +206,64 @@ class TestFiberIndex:
     def test_empty_tensor_has_no_fibers(self):
         tensor = SparseTensorCOO(np.zeros((0, 3)), [], (2, 2, 2))
         assert tensor.fibers.leaf_pass.starts.shape == (0,)
+
+
+def fiber_grid_tensor(rng, lead, extent, nnz):
+    """A tensor of shape (*lead, extent) whose every leading cell is a fiber,
+    so F = prod(lead), with `nnz` nonzeros: one in each fiber, the rest
+    spread over the F x extent cells."""
+    fibers = math.prod(lead)
+    cells = np.arange(fibers) * extent + rng.integers(0, extent, fibers)
+    rest = np.setdiff1d(np.arange(fibers * extent), cells)
+    cells = np.r_[cells, rng.choice(rest, nnz - fibers, replace=False)]
+    fiber, leaf = np.divmod(cells, extent)
+    coords = np.c_[np.stack(np.unravel_index(fiber, lead), axis=1), leaf]
+    return SparseTensorCOO(coords, rng.uniform(0.1, 1.1, nnz), (*lead, extent))
+
+
+def form_case(lead, edge, dense):
+    """(extent, nnz) of a tensor with prod(lead) fibers, just on the side
+    `dense` of the fill edge (nnz * kappa >= F * J) or of the size edge
+    (8 * F * J <= BLOCK_BYTES), and inside the other edge."""
+    fibers, kappa = math.prod(lead), sparse_tensor_module.MAX_DENSE_SPARSITY
+    if edge == "fill":
+        extent = 100
+        nnz = -(-fibers * extent // kappa) - (not dense)
+    else:
+        extent = sparse_tensor_module.BLOCK_BYTES // (8 * fibers) + (not dense)
+        nnz = -(-fibers * extent // kappa)
+    return extent, nnz
+
+
+class TestStorageForms:
+    @pytest.mark.parametrize("lead", [(64,), (4, 8, 2)], ids=["order2", "order4"])
+    @pytest.mark.parametrize("edge", ["fill", "size"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "banded"])
+    def test_form_follows_size_and_fill_and_matches_oracle(self, rng, lead, edge, dense):
+        extent, nnz = form_case(lead, edge, dense)
+        tensor = fiber_grid_tensor(rng, lead, extent, nnz)
+        assert (tensor.fibers.coords.shape[0], tensor.nnz) == (math.prod(lead), nnz)
+        assert (tensor.fibers.dense is not None) == dense
+        assert (tensor.fibers.leaf_pass is None) == dense
+        assert len(tensor.fibers.segments) == tensor.order - dense
+        assert_matches_oracle(tensor, 6, rng)
+
+    def test_dense_form_holds_the_fiber_values(self, rng):
+        tensor = fiber_grid_tensor(rng, (3, 2, 4), 9, 60)
+        np.testing.assert_array_equal(tensor.fibers.dense, to_dense(tensor).reshape(24, 9))
+
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_leading_modes_in_bands_equal_one_band(self, rng, monkeypatch, band):
+        # In the dense form only the leading modes run passes, over the F
+        # fibers; narrow bands of them change no bit.
+        tensor = corpus_tensor(rng)
+        assert tensor.fibers.dense is not None
+        factors = [rng.uniform(-1.0, 1.0, (n, 5)) for n in tensor.shape]
+        whole = [mttkrp(tensor, factors, mode) for mode in range(tensor.order)]
+        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * tensor.fibers.coords.shape[0] * band)
+        assert _buffer(tensor, 5).shape == (band, tensor.fibers.coords.shape[0])
+        for mode in range(tensor.order):
+            assert np.array_equal(mttkrp(tensor, factors, mode), whole[mode]), f"mode {mode}"
 
 
 def cp_als_via(kernel, tensor, rank, opts):
@@ -261,7 +333,7 @@ def long_word_tensor(documents=3000):
     """A corpus-shaped tensor whose word 0 is in every document, and the
     length of its longest last-mode run: that word's, `documents` nonzeros."""
     entries = [((d % 4, d, 0, w), 1.0 + w) for d in range(documents) for w in (0, 1 + d % 50)]
-    tensor = from_entries(entries, (4, documents, 1, 51))
+    tensor = banded(from_entries(entries, (4, documents, 1, 51)))
     runs = np.diff(np.r_[tensor.fibers.segments[-1].starts, tensor.nnz])
     return tensor, int(runs.max())
 
@@ -273,7 +345,7 @@ def one_nonzero_per_fiber(rng, shape=(5, 7, 3, 11), nnz=60):
     cells = rng.choice(math.prod(shape[:-1]), nnz, replace=False)
     lead = np.stack(np.unravel_index(cells, shape[:-1]), axis=1)
     coords = np.c_[lead, rng.integers(0, shape[-1], nnz)]
-    tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, nnz), shape)
+    tensor = banded(SparseTensorCOO(coords, rng.uniform(0.1, 1.1, nnz), shape))
     assert tensor.fibers.leaf_pass.starts.shape[0] == tensor.nnz == nnz
     return tensor
 
@@ -287,10 +359,10 @@ class TestBlockedPassesAreBitIdentical:
     def test_every_mode_equals_whole_array_kernel(self, rng, monkeypatch, band):
         rank = 5
         tensors = [
-            corpus_tensor(rng),
-            random_sparse(rng, (3, 4, 2, 9), 120),
-            random_sparse(rng, (2, 3, 40), 150),
-            random_sparse(rng, (6, 30), 90),
+            banded(corpus_tensor(rng)),
+            banded(random_sparse(rng, (3, 4, 2, 9), 120)),
+            banded(random_sparse(rng, (2, 3, 40), 150)),
+            banded(random_sparse(rng, (6, 30), 90)),
             one_nonzero_per_fiber(rng),
         ]
         for tensor in tensors:
@@ -328,7 +400,7 @@ class TestBlockedPassesAreBitIdentical:
     @pytest.mark.parametrize("band", BANDS)
     def test_cp_als_equals_whole_array_sweeps(self, rng, monkeypatch, band):
         rank = 6
-        tensor = corpus_tensor(rng)
+        tensor = banded(corpus_tensor(rng))
         narrow_bands(monkeypatch, tensor, band)
         opts = AlsOptions(max_iters=4, fit_tolerance=1e-12, seed=5)
         model, history = cp_als(tensor, rank, opts)
@@ -370,7 +442,7 @@ def test_each_mode_holds_few_rank_by_fiber_arrays():
     word = (rng.integers(0, words, documents)[:, None] + 37 * np.arange(8)) % words
     coords = np.c_[doc % 40, doc, doc % 7, word.reshape(-1)]
     tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, doc.shape[0]), (40, documents, 7, words))
-    assert tensor.fibers.leaf_pass.starts.shape[0] == documents  # built before tracing
+    assert tensor.fibers.coords.shape[0] == documents  # built before tracing
     unit = rank * documents * 8
     factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
     for mode in range(tensor.order):

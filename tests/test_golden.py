@@ -34,7 +34,14 @@ selection.json and the --similarity-matrix selection.json of the ensemble
 run below. Every model body line, every .npy payload, the tensor files and
 the report bundles did not move. Any later change to how the tensor, the
 models, the selection or the report are computed or serialized must leave
-these hashes alone or update them on purpose.
+these hashes alone or update them on purpose. When a tensor small and full
+enough began to keep its fiber values dense and to run its leaf sums and
+last-mode MTTKRP as two BLAS matrix products, the toy tensor (37 x 36
+fiber values, 8.4% full) took that form and its factors moved in their last
+bits, so eight files were re-pinned: both models and their .npy payloads,
+selection.json, selection.npy, report.json and index.html. The kept
+components and their partners did not change; the tensor files and
+summary.json did not move.
 
 The model bytes depend on floating-point results of the factorization, so
 the hashes hold for one numpy/BLAS build (numpy 2.4.6 and its bundled
@@ -65,6 +72,9 @@ last bits, so its fourteen model files, selection.json, selection.npy,
 report.json, index.html and the --similarity-matrix selection.json were
 re-pinned; its tensor files and summary.json did not move. The toy run,
 whose every mode is longer than ranks 3 and 5, did not move.
+The dense fiber values re-pinned the same files of this run (its tensor
+keeps 80 x 1,580 of them, 7.0% full) and the --similarity-matrix
+selection.json; its 103 kept components and their partners did not change.
 """
 
 import hashlib
@@ -105,15 +115,15 @@ GOLDEN_SHA256 = {
     "tensor/mode1.labels.txt": "84b712f6a14b998c3c985f60199259af9e1fcbd2a0a89066d87c173e24c5fc74",
     "tensor/mode2.labels.txt": "359c21e740839d3d12deb6ab2993f3f383698b8c095db6db0355c1e277b094d0",
     "tensor/mode3.labels.txt": "6c0a65800f8eb0653ecaaaae3b9751e5cb5926a38fd5d45826be948f7861a0af",
-    "models/rank_3.model": "fd754b7e2b3d2377faddc49e074041c2ed6490c2d1c5cc5a136ca232e15e4b4c",
-    "models/rank_3.model.npy": "70313d6034060e08de3347fcc494ffea02146a6327035ebf3b72f7dbc1a6a40a",
-    "models/rank_5.model": "29d65413b3cedde30f66e73fcd6f611d91d15f56575ac527a2edad1d0bbbdd9c",
-    "models/rank_5.model.npy": "9b18b770eac2f76ff5e6c21a098f5f53a2efa01a6751e78e777152af92ee03e0",
-    "selection.json": "a981720c99ba2ad38f9f2424cb26231178ee1232137e1f1e4bf535086f59c9ad",
-    "selection.npy": "d66a93f458d748da8cc9f00e273d084fb8c5f1b70ee784f8b7f836e6d132b636",
-    "report/report.json": "92d235f699c3d4f394321f00c3f4d807521fef9de1af020f1c10e0f5f953e3e6",
+    "models/rank_3.model": "8d0bf952219773301537d2c2dcf0e81e8e5fc07bd0d09490aa0781c86b93bb4c",
+    "models/rank_3.model.npy": "3c514c7548d3ecb8bc4f88c4a30832c523a861f3ae8d3ec6db6ad35092437e99",
+    "models/rank_5.model": "17d5a7c23945dc0138ce48b89c04e89ac5269ead21c619aec18788f423a66a2e",
+    "models/rank_5.model.npy": "479641b55921666abf2050c0e61217536c6f7c5692fb200246f47b0468f7c7bf",
+    "selection.json": "c65c10a63b8a82c84aea629436c9fbc4a1d4fc817ebbc47db5c7a36bf76a88a8",
+    "selection.npy": "43b318e22fc8718f512fa5042466270457537696b59a9542ea30d2d7eed949bf",
+    "report/report.json": "ded214f64f477b227247016fb6c7710e6dcf7a2eba6091544d8af565bd5557a4",
     "report/summary.json": "c37d872a328983133158a8bc545f54d18fd2bb11b91563f6188f1c7a01167582",
-    "report/index.html": "6975bf1bb5f0fa7c3e5c3a20ea23e8a0597bdf9f8cd89325b5132a6a27d66f86",
+    "report/index.html": "4768b2d4e8185bbafb174ac2c89d4fd172c3f24e1b44ae618decf42fea4e7ebd",
 }
 
 
@@ -179,29 +189,29 @@ ENSEMBLE_SHA256 = {
     "tensor/mode1.labels.txt": "3f2f299a1b300ebdf4ca17e5d3cb6abdce50cb4a0c42e15658c8f7a4e71a6bea",
     "tensor/mode2.labels.txt": "df2b260f9f763d7a3def4682b3557716e6ceccd945a6d5b26a8f23f81a90e9ee",
     "tensor/mode3.labels.txt": "5a5f87126991ab2f10679e9e14b138d8b3ec5d24c00c54200e4851cc44ea6455",
-    "models/rank_20.model": "a7f4d4816dfaa9098693184cd4d4601a199056194827ca5e25122f09a597a61b",
-    "models/rank_20.model.npy": "710638715e82fa3c23ef8b201247c2e70851747931f129766820cecda322a41c",
-    "models/rank_40.model": "7ececfe216b9f799af3d72d0e69f98647d54a9bf78985aea6a0c2cf88367dd85",
-    "models/rank_40.model.npy": "906217cde77b12f9aa91d691df6d7d27b23ed68be4eb67c5d66ed00c42a79457",
-    "models/rank_60.model": "cbc82731ddd5a5f4583f6e81b4f4a3ed427239a6b83d61f92d21030d56a44a5a",
-    "models/rank_60.model.npy": "6e30541a3997aada5c91432bfca28d055950b65174b7be2ddaf2eaee799b8da8",
-    "models/rank_80.model": "c151acf3c9be016a3af1936e8861782da0dbdf3146343ff50ad99746b066e3a1",
-    "models/rank_80.model.npy": "a0256e2bf8552f4cb7f732bf1dc03084da31d768ec9cb58b782226c043475916",
-    "models/rank_100.model": "aac15c104c2071844fb2c0b2b5ec71005c7792e7b2ebb067dde3072f35cb3707",
-    "models/rank_100.model.npy": "9f0b8024654b5f5a814c2efa1ab13c5bdd4464edfab8b8b12f34bc6c9e6aced5",
-    "models/rank_120.model": "5f65312dbe1005f0cbc7a4b67db8e3b25f2e72fd3e6ce78b5fdb0813fbe6ea42",
-    "models/rank_120.model.npy": "32cc503f3d750ba9cb9faede333f23134b0f132dc238292ed0e6de7cb692a01a",
-    "models/rank_200.model": "8182ba3dbf8d24c110270197f0b75cb70969423ca7ab26f8df65d0578cd510c9",
-    "models/rank_200.model.npy": "5a2b8d9a72c9b1b7b7a948a277a7060304b3b28d8ff6613158b1e7779f0116d2",
-    "selection.json": "4af35d1e04afd0a99d030beb717e06649289272aa9f12e83ff46769ae6e8eeea",
-    "selection.npy": "f5ce42c5eb5745c4e78592cc714c30684013a33e58573e9cc45aee516069714a",
-    "report/report.json": "400242efb594965aa83639b528962e89521ea4d4591ecb04a7f83c56171f7cf4",
+    "models/rank_20.model": "62e71d21e71eae75a1c01b23cb6ff2d7c566059a9689787dbc38456a3d407195",
+    "models/rank_20.model.npy": "ba7a945956069c857402c7d64d668de833612d9e237bf1c90dc7eb395871e575",
+    "models/rank_40.model": "4772fe58691524cdd3e5759d31afbe65253ee21507f5807cbbb2abce72e681fd",
+    "models/rank_40.model.npy": "ccd18da8ce6f864a1a619182733e2714677fa9b49b8cf039cd3c497c3d87bc7a",
+    "models/rank_60.model": "ef80228d7e5c7df4835d53f1e00c348cc879121c3bd713774eabf103c6ee22ca",
+    "models/rank_60.model.npy": "9643e4522839e5800c38dea03c0d659dbef036804cae50a5f94ace9a952d61fb",
+    "models/rank_80.model": "011c7c9aa72028e984a57e1a07d34a1f568860f6b7702184cc01db3fd4c450b4",
+    "models/rank_80.model.npy": "8035254605d952a01f352614fa1354299a2050ee2c0e3910e5e7ccb2f29848ec",
+    "models/rank_100.model": "29715a8468275f00ced732f9321b7d94d04da2a8e49cb7f6458816e9f2b19db2",
+    "models/rank_100.model.npy": "fdf2ead155156b33c2b0855fbae73999b0cb37d70974ec8c006996cb2b33c7e1",
+    "models/rank_120.model": "4958f98c5ef14832e282c9801e20375edbc3802da2d50bea3d0ba9b6b997e3a4",
+    "models/rank_120.model.npy": "de3155cc0784279bf01e5951648e0a67182af8534fbcddd754d1a343f04a771e",
+    "models/rank_200.model": "800a03f70d32224879fce5032076db3c6ee0a8d84347c674a598fa74456b52a1",
+    "models/rank_200.model.npy": "f6ecd0036a1d172d90a9816992e6020eec8b70031e951bcd2a8bb3de95fbb078",
+    "selection.json": "1ef14d250ce65c40fd45f99182198ea308d843aeb316328054b0300306d74df6",
+    "selection.npy": "a5aaab55cbe7ef284ec3fb4edc2907853eea232879ebf7b7a3068aa384c0fcdc",
+    "report/report.json": "4c270e958cece186004c3e61cd0a9854387cbdef1dc1f35c73198e77ade75cea",
     "report/summary.json": "775d4406a48609f7a2c56d1e875f16e4c944dd3874426ee41c58f60f409b378d",
-    "report/index.html": "1e2b9f3069114c3cd9df3b27f3ad81df0c1a0d82555b37c72187d5aab2afbce1",
+    "report/index.html": "d02ce0560328833b5dc63eb26c29d85ee915b38cd001c3c3e5c17191a5ccf648",
 }
 # selection.json as `select --similarity-matrix` rewrites it in that tree:
 # the same fields, then every pooled cosine. Nothing else moves.
-ENSEMBLE_MATRIX_SELECTION_SHA256 = "b9fdcf266d163338bf2d371912a8e00b35ec8fae00c8ef26c62f969081ea6c19"
+ENSEMBLE_MATRIX_SELECTION_SHA256 = "d5209fc0f4fe0bc8a25eda5d6941275e0e9cedf7508b1f60a66916260aeae33d"
 
 
 def test_ensemble_pipeline_bytes_are_golden(tmp_path, haswell_core):

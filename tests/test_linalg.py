@@ -21,6 +21,10 @@ class TestGram:
                 want[p, q] = float(np.dot(a[:, p], a[:, q]))
         np.testing.assert_allclose(gram(a), want, atol=1e-12)
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^gram expects a matrix$"):
+            gram(np.ones(3))
+
     def test_symmetric(self, rng):
         g = gram(rng.standard_normal((30, 6)))
         np.testing.assert_allclose(g, g.T, atol=1e-14 * np.abs(g).max())
@@ -207,6 +211,10 @@ class TestSolveGram:
 
 
 class TestNormalizeColumnsL1:
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^normalize_columns_l1 expects a matrix$"):
+            normalize_columns_l1(np.ones((2, 2, 2)))
+
     def test_column_sums_absorbed(self):
         normalized, weights = normalize_columns_l1(np.array([[2.0], [2.0]]))
         np.testing.assert_array_equal(normalized, [[0.5], [0.5]])
