@@ -21,7 +21,6 @@ _EXPORTS = {
     "hadamard_all": "linalg",
     "normalize_columns_l1": "linalg",
     "solve_gram": "linalg",
-    "AlsDivergenceError": "cp_als",
     "AlsOptions": "cp_als",
     "KruskalModel": "cp_als",
     "arrange": "cp_als",

@@ -30,10 +30,6 @@ from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
 from .sparse_tensor import BLOCK_BYTES, Segments, SparseTensorCOO
 
 
-class AlsDivergenceError(RuntimeError):
-    """Raised when an ALS update produces non-finite values."""
-
-
 @dataclass(frozen=True)
 class AlsOptions:
     """Solver options: sweep cap, relative fit-improvement stop, and rng seed."""
@@ -222,11 +218,14 @@ def _model_norm_sq(weights: np.ndarray, grams) -> float:
     return float(weights @ hadamard_all(grams) @ weights)
 
 
-def _fit_value(norm_x: float, weights: np.ndarray, grams, inner: float) -> float:
-    """1 - ||X - M|| / ||X||, from ||X - M||^2 = ||X||^2 + ||M||^2 - 2 <X, M>
-    clamped at zero, so that an exact fit cannot go NaN."""
-    residual_sq = max(norm_x * norm_x + _model_norm_sq(weights, grams) - 2.0 * inner, 0.0)
-    return 1.0 - math.sqrt(residual_sq) / norm_x
+def _fit_value(weights: np.ndarray, grams, inner: float) -> float:
+    """1 - ||X - M|| / ||X||, from ||X - M||^2 / ||X||^2 = 1 + ||M||^2 / ||X||^2
+    - 2 <X, M> / ||X||^2 clamped at zero, so that an exact fit cannot go NaN.
+    Takes weights / ||X|| and <X, M> / ||X||^2, whose operands were divided by
+    ||X|| before any product: the terms are near 1, not near ||X||^2, which
+    overflows for a norm past 1.3e154."""
+    residual_sq = max(1.0 + _model_norm_sq(weights, grams) - 2.0 * inner, 0.0)
+    return 1.0 - math.sqrt(residual_sq)
 
 
 def cp_als(
@@ -239,7 +238,9 @@ def cp_als(
     last mode's MTTKRP so no dense reconstruction is ever formed. Stops when
     the fit improves by less than opts.fit_tolerance (a decrease included)
     or max_iters is reached; stop_reason() tells which. Returns the arranged
-    model and the per-sweep fit history.
+    model and the per-sweep fit history. A ValueError names the rank, sweep
+    and mode where a factor column's 2-norm overflows float64: the tensor's
+    values are then too large to fit.
     """
     if opts is None:
         opts = AlsOptions()
@@ -267,18 +268,23 @@ def cp_als(
                 [grams[k] for k in range(d) if k != mode]
             )
             solved = solve_gram(gram_others, projected)
-            if not np.all(np.isfinite(solved)):
-                raise AlsDivergenceError(
-                    f"non-finite factor update at iteration {iteration}, mode {mode}"
-                )
+            # Non-finite wherever `solved` is, and where its squares overflow.
             weights = np.sqrt(np.einsum("ir,ir->r", solved, solved))
+            if not np.all(np.isfinite(weights)):
+                raise ValueError(
+                    f"rank {rank}: factor column norms overflow float64 at sweep {iteration}, mode {mode}; "
+                    "the tensor's values are too large to fit"
+                )
             factors[mode] = solved / np.where(weights > 0.0, weights, 1.0)
             grams[mode] = gram(factors[mode])
 
         # After the final mode update, <X, M> = sum(projected * solved) because
-        # `solved` still carries the weights and `projected` is that mode's MTTKRP.
-        inner = float(np.sum(projected * solved))
-        fit_history.append(_fit_value(norm_x, weights, grams, inner))
+        # `solved` still carries the weights and `projected` is that mode's
+        # MTTKRP. Neither is used again, so each is divided by ||X|| in place.
+        projected /= norm_x
+        solved /= norm_x
+        inner = float(np.sum(np.multiply(projected, solved, out=projected)))
+        fit_history.append(_fit_value(weights / norm_x, grams, inner))
         if stop_reason(fit_history, opts.fit_tolerance) != "max_iters":
             break
 
@@ -315,11 +321,10 @@ def fit(tensor: SparseTensorCOO, model: KruskalModel) -> float:
     if norm_x == 0.0:
         raise ValueError("fit is undefined for a tensor with zero norm")
     grams = [gram(f) for f in model.factors]
-    projected = mttkrp(tensor, model.factors, 0)
-    inner = float(
-        model.weights @ np.einsum("ir,ir->r", projected, model.factors[0])
-    )
-    return _fit_value(norm_x, model.weights, grams, inner)
+    weights = model.weights / norm_x
+    projected = mttkrp(tensor, model.factors, 0) / norm_x
+    inner = float(weights @ np.einsum("ir,ir->r", projected, model.factors[0]))
+    return _fit_value(weights, grams, inner)
 
 
 def arrange(model: KruskalModel) -> KruskalModel:

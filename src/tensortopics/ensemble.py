@@ -18,7 +18,7 @@ import numpy as np
 
 # The settings types are defined in config and importable from here too.
 from .config import DEFAULT_RANKS, STRATEGIES, SelectionConfig
-from .cp_als import AlsDivergenceError, AlsOptions, KruskalModel, cp_als, stop_reason
+from .cp_als import AlsOptions, KruskalModel, cp_als, stop_reason
 from .sparse_tensor import SparseTensorCOO
 
 logger = logging.getLogger(__name__)
@@ -91,10 +91,9 @@ def ensemble_models(
     on_model, if given) in rank order, as soon as it and every lower rank are
     done, and only then is the next rank submitted: at most `threads` fits
     are in flight, and a caller whose on_model saves and drops each model
-    holds at most `threads` of them at once. A rank whose solve diverges is
-    logged and dropped, and the next rank is submitted in its place; the
-    rest of the ensemble still returns. Any other error is raised once the
-    fits already in flight end, and the ranks not yet submitted never run.
+    holds at most `threads` of them at once. An error in a fit is raised
+    once the fits already in flight end, and the ranks not yet submitted
+    never run.
     Each rank logs its final fit, its sweep count and why it stopped (see
     stop_reason), at WARNING when the fit went down. Before any fit, the
     form that the fiber products run in (see FiberIndex) is logged at INFO,
@@ -138,13 +137,10 @@ def ensemble_models(
 
 def _hand_over(rank: int, future, fit_tolerance: float, on_model, results: dict) -> None:
     """Wait for one rank's fit, log it, and store on_model's result for it,
-    or the model without on_model; a diverged rank is logged and left out,
-    and a rank whose fit runs out of memory raises a ValueError naming it."""
+    or the model without on_model; a rank whose fit runs out of memory
+    raises a ValueError naming it."""
     try:
         model, fit_history = future.result()
-    except AlsDivergenceError as exc:
-        logger.warning("dropping rank %d: %s", rank, exc)
-        return
     except MemoryError as exc:
         # A rank too large for memory is an input error, not a crash.
         raise ValueError(f"rank {rank}: {exc}") from exc

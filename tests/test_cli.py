@@ -518,37 +518,6 @@ class TestStreamedFactorize:
         for rank in (2, 3):
             assert load_model(models / f"rank_{rank}.model")[0].rank == rank
 
-    def test_every_rank_diverging_is_an_error(self, ingested, events, broken, capsys):
-        from tensortopics import AlsDivergenceError
-
-        diverged = AlsDivergenceError("non-finite factor update at iteration 1, mode 0")
-        broken.update((rank, diverged) for rank in self.RANKS)
-        assert self.factorize(ingested, "--threads", "1") == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == "error: every configured rank failed to factorize"
-        assert "Traceback" not in err
-        assert [kind for kind, _rank in events] == ["fit"] * len(self.RANKS)
-        assert list((ingested / "models").glob("*")) == []
-
-    def test_dropped_rank_leaves_no_stale_model(self, tmp_path, events, broken, caplog):
-        from tensortopics import AlsDivergenceError
-
-        workdir = tmp_path / "run"
-        argv = ("--config", CFG, "--workdir", str(workdir))
-        assert run("pipeline", *argv) == 0
-        stale = [workdir / "models" / name for name in ("rank_5.model", "rank_5.model.npy")]
-        assert all(path.is_file() for path in stale)
-        broken[5] = AlsDivergenceError("non-finite factor update at iteration 1, mode 0")
-        caplog.set_level(logging.INFO, logger="tensortopics.cli")
-        caplog.clear()
-        assert run("factorize", *argv, "--seed", "8") == 0
-        assert not any(path.exists() for path in stale)
-        assert "removed 4 model file(s) of the configured ranks before fitting" in caplog.text
-        assert run("select", *argv) == 0
-        assert "no model file for rank 5" in caplog.text
-        selection = json.loads((workdir / "selection.json").read_text(encoding="utf-8"))
-        assert selection["ranks"] == [3]
-
     def test_failed_factorize_leaves_no_stale_model(self, tmp_path, events, broken, caplog):
         workdir = tmp_path / "run"
         argv = ("--config", CFG, "--workdir", str(workdir))
@@ -1064,6 +1033,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "error: the tensor's norm underflows float64: its squared values sum to zero"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value, ranks, failing, saved",
+        [
+            # Every rank of the toy config overflows: no model is written.
+            (1e154, "3,5", 3, []),
+            # Rank 2 fits exactly; rank 3's first solved column overflows.
+            (1e153, "2,3,4", 3, ["rank_2.model", "rank_2.model.npy"]),
+        ],
+    )
+    def test_overflowing_fit_is_named_and_saves_no_rank_from_it_up(
+        self, tmp_path, capsys, value, ranks, failing, saved
+    ):
+        # The tensor's norm fits float64, but the squares of a solved factor
+        # column do not; the fit once gave an all-zero model or NaN fits.
+        workdir = tmp_path / "run"
+        tensor = SparseTensorCOO([[0, 0, 0, 0]], [value], (1, 1, 1, 1))
+        save_tensor(tensor, [AxisMap([f"{name}0"]) for name in MODE_NAMES], MODE_NAMES, workdir / "tensor")
+        assert run("factorize", "--config", CFG, "--workdir", str(workdir), "--ranks", ranks) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: rank {failing}: factor column norms overflow float64 at sweep 1, mode 0; "
+            "the tensor's values are too large to fit"
+        )
+        assert "Traceback" not in err
+        assert sorted(p.name for p in (workdir / "models").glob("*")) == saved
 
     def test_select_without_models_reports_error(self, tmp_path, capsys, caplog):
         workdir = tmp_path / "run"

@@ -160,6 +160,10 @@ class TestLoadConfig:
         "key, text, phrase",
         [
             ("threads", "0", "threads must be >= 1, got 0"),
+            ("top_n", "0", "top_n must be >= 1, got 0"),
+            ("dna_min_run", "1", "dna_min_run must be >= 2, got 1"),
+            ("max_char_repeat", "0", "max_char_repeat must be >= 1, got 0"),
+            ("max_consonant_run", "0", "max_consonant_run must be >= 1, got 0"),
             ("format", "xml", r"unknown corpus format 'xml', expected one of \('csv', 'tsv', 'jsonl'\)"),
             ("format", "CSV", "unknown corpus format 'CSV'"),
             ("keywords", "0", "keyword_count must be >= 1, got 0"),
@@ -187,6 +191,10 @@ class TestApplyOverrides:
     def test_unknown_corpus_format_is_rejected_before_ingest(self):
         with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
             apply_overrides(PipelineConfig(), corpus_format="xml")
+
+    def test_top_n_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="^top_n must be >= 1, got 0$"):
+            apply_overrides(PipelineConfig(), top_n=0)
 
     def test_unknown_name_is_a_type_error(self):
         with pytest.raises(TypeError, match="bogus"):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tensortopics import (
@@ -349,6 +349,88 @@ class TestNormUnderflow:
         model, history = cp_als(t, 2, AlsOptions(max_iters=3))
         assert t.frobenius_norm() > 0.0
         assert np.isfinite(history).all() and fit(t, model) == pytest.approx(history[-1], rel=1e-12)
+
+
+COLUMN_NORM_OVERFLOW = re.compile(
+    r"rank \d+: factor column norms overflow float64 at sweep \d+, mode \d+; "
+    r"the tensor's values are too large to fit"
+)
+
+
+class TestColumnNormOverflow:
+    """A tensor whose norm fits float64 can still be too large to fit: the
+    squares of a solved factor column overflow. cp_als names the rank, sweep
+    and mode, where it once moved the infinite norm into the weights and
+    returned an all-zero model with fits of 0."""
+
+    def test_overflowing_column_norm_is_a_named_error(self):
+        t = SparseTensorCOO([[0, 0, 0]], [1e153], (1, 1, 1))
+        message = (
+            "rank 1: factor column norms overflow float64 at sweep 1, mode 0; "
+            "the tensor's values are too large to fit"
+        )
+        with pytest.raises(ValueError, match=exactly(message)):
+            cp_als(t, 1, AlsOptions(seed=0))
+
+    def test_fit_is_relative_to_the_tensor_norm(self):
+        # The square of 1e154 overflows float64, but the fit divides the
+        # weights and the operands of <X, M> by ||X|| first: an exact model
+        # reads 1, where every fit once read NaN and ran all max_iters sweeps.
+        t = SparseTensorCOO([[0, 0]], [1e154], (1, 1))
+        model, history = cp_als(t, 1, AlsOptions(seed=0))
+        assert model.weights.tolist() == [1e154]
+        assert history == [1.0, 1.0]
+        assert fit(t, model) == 1.0
+
+
+@st.composite
+def scaled_tensors(draw):
+    """A small tensor of order 2 to 4, a rank, a seed and an exponent k."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    cells = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    nonzeros = draw(st.dictionaries(cells, st.floats(0.1, 2.0), min_size=1, max_size=12))
+    tensor = SparseTensorCOO(list(nonzeros), list(nonzeros.values()), shape)
+    # Half the exponents lie near the top, where the squares of the values
+    # and of the solves cross the float64 limit.
+    k = draw(st.one_of(st.integers(-400, 520), st.integers(500, 515)))
+    return tensor, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)), k
+
+
+class TestPowerOfTwoScaling:
+    """Multiplying a tensor's values by 2^k changes no bit of its fit but the
+    weights: the init ignores the values, every product scales exactly, the
+    factor columns are the solves divided by their norms, and the fit divides
+    by ||X||. Where the scaled values are too large, the fit is a named
+    error instead. A product is exact only above float64's smallest normal
+    number, so k < 0 is tried only where the unscaled model's entries stay
+    well above 2^-k times it: a component that collapses onto one entry can
+    shrink the others to 1e-305 in four sweeps."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=scaled_tensors())
+    # Found at the parent of the column-norm check: an all-zero model with
+    # fits of 0, and NaN fits.
+    @example(case=(SparseTensorCOO([[0, 0, 0]], [1.0], (1, 1, 1)), 1, 0, 509))
+    @example(case=(SparseTensorCOO([[0, 0]], [1.5], (1, 1)), 1, 0, 511))
+    def test_scaling_moves_only_the_weights(self, case):
+        tensor, rank, seed, k = case
+        opts = AlsOptions(max_iters=4, seed=seed)
+        model, history = cp_als(tensor, rank, opts)
+        weights = np.abs(model.weights[model.weights != 0.0])
+        smallest = min(np.min(np.abs(f[f != 0.0]), initial=np.inf) for f in model.factors)
+        assume(k >= 0 or smallest * np.min(weights, initial=np.inf) * 2.0**k > 2.0**-960)
+        scaled = SparseTensorCOO(tensor.coords, np.ldexp(tensor.values, k), tensor.shape)
+        try:
+            got, got_history = cp_als(scaled, rank, opts)
+        except ValueError as exc:
+            assert COLUMN_NORM_OVERFLOW.fullmatch(str(exc)) or str(exc).startswith(
+                "the tensor's norm overflows float64"
+            ), exc
+            return
+        assert got_history == history
+        np.testing.assert_array_equal(got.weights, np.ldexp(model.weights, k))
+        for a, b in zip(got.factors, model.factors):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestArrange:

@@ -102,22 +102,16 @@ class TestDecomposeEnsemble:
             for fa, fb in zip(a.factor_slices, b.factor_slices):
                 np.testing.assert_array_equal(fa, fb)
 
-    def test_failing_rank_is_dropped_not_fatal(self, rng, monkeypatch):
-        import tensortopics.ensemble as ensemble_mod
-        from tensortopics import AlsDivergenceError
-
-        t = random_sparse(rng, (4, 4, 4), 20)
-        real_cp_als = ensemble_mod.cp_als
-
-        def flaky(tensor, rank, opts):
-            if rank == 3:
-                raise AlsDivergenceError("non-finite factor update at iteration 1, mode 0")
-            return real_cp_als(tensor, rank, opts)
-
-        monkeypatch.setattr(ensemble_mod, "cp_als", flaky)
-        pool = decompose_ensemble(t, SelectionConfig(ranks=(2, 3, 4)), AlsOptions(max_iters=2))
-        assert sorted({c.origin_rank for c in pool}) == [2, 4]
-        assert len(pool) == 6
+    def test_overflowing_rank_is_a_named_error(self):
+        # The norm of 1e153 fits float64. At these seeds rank 2 fits it
+        # exactly, and the squares of rank 3's first solved column overflow.
+        t = SparseTensorCOO([[0, 0, 0, 0]], [1e153], (1, 1, 1, 1))
+        message = (
+            "rank 3: factor column norms overflow float64 at sweep 1, mode 0; "
+            "the tensor's values are too large to fit"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decompose_ensemble(t, SelectionConfig(ranks=(2, 3, 4)), AlsOptions(max_iters=2, seed=7))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_other_error_stops_the_ranks_not_yet_started(self, rng, monkeypatch, threads):

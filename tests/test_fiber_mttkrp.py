@@ -281,9 +281,11 @@ def cp_als_via(kernel, tensor, rank, opts):
             weights = np.sqrt(np.einsum("ir,ir->r", solved, solved))
             factors[mode] = solved / np.where(weights > 0.0, weights, 1.0)
             grams[mode] = gram(factors[mode])
-        inner = float(np.sum(projected * solved))
-        norm_m_sq = float(weights @ hadamard_all(grams) @ weights)
-        history.append(1.0 - math.sqrt(max(norm_x * norm_x + norm_m_sq - 2.0 * inner, 0.0)) / norm_x)
+        # The fit relative to ||X||^2, every operand divided by ||X|| first.
+        inner = float(np.sum((projected / norm_x) * (solved / norm_x)))
+        relative = weights / norm_x
+        norm_m_sq = float(relative @ hadamard_all(grams) @ relative)
+        history.append(1.0 - math.sqrt(max(1.0 + norm_m_sq - 2.0 * inner, 0.0)))
         if len(history) > 1 and history[-1] - history[-2] < opts.fit_tolerance:
             break
     return arrange(KruskalModel(weights=weights, factors=factors)), history

@@ -203,6 +203,18 @@ class TestSolveGram:
         assert np.all(np.isfinite(model.weights)) and all(np.all(np.isfinite(f)) for f in model.factors)
         assert np.all(np.isfinite(history))
 
+    def test_ridge_that_cancels_a_negative_pivot_takes_the_least_squares_path(self, solve_paths):
+        # No gram reaches this path: a gram product is positive semidefinite,
+        # so its ridge makes it definite. But solve_gram takes any finite
+        # symmetric matrix, and diag(-a, 1), a equal to its own ridge
+        # 1e-12 * (1 - a) / 2, is exactly singular once the ridge is added.
+        a = 4.9999999999975e-13
+        g = np.diag([-a, 1.0])
+        assert 1e-12 * float(np.trace(g)) / 2 == a
+        out = solve_gram(g, np.ones((1, 2)))
+        assert solve_paths() == [("cholesky failed", "solve failed", "lstsq")]
+        assert np.all(np.isfinite(out))
+
     def test_zero_gram_takes_the_least_squares_path(self, solve_paths):
         # A zero trace leaves no ridge to add.
         out = solve_gram(np.zeros((2, 2)), np.ones((1, 2)))

@@ -78,23 +78,27 @@ def _magnitudes(model):
 def _fit_rounding(tensor, model, fit_value):
     """A bound on the rounding error of fit(tensor, model) = fit_value.
 
-    fit forms s = ||X||^2 + ||M||^2 - 2<X, M> and returns 1 - sqrt(max(s, 0))
-    / ||X||. On these shapes (extents and rank at most 4, order at most 4, 12
-    nonzeros) each of the three terms is a sum of at most 30 rounded
-    operations, so each is off by at most 30 eps times the same sum over
-    magnitudes: ||X||^2, ||M'||^2 and <X, M'>, M' the model of magnitudes.
-    With two more roundings in s, |s_computed - s| <= delta = 32 eps
-    ||X + M'||^2 (X is positive). If s_computed >= 0, then
+    fit divides the weights and the mode-0 MTTKRP by the computed norm
+    n = ||X|| (1 + t), forms s = 1 + ||M||^2 / n^2 - 2 <X, M> / n^2 and returns
+    1 - sqrt(max(s, 0)). On these shapes (extents and rank at most 4, order
+    at most 4, 12 nonzeros) ||M||^2 is off by at most 27 eps times the same
+    sum over magnitudes, ||M'||^2 (M' the model of magnitudes), and <X, M> by
+    at most 25 eps times <X, M'>. The divisions by n add two roundings to
+    each, and n itself is a rounded square root of a sum of 12 rounded
+    squares, so |t| <= 12 eps / 2 + eps = 7 eps, which adds 2|t| <= 14 eps:
+    43 eps at most, and the 1 is exact. With two more roundings in s,
+    |s_computed - s| <= d = 45 eps ||X + M'||^2 / ||X||^2 (X is positive).
+    If s_computed >= 0, then
     |sqrt(s_computed) - sqrt(s)| = |s_computed - s| / (sqrt(s_computed) +
-    sqrt(s)) <= delta / sqrt(s_computed), and always <= sqrt(delta); if s
-    is clamped, s <= delta and the error is sqrt(s) <= sqrt(delta). Divided
-    by ||X||, with r = 1 - fit_value = sqrt(s_computed) / ||X|| and
-    d = delta / ||X||^2, the residual is off by at most min(sqrt(d), d / r),
-    plus a few eps of r and of fit from the last three roundings.
+    sqrt(s)) <= d / sqrt(s_computed), and always <= sqrt(d); if s is
+    clamped, s <= d and the error is sqrt(s) <= sqrt(d). So with
+    r = 1 - fit_value = sqrt(s_computed), the residual is off by at most
+    min(sqrt(d), d / r), plus a few eps of r and of fit from the last two
+    roundings.
     """
     x = to_dense(tensor)
     magnitudes = dense_from_model(_magnitudes(model))
-    d = 32 * EPS * float(np.sum((x + magnitudes) ** 2)) / float(np.sum(x * x))
+    d = 45 * EPS * float(np.sum((x + magnitudes) ** 2)) / float(np.sum(x * x))
     r = 1.0 - fit_value
     return min(math.sqrt(d), d / r if r > 0.0 else math.inf) + 4 * EPS * max(1.0, r)
 

@@ -68,6 +68,12 @@ class TestFromEntries:
         with pytest.raises(ValueError, match="positive"):
             from_entries([((0, 0), -2.0)], (2, 2))
 
+    def test_coordinate_width_and_count_must_match(self):
+        with pytest.raises(ValueError, match=r"^coords must be \(nnz, 2\) for an order-2 tensor, got \(1, 3\)$"):
+            SparseTensorCOO([[0, 0, 0]], [1.0], (2, 2))
+        with pytest.raises(ValueError, match="^2 coordinates but 1 values$"):
+            SparseTensorCOO([[0, 0], [1, 1]], [1.0], (2, 2))
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="positive extents"):
             from_entries([], (3, 0, 2))
@@ -102,6 +108,9 @@ class TestAxisMap:
         assert axis.labels.index("beta") == 1
         assert axis.labels[2] == "gamma"
         assert "alpha" in axis and "delta" not in axis
+
+    def test_repr_counts_the_labels(self):
+        assert repr(AxisMap(["alpha", "beta"])) == "AxisMap(2 labels)"
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
