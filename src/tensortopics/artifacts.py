@@ -233,7 +233,7 @@ def read_header(raw, source: Path, artifact: Artifact, **fields) -> tuple[dict, 
     kind = artifact.kind
     try:
         header = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{source}: unreadable {kind} header: {exc}") from exc
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != artifact.format:

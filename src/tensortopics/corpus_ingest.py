@@ -65,9 +65,13 @@ _NOT_JSON = object()
 def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
     """(where, row) for each row of the source, `where` naming its file and
     line: a table row as a dict, or whatever a jsonl line parses to. A UTF-8
-    byte-order mark is skipped; bytes that are not UTF-8 are a ValueError."""
+    byte-order mark is skipped; bytes that are not UTF-8 are a ValueError.
+    The table reader's field limit is raised to the file's size, its longest
+    possible field (a pipe, whose size is 0, keeps the default)."""
     import csv  # only the table formats read it; other stages never load it
 
+    limit = csv.field_size_limit()
+    csv.field_size_limit(max(limit, min(source.stat().st_size, 2**31 - 1)))
     try:
         with source.open(encoding="utf-8-sig", newline="") as fh:
             if corpus_format == "jsonl":
@@ -76,7 +80,7 @@ def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
                     if line:
                         try:
                             row = json.loads(line)
-                        except json.JSONDecodeError:
+                        except (json.JSONDecodeError, RecursionError):
                             row = _NOT_JSON
                         yield f"{source}:{line_no}", row
                 return
@@ -97,6 +101,8 @@ def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
         text = source.read_bytes().decode("utf-8", "surrogateescape")
         line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
         raise ValueError(f"{source}:{line}: not UTF-8 text ({exc.reason})") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRecord]:
@@ -133,7 +139,7 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
             if isinstance(body_path, str) and body_path:
                 try:
                     body = (source.parent / body_path).read_text(encoding="utf-8")
-                except (OSError, UnicodeDecodeError):
+                except (OSError, ValueError):
                     unreadable_bodies += 1
                     logger.warning("%s: unreadable body_path %r", where, body_path)
         records.append(CorpusRecord(*(row[k] for k in REQUIRED_FIELDS), body))

@@ -11,12 +11,11 @@ fiber storage, Smith & Karypis 2015): the public mttkrp() and every sweep of
 cp_als() run it. Within a sweep the last factor changes only at the last
 mode, so cp_als() computes the per-fiber leaf sums once and reuses them for
 every other mode (partial-product reuse, Phan, Tichavsky & Cichocki 2013).
-Every pass runs in bands of components through one buffer allocated once
-per fit, and the fiber products are built in place: no rank x nnz array.
-The leaf sums and the last mode are the products W_last^T X^T and X^T P of
-the F x J fiber-value matrix X (Bader & Kolda 2007); where the tensor keeps X
-dense (small and full enough, see FiberIndex), they run as those two BLAS
-matrix products instead of passes over the nonzeros.
+Every pass runs through one buffer allocated once per fit, and the fiber
+products are built in place: no rank x nnz array. The leaf sums and the last
+mode are the products W_last^T X^T and X^T P of the F x J fiber-value matrix
+X (Bader & Kolda 2007), which the tensor's FiberIndex computes in the form it
+stores X in.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram, hadamard_all, normalize_columns_l1, solve_gram
-from .sparse_tensor import BLOCK_BYTES, Segments, SparseTensorCOO
+from .sparse_tensor import SparseTensorCOO
 
 
 @dataclass(frozen=True)
@@ -105,12 +104,8 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
     other leading factor rows, and summed into the target rows: the scatter
     runs over fibers, not nonzeros. For the last mode, each nonzero takes its
     fiber's product of leading factor rows times its value, summed per
-    last-mode index. Every sum is an np.add.reduceat over a fixed stable
-    order, so the result is deterministic. Where the tensor keeps its fiber
-    values X dense, the leaf sums are instead one BLAS product W_last^T X^T,
-    and the last mode X^T P, P the fibers' products of leading factor rows;
-    these are deterministic for one BLAS kernel and thread count. The factor
-    supplied for `mode` is ignored.
+    last-mode index, in a fixed order in either form of FiberIndex, so the
+    result is deterministic. The factor supplied for `mode` is ignored.
     """
     d = tensor.order
     if d < 2:
@@ -132,51 +127,9 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 
     if tensor.nnz == 0:
         return np.zeros((tensor.shape[mode], rank))
-    buffer = _buffer(tensor, rank)
-    leaf_sums = None if mode == d - 1 else _leaf_sums(tensor, factors[-1], buffer)
+    buffer = tensor.fibers.buffer(rank)
+    leaf_sums = None if mode == d - 1 else tensor.fibers.leaf_sums(factors[-1], buffer)
     return _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
-
-
-# The kernel works rank-major, on (rank, n) arrays: each gather and each
-# segment sum then runs along contiguous memory, which makes np.add.reduceat
-# several times faster than on (n, rank) rows. Every pass gathers a band of
-# rows (components) at a time into one band x nnz buffer: band rows over every
-# nonzero for the leaf sums and the last mode, as many rows over every fiber
-# as fit for the other modes. So working memory is max(BLOCK_BYTES, 8 nnz)
-# bytes at any rank, never rank x nnz (cache blocking, as in SPLATT, Smith et
-# al. 2015). A band is as many rows as fit BLOCK_BYTES, at least one: larger
-# bands cost memory, smaller ones a Python-level step each. The budget,
-# BLOCK_BYTES, also bounds the fiber-value matrix that a tensor keeps dense;
-# then no pass runs over the nonzeros, and the buffer spans the F fibers.
-
-
-def _buffer(tensor: SparseTensorCOO, rank: int) -> np.ndarray:
-    """The gather buffer of every pass over a nonempty tensor at `rank`:
-    band x n floats, n the longest pass: nnz, or F if X is dense."""
-    fibers = tensor.fibers
-    n = tensor.nnz if fibers.dense is None else fibers.coords.shape[0]
-    band = max(1, min(rank, BLOCK_BYTES // (8 * n)))
-    return np.empty((band, n))
-
-
-def _sums(buffer: np.ndarray, columns: np.ndarray, segments: Segments, out: np.ndarray) -> np.ndarray:
-    """Run the pass `segments` over the rows of `columns`, as many as `buffer`
-    holds at a time: gather columns[rows][:, index], scale it, and write its
-    run sums to out[targets, rows]. Each run is summed whole, by one
-    np.add.reduceat along a contiguous row, so the bands change no bit."""
-    rank, n = columns.shape[0], len(segments.index)
-    band = buffer.size // n
-    for start in range(0, rank, band):
-        rows = slice(start, min(start + band, rank))
-        cols = buffer.reshape(-1)[: (rows.stop - start) * n].reshape(-1, n)
-        # take's default mode="raise" fills a hidden copy of the band; the
-        # pass's index is in range, so "clip" changes nothing.
-        columns[rows].take(segments.index, axis=1, out=cols, mode="clip")
-        if segments.scale is not None:
-            cols *= segments.scale
-        # Band by band: one (runs, rank) transpose would be as large as out.
-        out[segments.targets, rows] = np.add.reduceat(cols, segments.starts, axis=1).T
-    return out
 
 
 def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -184,22 +137,11 @@ def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(factor.T).take(index, axis=1)
 
 
-def _leaf_sums(tensor: SparseTensorCOO, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """(rank, fibers): per fiber, the sum of value * last-factor row."""
-    fibers = tensor.fibers
-    if fibers.dense is not None:
-        return last_factor.T @ fibers.dense.T
-    out = np.empty((last_factor.shape[1], fibers.coords.shape[0]))
-    # Written through the transposed view, so the sums stay rank-major.
-    _sums(buffer, np.ascontiguousarray(last_factor.T), fibers.leaf_pass, out.T)
-    return out
-
-
 def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
-    """MTTKRP for `mode` of a nonempty tensor, in bands through `buffer`.
-    leaf_sums is _leaf_sums() of the current last factor; the last mode does
-    not use it: its pass scales the fiber products per nonzero, or it is
-    X^T times them if X is dense."""
+    """MTTKRP for `mode` of a nonempty tensor, through `buffer`: the fibers'
+    products of leading factor rows, times leaf_sums (FiberIndex.leaf_sums of
+    the current last factor) for a leading mode, summed by that mode's pass;
+    for the last mode, FiberIndex.last_mode of them."""
     fibers = tensor.fibers
     last = tensor.order - 1
     cols = None if mode == last else leaf_sums
@@ -208,10 +150,9 @@ def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> 
             # Into the fresh gather, so leaf_sums is never written.
             part = _columns(factors[k], fibers.coords[:, k])
             cols = part if cols is None else np.multiply(part, cols, out=part)
-    if mode == last and fibers.dense is not None:
-        return fibers.dense.T @ cols.T
-    out = np.zeros((tensor.shape[mode], cols.shape[0]))
-    return _sums(buffer, cols, fibers.segments[mode], out)
+    if mode == last:
+        return fibers.last_mode(cols, buffer, tensor.shape[mode])
+    return fibers.segments[mode].sums(buffer, cols, np.zeros((tensor.shape[mode], cols.shape[0])))
 
 
 def _model_norm_sq(weights: np.ndarray, grams) -> float:
@@ -257,11 +198,11 @@ def cp_als(
     fit_history: list[float] = []
 
     projected = solved = None
-    buffer = _buffer(tensor, rank)
+    buffer = tensor.fibers.buffer(rank)
     for iteration in range(1, opts.max_iters + 1):
         # The last factor changes only at the last mode, so one set of leaf
         # sums serves every other mode of the sweep.
-        leaf_sums = _leaf_sums(tensor, factors[-1], buffer)
+        leaf_sums = tensor.fibers.leaf_sums(factors[-1], buffer)
         for mode in range(d):
             projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
             gram_others = hadamard_all(

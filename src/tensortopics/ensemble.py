@@ -107,11 +107,7 @@ def ensemble_models(
         opts = AlsOptions()
     waiting = deque(ranks)
     fibers = tensor.fibers.coords.shape[0]
-    dense = tensor.fibers.dense
-    if dense is None:
-        logger.info("fiber products: banded passes over %d nonzeros", tensor.nnz)
-    else:
-        logger.info("fiber products: dense %d x %d (%.1f%% full)", *dense.shape, 100.0 * tensor.nnz / dense.size)
+    logger.info("fiber products: %s", tensor.fibers)
     for rank in waiting:
         if rank >= fibers:
             logger.warning(

@@ -4,9 +4,8 @@ Coordinates are kept lexicographically sorted and coalesced so that every
 downstream kernel (MTTKRP in particular) accumulates in a fixed order and
 reruns are bitwise reproducible. The sort also makes each last-mode fiber
 (the nonzeros sharing their first d-1 coordinates) a contiguous run, which
-FiberIndex records for the MTTKRP kernel, with the fiber values kept dense
-where they are small and full enough. The on-disk container is
-written and read by the artifacts module.
+FiberIndex records for the MTTKRP kernel. The on-disk container is written
+and read by the artifacts module.
 """
 
 from __future__ import annotations
@@ -62,6 +61,25 @@ class Segments(NamedTuple):
     targets: np.ndarray
     scale: np.ndarray | None = None
 
+    def sums(self, buffer: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Run this pass over the rows of `columns`, as many as `buffer`
+        holds at a time: gather columns[rows][:, index], scale it, and write
+        its run sums to out[targets, rows]. Each run is summed whole, by one
+        np.add.reduceat along a contiguous row, so the bands change no bit."""
+        rank, n = columns.shape[0], len(self.index)
+        band = buffer.size // n
+        for start in range(0, rank, band):
+            rows = slice(start, min(start + band, rank))
+            cols = buffer.reshape(-1)[: (rows.stop - start) * n].reshape(-1, n)
+            # take's default mode="raise" fills a hidden copy of the band; the
+            # pass's index is in range, so "clip" changes nothing.
+            columns[rows].take(self.index, axis=1, out=cols, mode="clip")
+            if self.scale is not None:
+                cols *= self.scale
+            # Band by band: one (runs, rank) transpose would be as large as out.
+            out[self.targets, rows] = np.add.reduceat(cols, self.starts, axis=1).T
+        return out
+
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
     """Start index of each run of equal consecutive rows (or elements)."""
@@ -79,8 +97,8 @@ def _segments(keys: np.ndarray, index: np.ndarray, scale=None) -> Segments:
     return Segments(index[order], starts, keys[starts], None if scale is None else scale[order])
 
 
-# The working memory of one MTTKRP pass, in bytes (see cp_als): the largest
-# gather buffer, and the largest fiber-value matrix kept dense.
+# The working memory of the fiber products, in bytes: the largest gather
+# buffer, and the largest fiber-value matrix kept dense.
 BLOCK_BYTES = 2 * 1024 * 1024
 # kappa: the fiber-value matrix is kept dense when at least 1/kappa of it is
 # nonzero. One leaf pass plus one last-mode pass through BLAS took 0.3x to
@@ -93,25 +111,34 @@ MAX_DENSE_SPARSITY = 32
 @dataclass(frozen=True)
 class FiberIndex:
     """The last-mode fibers of a sorted tensor: one level of compressed sparse
-    fiber (CSF) storage, as a table of summation passes.
+    fiber (CSF) storage, as a table of summation passes. Only this class
+    knows how the fiber values are stored.
 
-    coords : (F, d-1) each fiber's leading coordinates. segments[k] for
-    k < d-1 is mode k's pass, over the F fibers grouped by their mode-k
-    coordinate. The F x J fiber values X (X[f, j]: fiber f's value at last
-    coordinate j) are stored in one of two forms, picked by build:
+    coords : (F, d-1) each fiber's leading coordinates. segments[k] is mode
+    k < d-1's pass, over the F fibers grouped by their mode-k coordinate.
+    The MTTKRP reaches the F x J fiber values X (X[f, j]: fiber f's value at
+    last coordinate j) only through leaf_sums (W_last^T X^T) and last_mode
+    (X^T P). build stores X in one of two forms:
     - dense: X itself, where it fits BLOCK_BYTES and at least
-      1/MAX_DENSE_SPARSITY of it is nonzero; leaf_pass is None and segments
-      holds d-1 passes.
+      1/MAX_DENSE_SPARSITY of it is nonzero. Both products are BLAS matrix
+      products, deterministic for one BLAS kernel and thread count.
     - banded: dense is None; leaf_pass sums each fiber's nonzeros in storage
       order (last coordinates scaled by values, one run per fiber), and
-      segments[d-1] is the last mode's pass over the nonzeros, stably sorted
-      by last coordinate and scaled by their values.
+      last_pass is the last mode's pass over the nonzeros, stably sorted by
+      last coordinate and scaled by their values.
+    Passes run rank-major, on (rank, n) arrays, so that each gather and each
+    np.add.reduceat runs along contiguous memory (several times faster than
+    on (n, rank) rows), in bands of components through one buffer that
+    spans the longest pass: the nonzeros, or the F fibers if X is dense.
+    Working memory is max(BLOCK_BYTES, 8 n) bytes at any rank, never rank x
+    nnz (cache blocking, as in SPLATT, Smith et al. 2015).
     """
 
     coords: np.ndarray
-    leaf_pass: Segments | None
     segments: tuple[Segments, ...]
     dense: np.ndarray | None
+    leaf_pass: Segments | None
+    last_pass: Segments | None
 
     @classmethod
     def build(cls, coords: np.ndarray, values: np.ndarray, extent: int) -> "FiberIndex":
@@ -127,9 +154,39 @@ class FiberIndex:
         if 0 < 8 * cells <= BLOCK_BYTES and values.shape[0] * MAX_DENSE_SPARSITY >= cells:
             dense = np.zeros((starts.shape[0], extent))
             dense[fiber_of, leaf] = values
-            return cls(fiber_coords, None, segments, dense)
+            return cls(fiber_coords, segments, dense, None, None)
         leaf_pass = Segments(leaf, starts, fiber_ids, values)
-        return cls(fiber_coords, leaf_pass, (*segments, _segments(leaf, fiber_of, values)), None)
+        return cls(fiber_coords, segments, None, leaf_pass, _segments(leaf, fiber_of, values))
+
+    def buffer(self, rank: int) -> np.ndarray:
+        """The gather buffer of every pass of a nonempty tensor at `rank`: band
+        x n floats, n the longest pass, band as many rows as fit BLOCK_BYTES
+        and at least one (larger bands cost memory, smaller ones a step each)."""
+        n = self.coords.shape[0] if self.dense is not None else len(self.leaf_pass.index)
+        band = max(1, min(rank, BLOCK_BYTES // (8 * n)))
+        return np.empty((band, n))
+
+    def leaf_sums(self, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+        """W_last^T X^T as (rank, F): per fiber, the sum of value * last-factor row."""
+        if self.dense is not None:
+            return last_factor.T @ self.dense.T
+        out = np.empty((last_factor.shape[1], self.coords.shape[0]))
+        # Written through the transposed view, so the sums stay rank-major.
+        self.leaf_pass.sums(buffer, np.ascontiguousarray(last_factor.T), out.T)
+        return out
+
+    def last_mode(self, products: np.ndarray, buffer: np.ndarray, extent: int) -> np.ndarray:
+        """X^T P as (extent, rank), for the fibers' (rank, F) `products` P^T:
+        per last-mode index, the sum of value * its fiber's product."""
+        if self.dense is not None:
+            return self.dense.T @ products.T
+        return self.last_pass.sums(buffer, products, np.zeros((extent, products.shape[0])))
+
+    def __str__(self) -> str:
+        if self.dense is None:
+            return f"banded passes over {len(self.leaf_pass.index)} nonzeros"
+        nnz = np.count_nonzero(self.dense)
+        return f"dense {self.dense.shape[0]} x {self.dense.shape[1]} ({100.0 * nnz / self.dense.size:.1f}% full)"
 
 
 class SparseTensorCOO:

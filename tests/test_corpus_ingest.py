@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -241,6 +242,41 @@ class TestLoadCorpus:
             ("WARNING", f"{path}: skipped 5 malformed row(s), 1 unreadable body file(s)"),
             ("INFO", f"{path}: loaded 2 record(s)"),
         ]
+
+    @pytest.mark.parametrize("fmt, delimiter", [("csv", ","), ("tsv", "\t")])
+    def test_body_longer_than_the_default_field_limit(self, tmp_path, fmt, delimiter):
+        # Full texts run past the table reader's default 128 KiB field limit.
+        body = "virus " * 30000
+        path = tmp_path / f"c.{fmt}"
+        rows = [("title", "abstract", "first_author", "journal", "body"), ("t", "a", "x", "j", body)]
+        path.write_text("".join(delimiter.join(r) + "\n" for r in rows), encoding="utf-8")
+        limit = csv.field_size_limit()
+        assert len(body) > limit
+        records = load_corpus(path, fmt)
+        assert csv.field_size_limit() == limit
+        assert [r.body for r in records] == [body]
+        quad = build_counts(records, CleaningRules(stopwords=frozenset(), name_df_floor=0))
+        assert quad.counts == {(0, 0, 0, quad.axes[3].labels.index("virus")): 30000}
+
+    def test_nul_in_body_path_counted_as_unreadable(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        row = {"title": "t", "abstract": "a", "first_author": "x", "journal": "j", "body_path": "b\u0000.txt"}
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        assert [r.body for r in load_corpus(path, "jsonl")] == [""]
+        assert self.logged(caplog) == [
+            ("WARNING", f"{path}:1: unreadable body_path 'b\\x00.txt'"),
+            ("WARNING", f"{path}: skipped 0 malformed row(s), 1 unreadable body file(s)"),
+            ("INFO", f"{path}: loaded 1 record(s)"),
+        ]
+
+    def test_jsonl_nested_past_the_recursion_limit_is_invalid(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        good = {"title": "ok", "abstract": "a", "first_author": "x", "journal": "j", "body": "b"}
+        path.write_text("[" * 200_000 + "]" * 200_000 + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
+        assert [r.title for r in load_corpus(path, "jsonl")] == ["ok"]
+        assert self.logged(caplog)[0] == ("WARNING", f"{path}:1: invalid JSON, row skipped")
 
     def test_clean_source_logs_only_the_count(self, caplog):
         caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")

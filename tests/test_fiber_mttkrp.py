@@ -1,11 +1,13 @@
 """The fiber-grouped MTTKRP against the COO gather/scatter oracle in both
 storage forms of the fiber values, the banded passes bit for bit against
 whole-array ones, and the per-sweep leaf-sum reuse in cp_als against a loop
-over the public mttkrp."""
+over the public mttkrp; and that only the fiber index knows the form."""
 
+import ast
 import importlib
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,10 +28,8 @@ from tensortopics import (
     solve_gram,
 )
 
-from tensortopics.cp_als import _buffer, _fiber_mttkrp, _leaf_sums
+from tensortopics.cp_als import _fiber_mttkrp
 
-# The package exports the function cp_als under the module's name.
-cp_als_module = importlib.import_module("tensortopics.cp_als")
 sparse_tensor_module = importlib.import_module("tensortopics.sparse_tensor")
 
 from conftest import coo_mttkrp, from_entries, random_sparse, to_dense
@@ -169,13 +169,13 @@ class TestProperties:
     @example(case=EXTENT_ONE_LAST)
     def test_leaf_sum_reuse_matches_coo_oracle(self, case):
         # As in a cp_als sweep: one set of leaf sums for every mode, and one
-        # gather buffer that _leaf_sums and the last mode both overwrite.
+        # gather buffer that the leaf sums and the last mode both overwrite.
         tensor, factors = case
         last = tensor.order - 1
         for form in (tensor, banded(tensor)):
-            buffer = _buffer(form, factors[0].shape[1])
+            buffer = form.fibers.buffer(factors[0].shape[1])
             buffer[:] = np.nan
-            leaf_sums = _leaf_sums(form, factors[-1], buffer)
+            leaf_sums = form.fibers.leaf_sums(factors[-1], buffer)
             for mode in (last, *range(tensor.order)):
                 got = _fiber_mttkrp(form, factors, mode, leaf_sums, buffer)
                 assert_within_rounding(got, tensor, factors, mode)
@@ -197,7 +197,7 @@ class TestFiberIndex:
     def test_segments_cover_every_row_once(self, rng):
         tensor = banded(random_sparse(rng, (4, 3, 6), 40))
         fibers = tensor.fibers
-        for mode, segments in enumerate(fibers.segments):
+        for mode, segments in enumerate((*fibers.segments, fibers.last_pass)):
             rows = fibers.leaf_pass.starts.shape[0] if mode < tensor.order - 1 else tensor.nnz
             assert segments.index.shape[0] == rows
             assert segments.starts[0] == 0
@@ -244,9 +244,20 @@ class TestStorageForms:
         tensor = fiber_grid_tensor(rng, lead, extent, nnz)
         assert (tensor.fibers.coords.shape[0], tensor.nnz) == (math.prod(lead), nnz)
         assert (tensor.fibers.dense is not None) == dense
-        assert (tensor.fibers.leaf_pass is None) == dense
-        assert len(tensor.fibers.segments) == tensor.order - dense
+        assert (tensor.fibers.leaf_pass is None) == (tensor.fibers.last_pass is None) == dense
+        assert len(tensor.fibers.segments) == tensor.order - 1
         assert_matches_oracle(tensor, 6, rng)
+
+    @pytest.mark.parametrize("module", ["cp_als.py", "ensemble.py"])
+    def test_only_the_fiber_index_knows_the_form(self, module):
+        # The fit and the ensemble reach X through FiberIndex's products and
+        # its text alone: no form field, and neither edge of the form choice.
+        path = Path(sparse_tensor_module.__file__).with_name(module)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names.update(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names)
+        assert "fibers" in names  # the walk sees the index's uses
+        assert names & {"dense", "leaf_pass", "last_pass", "BLOCK_BYTES", "MAX_DENSE_SPARSITY"} == set()
 
     def test_dense_form_holds_the_fiber_values(self, rng):
         tensor = fiber_grid_tensor(rng, (3, 2, 4), 9, 60)
@@ -260,8 +271,8 @@ class TestStorageForms:
         assert tensor.fibers.dense is not None
         factors = [rng.uniform(-1.0, 1.0, (n, 5)) for n in tensor.shape]
         whole = [mttkrp(tensor, factors, mode) for mode in range(tensor.order)]
-        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * tensor.fibers.coords.shape[0] * band)
-        assert _buffer(tensor, 5).shape == (band, tensor.fibers.coords.shape[0])
+        monkeypatch.setattr(sparse_tensor_module, "BLOCK_BYTES", 8 * tensor.fibers.coords.shape[0] * band)
+        assert tensor.fibers.buffer(5).shape == (band, tensor.fibers.coords.shape[0])
         for mode in range(tensor.order):
             assert np.array_equal(mttkrp(tensor, factors, mode), whole[mode]), f"mode {mode}"
 
@@ -316,7 +327,7 @@ def whole_array_mttkrp(tensor, factors, mode):
         if k != mode:
             part = np.ascontiguousarray(factors[k].T).take(fibers.coords[:, k], axis=1)
             cols = part if cols is None else cols * part
-    segments = fibers.segments[mode]
+    segments = fibers.last_pass if mode == last else fibers.segments[mode]
     cols = cols.take(segments.index, axis=1)
     if mode == last:
         cols *= segments.scale
@@ -326,9 +337,11 @@ def whole_array_mttkrp(tensor, factors, mode):
 
 
 def narrow_bands(monkeypatch, tensor, band):
-    """Shrink the buffer budget to `band` factor rows of `tensor`'s nnz."""
+    """Shrink the buffer budget to `band` factor rows of `tensor`'s nnz,
+    once its fiber index is built (so the budget leaves its form alone)."""
     if band is not None:
-        monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", 8 * tensor.nnz * band)
+        assert tensor.fibers.dense is None
+        monkeypatch.setattr(sparse_tensor_module, "BLOCK_BYTES", 8 * tensor.nnz * band)
 
 
 def long_word_tensor(documents=3000):
@@ -336,7 +349,7 @@ def long_word_tensor(documents=3000):
     length of its longest last-mode run: that word's, `documents` nonzeros."""
     entries = [((d % 4, d, 0, w), 1.0 + w) for d in range(documents) for w in (0, 1 + d % 50)]
     tensor = banded(from_entries(entries, (4, documents, 1, 51)))
-    runs = np.diff(np.r_[tensor.fibers.segments[-1].starts, tensor.nnz])
+    runs = np.diff(np.r_[tensor.fibers.last_pass.starts, tensor.nnz])
     return tensor, int(runs.max())
 
 
@@ -369,7 +382,7 @@ class TestBlockedPassesAreBitIdentical:
         ]
         for tensor in tensors:
             narrow_bands(monkeypatch, tensor, band)
-            assert _buffer(tensor, rank).shape == (band or rank, tensor.nnz)
+            assert tensor.fibers.buffer(rank).shape == (band or rank, tensor.nnz)
             factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
             for mode in range(tensor.order):
                 got = mttkrp(tensor, factors, mode)
@@ -378,24 +391,24 @@ class TestBlockedPassesAreBitIdentical:
     def test_word_run_longer_than_a_budget_of_columns(self, rng):
         rank = 100
         tensor, longest = long_word_tensor()
-        assert longest > cp_als_module.BLOCK_BYTES // (8 * rank)
-        band = cp_als_module.BLOCK_BYTES // (8 * tensor.nnz)
+        assert longest > sparse_tensor_module.BLOCK_BYTES // (8 * rank)
+        band = sparse_tensor_module.BLOCK_BYTES // (8 * tensor.nnz)
         assert 1 < band < rank
-        assert _buffer(tensor, rank).shape == (band, tensor.nnz)
+        assert tensor.fibers.buffer(rank).shape == (band, tensor.nnz)
         factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
         for mode in range(tensor.order):
             assert np.array_equal(mttkrp(tensor, factors, mode), whole_array_mttkrp(tensor, factors, mode))
 
     @pytest.mark.parametrize("budget", [None, 1024])
     def test_buffer_is_bounded_at_every_rank(self, monkeypatch, budget):
-        if budget is not None:
-            monkeypatch.setattr(cp_als_module, "BLOCK_BYTES", budget)
         tensor, longest = long_word_tensor()
-        bound = max(cp_als_module.BLOCK_BYTES, 8 * tensor.nnz)
+        if budget is not None:
+            monkeypatch.setattr(sparse_tensor_module, "BLOCK_BYTES", budget)
+        bound = max(sparse_tensor_module.BLOCK_BYTES, 8 * tensor.nnz)
         ranks = (1, 2, 7, 100, 10_000, 10**9)
-        assert longest > cp_als_module.BLOCK_BYTES // (8 * ranks[3])
+        assert longest > sparse_tensor_module.BLOCK_BYTES // (8 * ranks[3])
         for rank in ranks:
-            buffer = _buffer(tensor, rank)
+            buffer = tensor.fibers.buffer(rank)
             assert buffer.shape[1] == tensor.nnz and 1 <= buffer.shape[0] <= rank
             assert buffer.nbytes <= bound, rank
 
@@ -422,7 +435,7 @@ def test_fit_working_memory_is_far_below_rank_times_nnz():
     tensor = SparseTensorCOO(coords, rng.uniform(0.1, 1.1, 80_000), shape)
     rank = 100
     whole = rank * tensor.nnz * 8
-    assert whole > 20 * cp_als_module.BLOCK_BYTES
+    assert whole > 20 * sparse_tensor_module.BLOCK_BYTES
     tensor.fibers  # built once per tensor, before the fit is traced
     tracemalloc.start()
     try:

@@ -5,7 +5,8 @@ From one clean toy run, each top-level key of a header is in turn deleted,
 replaced by a sample of each other JSON type, and, if it holds an integer,
 replaced by that integer's decimal string. The reading stage must then
 either exit 0 and write the clean run's bytes, or exit 1 with an `error: `
-naming the edited file.
+naming the edited file. A header nested past the JSON decoder's recursion
+limit must be named as unreadable by every reader.
 """
 
 import json
@@ -95,3 +96,21 @@ def test_every_header_fault_is_named_or_harmless(clean, tmp_path, capsys, name, 
             wrong.append(f"{label}: exit {code}, stderr {err!r}")
     assert cases > 3 * len(json.loads(line))
     assert wrong == []
+
+
+# Each header's artifact kind, as its reader names it.
+KINDS = {"tensor/header.json": "tensor", "models/rank_3.model": "model", "selection.json": "selection"}
+
+
+@pytest.mark.parametrize("name, stage", [(name, stage) for name, stages in READERS.items() for stage in stages])
+def test_header_nested_past_the_recursion_limit_is_named(clean, tmp_path, capsys, name, stage):
+    # The JSON decoder recurses once per nesting level, so this header is a
+    # RecursionError to it, not a ValueError.
+    _header, newline, rest = (clean / name).read_text(encoding="utf-8").partition("\n")
+    workdir = tmp_path / "nested"
+    shutil.copytree(clean, workdir)
+    edited = workdir / name
+    edited.write_text("[" * 200_000 + "]" * 200_000 + newline + rest, encoding="utf-8")
+    capsys.readouterr()
+    assert cli_run([stage, "--config", CFG, "--workdir", str(workdir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {edited}: unreadable {KINDS[name]} header: ")
