@@ -7,15 +7,15 @@ reporting convention where every factor column sums to 1 and the absorbed
 scale lives in the weights.
 
 There is one MTTKRP kernel, grouped by last-mode fibers (compressed sparse
-fiber storage, Smith & Karypis 2015): the public mttkrp() and every sweep of
-cp_als() run it. Within a sweep the last factor changes only at the last
-mode, so cp_als() computes the per-fiber leaf sums once and reuses them for
-every other mode (partial-product reuse, Phan, Tichavsky & Cichocki 2013).
-Every pass runs through one buffer allocated once per fit, and the fiber
-products are built in place: no rank x nnz array. The leaf sums and the last
-mode are the products W_last^T X^T and X^T P of the F x J fiber-value matrix
-X (Bader & Kolda 2007), which the tensor's FiberIndex computes in the form it
-stores X in.
+fiber storage, Smith & Karypis 2015): the tensor's FiberIndex runs it, and
+the public mttkrp() and every sweep of cp_als() hand it factors only. Within
+a sweep the last factor changes only at the last mode, so cp_als() computes
+the per-fiber leaf sums once and reuses them for every other mode
+(partial-product reuse, Phan, Tichavsky & Cichocki 2013). Each pass gathers
+in bands through a buffer sized to that pass, and the fiber products are
+built in place: no rank x nnz array. The leaf sums and the last mode are the
+products W_last^T X^T and X^T P of the F x J fiber-value matrix X (Bader &
+Kolda 2007), which FiberIndex computes in the form it stores X in.
 """
 
 from __future__ import annotations
@@ -127,32 +127,8 @@ def mttkrp(tensor: SparseTensorCOO, factors, mode: int) -> np.ndarray:
 
     if tensor.nnz == 0:
         return np.zeros((tensor.shape[mode], rank))
-    buffer = tensor.fibers.buffer(rank)
-    leaf_sums = None if mode == d - 1 else tensor.fibers.leaf_sums(factors[-1], buffer)
-    return _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
-
-
-def _columns(factor: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """factor[index].T as a contiguous (rank, len(index)) array."""
-    return np.ascontiguousarray(factor.T).take(index, axis=1)
-
-
-def _fiber_mttkrp(tensor, factors, mode: int, leaf_sums, buffer: np.ndarray) -> np.ndarray:
-    """MTTKRP for `mode` of a nonempty tensor, through `buffer`: the fibers'
-    products of leading factor rows, times leaf_sums (FiberIndex.leaf_sums of
-    the current last factor) for a leading mode, summed by that mode's pass;
-    for the last mode, FiberIndex.last_mode of them."""
     fibers = tensor.fibers
-    last = tensor.order - 1
-    cols = None if mode == last else leaf_sums
-    for k in range(last):
-        if k != mode:
-            # Into the fresh gather, so leaf_sums is never written.
-            part = _columns(factors[k], fibers.coords[:, k])
-            cols = part if cols is None else np.multiply(part, cols, out=part)
-    if mode == last:
-        return fibers.last_mode(cols, buffer, tensor.shape[mode])
-    return fibers.segments[mode].sums(buffer, cols, np.zeros((tensor.shape[mode], cols.shape[0])))
+    return fibers.mttkrp(factors, mode, None if mode == d - 1 else fibers.leaf_sums(factors[-1]))
 
 
 def _model_norm_sq(weights: np.ndarray, grams) -> float:
@@ -198,13 +174,12 @@ def cp_als(
     fit_history: list[float] = []
 
     projected = solved = None
-    buffer = tensor.fibers.buffer(rank)
     for iteration in range(1, opts.max_iters + 1):
         # The last factor changes only at the last mode, so one set of leaf
         # sums serves every other mode of the sweep.
-        leaf_sums = tensor.fibers.leaf_sums(factors[-1], buffer)
+        leaf_sums = tensor.fibers.leaf_sums(factors[-1])
         for mode in range(d):
-            projected = _fiber_mttkrp(tensor, factors, mode, leaf_sums, buffer)
+            projected = tensor.fibers.mttkrp(factors, mode, leaf_sums)
             gram_others = hadamard_all(
                 [grams[k] for k in range(d) if k != mode]
             )
@@ -230,7 +205,7 @@ def cp_als(
             break
 
     # Free the sweep's working arrays before arrange copies the factors.
-    del buffer, leaf_sums, projected, solved, gram_others
+    del leaf_sums, projected, solved, gram_others
     model = arrange(KruskalModel(weights=weights, factors=factors))
     return model, fit_history
 

@@ -3,8 +3,8 @@
 Coordinates are kept lexicographically sorted and coalesced so that every
 downstream kernel (MTTKRP in particular) accumulates in a fixed order and
 reruns are bitwise reproducible. The sort also makes each last-mode fiber
-(the nonzeros sharing their first d-1 coordinates) a contiguous run, which
-FiberIndex records for the MTTKRP kernel. The on-disk container is written
+(the nonzeros sharing their first d-1 coordinates) a contiguous run, over
+which FiberIndex runs the MTTKRP kernel. The on-disk container is written
 and read by the artifacts module.
 """
 
@@ -61,16 +61,23 @@ class Segments(NamedTuple):
     targets: np.ndarray
     scale: np.ndarray | None = None
 
-    def sums(self, buffer: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Run this pass over the rows of `columns`, as many as `buffer`
-        holds at a time: gather columns[rows][:, index], scale it, and write
-        its run sums to out[targets, rows]. Each run is summed whole, by one
-        np.add.reduceat along a contiguous row, so the bands change no bit."""
-        rank, n = columns.shape[0], len(self.index)
-        band = buffer.size // n
+    def band(self, rank: int) -> int:
+        """Rows of a (rank, n) pass gathered at a time: as many as fit
+        BLOCK_BYTES, and at least one (larger bands cost memory, smaller
+        ones a step each)."""
+        return max(1, min(rank, BLOCK_BYTES // (8 * len(self.index))))
+
+    def sums(self, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Run this pass over the rows of `columns`, a band at a time: gather
+        columns[rows][:, index], scale it, and write its run sums to
+        out[targets, rows]. Each run is summed whole, by one np.add.reduceat
+        along a contiguous row, so the bands change no bit."""
+        rank = columns.shape[0]
+        band = self.band(rank)
+        buffer = np.empty((band, len(self.index)))
         for start in range(0, rank, band):
             rows = slice(start, min(start + band, rank))
-            cols = buffer.reshape(-1)[: (rows.stop - start) * n].reshape(-1, n)
+            cols = buffer[: rows.stop - start]
             # take's default mode="raise" fills a hidden copy of the band; the
             # pass's index is in range, so "clip" changes nothing.
             columns[rows].take(self.index, axis=1, out=cols, mode="clip")
@@ -110,15 +117,15 @@ MAX_DENSE_SPARSITY = 32
 
 @dataclass(frozen=True)
 class FiberIndex:
-    """The last-mode fibers of a sorted tensor: one level of compressed sparse
-    fiber (CSF) storage, as a table of summation passes. Only this class
-    knows how the fiber values are stored.
+    """The last-mode fibers of a sorted tensor of `shape` (one level of
+    compressed sparse fiber, CSF, storage) and the MTTKRP over them. Only
+    this class knows how the fiber values are stored.
 
     coords : (F, d-1) each fiber's leading coordinates. segments[k] is mode
     k < d-1's pass, over the F fibers grouped by their mode-k coordinate.
     The MTTKRP reaches the F x J fiber values X (X[f, j]: fiber f's value at
-    last coordinate j) only through leaf_sums (W_last^T X^T) and last_mode
-    (X^T P). build stores X in one of two forms:
+    last coordinate j) only through the products W_last^T X^T (leaf_sums)
+    and X^T P (mttkrp's last mode). build stores X in one of two forms:
     - dense: X itself, where it fits BLOCK_BYTES and at least
       1/MAX_DENSE_SPARSITY of it is nonzero. Both products are BLAS matrix
       products, deterministic for one BLAS kernel and thread count.
@@ -128,12 +135,13 @@ class FiberIndex:
       last coordinate and scaled by their values.
     Passes run rank-major, on (rank, n) arrays, so that each gather and each
     np.add.reduceat runs along contiguous memory (several times faster than
-    on (n, rank) rows), in bands of components through one buffer that
-    spans the longest pass: the nonzeros, or the F fibers if X is dense.
-    Working memory is max(BLOCK_BYTES, 8 n) bytes at any rank, never rank x
-    nnz (cache blocking, as in SPLATT, Smith et al. 2015).
+    on (n, rank) rows), in bands of components through a buffer that each
+    pass sizes to its own n (Segments.band) and frees when it returns.
+    Working memory is max(BLOCK_BYTES, 8 nnz) bytes at any rank, never rank
+    x nnz (cache blocking, as in SPLATT, Smith et al. 2015).
     """
 
+    shape: tuple[int, ...]
     coords: np.ndarray
     segments: tuple[Segments, ...]
     dense: np.ndarray | None
@@ -141,8 +149,8 @@ class FiberIndex:
     last_pass: Segments | None
 
     @classmethod
-    def build(cls, coords: np.ndarray, values: np.ndarray, extent: int) -> "FiberIndex":
-        """The index of sorted `coords` and `values` whose last mode has `extent` indices."""
+    def build(cls, coords: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> "FiberIndex":
+        """The index of sorted `coords` and `values` of a tensor of `shape`."""
         lead = coords[:, :-1]
         starts = _run_starts(lead)
         fiber_coords = lead[starts]
@@ -150,37 +158,40 @@ class FiberIndex:
         segments = tuple(_segments(fiber_coords[:, k], fiber_ids) for k in range(lead.shape[1]))
         fiber_of = np.repeat(fiber_ids, np.diff(np.r_[starts, coords.shape[0]]))
         leaf = np.ascontiguousarray(coords[:, -1])
-        cells = starts.shape[0] * extent
+        cells = starts.shape[0] * shape[-1]
         if 0 < 8 * cells <= BLOCK_BYTES and values.shape[0] * MAX_DENSE_SPARSITY >= cells:
-            dense = np.zeros((starts.shape[0], extent))
+            dense = np.zeros((starts.shape[0], shape[-1]))
             dense[fiber_of, leaf] = values
-            return cls(fiber_coords, segments, dense, None, None)
+            return cls(shape, fiber_coords, segments, dense, None, None)
         leaf_pass = Segments(leaf, starts, fiber_ids, values)
-        return cls(fiber_coords, segments, None, leaf_pass, _segments(leaf, fiber_of, values))
+        return cls(shape, fiber_coords, segments, None, leaf_pass, _segments(leaf, fiber_of, values))
 
-    def buffer(self, rank: int) -> np.ndarray:
-        """The gather buffer of every pass of a nonempty tensor at `rank`: band
-        x n floats, n the longest pass, band as many rows as fit BLOCK_BYTES
-        and at least one (larger bands cost memory, smaller ones a step each)."""
-        n = self.coords.shape[0] if self.dense is not None else len(self.leaf_pass.index)
-        band = max(1, min(rank, BLOCK_BYTES // (8 * n)))
-        return np.empty((band, n))
-
-    def leaf_sums(self, last_factor: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    def leaf_sums(self, last_factor: np.ndarray) -> np.ndarray:
         """W_last^T X^T as (rank, F): per fiber, the sum of value * last-factor row."""
         if self.dense is not None:
             return last_factor.T @ self.dense.T
         out = np.empty((last_factor.shape[1], self.coords.shape[0]))
         # Written through the transposed view, so the sums stay rank-major.
-        self.leaf_pass.sums(buffer, np.ascontiguousarray(last_factor.T), out.T)
+        self.leaf_pass.sums(np.ascontiguousarray(last_factor.T), out.T)
         return out
 
-    def last_mode(self, products: np.ndarray, buffer: np.ndarray, extent: int) -> np.ndarray:
-        """X^T P as (extent, rank), for the fibers' (rank, F) `products` P^T:
-        per last-mode index, the sum of value * its fiber's product."""
-        if self.dense is not None:
-            return self.dense.T @ products.T
-        return self.last_pass.sums(buffer, products, np.zeros((extent, products.shape[0])))
+    def mttkrp(self, factors, mode: int, leaf_sums: np.ndarray | None) -> np.ndarray:
+        """MTTKRP for `mode` of a nonempty tensor: the fibers' (rank, F)
+        products P^T of leading factor rows, times `leaf_sums` (leaf_sums of
+        the current last factor, which is never written) for a leading mode,
+        summed by that mode's pass; for the last mode X^T P, per last-mode
+        index the sum of value * its fiber's product, and leaf_sums unused."""
+        last = len(self.shape) - 1
+        cols = None if mode == last else leaf_sums
+        for k in range(last):
+            if k != mode:
+                # Into the fresh gather, so leaf_sums is never written.
+                part = np.ascontiguousarray(factors[k].T).take(self.coords[:, k], axis=1)
+                cols = part if cols is None else np.multiply(part, cols, out=part)
+        if mode == last and self.dense is not None:
+            return self.dense.T @ cols.T
+        segments = self.last_pass if mode == last else self.segments[mode]
+        return segments.sums(cols, np.zeros((self.shape[mode], cols.shape[0])))
 
     def __str__(self) -> str:
         if self.dense is None:
@@ -288,7 +299,7 @@ class SparseTensorCOO:
         race on the first use each build the same index; either one is kept.
         """
         if self._fibers is None:
-            self._fibers = FiberIndex.build(self.coords, self.values, self.shape[-1])
+            self._fibers = FiberIndex.build(self.coords, self.values, self.shape)
         return self._fibers
 
     def frobenius_norm(self) -> float:

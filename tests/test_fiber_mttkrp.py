@@ -28,8 +28,6 @@ from tensortopics import (
     solve_gram,
 )
 
-from tensortopics.cp_als import _fiber_mttkrp
-
 sparse_tensor_module = importlib.import_module("tensortopics.sparse_tensor")
 
 from conftest import coo_mttkrp, from_entries, random_sparse, to_dense
@@ -168,17 +166,17 @@ class TestProperties:
     @example(case=ONE_FIBER)
     @example(case=EXTENT_ONE_LAST)
     def test_leaf_sum_reuse_matches_coo_oracle(self, case):
-        # As in a cp_als sweep: one set of leaf sums for every mode, and one
-        # gather buffer that the leaf sums and the last mode both overwrite.
+        # As in a cp_als sweep: one set of leaf sums for every mode, which
+        # no mode writes.
         tensor, factors = case
         last = tensor.order - 1
         for form in (tensor, banded(tensor)):
-            buffer = form.fibers.buffer(factors[0].shape[1])
-            buffer[:] = np.nan
-            leaf_sums = form.fibers.leaf_sums(factors[-1], buffer)
+            leaf_sums = form.fibers.leaf_sums(factors[-1])
+            kept = leaf_sums.copy()
             for mode in (last, *range(tensor.order)):
-                got = _fiber_mttkrp(form, factors, mode, leaf_sums, buffer)
+                got = form.fibers.mttkrp(factors, mode, leaf_sums)
                 assert_within_rounding(got, tensor, factors, mode)
+                assert np.array_equal(leaf_sums, kept), f"mode {mode}"
 
 
 class TestFiberIndex:
@@ -235,6 +233,10 @@ def form_case(lead, edge, dense):
     return extent, nnz
 
 
+# The fiber-index attributes that each module outside sparse_tensor.py reads.
+INDEX_USES = {"cp_als.py": {"leaf_sums", "mttkrp"}, "ensemble.py": {"coords"}}
+
+
 class TestStorageForms:
     @pytest.mark.parametrize("lead", [(64,), (4, 8, 2)], ids=["order2", "order4"])
     @pytest.mark.parametrize("edge", ["fill", "size"])
@@ -248,16 +250,28 @@ class TestStorageForms:
         assert len(tensor.fibers.segments) == tensor.order - 1
         assert_matches_oracle(tensor, 6, rng)
 
-    @pytest.mark.parametrize("module", ["cp_als.py", "ensemble.py"])
+    @pytest.mark.parametrize("module", sorted(
+        path.name for path in Path(sparse_tensor_module.__file__).parent.glob("*.py") if path.name != "sparse_tensor.py"
+    ))
     def test_only_the_fiber_index_knows_the_form(self, module):
-        # The fit and the ensemble reach X through FiberIndex's products and
-        # its text alone: no form field, and neither edge of the form choice.
+        # The fit reaches the index through its two products alone, and the
+        # ensemble through the fiber count and its text: no other module
+        # reads it, and none reads a form field or either edge of the form
+        # choice. The fit reads no fiber, pass or buffer of its own.
         path = Path(sparse_tensor_module.__file__).with_name(module)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names.update(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names)
-        assert "fibers" in names  # the walk sees the index's uses
+        uses = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and "fibers" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
+        }
+        assert uses == INDEX_USES.get(module, set())
+        if module in INDEX_USES:
+            assert "fibers" in names  # the walk sees the index's uses
         assert names & {"dense", "leaf_pass", "last_pass", "BLOCK_BYTES", "MAX_DENSE_SPARSITY"} == set()
+        if module == "cp_als.py":
+            assert names & {"coords", "segments", "buffer", "last_mode"} == set()
 
     def test_dense_form_holds_the_fiber_values(self, rng):
         tensor = fiber_grid_tensor(rng, (3, 2, 4), 9, 60)
@@ -272,7 +286,7 @@ class TestStorageForms:
         factors = [rng.uniform(-1.0, 1.0, (n, 5)) for n in tensor.shape]
         whole = [mttkrp(tensor, factors, mode) for mode in range(tensor.order)]
         monkeypatch.setattr(sparse_tensor_module, "BLOCK_BYTES", 8 * tensor.fibers.coords.shape[0] * band)
-        assert tensor.fibers.buffer(5).shape == (band, tensor.fibers.coords.shape[0])
+        assert [segments.band(5) for segments in tensor.fibers.segments] == [band] * (tensor.order - 1)
         for mode in range(tensor.order):
             assert np.array_equal(mttkrp(tensor, factors, mode), whole[mode]), f"mode {mode}"
 
@@ -382,7 +396,7 @@ class TestBlockedPassesAreBitIdentical:
         ]
         for tensor in tensors:
             narrow_bands(monkeypatch, tensor, band)
-            assert tensor.fibers.buffer(rank).shape == (band or rank, tensor.nnz)
+            assert tensor.fibers.leaf_pass.band(rank) == tensor.fibers.last_pass.band(rank) == (band or rank)
             factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
             for mode in range(tensor.order):
                 got = mttkrp(tensor, factors, mode)
@@ -394,7 +408,7 @@ class TestBlockedPassesAreBitIdentical:
         assert longest > sparse_tensor_module.BLOCK_BYTES // (8 * rank)
         band = sparse_tensor_module.BLOCK_BYTES // (8 * tensor.nnz)
         assert 1 < band < rank
-        assert tensor.fibers.buffer(rank).shape == (band, tensor.nnz)
+        assert tensor.fibers.leaf_pass.band(rank) == tensor.fibers.last_pass.band(rank) == band
         factors = [rng.uniform(-1.0, 1.0, (n, rank)) for n in tensor.shape]
         for mode in range(tensor.order):
             assert np.array_equal(mttkrp(tensor, factors, mode), whole_array_mttkrp(tensor, factors, mode))
@@ -407,10 +421,14 @@ class TestBlockedPassesAreBitIdentical:
         bound = max(sparse_tensor_module.BLOCK_BYTES, 8 * tensor.nnz)
         ranks = (1, 2, 7, 100, 10_000, 10**9)
         assert longest > sparse_tensor_module.BLOCK_BYTES // (8 * ranks[3])
+        fibers = tensor.fibers
+        passes = (*fibers.segments, fibers.leaf_pass, fibers.last_pass)
+        assert max(len(segments.index) for segments in passes) == tensor.nnz
         for rank in ranks:
-            buffer = tensor.fibers.buffer(rank)
-            assert buffer.shape[1] == tensor.nnz and 1 <= buffer.shape[0] <= rank
-            assert buffer.nbytes <= bound, rank
+            for segments in passes:
+                band = segments.band(rank)
+                assert 1 <= band <= rank
+                assert 8 * len(segments.index) * band <= bound, rank
 
     @pytest.mark.parametrize("band", BANDS)
     def test_cp_als_equals_whole_array_sweeps(self, rng, monkeypatch, band):
