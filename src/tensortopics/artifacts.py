@@ -367,6 +367,10 @@ def save_tensor(
         for label in axis.labels:
             if "\n" in label or "\r" in label:
                 raise ValueError(f"axis label {label!r} in mode {k} contains a newline")
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"axis label {label!r} in mode {k} is not UTF-8 text") from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     row = _row_dtype(d)

@@ -33,6 +33,8 @@ UNKNOWN_JOURNAL = "(unknown-journal)"
 REQUIRED_FIELDS = ("title", "abstract", "first_author", "journal")
 
 _VOWELS = frozenset("aeiouy")
+# A UTF-16 surrogate code point: never text on its own, and not UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # str.translate table: ASCII letters stay and every other ASCII character
 # becomes a space, so split() gives the [A-Za-z]+ runs of ASCII text.
 _TOKEN_TABLE = {c: chr(c) if chr(c).isalpha() else " " for c in range(128)}
@@ -80,7 +82,7 @@ def _rows(source: Path, corpus_format: str) -> Iterator[tuple[str, object]]:
                     if line:
                         try:
                             row = json.loads(line)
-                        except (json.JSONDecodeError, RecursionError):
+                        except (ValueError, RecursionError):  # a JSONDecodeError, or an int past 4,300 digits
                             row = _NOT_JSON
                         yield f"{source}:{line_no}", row
                 return
@@ -128,6 +130,10 @@ def load_corpus(source: str | Path, corpus_format: str = "csv") -> list[CorpusRe
         else:
             key = next((k for k in REQUIRED_FIELDS if not isinstance(row.get(k), str)), None)
             problem = key and f"missing or non-text {key!r} field, row skipped"
+            if not problem:
+                # A \ud800 escape parses to a lone surrogate, which no label file can hold.
+                key = next((k for k in REQUIRED_FIELDS if _SURROGATE.search(row[k])), None)
+                problem = key and f"{key!r} field holds a lone surrogate, row skipped"
         if problem:
             malformed += 1
             logger.warning("%s: %s", where, problem)

@@ -227,7 +227,11 @@ class TestLoadCorpus:
             + json.dumps({**good, "title": 5}) + "\n"
             "[1, 2, 3]\n"
             '"abc"\n'
-            + json.dumps({**good, "body": "", "body_path": "missing/doc.txt"}) + "\n",
+            + json.dumps({**good, "body": "", "body_path": "missing/doc.txt"}) + "\n"
+            # json.loads raises a plain ValueError past int's digit limit.
+            '{"n": ' + "9" * 5000 + "}\n"
+            # Valid JSON, but a lone surrogate has no UTF-8 form.
+            + json.dumps({**good, "first_author": "Ann \ud800 Lee"}) + "\n",
             encoding="utf-8",
         )
         caplog.set_level(logging.INFO, logger="tensortopics.corpus_ingest")
@@ -239,7 +243,9 @@ class TestLoadCorpus:
             ("WARNING", f"{path}:6: row is not an object, skipped"),
             ("WARNING", f"{path}:7: row is not an object, skipped"),
             ("WARNING", f"{path}:8: unreadable body_path 'missing/doc.txt'"),
-            ("WARNING", f"{path}: skipped 5 malformed row(s), 1 unreadable body file(s)"),
+            ("WARNING", f"{path}:9: invalid JSON, row skipped"),
+            ("WARNING", f"{path}:10: 'first_author' field holds a lone surrogate, row skipped"),
+            ("WARNING", f"{path}: skipped 7 malformed row(s), 1 unreadable body file(s)"),
             ("INFO", f"{path}: loaded 2 record(s)"),
         ]
 

@@ -1,7 +1,8 @@
 """The fiber-grouped MTTKRP against the COO gather/scatter oracle in both
 storage forms of the fiber values, the banded passes bit for bit against
 whole-array ones, and the per-sweep leaf-sum reuse in cp_als against a loop
-over the public mttkrp; and that only the fiber index knows the form."""
+over the public mttkrp; that only the fiber index knows the form, and that
+cp_als reaches it only through leaf_sums and mttkrp."""
 
 import ast
 import importlib

@@ -172,6 +172,14 @@ class TestTensorFile:
             save_tensor(t, axes, names, tmp_path / "t")
         assert not (tmp_path / "t").exists()
 
+    def test_label_with_a_lone_surrogate_rejected_on_save(self, tmp_path, rng):
+        # UTF-8 cannot encode it: no file of the container may be written.
+        t, axes, names = self._make(rng)
+        axes[0] = AxisMap([f"a{i}" for i in range(len(axes[0]) - 1)] + ["Ann \ud800 Lee"])
+        with pytest.raises(ValueError, match=r"^axis label 'Ann \\ud800 Lee' in mode 0 is not UTF-8 text$"):
+            save_tensor(t, axes, names, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("drop", ["axes", "mode_names"])
     def test_wrong_axis_count_rejected_on_save(self, tmp_path, rng, drop):
         t, axes, names = self._make(rng)
